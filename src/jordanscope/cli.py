@@ -38,11 +38,11 @@ from .jordan import (
 from .corpus import builtin_cases, builtin_families
 from .ranklab import DEFAULT_REL_TOL
 from .scanner import (
-    PointKind,
     check_jst_bound,
     check_split_bound,
     classify_point,
     jst_defining_functions,
+    scan_grid,
     square_free_part_family,
 )
 from .sylv import check_coeff_bound, split_defining_functions
@@ -80,19 +80,24 @@ def rational_str(q: GaussianRational) -> list:
     return [str(q.re), str(q.im)]
 
 
-def manifest(args, raw_input: bytes, rel_tol: float, seed: int) -> dict:
-    # --jobs only changes execution topology, never the result, so it is
-    # stripped to keep reports byte-identical across worker counts
+#: options that change where results go or how many workers compute
+#: them, never the result; the manifest leaves them out so that reports
+#: are byte-identical across reruns, output paths and worker counts
+NOT_IN_MANIFEST = ("--jobs", "--out", "--csv")
+
+
+def manifest(argv, raw_input: bytes, rel_tol: float, seed: int) -> dict:
+    """The run manifest; ``argv`` is the command line given to ``main``."""
     cleaned = []
     skip = False
-    for arg in args:
+    for arg in argv:
         if skip:
             skip = False
             continue
-        if arg == "--jobs":
+        if arg in NOT_IN_MANIFEST:
             skip = True
             continue
-        if arg.startswith("--jobs="):
+        if arg.split("=", 1)[0] in NOT_IN_MANIFEST:
             continue
         cleaned.append(arg)
     return {
@@ -263,7 +268,7 @@ def cmd_census(args) -> int:
     doc = {
         "schema": "v1",
         "kind": "census",
-        "manifest": manifest(sys.argv[1:], raw, rel_tol, args.seed),
+        "manifest": manifest(args.argv, raw, rel_tol, args.seed),
         "family_label": fam.label,
         "point": [cplx(c) for c in point],
         "census": census_doc(census),
@@ -289,7 +294,7 @@ def cmd_split_set(args) -> int:
     doc = {
         "schema": "v1",
         "kind": "split-set",
-        "manifest": manifest(sys.argv[1:], raw, rel_tol, args.seed),
+        "manifest": manifest(args.argv, raw, rel_tol, args.seed),
         "family_label": fam.label,
         "r_max": res.r_max,
         "functions": [h.to_string(fam.params) for h in res.functions],
@@ -314,7 +319,7 @@ def cmd_jst_set(args) -> int:
     doc = {
         "schema": "v1",
         "kind": "jst-set",
-        "manifest": manifest(sys.argv[1:], raw, rel_tol, args.seed),
+        "manifest": manifest(args.argv, raw, rel_tol, args.seed),
         "family_label": fam.label,
         "rank_values": {str(k): v for k, v in res.rank_values.items()},
         "k0": res.k0,
@@ -340,15 +345,6 @@ def cmd_jst_set(args) -> int:
     return EXIT_OK if ok else EXIT_VALIDATION
 
 
-def _scan_chunk(payload):
-    spec, nodes, probe_radius, rel_tol = payload
-    fam = MatrixFamily.from_spec_dict(spec)
-    return [
-        point_doc(classify_point(fam, node, probe_radius, rel_tol))
-        for node in nodes
-    ]
-
-
 def cmd_scan(args) -> int:
     fam, raw = resolve_family(args)
     rel_tol = effective_tol(args)
@@ -356,51 +352,31 @@ def cmd_scan(args) -> int:
     resolution = [int(r) for r in args.res.split(",")]
     if len(resolution) == 1:
         resolution = resolution * fam.nparams
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
+    jobs = min(args.jobs, os.cpu_count() or 1)
 
-    from .scanner import grid_nodes
+    def scan(chunk_map=map):
+        return scan_grid(fam, box, resolution, rel_tol, args.probe_radius,
+                         args.seed, chunk_map=chunk_map, chunks=jobs)
 
-    nodes = grid_nodes(box, resolution)
-    if args.probe_radius is not None:
-        probe_radius = args.probe_radius
+    if jobs > 1:
+        with multiprocessing.Pool(jobs) as pool:
+            report = scan(pool.map)
     else:
-        probe_radius = min(
-            (hi - lo) / (res - 1) for (lo, hi), res in zip(box, resolution)
-        ) / 4.0
-
-    if args.jobs > 1:
-        spec = fam.to_spec_dict()
-        chunk_size = max(1, (len(nodes) + args.jobs - 1) // args.jobs)
-        chunks = [
-            nodes[i : i + chunk_size] for i in range(0, len(nodes), chunk_size)
-        ]
-        payloads = [(spec, chunk, probe_radius, rel_tol) for chunk in chunks]
-        with multiprocessing.Pool(args.jobs) as pool:
-            results = pool.map(_scan_chunk, payloads)
-        point_docs = [doc for chunk in results for doc in chunk]
-    else:
-        point_docs = [
-            point_doc(classify_point(fam, node, probe_radius, rel_tol))
-            for node in nodes
-        ]
-
-    summary = {kind.value: 0 for kind in PointKind}
-    for doc in point_docs:
-        summary[doc["kind"]] += 1
-    n = fam.n
-    maxima = [
-        max(doc["rank_theta"][k] for doc in point_docs) for k in range(n - 1)
-    ]
+        report = scan()
+    point_docs = [point_doc(p) for p in report.points]
     doc = {
         "schema": "v1",
         "kind": "scan",
-        "manifest": manifest(sys.argv[1:], raw, rel_tol, args.seed),
+        "manifest": manifest(args.argv, raw, rel_tol, args.seed),
         "family_label": fam.label,
         "params": fam.params,
-        "box": [[lo, hi] for lo, hi in box],
-        "resolution": resolution,
-        "probe_radius": probe_radius,
-        "summary": summary,
-        "rank_theta_maxima": maxima,
+        "box": [[lo, hi] for lo, hi in report.box],
+        "resolution": report.resolution,
+        "probe_radius": report.probe_radius,
+        "summary": report.summary,
+        "rank_theta_maxima": list(report.rank_theta_maxima),
         "points": point_docs,
     }
     emit(doc, args.out)
@@ -428,7 +404,7 @@ def cmd_track(args) -> int:
     doc = {
         "schema": "v1",
         "kind": "track",
-        "manifest": manifest(sys.argv[1:], raw, rel_tol, args.seed),
+        "manifest": manifest(args.argv, raw, rel_tol, args.seed),
         "family_label": fam.label,
         "steps": args.steps,
         "samples": [
@@ -595,7 +571,7 @@ def cmd_verify(args) -> int:
     doc = {
         "schema": "v1",
         "kind": "verify",
-        "manifest": manifest(sys.argv[1:], raw, rel_tol, args.seed),
+        "manifest": manifest(args.argv, raw, rel_tol, args.seed),
         "checks": [{"label": label, "passed": ok} for label, ok in lines],
         "passed": not failures,
     }
@@ -657,7 +633,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--res", required=True,
                    help="grid resolution per axis (single value or list)")
     p.add_argument("--probe-radius", type=float, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes (at most the CPU count)")
     p.add_argument("--csv", default=None, help="also write a CSV grid projection")
     p.set_defaults(func=cmd_scan)
 
@@ -679,7 +656,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
+    args.argv = argv
     started = time.monotonic()
     try:
         code = args.func(args)

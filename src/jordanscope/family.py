@@ -13,6 +13,42 @@ from .algebra.multipoly import MultiPoly
 from .algebra.unipoly import UniPoly
 
 
+class StackedEvaluator:
+    """A list of polynomials compiled for evaluation at many points.
+
+    Every monomial that occurs in some polynomial is one row of an
+    exponent matrix; a complex coefficient matrix maps the monomial
+    values to the polynomials. Evaluating at N points is then one power
+    table per parameter, one product over parameters and one matrix
+    product.
+    """
+
+    def __init__(self, polys: Sequence[MultiPoly], nvars: int):
+        monomials = sorted({e for p in polys for e in p.terms})
+        if not monomials:
+            monomials = [(0,) * nvars]
+        row = {e: k for k, e in enumerate(monomials)}
+        self.exponents = np.array(monomials, dtype=np.intp).reshape(-1, nvars)
+        self.coeffs = np.zeros((len(monomials), len(polys)), dtype=complex)
+        for j, p in enumerate(polys):
+            for e, c in p.terms.items():
+                self.coeffs[row[e], j] = complex(c)
+
+    def __call__(self, points) -> np.ndarray:
+        """Values at a stack of points: shape (N, len(polys))."""
+        x = np.asarray(points, dtype=complex)
+        if x.ndim != 2 or x.shape[1] != self.exponents.shape[1]:
+            raise ValueError("point dimension mismatch")
+        values = np.ones((x.shape[0], self.exponents.shape[0]), dtype=complex)
+        for v in range(x.shape[1]):
+            expo = self.exponents[:, v]
+            table = np.ones((x.shape[0], int(expo.max()) + 1), dtype=complex)
+            for e in range(1, table.shape[1]):
+                table[:, e] = table[:, e - 1] * x[:, v]
+            values *= table[:, expo]
+        return values @ self.coeffs
+
+
 @dataclass
 class MatrixFamily:
     """An n x n grid of MultiPoly entries over shared parameters."""
@@ -68,12 +104,25 @@ class MatrixFamily:
     def nparams(self) -> int:
         return len(self.params)
 
+    # One point is evaluated term by term in Python and a stack of
+    # points by compiled numpy evaluators. The two round differently in
+    # the last bits, and the single-point callers (path tracking, bound
+    # checks, verify) keep the loop so that their reports do not change.
+
     def at(self, point) -> np.ndarray:
         """Evaluate the family at a complex parameter point."""
         return np.array(
             [[e.eval_complex(point) for e in row] for row in self.entries],
             dtype=complex,
         )
+
+    def at_many(self, points) -> np.ndarray:
+        """Evaluate at a stack of points: shape (N, n, n)."""
+        if not hasattr(self, "_entry_eval"):
+            self._entry_eval = StackedEvaluator(
+                [e for row in self.entries for e in row], self.nparams
+            )
+        return self._entry_eval(points).reshape(-1, self.n, self.n)
 
     def at_exact(self, point):
         """Evaluate at a GaussianRational point; exact list-of-lists."""
@@ -89,6 +138,15 @@ class MatrixFamily:
     def char_poly_at(self, point) -> UniPoly:
         """Characteristic polynomial at a point, complex coefficients."""
         return self.char_poly_family().eval_coeffs_complex(point)
+
+    def char_poly_coeffs_many(self, points) -> np.ndarray:
+        """Characteristic-polynomial coefficients, constant term first,
+        at a stack of points: shape (N, n + 1)."""
+        if not hasattr(self, "_charpoly_eval"):
+            self._charpoly_eval = StackedEvaluator(
+                self.char_poly_family().coeffs, self.nparams
+            )
+        return self._charpoly_eval(points)
 
     def operator_norm_at(self, point) -> float:
         return float(np.linalg.norm(self.at(point), 2))

@@ -26,12 +26,19 @@ from .algebra.scalars import GaussianRational
 from .algebra.unipoly import gcd_squarefree_oracle
 from .algebra.matrices import char_poly
 from .family import MatrixFamily
-from .ranklab import DEFAULT_REL_TOL, exact_rank, kernel_basis, numerical_rank
+from .ranklab import (
+    DEFAULT_REL_TOL,
+    exact_rank,
+    kernel_basis,
+    stacked_ranks,
+)
 from .tracker import (
     contour_root,
     distinct_eigenvalues,
     isolate,
     probe_ring,
+    theta_from_factors,
+    theta_rank_stack,
 )
 
 
@@ -71,11 +78,7 @@ def theta_product(phi, eigenvalues):
             if a == b:
                 raise ValueError("eigenvalue list must be distinct")
     if isinstance(phi, np.ndarray):
-        n = phi.shape[0]
-        theta = np.eye(n, dtype=complex)
-        for lam in eigenvalues:
-            theta = theta @ (complex(lam) * np.eye(n) - phi)
-        return theta
+        return theta_from_factors(phi, [(complex(lam), 1) for lam in eigenvalues])
     rows = coerce_matrix(phi)
     sample = rows[0][0]
     theta = identity(len(rows), one_like(sample), zero_like(sample))
@@ -123,20 +126,7 @@ def rank_profile(phi, lam, rel_tol: float = DEFAULT_REL_TOL) -> RankProfile:
     degenerate case rather than an error.
     """
     if isinstance(phi, np.ndarray):
-        n = phi.shape[0]
-        base = complex(lam) * np.eye(n) - phi
-        base_norm = float(np.linalg.norm(base, 2))
-        ranks = [n]
-        power = np.eye(n, dtype=complex)
-        for k in range(1, n + 2):
-            if len(ranks) >= 2 and ranks[-1] == ranks[-2]:
-                ranks.append(ranks[-1])
-                continue
-            power = power @ base
-            ranks.append(
-                numerical_rank(power, rel_tol, scale=base_norm**k).rank
-            )
-        return RankProfile(lam, tuple(ranks))
+        return _floating_rank_profiles(phi, [lam], rel_tol)[0]
     rows = coerce_matrix(phi)
     n = len(rows)
     base = shifted(lam, rows)
@@ -150,6 +140,46 @@ def rank_profile(phi, lam, rel_tol: float = DEFAULT_REL_TOL) -> RankProfile:
         power = mat_mul(power, base)
         ranks.append(exact_rank(power))
     return RankProfile(lam, tuple(ranks))
+
+
+def _floating_rank_profiles(phi: np.ndarray, lams, rel_tol: float):
+    """:func:`rank_profile` of a floating matrix at several eigenvalues,
+    with every power ranked in one stacked SVD.
+
+    All powers up to n+1 are formed; the stopping rule then discards the
+    ranks after the kernel chain has stabilized, so the profiles equal
+    the ones computed power by power. A power that overflows is left
+    out, and it is an error only if the profile needs its rank.
+    """
+    n = phi.shape[0]
+    eye = np.eye(n, dtype=complex)
+    bases = np.array([complex(lam) for lam in lams])[:, None, None] * eye - phi
+    norms = np.linalg.norm(bases, 2, axis=(1, 2)).tolist()
+    powers, scales = [], []
+    power = np.broadcast_to(eye, bases.shape)
+    for k in range(1, n + 2):
+        power = power @ bases
+        if not np.all(np.isfinite(power)):
+            break
+        powers.append(power)
+        scales.extend(nrm**k for nrm in norms)
+    if not powers:
+        raise ValueError("matrix has non-finite entries")
+    ranks = stacked_ranks(np.concatenate(powers), rel_tol, scales).reshape(
+        len(powers), len(lams)
+    )
+    profiles = []
+    for j, lam in enumerate(lams):
+        out = [n]
+        for k in range(1, n + 2):
+            if len(out) >= 2 and out[-1] == out[-2]:
+                out.append(out[-1])
+            elif k <= len(powers):
+                out.append(int(ranks[k - 1, j]))
+            else:
+                raise ValueError("matrix has non-finite entries")
+        profiles.append(RankProfile(lam, tuple(out)))
+    return profiles
 
 
 @dataclass
@@ -216,10 +246,13 @@ def jordan_census(
     if sum(m for _, m in pairs) != n:
         raise ValueError("multiplicities must sum to the matrix size")
 
+    if isinstance(phi, np.ndarray):
+        all_profiles = _floating_rank_profiles(phi, [lam for lam, _ in pairs], rel_tol)
+    else:
+        all_profiles = [rank_profile(phi, lam, rel_tol) for lam, _ in pairs]
     blocks = []
     profiles = []
-    for lam, mult in pairs:
-        prof = rank_profile(phi, lam, rel_tol)
+    for (lam, mult), prof in zip(pairs, all_profiles):
         r = prof.ranks
         theta = {}
         for k in range(1, n + 1):
@@ -293,13 +326,12 @@ def verify_rank_identities(
 
     theta = theta_product(phi, census.eigenvalues)
     if isinstance(theta, np.ndarray):
-        # roundoff reference: the product of the factor norms
-        theta_scale = 1.0
-        for lam in census.eigenvalues:
-            theta_scale *= float(
-                np.linalg.norm(complex(lam) * np.eye(n) - phi, 2)
-            )
-    theta_ranks = {}
+        factors = [(complex(lam), 1) for lam in census.eigenvalues]
+        (ranks,) = theta_rank_stack(np.asarray(phi, dtype=complex)[None],
+                                    [factors], rel_tol)
+        theta_ranks = dict(enumerate(ranks, start=1))
+    else:
+        theta_ranks = {}
     power = theta
     for k in range(1, n + 1):
         if k > 1:
@@ -308,13 +340,8 @@ def verify_rank_identities(
                 if isinstance(theta, np.ndarray)
                 else mat_mul(power, theta)
             )
-        if k <= n - 1:
-            if isinstance(theta, np.ndarray):
-                theta_ranks[k] = numerical_rank(
-                    power, rel_tol, scale=theta_scale**k
-                ).rank
-            else:
-                theta_ranks[k] = exact_rank(power)
+        if k <= n - 1 and not isinstance(theta, np.ndarray):
+            theta_ranks[k] = exact_rank(power)
 
     # stabilization of the individual rank profiles
     for lam, nj, prof in zip(
@@ -511,17 +538,9 @@ class StabilityClass(enum.Enum):
 def theta_power_ranks(a: np.ndarray, eigenvalues, rel_tol: float):
     """rank Theta^k for k = 1..n-1, with roundoff thresholded against
     the product of the factor norms."""
-    n = a.shape[0]
-    theta = theta_product(a, list(eigenvalues))
-    scale = 1.0
-    for lam in eigenvalues:
-        scale *= float(np.linalg.norm(complex(lam) * np.eye(n) - a, 2))
-    out = []
-    power = np.eye(n, dtype=complex)
-    for k in range(1, n):
-        power = power @ theta
-        out.append(numerical_rank(power, rel_tol, scale=scale**k).rank)
-    return out
+    factors = [(complex(lam), 1) for lam in eigenvalues]
+    (ranks,) = theta_rank_stack(np.asarray(a, dtype=complex)[None], [factors], rel_tol)
+    return list(ranks)
 
 
 def _theta_ranks_at(family: MatrixFamily, point, rel_tol: float):

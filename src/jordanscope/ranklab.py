@@ -49,6 +49,21 @@ def _as_complex_array(m) -> np.ndarray:
     return a
 
 
+def rank_threshold(smax, rel_tol: float, scale, shape):
+    """The singular-value threshold of every floating rank in the package.
+
+    ``max(rel_tol * smax, 1e3 * eps * scale) * max(rows, cols)``:
+    relative to the largest singular value, floored at the roundoff
+    level of a product whose factor norms multiply to ``scale``.
+    ``smax`` and ``scale`` may be arrays, one entry per matrix.
+    """
+    if not 0 < rel_tol < 1:
+        raise ValueError("rel_tol must lie in (0, 1)")
+    per_sigma = np.maximum(rel_tol * smax,
+                           ROUNDOFF_MARGIN * np.finfo(float).eps * scale)
+    return per_sigma * max(shape)
+
+
 def numerical_rank(m, rel_tol: float = DEFAULT_REL_TOL,
                    scale: float = 0.0) -> RankResult:
     """Rank of a complex matrix by singular-value thresholding.
@@ -63,17 +78,29 @@ def numerical_rank(m, rel_tol: float = DEFAULT_REL_TOL,
     computation (``~1e3 * eps * scale``), so that pure rounding residue
     is never mistaken for rank.
     """
-    if not 0 < rel_tol < 1:
-        raise ValueError("rel_tol must lie in (0, 1)")
     a = _as_complex_array(m)
     sigma = np.linalg.svd(a, compute_uv=False)
     smax = float(sigma[0]) if sigma.size else 0.0
-    per_sigma = max(rel_tol * smax,
-                    ROUNDOFF_MARGIN * np.finfo(float).eps * scale)
-    threshold = per_sigma * max(a.shape)
+    threshold = float(rank_threshold(smax, rel_tol, scale, a.shape))
     rank = int(np.sum(sigma > threshold))
     return RankResult(rank=rank, tolerance_used=threshold,
                       singular_values=tuple(float(s) for s in sigma))
+
+
+def stacked_ranks(stack, rel_tol: float = DEFAULT_REL_TOL,
+                  scales=0.0) -> np.ndarray:
+    """:func:`numerical_rank` of every matrix of an (N, rows, cols)
+    stack, from one stacked SVD; ``scales`` is one roundoff scale per
+    matrix (or one for all)."""
+    a = np.asarray(stack, dtype=complex)
+    if a.ndim != 3 or a.size == 0:
+        raise ValueError("need a nonempty stack of 2-d matrices")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has non-finite entries")
+    sigma = np.linalg.svd(a, compute_uv=False)
+    threshold = rank_threshold(sigma[:, 0], rel_tol,
+                               np.asarray(scales, dtype=float), a.shape[1:])
+    return np.sum(sigma > threshold[:, None], axis=1)
 
 
 def kernel_basis(m, rel_tol: float = DEFAULT_REL_TOL,
@@ -84,15 +111,10 @@ def kernel_basis(m, rel_tol: float = DEFAULT_REL_TOL,
     singular vectors whose singular values fall below the rank
     threshold of :func:`numerical_rank` (same ``scale`` semantics).
     """
-    if not 0 < rel_tol < 1:
-        raise ValueError("rel_tol must lie in (0, 1)")
     a = _as_complex_array(m)
     _, sigma, vh = np.linalg.svd(a, full_matrices=True)
     smax = float(sigma[0]) if sigma.size else 0.0
-    per_sigma = max(rel_tol * smax,
-                    ROUNDOFF_MARGIN * np.finfo(float).eps * scale)
-    threshold = per_sigma * max(a.shape)
-    rank = int(np.sum(sigma > threshold))
+    rank = int(np.sum(sigma > rank_threshold(smax, rel_tol, scale, a.shape)))
     return vh[rank:].conj().T
 
 

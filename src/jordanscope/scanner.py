@@ -11,6 +11,7 @@ cleared) square-free evaluation of the family.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -24,9 +25,19 @@ from .algebra.scalars import GR_ONE
 from .algebra.unipoly import UniPoly, derivative, pseudo_divmod, subresultant_gcd
 from .family import MatrixFamily
 from .jordan import CensusInconsistencyError, JordanCensus, jordan_census
-from .ranklab import DEFAULT_REL_TOL, generic_rank, minors, numerical_rank
-from .sylv import BoundReport, SplitSetResult, distinct_zero_count, split_defining_functions
-from .tracker import ProbeDisagreementError, extended_theta_factors, probe_ring
+from .ranklab import DEFAULT_REL_TOL, generic_rank, minors
+from .sylv import (
+    BoundReport,
+    SplitSetResult,
+    distinct_zero_counts,
+    split_defining_functions,
+)
+from .tracker import (
+    ProbeDisagreementError,
+    factors_from_stack,
+    probe_stack,
+    theta_rank_stack,
+)
 
 MAX_GRID_POINTS = 10**6
 MAX_PRODUCT_FUNCTIONS = 10**4
@@ -47,27 +58,6 @@ class PointClass:
     note: str = ""
 
 
-def _distinct_count_floating(family: MatrixFamily, point, rel_tol: float) -> int:
-    return distinct_zero_count(family.char_poly_at(point), rel_tol)
-
-
-def _theta_ranks_from_factors(a: np.ndarray, factors, rel_tol: float):
-    n = a.shape[0]
-    eye = np.eye(n, dtype=complex)
-    theta = eye.copy()
-    scale = 1.0
-    for lam, power in factors:
-        factor = lam * eye - a
-        theta = theta @ np.linalg.matrix_power(factor, int(power))
-        scale *= float(np.linalg.norm(factor, 2)) ** int(power)
-    ranks = []
-    power_mat = eye.copy()
-    for k in range(1, n):
-        power_mat = power_mat @ theta
-        ranks.append(numerical_rank(power_mat, rel_tol, scale=scale**k).rank)
-    return tuple(ranks)
-
-
 def classify_point(
     family: MatrixFamily,
     point,
@@ -76,64 +66,41 @@ def classify_point(
 ) -> PointClass:
     """Split / Jump / StableCandidate at one parameter point, by probing.
 
+    The point and two rings of 8 probes (at the probe radius and half
+    of it) are evaluated and decided as one stack of 17 matrices.
     Splitting is detected through the rank of the splitting matrix of
     the characteristic polynomial (more distinct roots at a probe than
     at the point). Jumps are detected through rank Theta^k rising at a
     probe. Stability can only be refuted by sampling, never certified.
     """
-    point = tuple(complex(c) for c in point)
-    n = family.n
-    probes = []
-    for radius in (probe_radius, probe_radius / 2):
-        probes.extend(probe_ring(point, radius, 8))
-
-    m_here = _distinct_count_floating(family, point, rel_tol)
-    is_split = any(
-        _distinct_count_floating(family, probe, rel_tol) > m_here
-        for probe in probes
-    )
-
+    stack = probe_stack(family, point, probe_radius, rel_tol=rel_tol)
+    counts = distinct_zero_counts(family.char_poly_coeffs_many(stack.points), rel_tol)
+    point, here = stack.points[0], stack.clusters[0]
     note = ""
-    if is_split:
+    if np.any(counts[1:] > counts[0]):
         try:
-            factors = extended_theta_factors(
-                family, point, rel_tol, probe_radius
-            )
+            factors = factors_from_stack(stack)
         except ProbeDisagreementError as err:
             note = f"extended product unavailable: {err}"
-            a = family.at(point)
-            from .tracker import distinct_eigenvalues
-
-            factors = [(lam, 1) for lam, _ in distinct_eigenvalues(a, rel_tol)]
-        rank_theta = _theta_ranks_from_factors(family.at(point), factors, rel_tol)
+            factors = [(lam, 1) for lam, _ in here]
+        (rank_theta,) = theta_rank_stack(stack.matrices[:1], [factors], rel_tol)
         return PointClass(point, PointKind.SPLIT, rank_theta, None, note)
 
-    from .tracker import distinct_eigenvalues
-
-    a_here = family.at(point)
-    factors_here = [(lam, 1) for lam, _ in distinct_eigenvalues(a_here, rel_tol)]
-    rank_theta = _theta_ranks_from_factors(a_here, factors_here, rel_tol)
-
-    is_jump = False
-    for probe in probes:
-        a_probe = family.at(probe)
-        factors = [(lam, 1) for lam, _ in distinct_eigenvalues(a_probe, rel_tol)]
-        probe_ranks = _theta_ranks_from_factors(a_probe, factors, rel_tol)
-        if any(pr > br for pr, br in zip(probe_ranks, rank_theta)):
-            is_jump = True
-            break
-    if is_jump:
-        census = _try_census(a_here, rel_tol)
+    ranks = theta_rank_stack(
+        stack.matrices, [[(lam, 1) for lam, _ in c] for c in stack.clusters], rel_tol
+    )
+    rank_theta = ranks[0]
+    census = _try_census(stack.matrices[0], here, rel_tol)
+    if any(pr > br for probe in ranks[1:] for pr, br in zip(probe, rank_theta)):
         return PointClass(point, PointKind.JUMP, rank_theta, census, note)
-    census = _try_census(a_here, rel_tol)
     if census is None:
         note = "census inconsistent at tolerance"
     return PointClass(point, PointKind.STABLE_CANDIDATE, rank_theta, census, note)
 
 
-def _try_census(a: np.ndarray, rel_tol: float) -> Optional[JordanCensus]:
+def _try_census(a: np.ndarray, clusters, rel_tol: float) -> Optional[JordanCensus]:
     try:
-        return jordan_census(a, rel_tol=rel_tol)
+        return jordan_census(a, clusters, rel_tol)
     except CensusInconsistencyError:
         return None
 
@@ -185,6 +152,10 @@ def grid_nodes(box, resolution):
             return out
 
 
+def _classify_chunk(family, probe_radius, rel_tol, nodes):
+    return [classify_point(family, node, probe_radius, rel_tol) for node in nodes]
+
+
 def scan_grid(
     family: MatrixFamily,
     box: Sequence[Tuple[float, float]],
@@ -192,13 +163,17 @@ def scan_grid(
     rel_tol: float = DEFAULT_REL_TOL,
     probe_radius: Optional[float] = None,
     seed: int = 0,
-    _classify=None,
+    chunk_map=map,
+    chunks: int = 1,
 ) -> ScanReport:
     """Classify every node of a rectangular grid in parameter space.
 
     ``box`` gives one real interval per parameter (the grid lives on
-    the real slice; probes still explore complex directions). Output is
-    deterministic given tolerances and seed.
+    the real slice; probes still explore complex directions). The nodes
+    are cut into ``chunks`` runs of consecutive nodes, and ``chunk_map``
+    (``map``, or a process pool's ``map``) classifies them, one
+    ``classify_point`` call per node. Output is deterministic given
+    tolerances and seed, whatever the chunking.
     """
     if len(box) != family.nparams:
         raise ValueError("need one interval per parameter")
@@ -210,10 +185,10 @@ def scan_grid(
             (hi - lo) / (res - 1) for (lo, hi), res in zip(box, resolution)
         )
         probe_radius = spacing / 4.0
-    classify = _classify or (
-        lambda node: classify_point(family, node, probe_radius, rel_tol)
-    )
-    points = [classify(node) for node in nodes]
+    size = -(-len(nodes) // max(1, chunks))
+    work = functools.partial(_classify_chunk, family, probe_radius, rel_tol)
+    results = chunk_map(work, [nodes[i : i + size] for i in range(0, len(nodes), size)])
+    points = [p for chunk in results for p in chunk]
     summary = {kind.value: 0 for kind in PointKind}
     for p in points:
         summary[p.kind.value] += 1

@@ -23,7 +23,7 @@ from .ranklab import (
     exact_rank,
     generic_rank,
     minors,
-    numerical_rank,
+    stacked_ranks,
 )
 
 
@@ -44,11 +44,6 @@ class SplitMatrix:
     @property
     def size(self) -> int:
         return 2 * self.n - 1
-
-    def as_numpy(self) -> np.ndarray:
-        return np.array(
-            [[complex(x) for x in row] for row in self.entries], dtype=complex
-        )
 
 
 def _require_monic(p: UniPoly, float_tol: float = 1e-12) -> UniPoly:
@@ -95,16 +90,43 @@ def distinct_zero_count(p: UniPoly, rel_tol: float = DEFAULT_REL_TOL) -> int:
     rank = n + m - 1, so m = rank - n + 1. Exact coefficients go
     through Bareiss elimination; floating ones through the SVD rank.
     """
-    sm = build_split_matrix(p)
     sample = p.coeffs[0]
-    if isinstance(sample, GaussianRational):
-        rank = exact_rank(sm.entries)
-    elif isinstance(sample, MultiPoly):
+    if isinstance(sample, MultiPoly):
         raise TypeError("evaluate the family at a point first")
-    else:
-        rank = numerical_rank(sm.as_numpy(), rel_tol).rank
-    m = rank - sm.n + 1
-    if not 1 <= m <= sm.n:
+    if not isinstance(sample, GaussianRational):
+        return int(distinct_zero_counts(np.array([p.coeffs]), rel_tol)[0])
+    sm = build_split_matrix(p)
+    return _count_from_rank(exact_rank(sm.entries), sm.n)
+
+
+def distinct_zero_counts(coeffs, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
+    """:func:`distinct_zero_count` for a stack of monic polynomials.
+
+    ``coeffs`` is an (N, n + 1) array of complex coefficients, constant
+    term first. The N splitting matrices are assembled as one stack and
+    ranked by one stacked SVD.
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    if c.ndim != 2 or c.shape[1] < 2:
+        raise ValueError("need a monic polynomial of degree >= 1")
+    lead = c[:, -1]
+    if np.any(np.abs(lead - 1.0) > 1e-12 * (1 + np.abs(lead))):
+        raise ValueError("polynomial is not monic")
+    n = c.shape[1] - 1
+    dc = c[:, 1:] * np.arange(1, n + 1)
+    sm = np.zeros((c.shape[0], 2 * n - 1, 2 * n - 1), dtype=complex)
+    # the column layout of build_split_matrix
+    for j in range(n - 1):
+        sm[:, j : j + n + 1, j] = c
+    for t in range(n):
+        sm[:, t : t + n, n - 1 + t] = -dc
+    ranks = stacked_ranks(sm, rel_tol)
+    return np.array([_count_from_rank(int(r), n) for r in ranks])
+
+
+def _count_from_rank(rank: int, n: int) -> int:
+    m = rank - n + 1
+    if not 1 <= m <= n:
         raise ArithmeticError(f"rank {rank} outside the admissible band")
     return m
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebra.unipoly import UniPoly, derivative
 from .family import MatrixFamily
-from .ranklab import DEFAULT_REL_TOL
+from .ranklab import DEFAULT_REL_TOL, stacked_ranks
 
 MAX_QUADRATURE_NODES = 2**14
 ROUCHE_BOUNDARY_SAMPLES = 64
@@ -70,11 +70,17 @@ def cluster_values(values: Sequence[complex], tol: float):
     return clusters
 
 
+def cluster_eigenvalues(values: np.ndarray, norm: float,
+                        rel_tol: float = DEFAULT_REL_TOL):
+    """Distinct eigenvalues with multiplicities, from precomputed
+    eigenvalues of a matrix with operator norm ``norm``."""
+    return cluster_values(values.tolist(), cluster_tolerance(float(norm), rel_tol))
+
+
 def distinct_eigenvalues(matrix: np.ndarray, rel_tol: float = DEFAULT_REL_TOL):
     """Distinct eigenvalues with multiplicities, by clustering."""
-    vals = np.linalg.eigvals(matrix)
-    tol = cluster_tolerance(float(np.linalg.norm(matrix, 2)), rel_tol)
-    return cluster_values(vals.tolist(), tol)
+    return cluster_eigenvalues(np.linalg.eigvals(matrix),
+                               np.linalg.norm(matrix, 2), rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +344,54 @@ def probe_ring(point, radius: float, count: int = 8):
     return out
 
 
-def _counts_at_probe(family, probe, centers, eps, rel_tol):
-    a = family.at(probe)
-    clusters = distinct_eigenvalues(a, rel_tol)
+@dataclass
+class ProbeStack:
+    """A point and two rings of probes around it, evaluated as one stack.
+
+    ``points[0]`` is the point; then come ``count`` probes at the probe
+    radius and ``count`` at half of it. ``matrices`` holds the family
+    at every point and ``clusters`` their distinct eigenvalues, from one
+    stacked eigensolve and one stacked norm.
+    """
+
+    points: List[tuple]
+    matrices: np.ndarray
+    clusters: list
+    count: int
+
+    @property
+    def rings(self):
+        """Cluster lists of the outer ring, then of the inner ring."""
+        c = self.count
+        return self.clusters[1 : 1 + c], self.clusters[1 + c :]
+
+    def eigen_split(self) -> bool:
+        """Sampling test: does some probe carry more distinct eigenvalues
+        than the point?"""
+        here = len(self.clusters[0])
+        return any(len(c) > here for c in self.clusters[1:])
+
+
+def probe_stack(
+    family: MatrixFamily,
+    point,
+    probe_radius: float,
+    probe_count: int = 8,
+    rel_tol: float = DEFAULT_REL_TOL,
+) -> ProbeStack:
+    """Evaluate a point and its two probe rings as one :class:`ProbeStack`."""
+    point = tuple(complex(c) for c in point)
+    points = [point]
+    for radius in (probe_radius, probe_radius / 2):
+        points.extend(probe_ring(point, radius, probe_count))
+    matrices = family.at_many(points)
+    values = np.linalg.eigvals(matrices)
+    norms = np.linalg.norm(matrices, 2, axis=(1, 2))
+    clusters = [cluster_eigenvalues(v, nrm, rel_tol) for v, nrm in zip(values, norms)]
+    return ProbeStack(points, matrices, clusters, probe_count)
+
+
+def _counts_at_probe(clusters, centers, eps):
     counts = [0] * len(centers)
     for lam, _ in clusters:
         dists = [abs(lam - c) for c in centers]
@@ -349,6 +400,29 @@ def _counts_at_probe(family, probe, centers, eps, rel_tol):
             return None  # an eigenvalue escaped all disks: probe too far
         counts[j] += 1
     return tuple(counts)
+
+
+def amounts_from_stack(stack: ProbeStack) -> SplittingAmounts:
+    """Splitting amounts read off a probe stack: the outer ring, or the
+    inner one when the outer ring disagrees."""
+    state = isolate(None, stack.clusters[0], point=stack.points[0])
+    for ring in stack.rings:
+        counts = []
+        for clusters in ring:
+            c = _counts_at_probe(clusters, state.centers, state.radius)
+            if c is not None:
+                counts.append(c)
+        if counts and all(c == counts[0] for c in counts) and len(counts) == len(ring):
+            return SplittingAmounts(
+                eigenvalues=state.centers,
+                multiplicities=state.multiplicities,
+                amounts=counts[0],
+                radius=state.radius,
+            )
+    raise ProbeDisagreementError(
+        "probe ring disagrees on eigenvalue counts; the ring may cross the "
+        "splitting set or the radius is too large"
+    )
 
 
 def splitting_amounts(
@@ -364,44 +438,19 @@ def splitting_amounts(
     isolation disk of A(xi); all probes must agree. Disagreement
     triggers one retry at half the probe radius before erroring.
     """
-    a = family.at(xi)
-    clusters = distinct_eigenvalues(a, rel_tol)
-    state = isolate(family.char_poly_at(xi), clusters, point=tuple(xi))
-    for attempt, radius in enumerate((probe_radius, probe_radius / 2)):
-        counts = []
-        for probe in probe_ring(xi, radius, probe_count):
-            c = _counts_at_probe(family, probe, state.centers, state.radius, rel_tol)
-            if c is not None:
-                counts.append(c)
-        if counts and all(c == counts[0] for c in counts) and len(counts) == probe_count:
-            return SplittingAmounts(
-                eigenvalues=state.centers,
-                multiplicities=state.multiplicities,
-                amounts=counts[0],
-                radius=state.radius,
-            )
-    raise ProbeDisagreementError(
-        "probe ring disagrees on eigenvalue counts; the ring may cross the "
-        "splitting set or the radius is too large"
+    return amounts_from_stack(
+        probe_stack(family, xi, probe_radius, probe_count, rel_tol)
     )
 
 
-def is_split_point_sample(
-    family: MatrixFamily,
-    point,
-    probe_radius: float,
-    probe_count: int = 8,
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> bool:
-    """Sampling test: do nearby points carry more distinct eigenvalues?"""
-    a = family.at(point)
-    m_here = len(distinct_eigenvalues(a, rel_tol))
-    for radius in (probe_radius, probe_radius / 2):
-        for probe in probe_ring(point, radius, probe_count):
-            m_probe = len(distinct_eigenvalues(family.at(probe), rel_tol))
-            if m_probe > m_here:
-                return True
-    return False
+def factors_from_stack(stack: ProbeStack):
+    """Factor list [(eigenvalue, power)] of the extended nilpotent product
+    at the point of a probe stack: powers are 1 off the splitting set and
+    the splitting amounts on it."""
+    if not stack.eigen_split():
+        return [(lam, 1) for lam, _ in stack.clusters[0]]
+    sa = amounts_from_stack(stack)
+    return list(zip(sa.eigenvalues, sa.amounts))
 
 
 def extended_theta_factors(
@@ -414,21 +463,72 @@ def extended_theta_factors(
 
     Powers are 1 off the splitting set and the splitting amounts on it.
     """
-    a = family.at(point)
-    clusters = distinct_eigenvalues(a, rel_tol)
-    if not is_split_point_sample(family, point, probe_radius, rel_tol=rel_tol):
-        return [(lam, 1) for lam, _ in clusters]
-    sa = splitting_amounts(family, point, probe_radius, rel_tol=rel_tol)
-    return list(zip(sa.eigenvalues, sa.amounts))
+    return factors_from_stack(probe_stack(family, point, probe_radius, rel_tol=rel_tol))
+
+
+def theta_stack(matrices: np.ndarray, factor_lists):
+    """The products Theta = prod (lam - A)^power for a stack of matrices.
+
+    ``factor_lists[i]`` is the [(lam, power)] list of ``matrices[i]``.
+    Shorter lists are padded with identity factors, which leaves every
+    product bit-for-bit what the unpadded product would be. Returns the
+    (N, n, n) stack and, per matrix, the roundoff scale: the product of
+    the factor norms ``||lam - A||**power``.
+    """
+    a = np.asarray(matrices, dtype=complex)
+    count, n = a.shape[0], a.shape[-1]
+    width = max((len(f) for f in factor_lists), default=0)
+    used = np.zeros((count, width), dtype=bool)
+    lams = np.zeros((count, width), dtype=complex)
+    powers = np.ones((count, width), dtype=int)
+    for i, factors in enumerate(factor_lists):
+        for j, (lam, power) in enumerate(factors):
+            used[i, j], lams[i, j], powers[i, j] = True, lam, power
+    eye = np.eye(n, dtype=complex)
+    factor = np.broadcast_to(eye, (count, width, n, n)).copy()
+    factor[used] = lams[used][:, None, None] * eye - np.repeat(a, used.sum(1), axis=0)
+    # operator norms, one stacked SVD; an identity pad has norm 1
+    norms = np.linalg.svd(factor, compute_uv=False)[..., 0].tolist()
+    scales = []
+    for i, factors in enumerate(factor_lists):
+        scale = 1.0
+        for j, (_, power) in enumerate(factors):
+            scale *= norms[i][j] ** int(power)
+        scales.append(scale)
+    for power in set(powers[used].tolist()) - {1}:
+        pick = used & (powers == power)
+        factor[pick] = np.linalg.matrix_power(factor[pick], power)
+    theta = np.broadcast_to(eye, a.shape).copy()
+    for j in range(width):
+        theta = theta @ factor[:, j]
+    return theta, scales
+
+
+def theta_rank_stack(matrices: np.ndarray, factor_lists,
+                     rel_tol: float = DEFAULT_REL_TOL):
+    """rank Theta^k for k = 1..n-1 of every matrix of a stack, as one
+    tuple per matrix, from stacked products and one stacked SVD; the
+    threshold of each power is floored at its roundoff scale**k."""
+    theta, scales = theta_stack(matrices, factor_lists)
+    count, n = theta.shape[0], theta.shape[-1]
+    if n < 2:
+        return [()] * count
+    powers = []
+    power = np.broadcast_to(np.eye(n, dtype=complex), theta.shape)
+    for _ in range(1, n):
+        power = power @ theta
+        powers.append(power)
+    ranks = stacked_ranks(
+        np.concatenate(powers),
+        rel_tol,
+        [s**k for k in range(1, n) for s in scales],
+    )
+    return [tuple(int(r) for r in ranks[i::count]) for i in range(count)]
 
 
 def theta_from_factors(a: np.ndarray, factors) -> np.ndarray:
-    n = a.shape[0]
-    eye = np.eye(n, dtype=complex)
-    theta = eye.copy()
-    for lam, power in factors:
-        theta = theta @ np.linalg.matrix_power(lam * eye - a, int(power))
-    return theta
+    theta, _ = theta_stack(np.asarray(a, dtype=complex)[None], [factors])
+    return theta[0]
 
 
 def theta_extended(

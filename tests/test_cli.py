@@ -167,6 +167,65 @@ def test_scan_deterministic_and_jobs_invariant(family_file, tmp_path, capsys):
     assert outs[0] == outs[2]
 
 
+class RecordingPool:
+    """Stands in for multiprocessing.Pool: records the worker count and
+    maps in-process, so no worker is started."""
+
+    requested = []
+
+    def __init__(self, processes):
+        RecordingPool.requested.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable):
+        return [fn(x) for x in iterable]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_scan_jobs_below_one_is_input_error(family_file, capsys, jobs):
+    path = family_file(SHEAR)
+    code = cli.main(["scan", path, "--box=-1:1", "--res", "5", "--jobs", jobs])
+    assert code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_scan_jobs_clamped_to_cpu_count(family_file, tmp_path, capsys,
+                                        monkeypatch):
+    monkeypatch.setattr(cli.multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    RecordingPool.requested.clear()
+    path = family_file(SHEAR)
+    outs = []
+    for jobs in ("64", "2", "1"):
+        out_path = tmp_path / f"scan_{jobs}.json"
+        code, _ = run_cli(["scan", path, "--box=-1:1", "--res", "5",
+                           "--jobs", jobs, "--out", str(out_path)], capsys)
+        assert code == 0
+        outs.append(out_path.read_bytes())
+    assert RecordingPool.requested == [2, 2]
+    assert outs[0] == outs[1] == outs[2]
+
+
+def test_manifest_records_the_argv_given_to_main(family_file, tmp_path, capsys,
+                                                 monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["jordanscope", "census", "other.json"])
+    path = family_file(SHEAR)
+    argv = ["scan", path, "--box=-1:1", "--res", "5", "--jobs", "1",
+            "--csv=grid.csv", "--seed", "3"]
+    monkeypatch.chdir(tmp_path)  # the --csv file lands here
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["manifest"]["command"] == [
+        "scan", path, "--box=-1:1", "--res", "5", "--seed", "3"
+    ]
+
+
 def test_scan_csv_projection(family_file, tmp_path, capsys):
     path = family_file(SHEAR)
     csv_path = tmp_path / "grid.csv"

@@ -1,0 +1,74 @@
+"""The stacked evaluators of a family against exact evaluation."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from jordanscope.algebra import GaussianRational, char_poly
+from jordanscope.family import MatrixFamily
+
+FAMILIES = [
+    MatrixFamily.from_entries(
+        [["z*w", "-z^2"], ["w^2", "-z*w"]], ["z", "w"], label="nilpotent"
+    ),
+    # constant-only and zero entries, a complex coefficient, a zero row
+    MatrixFamily.from_entries(
+        [["3", "0", "i*z^2 - 2"], ["0", "0", "0"], ["z^3 + 1", "7*i", "z"]],
+        ["z"],
+        label="constants and zeros",
+    ),
+    MatrixFamily.from_entries(
+        [["x - y", "x*y^2", "1", "0"],
+         ["2*i*y", "x^2 - y", "0", "y"],
+         ["0", "5", "x*y + i", "x^3"],
+         ["x + y", "0", "-4", "y^2"]],
+        ["x", "y"],
+        label="dense 4x4",
+    ),
+    MatrixFamily.from_entries([["0", "0"], ["0", "0"]], ["z"], label="zero"),
+]
+
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=20)
+GAUSSIAN = st.builds(GaussianRational, RATIONALS, RATIONALS)
+
+
+def _close(got, exact):
+    """Agreement to 1e-12, relative to the largest exact value."""
+    want = np.array([complex(x) for x in exact])
+    scale = max(1.0, float(np.max(np.abs(want))))
+    return float(np.max(np.abs(np.asarray(got) - want))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.label)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_stacked_evaluation_matches_exact(family, data):
+    points = data.draw(
+        st.lists(st.lists(GAUSSIAN, min_size=family.nparams,
+                          max_size=family.nparams),
+                 min_size=1, max_size=4)
+    )
+    floating = [[complex(c) for c in pt] for pt in points]
+    matrices = family.at_many(floating)
+    coeffs = family.char_poly_coeffs_many(floating)
+    assert matrices.shape == (len(points), family.n, family.n)
+    assert coeffs.shape == (len(points), family.n + 1)
+    for pt, a, c in zip(points, matrices, coeffs):
+        exact = family.at_exact(pt)
+        assert _close(a.ravel(), [x for row in exact for x in row])
+        assert _close(c, char_poly(exact).coeffs)
+
+
+def test_stacked_evaluation_of_one_point_stays_close_to_the_loop():
+    family = FAMILIES[2]
+    point = (0.3 - 0.2j, -1.1 + 0.7j)
+    stacked = family.at_many([point])[0]
+    assert np.allclose(stacked, family.at(point), rtol=1e-13, atol=1e-13)
+    assert family.at_many(np.empty((0, 2))).shape == (0, 4, 4)
+
+
+def test_stacked_evaluation_rejects_wrong_dimension():
+    with pytest.raises(ValueError):
+        FAMILIES[0].at_many([(1.0,)])
+

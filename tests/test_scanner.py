@@ -111,6 +111,54 @@ def test_scan_shear_family_flags_origin_as_split():
     assert flagged[0].kind is PointKind.SPLIT
 
 
+def _kinds_and_ranks(report):
+    return [(p.kind.value, p.rank_theta) for p in report.points]
+
+
+def test_scan_nilpotent_21x21_kinds_and_ranks_pinned():
+    # recorded with the probe-by-probe classifier
+    report = scan_grid(nilpotent_family(), [(-1, 1), (-1, 1)], 21)
+    expected = [("StableCandidate", (1,))] * 441
+    expected[220] = ("Jump", (0,))
+    assert _kinds_and_ranks(report) == expected
+
+
+def test_scan_triangular_collision_line_kinds_and_ranks_pinned():
+    # eigenvalues x (a 2-block while y != 0) and y: they collide on the
+    # line x = y, which runs through five nodes; the 2-block dissolves
+    # on y = 0. Recorded with the probe-by-probe classifier.
+    family = MatrixFamily.from_entries(
+        [["x", "y", "0"], ["0", "x", "0"], ["0", "0", "y"]], ["x", "y"]
+    )
+    report = scan_grid(family, [(-1, 1), (-1, 1)], 5)
+    sp, st, ju = "Split", "StableCandidate", "Jump"
+    expected = [
+        (sp, (0, 0)), (st, (1, 0)), (ju, (0, 0)), (st, (1, 0)), (st, (1, 0)),
+        (st, (1, 0)), (sp, (0, 0)), (ju, (0, 0)), (st, (1, 0)), (st, (1, 0)),
+        (st, (1, 0)), (st, (1, 0)), (sp, (0, 0)), (st, (1, 0)), (st, (1, 0)),
+        (st, (1, 0)), (st, (1, 0)), (ju, (0, 0)), (sp, (0, 0)), (st, (1, 0)),
+        (st, (1, 0)), (st, (1, 0)), (ju, (0, 0)), (st, (1, 0)), (sp, (0, 0)),
+    ]
+    assert _kinds_and_ranks(report) == expected
+    assert all(p.note == "" for p in report.points)
+
+
+def test_scan_chunk_map_hook_matches_plain_map():
+    family = nilpotent_family()
+    plain = scan_grid(family, [(-1, 1), (-1, 1)], 5)
+    seen = []
+
+    def recording_map(fn, chunks):
+        seen.append(len(chunks))
+        return [fn(chunk) for chunk in chunks]
+
+    chunked = scan_grid(family, [(-1, 1), (-1, 1)], 5,
+                        chunk_map=recording_map, chunks=3)
+    assert seen == [3]
+    assert _kinds_and_ranks(chunked) == _kinds_and_ranks(plain)
+    assert [p.point for p in chunked.points] == [p.point for p in plain.points]
+
+
 def test_scan_size_cap():
     with pytest.raises(ValueError):
         scan_grid(shear_family(), [(-1, 1)], 10**6 + 1)

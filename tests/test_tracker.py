@@ -13,7 +13,7 @@ from jordanscope.tracker import (
     cluster_values,
     contour_root,
     isolate,
-    is_split_point_sample,
+    probe_stack,
     splitting_amounts,
     theta_extended,
     track_path,
@@ -220,5 +220,7 @@ def test_theta_extended_off_split_equals_product():
 
 
 def test_is_split_point_sample():
-    assert is_split_point_sample(FAM_SHEAR(), [0.0], probe_radius=1e-2)
-    assert not is_split_point_sample(FAM_SHEAR(), [1.0], probe_radius=1e-2)
+    split = probe_stack(FAM_SHEAR(), [0.0], probe_radius=1e-2)
+    assert split.eigen_split()
+    assert len(split.points) == 17 and split.matrices.shape == (17, 2, 2)
+    assert not probe_stack(FAM_SHEAR(), [1.0], probe_radius=1e-2).eigen_split()
