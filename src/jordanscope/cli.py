@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import random
@@ -38,6 +39,7 @@ from .jordan import (
 from .corpus import builtin_cases, builtin_families
 from .ranklab import DEFAULT_REL_TOL
 from .scanner import (
+    MAX_GRID_POINTS,
     check_jst_bound,
     check_split_bound,
     classify_point,
@@ -51,6 +53,7 @@ from .tracker import distinct_eigenvalues, splitting_amounts, track_path
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 TOL_ENV_VAR = "JORDANSCOPE_TOL"
 
@@ -177,6 +180,21 @@ def parse_box(text: str, nparams: int):
         except ValueError as err:
             raise InputError(f"bad interval {part!r} (use lo:hi)") from err
     return out
+
+
+def parse_resolution(text: str, nparams: int):
+    try:
+        resolution = [int(r) for r in text.split(",")]
+    except ValueError as err:
+        raise InputError(f"bad --res {text!r} (use integers)") from err
+    if len(resolution) == 1:
+        resolution = resolution * nparams
+    if min(resolution) < 2:
+        raise InputError("--res must be at least 2 per axis")
+    total = math.prod(resolution[:nparams])
+    if total > MAX_GRID_POINTS:
+        raise InputError(f"grid size {total} exceeds cap {MAX_GRID_POINTS}")
+    return resolution
 
 
 def parse_path(text: str, nparams: int):
@@ -349,9 +367,7 @@ def cmd_scan(args) -> int:
     fam, raw = resolve_family(args)
     rel_tol = effective_tol(args)
     box = parse_box(args.box, fam.nparams)
-    resolution = [int(r) for r in args.res.split(",")]
-    if len(resolution) == 1:
-        resolution = resolution * fam.nparams
+    resolution = parse_resolution(args.res, fam.nparams)
     if args.jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     jobs = min(args.jobs, os.cpu_count() or 1)
@@ -668,6 +684,10 @@ def main(argv=None) -> int:
     except EntrySyntaxError as err:
         sys.stderr.write(f"entry parse error: {err}\n")
         return EXIT_INPUT
+    except Exception as err:  # noqa: BLE001 - no input ends in a traceback
+        message = " ".join(str(err).split())
+        sys.stderr.write(f"error: {type(err).__name__}: {message}\n")
+        return EXIT_INTERNAL
     sys.stderr.write(
         f"[jordanscope] {args.command} finished in "
         f"{time.monotonic() - started:.3f}s\n"

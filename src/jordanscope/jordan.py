@@ -33,7 +33,7 @@ from .ranklab import (
     stacked_ranks,
 )
 from .tracker import (
-    contour_root,
+    contour_roots,
     distinct_eigenvalues,
     isolate,
     probe_ring,
@@ -683,11 +683,13 @@ def local_jordan_transform(
     def jordan_at(point):
         j = np.zeros((n, n), dtype=complex)
         pos = 0
-        p_here = family.char_poly_at(point)
-        for center, mult, nj in zip(
-            census.eigenvalues, census.multiplicities, nilpotents
-        ):
-            lam = contour_root(p_here, complex(center), state.radius, mult)
+        lams = contour_roots(
+            family.char_poly_at(point),
+            census.eigenvalues,
+            state.radius,
+            census.multiplicities,
+        )
+        for lam, mult, nj in zip(lams, census.multiplicities, nilpotents):
             j[pos : pos + mult, pos : pos + mult] = (
                 lam * np.eye(mult, dtype=complex) + nj
             )

@@ -132,7 +132,216 @@ def isolate(p: UniPoly, roots_with_multiplicities, point=None) -> BranchState:
 
 
 # ---------------------------------------------------------------------------
-# residue integral for one isolated root
+# residue integrals and the dominance check, stacked over circles
+#
+# Every value is computed at once for all nodes of all circles, on float64
+# arrays that hold real and imaginary parts apart. The formulas are
+# Python's own complex arithmetic written out (products, CPython's
+# quotient, ``abs`` as ``hypot``, sums in node order), so that each value
+# equals, bit for bit, what a Python loop over the nodes computes; numpy's
+# complex loops fuse multiply-adds and differ from it in the last bit.
+
+#: nodes per circle evaluated in one array pass; a level with more nodes
+#: is evaluated block by block, so memory stays bounded
+QUADRATURE_BLOCK = 1024
+
+_UNIT_NODES = {}  # q -> unit circle nodes, for q <= QUADRATURE_BLOCK
+
+
+def _unit_nodes(q: int, start: int, stop: int):
+    """Real and imaginary parts of cmath.exp(2j*pi*k/q), k in [start, stop)."""
+    if q in _UNIT_NODES:
+        re, im = _UNIT_NODES[q]
+        return re[start:stop], im[start:stop]
+    e = np.array([cmath.exp(2j * math.pi * k / q) for k in range(start, stop)])
+    parts = (e.real.copy(), e.imag.copy())
+    if q <= QUADRATURE_BLOCK and (start, stop) == (0, q):
+        _UNIT_NODES[q] = parts
+    return parts
+
+
+def _circle_points(centers, radius: float, q: int, start: int, stop: int):
+    """z = center + radius * e_k for every center (rows) and node k in
+    [start, stop) (columns): the radius is promoted to complex(radius, 0)."""
+    er, ei = _unit_nodes(q, start, stop)
+    wr = radius * er - 0.0 * ei
+    wi = radius * ei + 0.0 * er
+    cr = np.array([c.real for c in centers])[:, None]
+    ci = np.array([c.imag for c in centers])[:, None]
+    return cr + wr, ci + wi, cr, ci
+
+
+def _horner(coeffs, zr, zi):
+    """UniPoly.eval at every z: Horner's rule on complex coefficients."""
+    if not coeffs:  # the zero polynomial evaluates to 0 * z
+        return 0.0 * zr - 0.0 * zi, 0.0 * zi + 0.0 * zr
+    ar = np.full(zr.shape, coeffs[-1].real)
+    ai = np.full(zr.shape, coeffs[-1].imag)
+    for c in reversed(coeffs[:-1]):
+        ar, ai = ar * zr - ai * zi + c.real, ar * zi + ai * zr + c.imag
+    return ar, ai
+
+
+def _product(ar, ai, br, bi):
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _quotient(ar, ai, br, bi):
+    """a / b with the two branches of CPython's complex division; NaN
+    where a part of b is NaN. b must not be 0."""
+    by_real = np.abs(br) >= np.abs(bi)
+    by_imag = ~by_real & (np.abs(bi) >= np.abs(br))
+    ratio = bi / br
+    denom = br + bi * ratio
+    re1, im1 = (ar + ai * ratio) / denom, (ai - ar * ratio) / denom
+    ratio = br / bi
+    denom = br * ratio + bi
+    re2, im2 = (ar * ratio + ai) / denom, (ai * ratio - ar) / denom
+    return (np.where(by_real, re1, np.where(by_imag, re2, np.nan)),
+            np.where(by_real, im1, np.where(by_imag, im2, np.nan)))
+
+
+def _modulus(re, im):
+    """abs of every value, and where Python's abs would raise
+    OverflowError instead: a finite value whose modulus overflows."""
+    size = np.hypot(re, im)
+    return size, np.isinf(size) & np.isfinite(re) & np.isfinite(im)
+
+
+def _coefficients(p: UniPoly):
+    return [complex(c) for c in p.coeffs]
+
+
+def _circle_values(coeffs, dcoeffs, centers, radius: float, q: int,
+                   start: int, stop: int):
+    """The nodes [start, stop) of every circle, its center, and p and p'
+    there: (zr, zi, cr, ci, pr, pi, dr, di), one row per circle."""
+    zr, zi, cr, ci = _circle_points(centers, radius, q, start, stop)
+    return (zr, zi, cr, ci, *_horner(coeffs, zr, zi), *_horner(dcoeffs, zr, zi))
+
+
+def _node_sums(blocks, count: int):
+    """Per circle, the sum over the nodes of z p'(z)/p(z) (z - center),
+    in node order from 0j, from the blocks of ``_circle_values`` that
+    cover a level, and the error the node loop raises first (None if
+    none): ContourError where |p| vanishes, OverflowError where abs(p)
+    overflows."""
+    acc_r = np.zeros((count, 1))
+    acc_i = np.zeros((count, 1))
+    errors = [None] * count
+    for zr, zi, cr, ci, pr, pi, dr, di in blocks:
+        size, overflow = _modulus(pr, pi)
+        bad = overflow | (size < 1e-300)
+        for row in np.flatnonzero(bad.any(axis=1)):
+            if errors[row] is None:
+                errors[row] = (
+                    OverflowError("absolute value too large")
+                    if overflow[row, bad[row].argmax()]
+                    else ContourError("|p| vanishes on the contour")
+                )
+        tr, ti = _quotient(*_product(zr, zi, dr, di), pr, pi)
+        # dz/dtheta = i*(z - center)
+        tr, ti = _product(tr, ti, zr - cr, zi - ci)
+        acc_r = np.add.accumulate(np.hstack([acc_r, tr]), axis=1)[:, -1:]
+        acc_i = np.add.accumulate(np.hstack([acc_i, ti]), axis=1)[:, -1:]
+    sums = [complex(r, i) for r, i in zip(acc_r[:, 0].tolist(), acc_i[:, 0].tolist())]
+    return sums, errors
+
+
+def _node_doubling(nodes: int, multiplicity: int):
+    """The residue integral of one circle as a generator: it yields each
+    node count q it needs, receives the node sum at q, and returns the
+    root once two successive levels agree to 1e-12 relative."""
+    if multiplicity < 1:
+        raise ValueError("multiplicity must be >= 1")
+    q = max(8, nodes)
+    # (1 / (multiplicity * 2*pi*i)) * i * (2*pi/q) * sum
+    prev = (yield q) / (q * multiplicity)
+    while q <= MAX_QUADRATURE_NODES:
+        q *= 2
+        cur = (yield q) / (q * multiplicity)
+        if abs(cur - prev) < 1e-12 * (1.0 + abs(cur)):
+            return cur
+        prev = cur
+    raise ContourError(
+        f"no convergence with {MAX_QUADRATURE_NODES} nodes; "
+        "a root is probably near the contour"
+    )
+
+
+def contour_roots(
+    p: UniPoly,
+    centers: Sequence[complex],
+    radius: float,
+    multiplicities: Sequence[int],
+    nodes: int = 32,
+    known=None,
+) -> Tuple[complex, ...]:
+    """The unique distinct root inside each circle |z - center| = radius,
+    by the residue formula.
+
+    Trapezoidal quadrature of z p'(z)/p(z) over each circle (spectrally
+    accurate for this analytic integrand), with node doubling until two
+    successive values agree to 1e-12 relative. Each circle doubles its
+    own node count; all circles at the same count are evaluated in one
+    array pass. When several circles fail, the error raised is that of
+    the first of them in order. ``known`` is a pair (Q, values of
+    ``_circle_values`` at all Q nodes of every circle) already computed
+    for this p: levels whose nodes are among them are read off it.
+    """
+    centers = [complex(c) for c in centers]
+    radius = float(radius)
+    coeffs = _coefficients(p)
+    dcoeffs = _coefficients(derivative(p))
+    roots = [None] * len(centers)
+    failed, failure = len(centers), None  # first failing circle so far
+    steps = [_node_doubling(nodes, k) for k in multiplicities]
+    wanted = {}  # circle -> node count it waits for
+
+    def level(rows, q):
+        if known is not None and known[0] % q == 0:
+            pick = rows if len(rows) < len(centers) else slice(None)
+            yield tuple(a[pick, :: known[0] // q] for a in known[1])
+            return
+        for start in range(0, q, QUADRATURE_BLOCK):
+            yield _circle_values(coeffs, dcoeffs, [centers[i] for i in rows],
+                                 radius, q, start, min(q, start + QUADRATURE_BLOCK))
+
+    def fail(i, err):
+        nonlocal failed, failure
+        failed, failure = i, err
+        for j in [j for j in wanted if j > i]:
+            del wanted[j]
+
+    def advance(i, value):
+        try:
+            wanted[i] = steps[i].send(value)
+        except StopIteration as stop:
+            roots[i] = stop.value
+        except (ContourError, ValueError, ArithmeticError) as err:
+            # raised at the end, unless an earlier circle fails
+            fail(i, err)
+
+    for i in range(len(steps)):
+        if i < failed:
+            advance(i, None)
+    while wanted:
+        q = min(wanted.values())
+        group = sorted(i for i, want in wanted.items() if want == q)
+        for i in group:
+            del wanted[i]
+        with np.errstate(all="ignore"):
+            sums, errors = _node_sums(level(group, q), len(group))
+        for i, total, err in zip(group, sums, errors):
+            if i >= failed:
+                continue
+            if err is not None:
+                fail(i, err)
+            else:
+                advance(i, total)
+    if failure is not None:
+        raise failure
+    return tuple(roots)
 
 
 def contour_root(
@@ -142,40 +351,31 @@ def contour_root(
     multiplicity: int,
     nodes: int = 32,
 ) -> complex:
-    """The unique distinct root inside the circle, by the residue formula.
+    """The unique distinct root inside one circle (see contour_roots)."""
+    return contour_roots(p, [center], radius, [multiplicity], nodes)[0]
 
-    Trapezoidal quadrature of z p'(z)/p(z) over the circle (spectrally
-    accurate for this analytic integrand), with node doubling until two
-    successive values agree to 1e-12 relative.
-    """
-    if multiplicity < 1:
-        raise ValueError("multiplicity must be >= 1")
-    dp = derivative(p)
 
-    def value(q: int) -> complex:
-        acc = 0j
-        for k in range(q):
-            z = center + radius * cmath.exp(2j * math.pi * k / q)
-            pz = p.eval(z)
-            if abs(pz) < 1e-300:
-                raise ContourError("|p| vanishes on the contour")
-            # z * p'/p * dz/dtheta, with dz/dtheta = i*(z - center)
-            acc += z * dp.eval(z) / pz * (z - center)
-        # (1 / (multiplicity * 2*pi*i)) * i * (2*pi/q) * acc
-        return acc / (q * multiplicity)
-
-    q = max(8, nodes)
-    prev = value(q)
-    while q <= MAX_QUADRATURE_NODES:
-        q *= 2
-        cur = value(q)
-        if abs(cur - prev) < 1e-12 * (1.0 + abs(cur)):
-            return cur
-        prev = cur
-    raise ContourError(
-        f"no convergence with {MAX_QUADRATURE_NODES} nodes; "
-        "a root is probably near the contour"
-    )
+def _rouche_values(p_old: UniPoly, p_new: UniPoly, state: BranchState):
+    """The dominance inequality |p_new - p_old| < |p_old| at
+    ROUCHE_BOUNDARY_SAMPLES nodes of every circle of the state. None when
+    it fails at some node; else the ``known`` values of p_new and p_new'
+    at those nodes, for ``contour_roots``."""
+    q = ROUCHE_BOUNDARY_SAMPLES
+    with np.errstate(all="ignore"):
+        values = _circle_values(
+            _coefficients(p_new), _coefficients(derivative(p_new)),
+            [complex(c) for c in state.centers], float(state.radius), q, 0, q)
+        zr, zi, _, _, new_r, new_i, _, _ = values
+        old_r, old_i = _horner(_coefficients(p_old), zr, zi)
+        change, change_overflow = _modulus(new_r - old_r, new_i - old_i)
+        size, size_overflow = _modulus(old_r, old_i)
+        stop = (change_overflow | size_overflow | (change >= size)).ravel()
+    if not stop.any():
+        return q, values
+    first = stop.argmax()
+    if change_overflow.flat[first] or size_overflow.flat[first]:
+        raise OverflowError("absolute value too large")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -229,17 +429,6 @@ def _polyline(vertices):
     return at
 
 
-def _rouche_ok(p_old: UniPoly, p_new: UniPoly, state: BranchState) -> bool:
-    for center, _ in zip(state.centers, state.multiplicities):
-        for k in range(ROUCHE_BOUNDARY_SAMPLES):
-            z = center + state.radius * cmath.exp(
-                2j * math.pi * k / ROUCHE_BOUNDARY_SAMPLES
-            )
-            if abs(p_new.eval(z) - p_old.eval(z)) >= abs(p_old.eval(z)):
-                return False
-    return True
-
-
 def _seed_state(family: MatrixFamily, point, rel_tol: float) -> BranchState:
     a = family.at(point)
     clusters = distinct_eigenvalues(a, rel_tol)
@@ -276,10 +465,11 @@ def track_path(
     while t < 1.0 - 1e-14:
         t_try = min(t + h, 1.0)
         p_try = family.char_poly_at(zeta(t_try))
-        if _rouche_ok(p_cur, p_try, state):
-            new_centers = tuple(
-                contour_root(p_try, w, state.radius, k)
-                for w, k in zip(state.centers, state.multiplicities)
+        known = _rouche_values(p_cur, p_try, state)
+        if known is not None:
+            new_centers = contour_roots(
+                p_try, state.centers, state.radius, state.multiplicities,
+                known=known,
             )
             state = isolate(
                 p_try,

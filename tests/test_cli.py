@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -262,6 +263,41 @@ def test_track_emits_samples_and_events(family_file, tmp_path, capsys):
     assert csv_path.read_text().startswith("t,branch,lambda_re,lambda_im")
 
 
+# the sha256 of whole track reports without their manifest, recorded before
+# path steps were evaluated as one stack: the branches must stay bit for bit
+FREE_5X5 = {
+    "n": 5,
+    "params": ["z", "w"],
+    "entries": [
+        ["z + 1", "2*w", "0", "1 - i*z", "0"],
+        ["w", "4 - z", "i*w", "0", "2"],
+        ["0", "1 + z*w", "8 + i*z", "w", "0"],
+        ["3*z", "0", "-w", "12 + w", "i"],
+        ["0", "z - w", "0", "1", "16 - i*w"],
+    ],
+    "label": "free 5x5",
+}
+PINNED_TRACKS = [
+    (None, "[[1.0],[-1.0]]",
+     "b1cc6d32fa1847beb449f7079fa270542a8b8e0b7f6fbbcb07e79cad2e8e4a67"),
+    (FREE_5X5, "[[[-0.6,0.3],[0.2,-0.5]],[[0.7,-0.4],[-0.3,0.8]]]",
+     "7d5cd5665d4fb342e353e37cacfcd415eade8ec57cc1b544e43986f6186e0f0b"),
+]
+
+
+@pytest.mark.parametrize("spec,path,digest", PINNED_TRACKS,
+                         ids=["shear", "free-5x5"])
+def test_track_report_is_pinned(family_file, capsys, spec, path, digest):
+    family = ["--builtin", "shear"] if spec is None else [family_file(spec)]
+    code, out = run_cli(["track", *family, "--path", path, "--steps", "100"],
+                        capsys)
+    assert code == 0
+    doc = json.loads(out)
+    del doc["manifest"]
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -315,6 +351,44 @@ def test_bad_entry_expression_is_input_error(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code = cli.main(["census", str(path), "--point", "1.0"])
     assert code == 2
+
+
+@pytest.mark.parametrize("res", ["1", "2,1", "x", "2000"])
+def test_scan_bad_resolution_is_input_error(capsys, res):
+    code = cli.main(["scan", "--builtin", "nilpotent", "--box=-1:1,-1:1",
+                     "--res", res])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1
+
+
+# a triangular family whose path crosses the collision at z = -1: the
+# residue integral does not converge there
+CROSSING = {
+    "n": 2,
+    "params": ["z"],
+    "entries": [["1", "-z"], ["0", "-z"]],
+    "label": "crossing",
+}
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["track", "{family}", "--path",
+      "[[[-1.0992367902901106,-0.3646642897643553]],"
+      "[[-0.8774821952815862,0.4502147652147583]]]", "--steps", "100"],
+     "ContourError"),
+    (["jst-set", "{family4}"], "OverflowError"),
+], ids=["track-contour", "jst-set-n4"])
+def test_unexpected_error_exits_3_with_one_line(family_file, capsys, argv, error):
+    four = {"n": 4, "params": ["z"], "label": "four",
+            "entries": [["z", "1", "0", "0"], ["0", "1", "0", "0"],
+                        ["0", "0", "2", "0"], ["0", "0", "0", "3"]]}
+    files = {"{family}": family_file(CROSSING),
+             "{family4}": family_file(four, "four.json")}
+    code = cli.main([files.get(a, a) for a in argv])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {error}: ") and err.count("\n") == 1
 
 
 def test_env_tolerance_override(family_file, capsys, monkeypatch):

@@ -1,17 +1,30 @@
 import cmath
 import math
 import random
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from jordanscope.algebra import GaussianRational, MultiPoly, UniPoly
+from jordanscope.algebra.unipoly import derivative
 from jordanscope.family import MatrixFamily
 from jordanscope.tracker import (
+    MAX_QUADRATURE_NODES,
+    ROUCHE_BOUNDARY_SAMPLES,
     BranchState,
     ContourError,
+    _horner,
+    _modulus,
+    _product,
+    _quotient,
+    _rouche_values,
     cluster_values,
     contour_root,
+    contour_roots,
     isolate,
     probe_stack,
     splitting_amounts,
@@ -106,6 +119,210 @@ def test_contour_root_error_when_root_on_contour():
     with pytest.raises(ContourError):
         # both roots sit exactly on the circle |z| = 1
         contour_root(p, center=0.0j, radius=1.0, multiplicity=2)
+
+
+# ---------------------------------------------------------------------------
+# the stacked kernel against the scalar loops it replaced
+#
+# The two oracles are the node-by-node Python loops of contour_root and
+# _rouche_ok as they were before quadrature was stacked. The stacked
+# kernel must reproduce them bit for bit: same roots (==), same verdicts,
+# same errors with the same messages.
+
+
+def oracle_contour_root(p, center, radius, multiplicity, nodes=32):
+    if multiplicity < 1:
+        raise ValueError("multiplicity must be >= 1")
+    dp = derivative(p)
+
+    def value(q):
+        acc = 0j
+        for k in range(q):
+            z = center + radius * cmath.exp(2j * math.pi * k / q)
+            pz = p.eval(z)
+            if abs(pz) < 1e-300:
+                raise ContourError("|p| vanishes on the contour")
+            acc += z * dp.eval(z) / pz * (z - center)
+        return acc / (q * multiplicity)
+
+    q = max(8, nodes)
+    prev = value(q)
+    while q <= MAX_QUADRATURE_NODES:
+        q *= 2
+        cur = value(q)
+        if abs(cur - prev) < 1e-12 * (1.0 + abs(cur)):
+            return cur
+        prev = cur
+    raise ContourError(
+        f"no convergence with {MAX_QUADRATURE_NODES} nodes; "
+        "a root is probably near the contour"
+    )
+
+
+def oracle_rouche_ok(p_old, p_new, state):
+    for center, _ in zip(state.centers, state.multiplicities):
+        for k in range(ROUCHE_BOUNDARY_SAMPLES):
+            z = center + state.radius * cmath.exp(
+                2j * math.pi * k / ROUCHE_BOUNDARY_SAMPLES
+            )
+            if abs(p_new.eval(z) - p_old.eval(z)) >= abs(p_old.eval(z)):
+                return False
+    return True
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type and message of its error."""
+    try:
+        return fn(*args)
+    except (ContourError, ValueError, ArithmeticError) as err:
+        return type(err), str(err)
+
+
+PARTS = st.floats(-10, 10)
+COMPLEX = st.builds(complex, PARTS, PARTS)
+LEADING = COMPLEX.filter(lambda c: abs(c) >= 0.1)
+
+
+@st.composite
+def polynomials(draw):
+    """Degree 1-8, complex coefficients: drawn directly, or from roots so
+    that circles can be put through a root."""
+    degree = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(COMPLEX, min_size=degree, max_size=degree))
+        return UniPoly(coeffs + [draw(LEADING)]), []
+    roots = draw(st.lists(COMPLEX, min_size=degree, max_size=degree))
+    return UniPoly.from_roots(roots, one=1.0) * UniPoly([draw(LEADING)]), roots
+
+
+@st.composite
+def circles(draw, roots):
+    """1-6 centers and a radius; some circles pass through a root."""
+    radius = draw(st.floats(1e-3, 3.0))
+    centers = []
+    for _ in range(draw(st.integers(1, 6))):
+        if roots and draw(st.integers(0, 3)) == 0:
+            angle = draw(st.floats(0, 2 * math.pi))
+            centers.append(draw(st.sampled_from(roots)) - radius * cmath.exp(1j * angle))
+        else:
+            centers.append(draw(COMPLEX))
+    multiplicities = draw(
+        st.lists(st.integers(1, 3), min_size=len(centers), max_size=len(centers)))
+    return centers, radius, multiplicities
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_contour_roots_bit_identical_to_scalar_loop(data):
+    p, roots = data.draw(polynomials())
+    centers, radius, mults = data.draw(circles(roots))
+    want = outcome(lambda: tuple(
+        oracle_contour_root(p, c, radius, k) for c, k in zip(centers, mults)))
+    assert outcome(contour_roots, p, centers, radius, mults) == want
+    assert outcome(contour_root, p, centers[0], radius, mults[0]) == outcome(
+        oracle_contour_root, p, centers[0], radius, mults[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_rouche_verdicts_equal_scalar_loop(data):
+    p_old, _ = data.draw(polynomials())
+    scale = 10.0 ** data.draw(st.integers(-8, 1))
+    change = data.draw(st.lists(COMPLEX, min_size=len(p_old.coeffs),
+                                max_size=len(p_old.coeffs)))
+    p_new = UniPoly([a + scale * b for a, b in zip(p_old.coeffs, change)])
+    centers = data.draw(st.lists(COMPLEX, min_size=1, max_size=6, unique=True))
+    dmin = min((abs(a - b) for i, a in enumerate(centers) for b in centers[i + 1:]),
+               default=6.0)
+    assume(dmin > 1e-6)
+    radius = dmin / 2 * data.draw(st.floats(0.01, 0.99))
+    state = BranchState(tuple(centers), (1,) * len(centers), radius)
+    want = outcome(oracle_rouche_ok, p_old, p_new, state)
+    try:
+        known = _rouche_values(p_old, p_new, state)
+    except OverflowError as err:
+        assert want == (OverflowError, str(err))
+        return
+    assert (known is not None) == want
+    if known is not None:
+        # the boundary values serve the first quadrature levels
+        mults = (1,) * len(centers)
+        assert outcome(contour_roots, p_new, centers, radius, mults, 32, known) == outcome(
+            lambda: tuple(oracle_contour_root(p_new, c, radius, 1) for c in centers))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.tuples(COMPLEX, COMPLEX), min_size=1, max_size=50),
+       st.integers(-300, 300))
+def test_written_out_arithmetic_equals_python(pairs, exponent):
+    a = [x for x, _ in pairs]
+    b = [y * 10.0**exponent for _, y in pairs]
+    assume(all(y != 0 for y in b))
+    ar, ai = np.array([x.real for x in a]), np.array([x.imag for x in a])
+    br, bi = np.array([y.real for y in b]), np.array([y.imag for y in b])
+    with np.errstate(all="ignore"):
+        prod = _product(ar, ai, br, bi)
+        quot = _quotient(ar, ai, br, bi)
+        size, overflow = _modulus(br, bi)
+    for k, (x, y) in enumerate(zip(a, b)):
+        assert complex(prod[0][k], prod[1][k]) == x * y
+        assert complex(quot[0][k], quot[1][k]) == x / y
+        if overflow[k]:
+            with pytest.raises(OverflowError):
+                abs(y)
+        else:
+            assert size[k] == abs(y)
+
+
+def test_horner_equals_unipoly_eval():
+    rng = random.Random(3)
+    for degree in range(0, 9):
+        p = UniPoly([complex(rng.gauss(0, 3), rng.gauss(0, 3))
+                     for _ in range(degree + 1)])
+        zs = [complex(rng.gauss(0, 2), rng.gauss(0, 2)) for _ in range(40)]
+        zr = np.array([z.real for z in zs])
+        zi = np.array([z.imag for z in zs])
+        re, im = _horner([complex(c) for c in p.coeffs], zr, zi)
+        assert [complex(r, i) for r, i in zip(re, im)] == [p.eval(z) for z in zs]
+
+
+# x^2 - 100 vanishes exactly at the first node z = 10 of the circle around 9;
+# its root -10 lies 1e-9 inside the circle around -9 + 1e-9, where the
+# quadrature cannot converge
+P_EXACT_ZERO = UniPoly([-100.0, 0.0, 1.0])
+VANISHES = (9.0 + 0j, "|p| vanishes on the contour")
+NO_CONVERGENCE = (-9.0 + 1e-9 + 0j, "no convergence with")
+
+
+@pytest.mark.parametrize("order", [(NO_CONVERGENCE, VANISHES),
+                                   (VANISHES, NO_CONVERGENCE)],
+                         ids=["slow-first", "vanishing-first"])
+def test_first_failing_circle_decides_the_error(order):
+    centers = [center for center, _ in order]
+    with pytest.raises(ContourError, match=re.escape(order[0][1])) as got:
+        contour_roots(P_EXACT_ZERO, centers, 1.0, [1, 1])
+    with pytest.raises(ContourError) as want:
+        [oracle_contour_root(P_EXACT_ZERO, c, 1.0, 1) for c in centers]
+    assert str(got.value) == str(want.value)
+
+
+def test_multiplicity_error_after_an_earlier_circle_fails():
+    # the first circle fails before the second circle's multiplicity is read
+    with pytest.raises(ContourError, match="vanishes"):
+        contour_roots(P_EXACT_ZERO, [VANISHES[0], 0j], 1.0, [1, 0])
+    with pytest.raises(ValueError, match="multiplicity"):
+        contour_roots(P_EXACT_ZERO, [0j, VANISHES[0]], 1.0, [0, 1])
+
+
+def test_non_converging_contour_memory_is_bounded():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ContourError, match="no convergence"):
+            contour_root(P_EXACT_ZERO, NO_CONVERGENCE[0], 1.0, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------
