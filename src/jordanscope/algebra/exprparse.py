@@ -8,7 +8,8 @@ Grammar (no division, no functions -- entries must be polynomial):
     base   := name | int | '(' expr ')' | '-' factor
 
 Integers are decimal, names are parameter identifiers or the imaginary
-unit ``i``.
+unit ``i``. Parentheses and unary minus nest at most ``MAX_NESTING``
+deep, which keeps the recursion far from Python's stack limit.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ class EntrySyntaxError(ValueError):
 
 
 _SYMBOLS = set("+-*^()")
+
+MAX_NESTING = 100
 
 
 def tokenize(text: str):
@@ -68,6 +71,7 @@ class _Parser:
         self.params = list(params)
         self.index = {name: k for k, name in enumerate(self.params)}
         self.nvars = len(self.params)
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -82,6 +86,14 @@ class _Parser:
         if kind != "sym" or value != sym:
             raise EntrySyntaxError(f"expected {sym!r}", position)
         return self.advance()
+
+    def nested(self, parse, position: int) -> MultiPoly:
+        if self.depth == MAX_NESTING:
+            raise EntrySyntaxError(f"nesting deeper than {MAX_NESTING} levels", position)
+        self.depth += 1
+        result = parse()
+        self.depth -= 1
+        return result
 
     def parse(self) -> MultiPoly:
         result = self.expr()
@@ -136,11 +148,11 @@ class _Parser:
                 return MultiPoly.variable(self.nvars, self.index[value])
             raise EntrySyntaxError(f"unknown identifier {value!r}", position)
         if kind == "sym" and value == "(":
-            inner = self.expr()
+            inner = self.nested(self.expr, position)
             self.expect_sym(")")
             return inner
         if kind == "sym" and value == "-":
-            return -self.factor()
+            return -self.nested(self.factor, position)
         raise EntrySyntaxError(
             f"expected a name, integer, '(' or '-', got {value!r}", position
         )

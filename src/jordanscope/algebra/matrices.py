@@ -58,29 +58,8 @@ def mat_mul(a, b):
     return out
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_scale(c, a):
     return [[c * x for x in row] for row in a]
-
-
-def mat_pow(a, k: int):
-    n = len(a)
-    sample = a[0][0]
-    result = identity(n, one_like(sample), zero_like(sample))
-    base = a
-    while k:
-        if k & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base) if k > 1 else base
-        k >>= 1
-    return result
 
 
 def trace(a):

@@ -78,11 +78,6 @@ class MultiPoly:
             raise ValueError("not a constant polynomial")
         return self.terms[(0,) * self.nvars]
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def degree_in(self, var: int) -> int:
         if not self.terms:
             return -1
@@ -317,10 +312,6 @@ def divide_by_int(x, k: int):
     if isinstance(x, GaussianRational):
         return x / GaussianRational(k)
     return x / k
-
-
-def is_exact_scalar(x) -> bool:
-    return isinstance(x, (GaussianRational, Fraction, int))
 
 
 # -- multivariate gcd ------------------------------------------------------------

@@ -20,13 +20,6 @@ class GaussianRational:
         self.re = re if isinstance(re, Fraction) else Fraction(re)
         self.im = im if isinstance(im, Fraction) else Fraction(im)
 
-    # -- construction helpers -------------------------------------------
-
-    @classmethod
-    def from_strings(cls, re: str, im: str = "0") -> "GaussianRational":
-        """Build from ``"num/den"`` strings (the wire format)."""
-        return cls(Fraction(re), Fraction(im))
-
     # -- predicates ------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -34,12 +27,6 @@ class GaussianRational:
 
     def is_one(self) -> bool:
         return self.re == 1 and not self.im
-
-    def is_real_integer(self) -> bool:
-        return not self.im and self.re.denominator == 1
-
-    def is_gaussian_integer(self) -> bool:
-        return self.re.denominator == 1 and self.im.denominator == 1
 
     # -- arithmetic ------------------------------------------------------
 
@@ -116,13 +103,6 @@ class GaussianRational:
             k >>= 1
         return result
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def norm2(self) -> Fraction:
-        """Exact squared modulus ``re**2 + im**2``."""
-        return self.re * self.re + self.im * self.im
-
     # -- comparisons / conversions ----------------------------------------
 
     def __eq__(self, other):
@@ -139,9 +119,6 @@ class GaussianRational:
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))
-
-    def sort_key(self):
-        return (self.re, self.im)
 
     # -- rendering ---------------------------------------------------------
 

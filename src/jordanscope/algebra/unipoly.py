@@ -161,9 +161,6 @@ class UniPoly:
         """For MultiPoly coefficients: substitute the parameter point."""
         return UniPoly([c.eval_complex(point) for c in self.coeffs])
 
-    def eval_coeffs_exact(self, point) -> "UniPoly":
-        return UniPoly([c.eval_exact(point) for c in self.coeffs])
-
     def __repr__(self):
         return f"UniPoly({self.coeffs!r})"
 

@@ -7,7 +7,8 @@ an input digest, tolerances, the seed and the tool version, so a run
 can be reproduced byte-identically (wall-clock timing goes to stderr
 only, never into the report).
 
-Exit codes: 0 success, 1 validation failure, 2 input error.
+Exit codes: 0 success, 1 validation failure, 2 input error, 3 internal
+error (an unexpected exception, reported in one line on stderr).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .jordan import (
     verify_rank_identities,
 )
 from .corpus import builtin_cases, builtin_families
-from .ranklab import DEFAULT_REL_TOL
+from .ranklab import DEFAULT_REL_TOL, MINOR_DIMENSION_CAP, MinorSizeError
 from .scanner import (
     MAX_GRID_POINTS,
     check_jst_bound,
@@ -77,10 +78,6 @@ def from_wire_complex(v) -> complex:
     if isinstance(v, (list, tuple)) and len(v) == 2:
         return complex(v[0], v[1])
     raise InputError(f"cannot read complex value from {v!r}")
-
-
-def rational_str(q: GaussianRational) -> list:
-    return [str(q.re), str(q.im)]
 
 
 #: options that change where results go or how many workers compute
@@ -551,7 +548,8 @@ def _verify_family(fam: MatrixFamily, case, rel_tol: float, seed: int, lines):
 
     # norm bounds
     pts = unit_polydisk_samples(fam.nparams, 200, seed)
-    split_res = split_defining_functions(fam.char_poly_family(), seed=seed)
+    jst = jst_defining_functions(fam, seed=seed)
+    split_res = jst.split_result
     coeff_ok = all(
         check_coeff_bound(h, fam.char_poly_family(), pts).passed
         for h in split_res.functions
@@ -561,7 +559,6 @@ def _verify_family(fam: MatrixFamily, case, rel_tol: float, seed: int, lines):
         check_split_bound(fam, g, pts).passed for g in split_res.functions
     )
     lines.append((f"{label}: norm bound on split functions", split_ok))
-    jst = jst_defining_functions(fam, seed=seed)
     bound = check_jst_bound(fam, jst, pts)
     if bound.applicable:
         lines.append((f"{label}: norm bound on non-stable-set functions",
@@ -683,6 +680,12 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except EntrySyntaxError as err:
         sys.stderr.write(f"entry parse error: {err}\n")
+        return EXIT_INPUT
+    except MinorSizeError as err:
+        sys.stderr.write(
+            f"input error: {err}; symbolic commands build the (2n-1) x (2n-1) "
+            f"splitting matrix, so they take n <= {(MINOR_DIMENSION_CAP + 1) // 2}\n"
+        )
         return EXIT_INPUT
     except Exception as err:  # noqa: BLE001 - no input ends in a traceback
         message = " ".join(str(err).split())

@@ -1,5 +1,5 @@
-"""Jordan block census from ranks of powers, stability testing, and the
-local holomorphic similarity transform.
+"""Jordan block census from ranks of powers, and the local holomorphic
+similarity transform.
 
 The census needs no eigenvector computation at all: the number of
 blocks of size k at an eigenvalue lam is the second difference
@@ -8,7 +8,6 @@ rank (lam-Phi)^(k-1) + rank (lam-Phi)^(k+1) - 2 rank (lam-Phi)^k.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -36,7 +35,6 @@ from .tracker import (
     contour_roots,
     distinct_eigenvalues,
     isolate,
-    probe_ring,
     theta_from_factors,
     theta_rank_stack,
 )
@@ -48,17 +46,6 @@ class CensusInconsistencyError(RuntimeError):
     def __init__(self, message, profile=None):
         super().__init__(message)
         self.profile = profile
-
-
-def _is_exact(matrix) -> bool:
-    return not isinstance(matrix, np.ndarray)
-
-
-def _opnorm(matrix) -> float:
-    if _is_exact(matrix):
-        a = np.array([[complex(x) for x in row] for row in matrix])
-        return float(np.linalg.norm(a, 2))
-    return float(np.linalg.norm(matrix, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -202,15 +189,6 @@ class JordanCensus:
             for size, count in b.items():
                 agg[size] = agg.get(size, 0) + count
         return dict(sorted(agg.items()))
-
-    def block_multiset(self):
-        """Sorted list of (eigenvalue, size) with repetition, the full
-        Jordan structure up to eigenvalue ordering."""
-        out = []
-        for lam, b in zip(self.eigenvalues, self.blocks):
-            for size, count in sorted(b.items()):
-                out.extend([(lam, size)] * count)
-        return out
 
 
 def _sort_key(lam):
@@ -362,7 +340,7 @@ def verify_rank_identities(
     # nilpotency of the product at exponent n
     if isinstance(theta, np.ndarray):
         norm = float(np.linalg.norm(power, 2))
-        bound = nilpotency_scale * (1.0 + _opnorm(phi)) ** (n * m)
+        bound = nilpotency_scale * (1.0 + float(np.linalg.norm(phi, 2))) ** (n * m)
         checks.append(
             IdentityCheck("theta-nilpotent", f"|Theta^{n}| = {norm:.3e}",
                           norm <= bound, norm, bound)
@@ -523,69 +501,6 @@ def jordan_basis(
             f"residual {residual:.3e} too large for the chain basis", condition
         )
     return BasisResult(t, j_ref, residual, condition)
-
-
-# ---------------------------------------------------------------------------
-# stability sampling
-
-
-class StabilityClass(enum.Enum):
-    NOT_STABLE_SPLIT = "NotStable_Split"
-    NOT_STABLE_JUMP = "NotStable_Jump"
-    STABLE_CANDIDATE = "Stable_Candidate"
-
-
-def theta_power_ranks(a: np.ndarray, eigenvalues, rel_tol: float):
-    """rank Theta^k for k = 1..n-1, with roundoff thresholded against
-    the product of the factor norms."""
-    factors = [(complex(lam), 1) for lam in eigenvalues]
-    (ranks,) = theta_rank_stack(np.asarray(a, dtype=complex)[None], [factors], rel_tol)
-    return list(ranks)
-
-
-def _theta_ranks_at(family: MatrixFamily, point, rel_tol: float):
-    a = family.at(point)
-    clusters = distinct_eigenvalues(a, rel_tol)
-    return theta_power_ranks(a, [lam for lam, _ in clusters], rel_tol)
-
-
-def is_jordan_stable_sample(
-    family: MatrixFamily,
-    xi,
-    probe_radius: float = 1e-2,
-    probe_count: int = 8,
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> StabilityClass:
-    """Classify a point by probing a ring around it.
-
-    Split detection uses the isolation disks of A(xi): a probe whose
-    distinct eigenvalues crowd two into one disk certifies splitting.
-    Jump detection compares rank Theta^k at the probes against the
-    point. Sampling can refute stability but never certify it, hence
-    ``Stable_Candidate``.
-    """
-    a = family.at(xi)
-    clusters = distinct_eigenvalues(a, rel_tol)
-    state = isolate(family.char_poly_at(xi), clusters, point=tuple(xi))
-    probes = []
-    for radius in (probe_radius, probe_radius / 2):
-        probes.extend(probe_ring(xi, radius, probe_count))
-    for probe in probes:
-        counts = [0] * len(state.centers)
-        for lam, _ in distinct_eigenvalues(family.at(probe), rel_tol):
-            dists = [abs(lam - c) for c in state.centers]
-            j = dists.index(min(dists))
-            if dists[j] < state.radius:
-                counts[j] += 1
-        if any(c > 1 for c in counts):
-            return StabilityClass.NOT_STABLE_SPLIT
-    base = _theta_ranks_at(family, xi, rel_tol)
-    for probe in probes:
-        if any(
-            pr > br for pr, br in zip(_theta_ranks_at(family, probe, rel_tol), base)
-        ):
-            return StabilityClass.NOT_STABLE_JUMP
-    return StabilityClass.STABLE_CANDIDATE
 
 
 # ---------------------------------------------------------------------------

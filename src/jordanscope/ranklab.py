@@ -9,6 +9,7 @@ rationals. Minors of polynomial matrices are fraction-free as well.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra.multipoly import MultiPoly
-from .algebra.scalars import GR_ONE, GR_ZERO, GaussianRational
+from .algebra.scalars import GaussianRational
 
 DEFAULT_REL_TOL = 1e-8
 
@@ -133,42 +134,46 @@ def _coerce_exact(m):
     return rows
 
 
+def _bareiss(work, divide):
+    """Fraction-free (Bareiss) elimination with full pivoting, in place.
+
+    ``divide`` is the exact division of the entries' ring. Returns the
+    rank and the sign of the row and column swaps; for a square matrix
+    of full rank the determinant is that sign times the last pivot,
+    ``work[-1][-1]``.
+    """
+    nrows, ncols = len(work), len(work[0])
+    sign = 1
+    prev = None
+    for r in range(min(nrows, ncols)):
+        # full pivot: any nonzero entry of the remaining submatrix
+        pivot = next(((i, j) for i in range(r, nrows) for j in range(r, ncols)
+                      if not work[i][j].is_zero()), None)
+        if pivot is None:
+            return r, sign
+        pi, pj = pivot
+        if pi != r:
+            work[r], work[pi] = work[pi], work[r]
+            sign = -sign
+        if pj != r:
+            for row in work:
+                row[r], row[pj] = row[pj], row[r]
+            sign = -sign
+        p = work[r][r]
+        for i in range(r + 1, nrows):
+            for j in range(r + 1, ncols):
+                num = p * work[i][j] - work[i][r] * work[r][j]
+                work[i][j] = num if prev is None else divide(num, prev)
+        prev = p
+    return min(nrows, ncols), sign
+
+
 def exact_rank(m) -> int:
     """True rank over QQ(i) by Bareiss elimination with full pivoting."""
     work = _coerce_exact(m)
     if not work or not work[0]:
         return 0
-    nrows, ncols = len(work), len(work[0])
-    prev = GR_ONE
-    rank = 0
-    r = 0
-    while r < min(nrows, ncols):
-        # full pivot: any nonzero entry of the remaining submatrix
-        pivot = None
-        for i in range(r, nrows):
-            for j in range(r, ncols):
-                if not work[i][j].is_zero():
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != r:
-            work[r], work[pi] = work[pi], work[r]
-        if pj != r:
-            for row in work:
-                row[r], row[pj] = row[pj], row[r]
-        p = work[r][r]
-        for i in range(r + 1, nrows):
-            for j in range(r + 1, ncols):
-                work[i][j] = (p * work[i][j] - work[i][r] * work[r][j]) / prev
-            work[i][r] = GR_ZERO
-        prev = p
-        rank += 1
-        r += 1
-    return rank
+    return _bareiss(work, operator.truediv)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -180,39 +185,19 @@ def det_multipoly(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
-    nvars = rows[0][0].nvars
-    if n == 1:
-        return rows[0][0]
     work = [list(r) for r in rows]
-    sign = 1
-    prev = MultiPoly.one(nvars)
-    for r in range(n - 1):
-        pivot = None
-        for i in range(r, n):
-            for j in range(r, n):
-                if not work[i][j].is_zero():
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            return MultiPoly.zero(nvars)
-        pi, pj = pivot
-        if pi != r:
-            work[r], work[pi] = work[pi], work[r]
-            sign = -sign
-        if pj != r:
-            for row in work:
-                row[r], row[pj] = row[pj], row[r]
-            sign = -sign
-        p = work[r][r]
-        for i in range(r + 1, n):
-            for j in range(r + 1, n):
-                num = p * work[i][j] - work[i][r] * work[r][j]
-                work[i][j] = num.exact_div(prev)
-        prev = p
-    det = work[n - 1][n - 1]
-    return det if sign > 0 else -det
+    rank, sign = _bareiss(work, MultiPoly.exact_div)
+    if rank < n:
+        return MultiPoly.zero(rows[0][0].nvars)
+    return work[n - 1][n - 1] if sign > 0 else -work[n - 1][n - 1]
+
+
+def check_minor_size(nrows: int, ncols: int):
+    """Refuse matrices beyond the minor enumeration cap."""
+    if max(nrows, ncols) > MINOR_DIMENSION_CAP:
+        raise MinorSizeError(
+            f"minor enumeration capped at dimension {MINOR_DIMENSION_CAP}"
+        )
 
 
 def minors(m: Sequence[Sequence[MultiPoly]], order: int):
@@ -228,10 +213,7 @@ def minors(m: Sequence[Sequence[MultiPoly]], order: int):
         raise ValueError("minor order exceeds matrix dimensions")
     if order < 1:
         raise ValueError("minor order must be >= 1")
-    if max(nrows, ncols) > MINOR_DIMENSION_CAP or order > MINOR_DIMENSION_CAP:
-        raise MinorSizeError(
-            f"minor enumeration capped at dimension {MINOR_DIMENSION_CAP}"
-        )
+    check_minor_size(nrows, ncols)
     out = []
     for ri in itertools.combinations(range(nrows), order):
         for ci in itertools.combinations(range(ncols), order):

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -29,6 +31,7 @@ from .ranklab import DEFAULT_REL_TOL, generic_rank, minors
 from .sylv import (
     BoundReport,
     SplitSetResult,
+    bound_report,
     distinct_zero_counts,
     split_defining_functions,
 )
@@ -137,19 +140,7 @@ def grid_nodes(box, resolution):
     total = math.prod(len(a) for a in axes)
     if total > MAX_GRID_POINTS:
         raise ValueError(f"grid size {total} exceeds cap {MAX_GRID_POINTS}")
-    idx = [0] * len(axes)
-    out = []
-    while True:
-        out.append(tuple(axes[d][idx[d]] for d in range(len(axes))))
-        d = len(axes) - 1
-        while d >= 0:
-            idx[d] += 1
-            if idx[d] < len(axes[d]):
-                break
-            idx[d] = 0
-            d -= 1
-        if d < 0:
-            return out
+    return list(itertools.product(*axes))
 
 
 def _classify_chunk(family, probe_radius, rel_tol, nodes):
@@ -377,25 +368,9 @@ def jst_defining_functions(family: MatrixFamily, seed: int = 0) -> JstResult:
     capped = total > MAX_PRODUCT_FUNCTIONS
     functions: Optional[List[MultiPoly]] = None
     if not capped:
-        functions = []
-        combos = [gs]
-        for k in sorted(minor_functions):
-            combos.append(minor_functions[k])
-        idx = [0] * len(combos)
-        while True:
-            h = combos[0][idx[0]]
-            for d in range(1, len(combos)):
-                h = h * combos[d][idx[d]]
-            functions.append(h)
-            d = len(combos) - 1
-            while d >= 0:
-                idx[d] += 1
-                if idx[d] < len(combos[d]):
-                    break
-                idx[d] = 0
-                d -= 1
-            if d < 0:
-                break
+        pools = [gs] + [minor_functions[k] for k in sorted(minor_functions)]
+        functions = [functools.reduce(operator.mul, combo)
+                     for combo in itertools.product(*pools)]
     else:
         notes.append(
             f"product count {total} exceeds cap {MAX_PRODUCT_FUNCTIONS}; "
@@ -439,25 +414,13 @@ def check_split_bound(
     in the underlying coefficient bound (constant entries from the
     monic leading coefficient).
     """
-    n = family.n
-    const = split_matrix_bound_constant(n)
-    expo = 2 * n * n
-    violations = []
-    max_ratio = 0.0
-    for pt in sample_points:
-        base = max(1.0, family.operator_norm_at(pt))
-        bound = const * base**expo
-        value = abs(g.eval_complex(pt))
-        ratio = value / bound
-        max_ratio = max(max_ratio, ratio)
-        if value > bound * (1 + 1e-12):
-            violations.append({"point": list(pt), "value": value, "bound": bound})
-    return BoundReport(
-        label=label,
-        checked=len(sample_points),
-        violations=violations,
-        max_ratio=max_ratio,
-    )
+    const = split_matrix_bound_constant(family.n)
+    expo = 2 * family.n * family.n
+    return bound_report(label, (
+        (pt, const * max(1.0, family.operator_norm_at(pt)) ** expo,
+         [abs(g.eval_complex(pt))])
+        for pt in sample_points
+    ))
 
 
 def check_jst_bound(
@@ -471,45 +434,16 @@ def check_jst_bound(
     cleared functions differ from sums of products of matrix elements
     and the report is marked not applicable.
     """
-    n = family.n
-    if not jst.denominator_is_one:
-        return BoundReport(
-            label="non-stable-set function",
-            checked=0,
-            violations=[],
-            max_ratio=0.0,
-            applicable=False,
-            note="NOT APPLICABLE: cleared denominator D != 1",
-        )
-    if jst.functions is None:
-        return BoundReport(
-            label="non-stable-set function",
-            checked=0,
-            violations=[],
-            max_ratio=0.0,
-            applicable=False,
-            note="NOT APPLICABLE: product list capped; factors emitted instead",
-        )
-    const = jst_bound_constant(n)
-    expo = 2 * n**4
-    violations = []
-    max_ratio = 0.0
-    count = 0
-    for pt in sample_points:
-        base = max(1.0, family.operator_norm_at(pt))
-        bound = const * base**expo
-        for h in jst.functions:
-            value = abs(h.eval_complex(pt))
-            ratio = value / bound
-            max_ratio = max(max_ratio, ratio)
-            count += 1
-            if value > bound * (1 + 1e-12):
-                violations.append(
-                    {"point": list(pt), "value": value, "bound": bound}
-                )
-    return BoundReport(
-        label="non-stable-set function",
-        checked=count,
-        violations=violations,
-        max_ratio=max_ratio,
-    )
+    label = "non-stable-set function"
+    if not jst.denominator_is_one or jst.functions is None:
+        reason = ("cleared denominator D != 1" if not jst.denominator_is_one
+                  else "product list capped; factors emitted instead")
+        return BoundReport(label, 0, [], 0.0, applicable=False,
+                           note=f"NOT APPLICABLE: {reason}")
+    const = jst_bound_constant(family.n)
+    expo = 2 * family.n**4
+    return bound_report(label, (
+        (pt, const * max(1.0, family.operator_norm_at(pt)) ** expo,
+         [abs(h.eval_complex(pt)) for h in jst.functions])
+        for pt in sample_points
+    ))

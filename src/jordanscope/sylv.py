@@ -20,6 +20,7 @@ from .algebra.scalars import GaussianRational
 from .algebra.unipoly import UniPoly, derivative
 from .ranklab import (
     DEFAULT_REL_TOL,
+    check_minor_size,
     exact_rank,
     generic_rank,
     minors,
@@ -160,6 +161,7 @@ def split_defining_functions(
         raise TypeError("family coefficients must be MultiPoly")
     _require_monic(family)
     sm = build_split_matrix(family)
+    check_minor_size(sm.size, sm.size)  # before the costly generic rank
     r_max, note = generic_rank(sm.entries, seed=seed)
     if r_max == 0:
         raise ArithmeticError("splitting matrix cannot be identically zero")
@@ -187,6 +189,24 @@ class BoundReport:
         return not self.violations
 
 
+def bound_report(label: str, samples) -> BoundReport:
+    """Check value <= bound over ``(point, bound, values)`` samples.
+
+    A value violates its bound when it exceeds it by more than a
+    relative 1e-12; each violation is kept with its witness point.
+    """
+    violations = []
+    max_ratio = 0.0
+    checked = 0
+    for pt, bound, values in samples:
+        for value in values:
+            checked += 1
+            max_ratio = max(max_ratio, value / bound)
+            if value > bound * (1 + 1e-12):
+                violations.append({"point": list(pt), "value": value, "bound": bound})
+    return BoundReport(label, checked, violations, max_ratio)
+
+
 def coefficient_bound_constant(n: int) -> float:
     return float((2 * n) ** (4 * n))
 
@@ -207,20 +227,12 @@ def check_coeff_bound(
     """
     n = family.degree
     const = coefficient_bound_constant(n)
-    violations = []
-    max_ratio = 0.0
-    for pt in sample_points:
-        coeffs = [c.eval_complex(pt) for c in family.coeffs[:-1]]
-        base = max(1.0, max(abs(c) for c in coeffs)) if coeffs else 1.0
-        bound = const * base ** (2 * n)
-        value = abs(h.eval_complex(pt))
-        ratio = value / bound
-        max_ratio = max(max_ratio, ratio)
-        if value > bound * (1 + 1e-12):
-            violations.append({"point": list(pt), "value": value, "bound": bound})
-    return BoundReport(
-        label=label,
-        checked=len(sample_points),
-        violations=violations,
-        max_ratio=max_ratio,
-    )
+    lower = family.coeffs[:-1]
+
+    def base(pt):
+        return max(1.0, max(abs(c.eval_complex(pt)) for c in lower)) if lower else 1.0
+
+    return bound_report(label, (
+        (pt, const * base(pt) ** (2 * n), [abs(h.eval_complex(pt))])
+        for pt in sample_points
+    ))

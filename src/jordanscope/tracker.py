@@ -107,10 +107,6 @@ class BranchState:
                 if 2 * self.radius >= abs(self.centers[i] - self.centers[j]):
                     raise ValueError("isolation disks are not disjoint")
 
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(self.multiplicities)
-
 
 def isolate(p: UniPoly, roots_with_multiplicities, point=None) -> BranchState:
     """Isolation radius = quarter of the minimal pairwise root distance
@@ -637,6 +633,11 @@ def factors_from_stack(stack: ProbeStack):
     """Factor list [(eigenvalue, power)] of the extended nilpotent product
     at the point of a probe stack: powers are 1 off the splitting set and
     the splitting amounts on it."""
+    # Eigenvalue clustering, not the splitting-matrix rank that
+    # classify_point uses, decides the split here. Both agree on every
+    # scan node measured, but on [[z, 1, 0], [0, z, 0], [0, 0, 1]] at
+    # z = 1 with probe radius 1e-3 the rank misses the 1e-3 root gap,
+    # and theta_extended would then jump at the split point.
     if not stack.eigen_split():
         return [(lam, 1) for lam, _ in stack.clusters[0]]
     sa = amounts_from_stack(stack)

@@ -362,6 +362,33 @@ def test_scan_bad_resolution_is_input_error(capsys, res):
     assert err.startswith("input error:") and err.count("\n") == 1
 
 
+def test_deeply_nested_entry_is_input_error(tmp_path, capsys):
+    doc = dict(SHEAR, entries=[["(" * 3000 + "z" + ")" * 3000, "1"], ["0", "-z"]])
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["census", str(path), "--point", "1.0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "nesting deeper than" in err
+
+
+def jordan_chain(n):
+    """n x n: z on the diagonal (z + 1 in the corner), ones above it."""
+    entries = [["z" if i == j else "1" if j == i + 1 else "0" for j in range(n)]
+               for i in range(n)]
+    entries[0][0] = "z+1"
+    return {"n": n, "params": ["z"], "entries": entries, "label": f"chain{n}"}
+
+
+@pytest.mark.parametrize("n", [6, 12])
+def test_split_set_beyond_minor_cap_is_input_error(family_file, capsys, n):
+    code = cli.main(["split-set", family_file(jordan_chain(n)), "--samples", "5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1
+    assert "capped at dimension 9" in err and "n <= 5" in err
+
+
 # a triangular family whose path crosses the collision at z = -1: the
 # residue integral does not converge there
 CROSSING = {

@@ -9,9 +9,7 @@ from jordanscope.algebra.matrices import mat_mul
 from jordanscope.family import MatrixFamily
 from jordanscope.jordan import (
     CensusInconsistencyError,
-    StabilityClass,
     TransformReport,
-    is_jordan_stable_sample,
     jordan_basis,
     jordan_census,
     jordan_form_from_census,
@@ -21,6 +19,7 @@ from jordanscope.jordan import (
     theta_product,
     verify_rank_identities,
 )
+from jordanscope.scanner import PointKind, classify_point
 
 GR = GaussianRational
 
@@ -307,7 +306,7 @@ def test_basis_recovers_random_structures():
 
 
 # ---------------------------------------------------------------------------
-# stability sampling
+# stability sampling, through the one pointwise classifier
 
 
 def nilpotent_family():
@@ -317,18 +316,18 @@ def nilpotent_family():
 
 
 def test_stability_nilpotent_family_origin_jumps():
-    got = is_jordan_stable_sample(nilpotent_family(), [0.0, 0.0])
-    assert got is StabilityClass.NOT_STABLE_JUMP
+    got = classify_point(nilpotent_family(), [0.0, 0.0])
+    assert got.kind is PointKind.JUMP
 
 
 def test_stability_nilpotent_family_generic_point():
-    got = is_jordan_stable_sample(nilpotent_family(), [1.0, 1.0])
-    assert got is StabilityClass.STABLE_CANDIDATE
+    got = classify_point(nilpotent_family(), [1.0, 1.0])
+    assert got.kind is PointKind.STABLE_CANDIDATE
 
 
 def test_stability_shear_family_splits_at_origin():
     f = MatrixFamily.from_entries([["z", "1"], ["0", "-z"]], ["z"])
-    assert is_jordan_stable_sample(f, [0.0]) is StabilityClass.NOT_STABLE_SPLIT
+    assert classify_point(f, [0.0]).kind is PointKind.SPLIT
 
 
 # ---------------------------------------------------------------------------

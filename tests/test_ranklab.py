@@ -3,8 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jordanscope.algebra import GaussianRational, MultiPoly, parse_entry
+from jordanscope.algebra.matrices import mat_mul
 from jordanscope.ranklab import (
     MinorSizeError,
     det_multipoly,
@@ -86,6 +90,43 @@ def test_exact_rank_invariance_under_row_permutation_and_units():
         for i in range(4)
     ]
     assert exact_rank(prod) == base
+
+
+GAUSSIAN = st.one_of(
+    st.just(GR(0)),
+    st.builds(lambda a, b, c, d: GR(Fraction(a, c), Fraction(b, d)),
+              st.integers(-6, 6), st.integers(-6, 6),
+              st.integers(1, 5), st.integers(1, 5)),
+)
+
+
+def gaussian_matrix(rows, cols):
+    return st.lists(st.lists(GAUSSIAN, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@st.composite
+def rank_test_matrices(draw):
+    """Gaussian-rational matrices up to 6 x 7; half of them are products
+    through a thinner inner dimension, so their rank is usually deficient."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        inner = draw(st.integers(1, min(rows, cols)))
+        return mat_mul(draw(gaussian_matrix(rows, inner)),
+                       draw(gaussian_matrix(inner, cols)))
+    return draw(gaussian_matrix(rows, cols))
+
+
+def to_sympy(m):
+    return sympy.Matrix([[sympy.Rational(x.re.numerator, x.re.denominator)
+                          + sympy.I * sympy.Rational(x.im.numerator, x.im.denominator)
+                          for x in row] for row in m])
+
+
+@settings(max_examples=150, deadline=None)
+@given(rank_test_matrices())
+def test_exact_rank_against_sympy(m):
+    assert exact_rank(m) == to_sympy(m).rank(simplify=True)
 
 
 def test_kernel_basis_zero_matrix():
