@@ -51,7 +51,7 @@ print(
 pts1 = [[p[0]] for p in pts]
 res_shear = jst_defining_functions(shear)
 for g in res_shear.split_functions:
-    rep = check_split_bound(shear, g, pts1)
+    rep = check_split_bound(shear, [g], pts1)
     print(
         f"splitting-set bound on {g.to_string(['z'])}: passed={rep.passed}, "
         f"max ratio {rep.max_ratio:.2e}"

@@ -46,7 +46,6 @@ from .scanner import (
     classify_point,
     jst_defining_functions,
     scan_grid,
-    square_free_part_family,
 )
 from .sylv import check_coeff_bound, split_defining_functions
 from .tracker import distinct_eigenvalues, splitting_amounts, track_path
@@ -210,18 +209,28 @@ def parse_path(text: str, nparams: int):
 
 
 def effective_tol(args) -> float:
-    if args.tol is not None:
-        return args.tol
-    env = os.environ.get(TOL_ENV_VAR)
-    if env:
+    tol, source = args.tol, "--tol"
+    if tol is None:
+        env = os.environ.get(TOL_ENV_VAR)
+        if not env:
+            return DEFAULT_REL_TOL
         try:
-            return float(env)
+            tol, source = float(env), TOL_ENV_VAR
         except ValueError as err:
             raise InputError(f"bad {TOL_ENV_VAR}={env!r}") from err
-    return DEFAULT_REL_TOL
+    if not 0 < tol < 1:  # also refuses nan
+        raise InputError(f"{source} must lie strictly between 0 and 1, got {tol}")
+    return tol
+
+
+def at_least_one(option: str, value: int) -> int:
+    if value < 1:
+        raise InputError(f"{option} must be at least 1, got {value}")
+    return value
 
 
 def unit_polydisk_samples(nparams: int, count: int, seed: int):
+    at_least_one("--samples", count)
     rng = random.Random(seed)
     return [
         [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(nparams)]
@@ -295,13 +304,9 @@ def cmd_census(args) -> int:
 def cmd_split_set(args) -> int:
     fam, raw = resolve_family(args)
     rel_tol = effective_tol(args)
-    res = split_defining_functions(fam.char_poly_family(), seed=args.seed)
     pts = unit_polydisk_samples(fam.nparams, args.samples, args.seed)
-    family_poly = fam.char_poly_family()
-    bound_reports = [
-        check_coeff_bound(h, family_poly, pts) for h in res.functions
-    ]
-    worst = max((b.max_ratio for b in bound_reports), default=0.0)
+    res = split_defining_functions(fam.char_poly_family(), seed=args.seed)
+    bound = check_coeff_bound(res.functions, fam.char_poly_family(), pts)
     empty = any(
         h.is_constant() and not h.constant_value().is_zero()
         for h in res.functions
@@ -317,19 +322,19 @@ def cmd_split_set(args) -> int:
         "generic_rank_note": res.generic_rank_note,
         "bound_check": {
             "samples": args.samples,
-            "passed": all(b.passed for b in bound_reports),
-            "max_ratio": worst,
+            "passed": bound.passed,
+            "max_ratio": bound.max_ratio,
         },
     }
     emit(doc, args.out)
-    return EXIT_OK if all(b.passed for b in bound_reports) else EXIT_VALIDATION
+    return EXIT_OK if bound.passed else EXIT_VALIDATION
 
 
 def cmd_jst_set(args) -> int:
     fam, raw = resolve_family(args)
     rel_tol = effective_tol(args)
-    res = jst_defining_functions(fam, seed=args.seed)
     pts = unit_polydisk_samples(fam.nparams, args.samples, args.seed)
+    res = jst_defining_functions(fam, seed=args.seed)
     bound = check_jst_bound(fam, res, pts)
     doc = {
         "schema": "v1",
@@ -365,9 +370,7 @@ def cmd_scan(args) -> int:
     rel_tol = effective_tol(args)
     box = parse_box(args.box, fam.nparams)
     resolution = parse_resolution(args.res, fam.nparams)
-    if args.jobs < 1:
-        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
-    jobs = min(args.jobs, os.cpu_count() or 1)
+    jobs = min(at_least_one("--jobs", args.jobs), os.cpu_count() or 1)
 
     def scan(chunk_map=map):
         return scan_grid(fam, box, resolution, rel_tol, args.probe_radius,
@@ -413,6 +416,7 @@ def cmd_track(args) -> int:
     fam, raw = resolve_family(args)
     rel_tol = effective_tol(args)
     path = parse_path(args.path, fam.nparams)
+    at_least_one("--steps", args.steps)
     result = track_path(fam, path, steps=args.steps, rel_tol=rel_tol)
     doc = {
         "schema": "v1",
@@ -498,7 +502,8 @@ def _verify_family(fam: MatrixFamily, case, rel_tol: float, seed: int, lines):
         )
 
     # direct product vs square-free route at rational points
-    generic_m = square_free_part_family(fam).distinct_degree
+    jst = jst_defining_functions(fam, seed=seed)
+    generic_m = jst.squarefree.distinct_degree
     ok = True
     compared = 0
     while compared < 5:
@@ -548,17 +553,10 @@ def _verify_family(fam: MatrixFamily, case, rel_tol: float, seed: int, lines):
 
     # norm bounds
     pts = unit_polydisk_samples(fam.nparams, 200, seed)
-    jst = jst_defining_functions(fam, seed=seed)
-    split_res = jst.split_result
-    coeff_ok = all(
-        check_coeff_bound(h, fam.char_poly_family(), pts).passed
-        for h in split_res.functions
-    )
-    lines.append((f"{label}: coefficient bound on split minors", coeff_ok))
-    split_ok = all(
-        check_split_bound(fam, g, pts).passed for g in split_res.functions
-    )
-    lines.append((f"{label}: norm bound on split functions", split_ok))
+    coeff = check_coeff_bound(jst.split_functions, fam.char_poly_family(), pts)
+    lines.append((f"{label}: coefficient bound on split minors", coeff.passed))
+    split = check_split_bound(fam, jst.split_functions, pts)
+    lines.append((f"{label}: norm bound on split functions", split.passed))
     bound = check_jst_bound(fam, jst, pts)
     if bound.applicable:
         lines.append((f"{label}: norm bound on non-stable-set functions",

@@ -30,7 +30,6 @@ from .jordan import CensusInconsistencyError, JordanCensus, jordan_census
 from .ranklab import DEFAULT_REL_TOL, generic_rank, minors
 from .sylv import (
     BoundReport,
-    SplitSetResult,
     bound_report,
     distinct_zero_counts,
     split_defining_functions,
@@ -303,7 +302,6 @@ class JstResult:
     rank_values: Dict[int, int]
     k0: int
     denominator: MultiPoly
-    split_result: SplitSetResult
     squarefree: SquareFreeResult
     capped: bool = False
     notes: List[str] = field(default_factory=list)
@@ -337,7 +335,7 @@ def jst_defining_functions(family: MatrixFamily, seed: int = 0) -> JstResult:
     which is flagged rather than silently asserted away.
     """
     notes: List[str] = []
-    split_res = split_defining_functions(family.char_poly_family(), seed=seed)
+    gs = split_defining_functions(family.char_poly_family(), seed=seed).functions
     sf = square_free_part_family(family)
     if not sf.denominator_is_one:
         notes.append(
@@ -361,7 +359,6 @@ def jst_defining_functions(family: MatrixFamily, seed: int = 0) -> JstResult:
             break
         minor_functions[k] = minors(power, r_k)
         k0 = k
-    gs = split_res.functions
     total = len(gs)
     for k in sorted(minor_functions):
         total *= len(minor_functions[k])
@@ -383,7 +380,6 @@ def jst_defining_functions(family: MatrixFamily, seed: int = 0) -> JstResult:
         rank_values=rank_values,
         k0=k0,
         denominator=sf.denominator,
-        split_result=split_res,
         squarefree=sf,
         capped=capped,
         notes=notes,
@@ -394,33 +390,22 @@ def jst_defining_functions(family: MatrixFamily, seed: int = 0) -> JstResult:
 # norm bounds on the defining functions
 
 
-def split_matrix_bound_constant(n: int) -> float:
-    return float((2 * n) ** (6 * n * n))
-
-
-def jst_bound_constant(n: int) -> float:
-    return float((2 * n) ** (2 * n**4))
-
-
 def check_split_bound(
     family: MatrixFamily,
-    g: MultiPoly,
+    functions: Sequence[MultiPoly],
     sample_points: Sequence,
     label: str = "splitting-set function",
 ) -> BoundReport:
-    """|g| <= (2n)^(6n^2) * max(1, |A|)^(2n^2) at the samples.
+    """|g| <= (2n)^(6n^2) * max(1, |A|)^(2n^2) for every g at the samples.
 
     The norm is floored at 1 for the same reason the coefficient max is
     in the underlying coefficient bound (constant entries from the
     monic leading coefficient).
     """
-    const = split_matrix_bound_constant(family.n)
-    expo = 2 * family.n * family.n
-    return bound_report(label, (
-        (pt, const * max(1.0, family.operator_norm_at(pt)) ** expo,
-         [abs(g.eval_complex(pt))])
-        for pt in sample_points
-    ))
+    n = family.n
+    return bound_report(label, sample_points, functions,
+                        float((2 * n) ** (6 * n * n)), family.operator_norm_at,
+                        2 * n * n)
 
 
 def check_jst_bound(
@@ -440,10 +425,7 @@ def check_jst_bound(
                   else "product list capped; factors emitted instead")
         return BoundReport(label, 0, [], 0.0, applicable=False,
                            note=f"NOT APPLICABLE: {reason}")
-    const = jst_bound_constant(family.n)
-    expo = 2 * family.n**4
-    return bound_report(label, (
-        (pt, const * max(1.0, family.operator_norm_at(pt)) ** expo,
-         [abs(h.eval_complex(pt)) for h in jst.functions])
-        for pt in sample_points
-    ))
+    n = family.n
+    return bound_report(label, sample_points, jst.functions,
+                        float((2 * n) ** (2 * n**4)), family.operator_norm_at,
+                        2 * n**4)

@@ -11,7 +11,7 @@ points where zeros collide.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -189,35 +189,37 @@ class BoundReport:
         return not self.violations
 
 
-def bound_report(label: str, samples) -> BoundReport:
-    """Check value <= bound over ``(point, bound, values)`` samples.
+def bound_report(label: str, points: Sequence, functions: Sequence[MultiPoly],
+                 constant: float, scale_at: Callable[[Sequence], float],
+                 exponent: int) -> BoundReport:
+    """Check |f| <= constant * max(1, scale_at(pt))**exponent for every
+    function f at every sample point.
 
-    A value violates its bound when it exceeds it by more than a
-    relative 1e-12; each violation is kept with its witness point.
+    The bound depends on the point alone, so it is computed once per
+    point, whatever the number of functions. A value violates its bound
+    when it exceeds it by more than a relative 1e-12; each violation is
+    kept with its witness point.
     """
     violations = []
     max_ratio = 0.0
-    checked = 0
-    for pt, bound, values in samples:
-        for value in values:
-            checked += 1
+    for pt in points:
+        bound = constant * max(1.0, scale_at(pt)) ** exponent
+        for f in functions:
+            value = abs(f.eval_complex(pt))
             max_ratio = max(max_ratio, value / bound)
             if value > bound * (1 + 1e-12):
                 violations.append({"point": list(pt), "value": value, "bound": bound})
-    return BoundReport(label, checked, violations, max_ratio)
-
-
-def coefficient_bound_constant(n: int) -> float:
-    return float((2 * n) ** (4 * n))
+    return BoundReport(label, len(points) * len(functions), violations, max_ratio)
 
 
 def check_coeff_bound(
-    h: MultiPoly,
+    functions: Sequence[MultiPoly],
     family: UniPoly,
     sample_points: Sequence[Sequence[complex]],
     label: str = "split-set minor",
 ) -> BoundReport:
-    """Check |h| <= (2n)^(4n) * max(1, max_mu |P_mu|)^(2n) at samples.
+    """Check |h| <= (2n)^(4n) * max(1, max_mu |P_mu|)^(2n) for every h
+    at the samples.
 
     The coefficient maximum is floored at 1: the splitting matrix also
     contains constant entries coming from the monic leading
@@ -226,13 +228,10 @@ def check_coeff_bound(
     the minor construction, and is reported with its witness point.
     """
     n = family.degree
-    const = coefficient_bound_constant(n)
     lower = family.coeffs[:-1]
 
-    def base(pt):
-        return max(1.0, max(abs(c.eval_complex(pt)) for c in lower)) if lower else 1.0
+    def largest_coefficient(pt) -> float:
+        return max((abs(c.eval_complex(pt)) for c in lower), default=0.0)
 
-    return bound_report(label, (
-        (pt, const * base(pt) ** (2 * n), [abs(h.eval_complex(pt))])
-        for pt in sample_points
-    ))
+    return bound_report(label, sample_points, functions,
+                        float((2 * n) ** (4 * n)), largest_coefficient, 2 * n)

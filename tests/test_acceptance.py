@@ -214,11 +214,10 @@ def test_criterion_5_norm_bounds():
         jst = jst_defining_functions(fam)
         assert jst.denominator_is_one
         charpoly = fam.char_poly_family()
-        for g in jst.split_functions:
-            rep = check_coeff_bound(g, charpoly, pts)
-            assert rep.passed, (case.name, rep.violations[:1])
-            rep2 = check_split_bound(fam, g, pts)
-            assert rep2.passed, (case.name, rep2.violations[:1])
+        rep = check_coeff_bound(jst.split_functions, charpoly, pts)
+        assert rep.passed, (case.name, rep.violations[:1])
+        rep2 = check_split_bound(fam, jst.split_functions, pts)
+        assert rep2.passed, (case.name, rep2.violations[:1])
         rep3 = check_jst_bound(fam, jst, pts)
         assert rep3.applicable and rep3.passed, (case.name, rep3.violations[:1])
     # NOT APPLICABLE marking for a synthetic non-one denominator

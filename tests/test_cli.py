@@ -427,6 +427,50 @@ def test_env_tolerance_override(family_file, capsys, monkeypatch):
     assert doc["manifest"]["tolerances"]["rel_tol"] == 1e-6
 
 
+@pytest.mark.parametrize("argv", [
+    ["census", "--builtin", "shear", "--point", "0.5", "--tol", "5"],
+    ["census", "--builtin", "shear", "--point", "0.5", "--tol", "0"],
+    ["census", "--builtin", "shear", "--point", "0.5", "--tol=-1"],
+    ["census", "--builtin", "shear", "--point", "0.5", "--tol", "nan"],
+    ["census", "--builtin", "shear", "--point", "0.5", "--tol", "inf"],
+    ["scan", "--builtin", "shear", "--box=-1:1", "--res", "3", "--tol", "5"],
+    ["split-set", "--builtin", "shear", "--samples", "5", "--tol", "7"],
+], ids=["census-5", "census-0", "census-neg", "census-nan", "census-inf",
+        "scan-5", "split-set-7"])
+def test_tolerance_outside_unit_interval_is_input_error(capsys, argv):
+    code = cli.main(argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: --tol must lie strictly between 0 and 1")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tol", ["5", "0", "nan"])
+def test_env_tolerance_outside_unit_interval_is_input_error(capsys, monkeypatch,
+                                                            tol):
+    monkeypatch.setenv("JORDANSCOPE_TOL", tol)
+    code = cli.main(["scan", "--builtin", "shear", "--box=-1:1", "--res", "3"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("input error: JORDANSCOPE_TOL must")
+
+
+@pytest.mark.parametrize("steps", ["0", "-2"])
+def test_track_steps_below_one_is_input_error(capsys, steps):
+    code = cli.main(["track", "--builtin", "shear", "--path", "[[1.0],[-1.0]]",
+                     f"--steps={steps}"])
+    assert code == 2
+    assert capsys.readouterr().err == f"input error: --steps must be at least 1, got {steps}\n"
+
+
+@pytest.mark.parametrize("command", ["split-set", "jst-set"])
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_samples_below_one_is_input_error(capsys, command, samples):
+    code = cli.main([command, "--builtin", "shear", f"--samples={samples}"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"input error: --samples must be at least 1, got {samples}\n")
+
+
 def test_builtin_family_listing_error(capsys):
     code = cli.main(["census", "--builtin", "no-such", "--point", "1.0"])
     assert code == 2

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -295,9 +296,59 @@ def test_split_bound_shear_family():
     pts = [
         [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))] for _ in range(2000)
     ]
-    for g in res.split_functions:
-        rep = check_split_bound(shear_family(), g, pts)
-        assert rep.passed
+    rep = check_split_bound(shear_family(), res.split_functions, pts)
+    assert rep.passed
+
+
+def triangular_two_parameter_family():
+    return MatrixFamily.from_entries(
+        [["z", "1", "0"], ["0", "z", "w"], ["0", "0", "w"]], ["z", "w"]
+    )
+
+
+def polydisk(seed, count, nparams):
+    rng = random.Random(seed)
+    return [[complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(nparams)]
+            for _ in range(count)]
+
+
+def test_split_bound_takes_one_norm_per_point(monkeypatch):
+    fam = triangular_two_parameter_family()
+    functions = jst_defining_functions(fam).split_functions
+    assert len(functions) > 1
+    pts = polydisk(4, 9, 2)
+    norms = []
+    norm_at = MatrixFamily.operator_norm_at
+
+    def counted(self, point):
+        norms.append(point)
+        return norm_at(self, point)
+
+    monkeypatch.setattr(MatrixFamily, "operator_norm_at", counted)
+    report = check_split_bound(fam, functions, pts)
+    assert norms == pts
+    assert report.checked == len(pts) * len(functions)
+
+
+def bound_summary(report):
+    violations = Counter((tuple(v["point"]), v["value"], v["bound"])
+                         for v in report.violations)
+    return report.checked, report.max_ratio, report.passed, violations
+
+
+def test_split_bound_list_equals_merged_single_function_reports():
+    fam = triangular_two_parameter_family()
+    functions = jst_defining_functions(fam).split_functions
+    # the functions stay below 1e-42 of their bound; this copy breaks it at
+    # 33 of the 40 sample points
+    functions = functions + [functions[-1].scale(10**46)]
+    pts = polydisk(4, 40, 2)
+    report = check_split_bound(fam, functions, pts)
+    singles = [bound_summary(check_split_bound(fam, [g], pts)) for g in functions]
+    assert not report.passed
+    assert bound_summary(report) == (
+        sum(s[0] for s in singles), max(s[1] for s in singles),
+        all(s[2] for s in singles), sum((s[3] for s in singles), Counter()))
 
 
 def test_jst_bound_nilpotent_family():

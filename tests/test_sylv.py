@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -228,7 +229,7 @@ def test_coeff_bound_hand_example():
     fam = _family_lambda2_minus_zeta2()  # coefficient -zeta^2; reuse shape
     z = MultiPoly.variable(1, 0)
     h = (z * z).scale(-4)
-    report = check_coeff_bound(h, fam, [[2.0 + 0j]])  # zeta=2 -> P_0 = -4
+    report = check_coeff_bound([h], fam, [[2.0 + 0j]])  # zeta=2 -> P_0 = -4
     assert report.passed
     assert report.max_ratio <= 16 / (4**8 * 4**4) * 1.0001
 
@@ -242,9 +243,60 @@ def test_coeff_bound_constant_family_constant_ratio():
     pts = [[0.3 + 0.1j], [2.0 + 0j], [-5.0 + 1j]]
     ratios = []
     for pt in pts:
-        rep = check_coeff_bound(h, fam, [pt])
+        rep = check_coeff_bound([h], fam, [pt])
         ratios.append(rep.max_ratio)
     assert max(ratios) - min(ratios) < 1e-12
+
+
+def _double_root_cubic():
+    # (lam - z)^2 (lam - w): 25 nonzero order-4 split minors
+    z, w = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    return UniPoly.from_roots([z, z, w], one=MultiPoly.one(2))
+
+
+def _polydisk(seed, count, nparams):
+    rng = random.Random(seed)
+    return [[complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(nparams)]
+            for _ in range(count)]
+
+
+def test_coeff_bound_evaluates_each_coefficient_once_per_point(monkeypatch):
+    fam = _double_root_cubic()
+    functions = split_defining_functions(fam).functions
+    pts = _polydisk(3, 7, 2)
+    calls = []
+    evaluate = MultiPoly.eval_complex
+
+    def counted(self, point):
+        calls.append(self)
+        return evaluate(self, point)
+
+    monkeypatch.setattr(MultiPoly, "eval_complex", counted)
+    report = check_coeff_bound(functions, fam, pts)
+    n, count = fam.degree, len(functions)
+    assert len(calls) == len(pts) * (n + count)
+    assert report.checked == len(pts) * count
+
+
+def bound_summary(report):
+    violations = Counter((tuple(v["point"]), v["value"], v["bound"])
+                         for v in report.violations)
+    return report.checked, report.max_ratio, report.passed, violations
+
+
+def test_coeff_bound_list_equals_merged_single_function_reports():
+    fam = _double_root_cubic()
+    functions = split_defining_functions(fam).functions
+    # the minors stay below 1e-8 of their bound; this copy breaks it at
+    # 17 of the 40 sample points
+    functions = functions + [functions[0].scale(4 * 10**10)]
+    pts = _polydisk(3, 40, 2)
+    report = check_coeff_bound(functions, fam, pts)
+    singles = [bound_summary(check_coeff_bound([h], fam, pts)) for h in functions]
+    assert not report.passed
+    assert bound_summary(report) == (
+        sum(s[0] for s in singles), max(s[1] for s in singles),
+        all(s[2] for s in singles), sum((s[3] for s in singles), Counter()))
 
 
 def test_coeff_bound_sampled_under_unit_polydisk():
@@ -254,6 +306,5 @@ def test_coeff_bound_sampled_under_unit_polydisk():
     pts = [
         [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))] for _ in range(2000)
     ]
-    for h in res.functions:
-        rep = check_coeff_bound(h, fam, pts)
-        assert rep.passed, rep.violations[:1]
+    rep = check_coeff_bound(res.functions, fam, pts)
+    assert rep.passed, rep.violations[:1]
