@@ -9,8 +9,15 @@ string output and the deterministic orderings used elsewhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
+
+import numpy as np
 
 from .scalars import GR_ONE, GR_ZERO, GaussianRational
+
+#: floats per working array of a stacked evaluation: points are taken in
+#: blocks of at most this many slot values, so memory stays bounded
+BLOCK_CELLS = 2**15
 
 
 def _grade_key(expo):
@@ -199,16 +206,7 @@ class MultiPoly:
 
     def eval_complex(self, point) -> complex:
         """Evaluate at a point with complex (floating) coordinates."""
-        if len(point) != self.nvars:
-            raise ValueError("point dimension mismatch")
-        total = 0j
-        for expo, coeff in self.terms.items():
-            v = complex(coeff)
-            for x, e in zip(point, expo):
-                if e:
-                    v *= complex(x) ** e
-            total += v
-        return total
+        return complex(StackedEvaluator([self], self.nvars)([point])[0, 0])
 
     def eval_exact(self, point) -> GaussianRational:
         """Evaluate at a point with GaussianRational coordinates."""
@@ -270,6 +268,77 @@ class MultiPoly:
     def __repr__(self):
         names = [f"x{i}" for i in range(self.nvars)]
         return f"MultiPoly[{self.nvars}]({self.to_string(names)})"
+
+
+class StackedEvaluator:
+    """A list of polynomials compiled for evaluation at a stack of points.
+
+    Each value has the bits of the term loop at its point alone (README,
+    "How a scan node is classified"): powers from Python's ``**``, with
+    its OverflowError; written-out products; and per polynomial a row of
+    slots (0j, its terms in insertion order, pads of -0.0) summed in
+    order by ``np.add.accumulate``.
+    """
+
+    def __init__(self, polys: Sequence[MultiPoly], nvars: int):
+        self.nvars, self.count = nvars, len(polys)
+        self.width = 1 + max((len(p.terms) for p in polys), default=0)
+        # real and imaginary parts of slot k of polynomial j at [:, k, j]
+        terms = np.full((2, self.width, self.count), -0.0)
+        terms[:, 0] = 0.0
+        expos = np.zeros((self.width, self.count, nvars), dtype=np.intp)
+        for j, p in enumerate(polys):
+            for k, (e, c) in enumerate(p.terms.items(), start=1):
+                c = complex(c)
+                terms[:, k, j] = c.real, c.imag
+                expos[k, j] = e
+        self.terms = terms.reshape(2, 1, -1)
+        expos = expos.reshape(-1, nvars)
+        # per parameter: the slots it enters, its distinct exponents, and
+        # which of them each of those slots takes
+        self.factors = []
+        for v in range(nvars):
+            cols = np.flatnonzero(expos[:, v])
+            distinct, index = np.unique(expos[cols, v], return_inverse=True)
+            if len(cols):
+                self.factors.append((v, cols, distinct.tolist(), index))
+        self.block = max(1, BLOCK_CELLS // max(1, self.terms.size))
+
+    def __call__(self, points) -> np.ndarray:
+        """Values at a stack of points: shape (N, len(polys))."""
+        x = np.asarray(points, dtype=complex)
+        if x.ndim != 2 or x.shape[1] != self.nvars:
+            raise ValueError("point dimension mismatch")
+        out = np.empty((len(x), self.count), dtype=complex)
+        with np.errstate(all="ignore"):
+            for start in range(0, len(x), self.block):
+                part = out[start : start + self.block]
+                part.real, part.imag = self._sums(x[start : start + self.block])
+        return out
+
+    def _sums(self, x):
+        """Real and imaginary parts of the values at the points x."""
+        slots = np.repeat(self.terms, len(x), axis=1)
+        for v, cols, distinct, index in self.factors:
+            powers = np.array(
+                [z**e for z in x[:, v].tolist() for e in distinct], dtype=complex
+            ).reshape(len(x), -1)[:, index]
+            re, im = slots[:, :, cols]
+            slots[:, :, cols] = complex_product(re, im, powers.real, powers.imag)
+        slots = slots.reshape(2, len(x), self.width, self.count)
+        return np.add.accumulate(slots, axis=2)[:, :, -1]
+
+
+def complex_product(ar, ai, br, bi):
+    """Python's complex product, written out on real and imaginary parts."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def complex_modulus(re, im):
+    """abs of every value, and where Python's abs would raise
+    OverflowError instead: a finite value whose modulus overflows."""
+    size = np.hypot(re, im)
+    return size, np.isinf(size) & np.isfinite(re) & np.isfinite(im)
 
 
 def _render_term(coeff: GaussianRational, mono: str) -> str:

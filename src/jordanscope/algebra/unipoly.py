@@ -157,10 +157,6 @@ class UniPoly:
             acc = acc * x + c
         return acc
 
-    def eval_coeffs_complex(self, point) -> "UniPoly":
-        """For MultiPoly coefficients: substitute the parameter point."""
-        return UniPoly([c.eval_complex(point) for c in self.coeffs])
-
     def __repr__(self):
         return f"UniPoly({self.coeffs!r})"
 

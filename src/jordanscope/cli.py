@@ -41,6 +41,9 @@ from .corpus import builtin_cases, builtin_families
 from .ranklab import DEFAULT_REL_TOL, MINOR_DIMENSION_CAP, MinorSizeError
 from .scanner import (
     MAX_GRID_POINTS,
+    MAX_MATRIX_SIZE,
+    MAX_SAMPLES,
+    MAX_STEPS,
     check_jst_bound,
     check_split_bound,
     classify_point,
@@ -151,6 +154,14 @@ def resolve_family(args):
     return load_family(args.family)
 
 
+def floating_family(args):
+    """resolve_family for the commands that take n <= MAX_MATRIX_SIZE."""
+    fam, raw = resolve_family(args)
+    if fam.n > MAX_MATRIX_SIZE:
+        raise InputError(f"n = {fam.n} exceeds the supported size {MAX_MATRIX_SIZE}")
+    return fam, raw
+
+
 def parse_point(text: str, nparams: int):
     parts = text.split(",")
     if len(parts) != nparams:
@@ -223,14 +234,17 @@ def effective_tol(args) -> float:
     return tol
 
 
-def at_least_one(option: str, value: int) -> int:
+def checked_count(option: str, value: int, cap: float = math.inf) -> int:
+    """value, if 1 <= value <= cap; an input error otherwise."""
     if value < 1:
         raise InputError(f"{option} must be at least 1, got {value}")
+    if value > cap:
+        raise InputError(f"{option} must be at most {cap}, got {value}")
     return value
 
 
 def unit_polydisk_samples(nparams: int, count: int, seed: int):
-    at_least_one("--samples", count)
+    checked_count("--samples", count, MAX_SAMPLES)
     rng = random.Random(seed)
     return [
         [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(nparams)]
@@ -281,7 +295,7 @@ def bound_doc(report) -> dict:
 
 
 def cmd_census(args) -> int:
-    fam, raw = resolve_family(args)
+    fam, raw = floating_family(args)
     rel_tol = effective_tol(args)
     point = parse_point(args.point, fam.nparams)
     try:
@@ -366,11 +380,11 @@ def cmd_jst_set(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    fam, raw = resolve_family(args)
+    fam, raw = floating_family(args)
     rel_tol = effective_tol(args)
     box = parse_box(args.box, fam.nparams)
     resolution = parse_resolution(args.res, fam.nparams)
-    jobs = min(at_least_one("--jobs", args.jobs), os.cpu_count() or 1)
+    jobs = min(checked_count("--jobs", args.jobs), os.cpu_count() or 1)
 
     def scan(chunk_map=map):
         return scan_grid(fam, box, resolution, rel_tol, args.probe_radius,
@@ -413,10 +427,10 @@ def cmd_scan(args) -> int:
 
 
 def cmd_track(args) -> int:
-    fam, raw = resolve_family(args)
+    fam, raw = floating_family(args)
     rel_tol = effective_tol(args)
+    checked_count("--steps", args.steps, MAX_STEPS)
     path = parse_path(args.path, fam.nparams)
-    at_least_one("--steps", args.steps)
     result = track_path(fam, path, steps=args.steps, rel_tol=rel_tol)
     doc = {
         "schema": "v1",

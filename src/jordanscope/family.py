@@ -9,44 +9,8 @@ import numpy as np
 
 from .algebra.exprparse import parse_entry
 from .algebra.matrices import char_poly
-from .algebra.multipoly import MultiPoly
+from .algebra.multipoly import MultiPoly, StackedEvaluator
 from .algebra.unipoly import UniPoly
-
-
-class StackedEvaluator:
-    """A list of polynomials compiled for evaluation at many points.
-
-    Every monomial that occurs in some polynomial is one row of an
-    exponent matrix; a complex coefficient matrix maps the monomial
-    values to the polynomials. Evaluating at N points is then one power
-    table per parameter, one product over parameters and one matrix
-    product.
-    """
-
-    def __init__(self, polys: Sequence[MultiPoly], nvars: int):
-        monomials = sorted({e for p in polys for e in p.terms})
-        if not monomials:
-            monomials = [(0,) * nvars]
-        row = {e: k for k, e in enumerate(monomials)}
-        self.exponents = np.array(monomials, dtype=np.intp).reshape(-1, nvars)
-        self.coeffs = np.zeros((len(monomials), len(polys)), dtype=complex)
-        for j, p in enumerate(polys):
-            for e, c in p.terms.items():
-                self.coeffs[row[e], j] = complex(c)
-
-    def __call__(self, points) -> np.ndarray:
-        """Values at a stack of points: shape (N, len(polys))."""
-        x = np.asarray(points, dtype=complex)
-        if x.ndim != 2 or x.shape[1] != self.exponents.shape[1]:
-            raise ValueError("point dimension mismatch")
-        values = np.ones((x.shape[0], self.exponents.shape[0]), dtype=complex)
-        for v in range(x.shape[1]):
-            expo = self.exponents[:, v]
-            table = np.ones((x.shape[0], int(expo.max()) + 1), dtype=complex)
-            for e in range(1, table.shape[1]):
-                table[:, e] = table[:, e - 1] * x[:, v]
-            values *= table[:, expo]
-        return values @ self.coeffs
 
 
 @dataclass
@@ -104,17 +68,9 @@ class MatrixFamily:
     def nparams(self) -> int:
         return len(self.params)
 
-    # One point is evaluated term by term in Python and a stack of
-    # points by compiled numpy evaluators. The two round differently in
-    # the last bits, and the single-point callers (path tracking, bound
-    # checks, verify) keep the loop so that their reports do not change.
-
     def at(self, point) -> np.ndarray:
         """Evaluate the family at a complex parameter point."""
-        return np.array(
-            [[e.eval_complex(point) for e in row] for row in self.entries],
-            dtype=complex,
-        )
+        return self.at_many([point])[0]
 
     def at_many(self, points) -> np.ndarray:
         """Evaluate at a stack of points: shape (N, n, n)."""
@@ -137,7 +93,7 @@ class MatrixFamily:
 
     def char_poly_at(self, point) -> UniPoly:
         """Characteristic polynomial at a point, complex coefficients."""
-        return self.char_poly_family().eval_coeffs_complex(point)
+        return UniPoly(self.char_poly_coeffs_many([point])[0].tolist())
 
     def char_poly_coeffs_many(self, points) -> np.ndarray:
         """Characteristic-polynomial coefficients, constant term first,
@@ -149,4 +105,8 @@ class MatrixFamily:
         return self._charpoly_eval(points)
 
     def operator_norm_at(self, point) -> float:
-        return float(np.linalg.norm(self.at(point), 2))
+        return self.operator_norms([point])[0]
+
+    def operator_norms(self, points) -> List[float]:
+        """Operator 2-norms at a stack of points, from one stacked SVD."""
+        return np.linalg.norm(self.at_many(points), 2, axis=(1, 2)).tolist()

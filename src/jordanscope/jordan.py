@@ -36,7 +36,8 @@ from .tracker import (
     distinct_eigenvalues,
     isolate,
     theta_from_factors,
-    theta_rank_stack,
+    theta_power_ranks,
+    theta_stack,
 )
 
 
@@ -302,13 +303,14 @@ def verify_rank_identities(
     m = len(census.eigenvalues)
     checks: List[IdentityCheck] = []
 
-    theta = theta_product(phi, census.eigenvalues)
-    if isinstance(theta, np.ndarray):
+    if isinstance(phi, np.ndarray):
         factors = [(complex(lam), 1) for lam in census.eigenvalues]
-        (ranks,) = theta_rank_stack(np.asarray(phi, dtype=complex)[None],
-                                    [factors], rel_tol)
+        thetas, scales = theta_stack(phi[None], [factors])
+        theta = thetas[0]
+        (ranks,) = theta_power_ranks(thetas, scales, rel_tol)
         theta_ranks = dict(enumerate(ranks, start=1))
     else:
+        theta = theta_product(phi, census.eigenvalues)
         theta_ranks = {}
     power = theta
     for k in range(1, n + 1):

@@ -38,11 +38,17 @@ from .tracker import (
     ProbeDisagreementError,
     factors_from_stack,
     probe_stack,
-    theta_rank_stack,
+    theta_power_ranks,
+    theta_stack,
 )
 
 MAX_GRID_POINTS = 10**6
 MAX_PRODUCT_FUNCTIONS = 10**4
+#: the documented scale of the floating commands (scan, census, track)
+MAX_MATRIX_SIZE = 8
+#: caps of the bound-check sample count and of the path step count
+MAX_SAMPLES = 10**5
+MAX_STEPS = 10**5
 
 
 class PointKind(enum.Enum):
@@ -85,12 +91,13 @@ def classify_point(
         except ProbeDisagreementError as err:
             note = f"extended product unavailable: {err}"
             factors = [(lam, 1) for lam, _ in here]
-        (rank_theta,) = theta_rank_stack(stack.matrices[:1], [factors], rel_tol)
+        (rank_theta,) = theta_power_ranks(
+            *theta_stack(stack.matrices[:1], [factors]), rel_tol
+        )
         return PointClass(point, PointKind.SPLIT, rank_theta, None, note)
 
-    ranks = theta_rank_stack(
-        stack.matrices, [[(lam, 1) for lam, _ in c] for c in stack.clusters], rel_tol
-    )
+    factor_lists = [[(lam, 1) for lam, _ in c] for c in stack.clusters]
+    ranks = theta_power_ranks(*theta_stack(stack.matrices, factor_lists), rel_tol)
     rank_theta = ranks[0]
     census = _try_census(stack.matrices[0], here, rel_tol)
     if any(pr > br for probe in ranks[1:] for pr, br in zip(probe, rank_theta)):
@@ -404,8 +411,8 @@ def check_split_bound(
     """
     n = family.n
     return bound_report(label, sample_points, functions,
-                        float((2 * n) ** (6 * n * n)), family.operator_norm_at,
-                        2 * n * n)
+                        float((2 * n) ** (6 * n * n)),
+                        family.operator_norms(sample_points), 2 * n * n)
 
 
 def check_jst_bound(
@@ -427,5 +434,5 @@ def check_jst_bound(
                            note=f"NOT APPLICABLE: {reason}")
     n = family.n
     return bound_report(label, sample_points, jst.functions,
-                        float((2 * n) ** (2 * n**4)), family.operator_norm_at,
-                        2 * n**4)
+                        float((2 * n) ** (2 * n**4)),
+                        family.operator_norms(sample_points), 2 * n**4)

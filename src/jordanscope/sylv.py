@@ -11,11 +11,12 @@ points where zeros collide.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-from .algebra.multipoly import MultiPoly, one_like, zero_like
+from .algebra.multipoly import MultiPoly, StackedEvaluator, complex_modulus
+from .algebra.multipoly import one_like, zero_like
 from .algebra.scalars import GaussianRational
 from .algebra.unipoly import UniPoly, derivative
 from .ranklab import (
@@ -190,26 +191,38 @@ class BoundReport:
 
 
 def bound_report(label: str, points: Sequence, functions: Sequence[MultiPoly],
-                 constant: float, scale_at: Callable[[Sequence], float],
+                 constant: float, scales: Sequence[float],
                  exponent: int) -> BoundReport:
-    """Check |f| <= constant * max(1, scale_at(pt))**exponent for every
-    function f at every sample point.
+    """Check |f| <= constant * max(1, scale)**exponent for every function
+    f at every sample point, given one scale per point.
 
-    The bound depends on the point alone, so it is computed once per
-    point, whatever the number of functions. A value violates its bound
-    when it exceeds it by more than a relative 1e-12; each violation is
-    kept with its witness point.
+    Each point's bound is computed once, and the function list is
+    evaluated once over all points. A value violates its bound when it
+    exceeds it by more than a relative 1e-12; each violation is kept with
+    its witness point, in point order.
     """
-    violations = []
-    max_ratio = 0.0
-    for pt in points:
-        bound = constant * max(1.0, scale_at(pt)) ** exponent
-        for f in functions:
-            value = abs(f.eval_complex(pt))
-            max_ratio = max(max_ratio, value / bound)
-            if value > bound * (1 + 1e-12):
-                violations.append({"point": list(pt), "value": value, "bound": bound})
-    return BoundReport(label, len(points) * len(functions), violations, max_ratio)
+    bounds = [constant * max(1.0, s) ** exponent for s in scales]
+    values = _moduli(functions, points)
+    limits = np.array(bounds)[:, None]
+    with np.errstate(all="ignore"):
+        ratios = values / limits
+        bad = np.nonzero(values > limits * (1 + 1e-12))
+    violations = [
+        {"point": list(points[i]), "value": float(values[i, j]), "bound": bounds[i]}
+        for i, j in zip(*bad)
+    ]
+    max_ratio = float(np.fmax.reduce(ratios, axis=None, initial=0.0))
+    return BoundReport(label, values.size, violations, max_ratio)
+
+
+def _moduli(polys: Sequence[MultiPoly], points) -> np.ndarray:
+    """|p| of every polynomial (columns) at every point (rows), with
+    Python's OverflowError where abs would raise one."""
+    values = StackedEvaluator(polys, len(points[0]))(points)
+    sizes, overflow = complex_modulus(values.real, values.imag)
+    if overflow.any():
+        raise OverflowError("absolute value too large")
+    return sizes
 
 
 def check_coeff_bound(
@@ -228,10 +241,7 @@ def check_coeff_bound(
     the minor construction, and is reported with its witness point.
     """
     n = family.degree
-    lower = family.coeffs[:-1]
-
-    def largest_coefficient(pt) -> float:
-        return max((abs(c.eval_complex(pt)) for c in lower), default=0.0)
-
+    lower = _moduli(family.coeffs[:-1], sample_points).tolist()
+    largest = [max(row, default=0.0) for row in lower]
     return bound_report(label, sample_points, functions,
-                        float((2 * n) ** (4 * n)), largest_coefficient, 2 * n)
+                        float((2 * n) ** (4 * n)), largest, 2 * n)

@@ -15,6 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .algebra.multipoly import complex_modulus, complex_product
 from .algebra.unipoly import UniPoly, derivative
 from .family import MatrixFamily
 from .ranklab import DEFAULT_REL_TOL, stacked_ranks
@@ -178,10 +179,6 @@ def _horner(coeffs, zr, zi):
     return ar, ai
 
 
-def _product(ar, ai, br, bi):
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
 def _quotient(ar, ai, br, bi):
     """a / b with the two branches of CPython's complex division; NaN
     where a part of b is NaN. b must not be 0."""
@@ -195,13 +192,6 @@ def _quotient(ar, ai, br, bi):
     re2, im2 = (ar * ratio + ai) / denom, (ai * ratio - ar) / denom
     return (np.where(by_real, re1, np.where(by_imag, re2, np.nan)),
             np.where(by_real, im1, np.where(by_imag, im2, np.nan)))
-
-
-def _modulus(re, im):
-    """abs of every value, and where Python's abs would raise
-    OverflowError instead: a finite value whose modulus overflows."""
-    size = np.hypot(re, im)
-    return size, np.isinf(size) & np.isfinite(re) & np.isfinite(im)
 
 
 def _coefficients(p: UniPoly):
@@ -226,7 +216,7 @@ def _node_sums(blocks, count: int):
     acc_i = np.zeros((count, 1))
     errors = [None] * count
     for zr, zi, cr, ci, pr, pi, dr, di in blocks:
-        size, overflow = _modulus(pr, pi)
+        size, overflow = complex_modulus(pr, pi)
         bad = overflow | (size < 1e-300)
         for row in np.flatnonzero(bad.any(axis=1)):
             if errors[row] is None:
@@ -235,9 +225,9 @@ def _node_sums(blocks, count: int):
                     if overflow[row, bad[row].argmax()]
                     else ContourError("|p| vanishes on the contour")
                 )
-        tr, ti = _quotient(*_product(zr, zi, dr, di), pr, pi)
+        tr, ti = _quotient(*complex_product(zr, zi, dr, di), pr, pi)
         # dz/dtheta = i*(z - center)
-        tr, ti = _product(tr, ti, zr - cr, zi - ci)
+        tr, ti = complex_product(tr, ti, zr - cr, zi - ci)
         acc_r = np.add.accumulate(np.hstack([acc_r, tr]), axis=1)[:, -1:]
         acc_i = np.add.accumulate(np.hstack([acc_i, ti]), axis=1)[:, -1:]
     sums = [complex(r, i) for r, i in zip(acc_r[:, 0].tolist(), acc_i[:, 0].tolist())]
@@ -363,8 +353,8 @@ def _rouche_values(p_old: UniPoly, p_new: UniPoly, state: BranchState):
             [complex(c) for c in state.centers], float(state.radius), q, 0, q)
         zr, zi, _, _, new_r, new_i, _, _ = values
         old_r, old_i = _horner(_coefficients(p_old), zr, zi)
-        change, change_overflow = _modulus(new_r - old_r, new_i - old_i)
-        size, size_overflow = _modulus(old_r, old_i)
+        change, change_overflow = complex_modulus(new_r - old_r, new_i - old_i)
+        size, size_overflow = complex_modulus(old_r, old_i)
         stop = (change_overflow | size_overflow | (change >= size)).ravel()
     if not stop.any():
         return q, values
@@ -695,12 +685,11 @@ def theta_stack(matrices: np.ndarray, factor_lists):
     return theta, scales
 
 
-def theta_rank_stack(matrices: np.ndarray, factor_lists,
-                     rel_tol: float = DEFAULT_REL_TOL):
-    """rank Theta^k for k = 1..n-1 of every matrix of a stack, as one
-    tuple per matrix, from stacked products and one stacked SVD; the
-    threshold of each power is floored at its roundoff scale**k."""
-    theta, scales = theta_stack(matrices, factor_lists)
+def theta_power_ranks(theta: np.ndarray, scales, rel_tol: float = DEFAULT_REL_TOL):
+    """rank Theta^k for k = 1..n-1 of every product of a ``theta_stack``
+    result, as one tuple per matrix, from stacked powers and one stacked
+    SVD; the threshold of each power is floored at its roundoff
+    scale**k."""
     count, n = theta.shape[0], theta.shape[-1]
     if n < 2:
         return [()] * count

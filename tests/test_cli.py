@@ -471,6 +471,51 @@ def test_samples_below_one_is_input_error(capsys, command, samples):
         f"input error: --samples must be at least 1, got {samples}\n")
 
 
+def refuse(*args, **kwargs):
+    raise AssertionError("the command ran past its input checks")
+
+
+@pytest.mark.parametrize("command,work", [
+    ("split-set", "split_defining_functions"), ("jst-set", "jst_defining_functions")])
+def test_samples_above_cap_is_input_error(capsys, monkeypatch, command, work):
+    monkeypatch.setattr(cli, work, refuse)
+    built = []
+    monkeypatch.setattr(cli.random, "Random", lambda seed: built.append(seed))
+    code = cli.main([command, "--builtin", "shear", "--samples", "100001"])
+    assert code == 2 and not built
+    assert capsys.readouterr().err == (
+        "input error: --samples must be at most 100000, got 100001\n")
+
+
+def test_track_steps_above_cap_is_input_error(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "track_path", refuse)
+    monkeypatch.setattr(cli, "parse_path", refuse)
+    code = cli.main(["track", "--builtin", "shear", "--path", "[[1.0],[-1.0]]",
+                     "--steps", "100001"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "input error: --steps must be at most 100000, got 100001\n")
+
+
+def diagonal(n):
+    entries = [[f"z + {i}" if i == j else "0" for j in range(n)] for i in range(n)]
+    return {"n": n, "params": ["z"], "entries": entries, "label": f"diag{n}"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--box=-1:1", "--res", "3"],
+    ["census", "--point", "0.5"],
+    ["track", "--path", "[[1.0],[-1.0]]", "--steps", "5"],
+], ids=["scan", "census", "track"])
+def test_family_beyond_documented_size_is_input_error(family_file, capsys, argv):
+    code = cli.main([argv[0], family_file(diagonal(9)), *argv[1:]])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "input error: n = 9 exceeds the supported size 8\n")
+    code = cli.main([argv[0], family_file(diagonal(8)), *argv[1:]])
+    assert code == 0
+
+
 def test_builtin_family_listing_error(capsys):
     code = cli.main(["census", "--builtin", "no-such", "--point", "1.0"])
     assert code == 2

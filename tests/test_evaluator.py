@@ -1,0 +1,166 @@
+"""The stacked polynomial evaluator against the term loop it replaced.
+
+``term_loop`` is the single-point evaluator ``MultiPoly.eval_complex``
+used before there was one evaluator for single points and stacks. Every
+value of ``StackedEvaluator`` must have its bits, signed zeros included,
+and every overflowing power must raise its OverflowError.
+"""
+
+import math
+import random
+import struct
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from jordanscope.algebra import GaussianRational, MultiPoly, parse_entry
+from jordanscope.algebra.multipoly import BLOCK_CELLS, StackedEvaluator
+
+
+def term_loop(poly, point):
+    if len(point) != poly.nvars:
+        raise ValueError("point dimension mismatch")
+    total = 0j
+    for expo, coeff in poly.terms.items():
+        v = complex(coeff)
+        for x, e in zip(point, expo):
+            if e:
+                v *= complex(x) ** e
+        total += v
+    return total
+
+
+def outcome(poly, point):
+    """The loop's value, or the type and message of its error."""
+    try:
+        return term_loop(poly, point)
+    except OverflowError as err:
+        return OverflowError, str(err)
+
+
+def bits(z):
+    """Real and imaginary parts as bit patterns; every NaN alike."""
+    return tuple("nan" if math.isnan(x) else struct.pack("<d", x)
+                 for x in (z.real, z.imag))
+
+
+RATIONALS = st.builds(Fraction, st.integers(-100, 100), st.integers(1, 20))
+GAUSSIAN = st.builds(GaussianRational, RATIONALS, RATIONALS)
+EXPONENT = st.one_of(st.integers(0, 4), st.integers(0, 120))
+PART = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(-3, 3),
+    st.floats(-1e3, 1e3),
+)
+COORDINATE = st.one_of(
+    st.builds(complex, PART, PART),
+    GAUSSIAN.map(complex),
+)
+
+
+def polynomials(nvars):
+    """Terms in drawn insertion order; the zero polynomial included."""
+    term = st.tuples(st.tuples(*[EXPONENT] * nvars), GAUSSIAN)
+    return st.lists(term, max_size=6).map(lambda ts: MultiPoly(nvars, dict(ts)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_stacked_values_have_the_bits_of_the_term_loop(data):
+    nvars = data.draw(st.integers(1, 3))
+    polys = data.draw(st.lists(polynomials(nvars), min_size=1, max_size=4))
+    points = data.draw(st.lists(st.tuples(*[COORDINATE] * nvars),
+                                min_size=1, max_size=6))
+    evaluator = StackedEvaluator(polys, nvars)
+    want = [[outcome(p, pt) for p in polys] for pt in points]
+    errors = [{w[1] for w in row if isinstance(w, tuple)} for row in want]
+    for pt, row, messages in zip(points, want, errors):
+        if messages:
+            with pytest.raises(OverflowError) as err:
+                evaluator([pt])
+            assert str(err.value) in messages
+        else:
+            assert [bits(v) for v in evaluator([pt])[0]] == [bits(w) for w in row]
+    evaluator.block = data.draw(st.integers(1, 3))
+    if any(errors):
+        with pytest.raises(OverflowError):
+            evaluator(points)
+    clean = [(pt, row) for pt, row, messages in zip(points, want, errors)
+             if not messages]
+    if clean:
+        stacked = evaluator([pt for pt, _ in clean])
+        assert [[bits(v) for v in vals] for vals in stacked] == [
+            [bits(w) for w in row] for _, row in clean]
+
+
+def test_a_point_has_the_same_bits_alone_in_a_stack_and_across_blocks():
+    rng = random.Random(11)
+    polys = [parse_entry(text, ["z", "w"]) for text in
+             ("z^3*w - 2*i*z + 7", "w^5 - z*w^2", "0", "3*z^2*w^2 + i")]
+    points = [(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
+               complex(rng.choice([-0.0, 0.0, rng.uniform(-2, 2)]), -0.0))
+              for _ in range(7)]
+    evaluator = StackedEvaluator(polys, 2)
+    alone = [evaluator([pt])[0] for pt in points]
+    whole = evaluator(points)
+    evaluator.block = 3
+    blocked = evaluator(points)
+    want = [[bits(term_loop(p, pt)) for p in polys] for pt in points]
+    for values in (alone, whole, blocked):
+        assert [[bits(v) for v in row] for row in values] == want
+
+
+def test_blocks_bound_the_working_arrays():
+    polys = [MultiPoly(1, {(k,): GaussianRational(1) for k in range(60)})] * 40
+    evaluator = StackedEvaluator(polys, 1)
+    assert evaluator.block * evaluator.terms.size <= max(BLOCK_CELLS,
+                                                         evaluator.terms.size)
+    points = [(complex(k / 500, -k / 700),) for k in range(500)]
+    want = [term_loop(polys[0], pt) for pt in points]
+    assert [bits(v) for v in evaluator(points)[:, 0]] == [bits(w) for w in want]
+
+
+@pytest.mark.parametrize("text,point", [
+    ("z^120", (1e3, 0.0)),       # Python's pow formula, beyond exponent 100
+    ("z^50*w", (1e10, 1.0)),     # repeated squaring
+    ("w + 2*z^3", (1e200, 1.0)),
+])
+def test_overflowing_power_raises_the_loops_error(text, point):
+    poly = parse_entry(text, ["z", "w"])
+    with pytest.raises(OverflowError) as want:
+        term_loop(poly, point)
+    with pytest.raises(OverflowError) as got:
+        StackedEvaluator([poly], 2)([point])
+    assert str(got.value) == str(want.value)
+    with pytest.raises(OverflowError):
+        poly.eval_complex(point)
+
+
+@pytest.mark.parametrize("text,point", [
+    ("z*w - 3*z*w + 1", (complex(1e200, -1e200), complex(1e200, 1e-300))),
+    # the term 100*z overflows to inf + 0j; a factor w**0 = 1 + 0j would
+    # turn its imaginary part into nan
+    ("100*z + w^2", (1e307, 1.0)),
+])
+def test_overflowing_product_is_a_value_not_an_error(text, point):
+    poly = parse_entry(text, ["z", "w"])
+    assert bits(poly.eval_complex(point)) == bits(term_loop(poly, point))
+
+
+def test_eval_complex_is_the_one_point_case():
+    poly = MultiPoly(2, {(2, 0): GaussianRational(Fraction(1, 3), 2),
+                         (0, 0): GaussianRational(0, -1),
+                         (1, 3): GaussianRational(-5)})
+    point = (complex(-0.0, 1.5), complex(0.25, -0.0))
+    assert bits(poly.eval_complex(point)) == bits(term_loop(poly, point))
+    assert type(poly.eval_complex(point)) is complex
+    with pytest.raises(ValueError):
+        poly.eval_complex((1.0,))
+
+
+def test_empty_stack_and_empty_list():
+    assert StackedEvaluator([MultiPoly.one(2)], 2)(np.empty((0, 2))).shape == (0, 1)
+    assert StackedEvaluator([], 1)([(1.0,)]).shape == (1, 0)

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from jordanscope.algebra import GaussianRational, char_poly
 from jordanscope.family import MatrixFamily
 
+from test_evaluator import bits, term_loop
+
 FAMILIES = [
     MatrixFamily.from_entries(
         [["z*w", "-z^2"], ["w^2", "-z*w"]], ["z", "w"], label="nilpotent"
@@ -64,7 +66,12 @@ def test_stacked_evaluation_of_one_point_stays_close_to_the_loop():
     family = FAMILIES[2]
     point = (0.3 - 0.2j, -1.1 + 0.7j)
     stacked = family.at_many([point])[0]
-    assert np.allclose(stacked, family.at(point), rtol=1e-13, atol=1e-13)
+    loop = np.array([[term_loop(e, point) for e in row] for row in family.entries])
+    assert np.array_equal(stacked.view(np.uint64), loop.view(np.uint64))
+    assert np.array_equal(family.at(point).view(np.uint64), loop.view(np.uint64))
+    coeffs = [term_loop(c, point) for c in family.char_poly_family().coeffs]
+    assert [bits(c) for c in family.char_poly_at(point).coeffs] == [
+        bits(c) for c in coeffs]
     assert family.at_many(np.empty((0, 2))).shape == (0, 4, 4)
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from jordanscope import jordan, tracker
 from jordanscope.algebra import GaussianRational
 from jordanscope.algebra.matrices import mat_mul
 from jordanscope.family import MatrixFamily
@@ -261,6 +262,23 @@ def test_identities_floating_path():
         census = jordan_census(phi, [(complex(l), m) for l, m in pairs])
         report = verify_rank_identities(phi, census)
         assert report.passed, report.failures()
+
+
+def test_floating_identities_build_theta_once(monkeypatch):
+    phi = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 5.0]])
+    census = jordan_census(phi)
+    calls = []
+    build = tracker.theta_stack
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(tracker, "theta_stack", counted)
+    monkeypatch.setattr(jordan, "theta_stack", counted, raising=False)
+    report = verify_rank_identities(phi, census)
+    assert report.passed, report.failures()
+    assert len(calls) == 1
 
 
 def test_identities_detect_corruption():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from jordanscope.algebra import GaussianRational, MultiPoly, UniPoly
+from jordanscope.algebra.multipoly import StackedEvaluator
 from jordanscope.family import MatrixFamily
 from jordanscope.jordan import theta_product
 from jordanscope.scanner import (
@@ -317,16 +318,24 @@ def test_split_bound_takes_one_norm_per_point(monkeypatch):
     functions = jst_defining_functions(fam).split_functions
     assert len(functions) > 1
     pts = polydisk(4, 9, 2)
-    norms = []
-    norm_at = MatrixFamily.operator_norm_at
+    stacks, calls = [], []
+    at_many = MatrixFamily.at_many
+    evaluate = StackedEvaluator.__call__
 
-    def counted(self, point):
-        norms.append(point)
-        return norm_at(self, point)
+    def counted_at_many(self, points):
+        stacks.append(points)
+        return at_many(self, points)
 
-    monkeypatch.setattr(MatrixFamily, "operator_norm_at", counted)
+    def counted(self, points):
+        calls.append((self.count, len(points)))
+        return evaluate(self, points)
+
+    monkeypatch.setattr(MatrixFamily, "at_many", counted_at_many)
+    monkeypatch.setattr(StackedEvaluator, "__call__", counted)
     report = check_split_bound(fam, functions, pts)
-    assert norms == pts
+    # one stack of matrices for the norms, one evaluation of the functions
+    assert stacks == [pts]
+    assert calls == [(fam.n**2, len(pts)), (len(functions), len(pts))]
     assert report.checked == len(pts) * len(functions)
 
 

@@ -13,6 +13,7 @@ from jordanscope.algebra import (
     UniPoly,
     gcd_squarefree_oracle,
 )
+from jordanscope.algebra.multipoly import StackedEvaluator
 from jordanscope.sylv import (
     build_split_matrix,
     check_coeff_bound,
@@ -265,16 +266,17 @@ def test_coeff_bound_evaluates_each_coefficient_once_per_point(monkeypatch):
     functions = split_defining_functions(fam).functions
     pts = _polydisk(3, 7, 2)
     calls = []
-    evaluate = MultiPoly.eval_complex
+    evaluate = StackedEvaluator.__call__
 
-    def counted(self, point):
-        calls.append(self)
-        return evaluate(self, point)
+    def counted(self, points):
+        calls.append((self.count, len(points)))
+        return evaluate(self, points)
 
-    monkeypatch.setattr(MultiPoly, "eval_complex", counted)
+    monkeypatch.setattr(StackedEvaluator, "__call__", counted)
     report = check_coeff_bound(functions, fam, pts)
     n, count = fam.degree, len(functions)
-    assert len(calls) == len(pts) * (n + count)
+    # one call over the lower coefficients, one over the function list
+    assert calls == [(n, len(pts)), (count, len(pts))]
     assert report.checked == len(pts) * count
 
 

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jordanscope.algebra import GaussianRational, MultiPoly, UniPoly
+from jordanscope.algebra.multipoly import complex_modulus, complex_product
 from jordanscope.algebra.unipoly import derivative
 from jordanscope.family import MatrixFamily
 from jordanscope.tracker import (
@@ -18,8 +19,6 @@ from jordanscope.tracker import (
     BranchState,
     ContourError,
     _horner,
-    _modulus,
-    _product,
     _quotient,
     _rouche_values,
     cluster_values,
@@ -261,9 +260,9 @@ def test_written_out_arithmetic_equals_python(pairs, exponent):
     ar, ai = np.array([x.real for x in a]), np.array([x.imag for x in a])
     br, bi = np.array([y.real for y in b]), np.array([y.imag for y in b])
     with np.errstate(all="ignore"):
-        prod = _product(ar, ai, br, bi)
+        prod = complex_product(ar, ai, br, bi)
         quot = _quotient(ar, ai, br, bi)
-        size, overflow = _modulus(br, bi)
+        size, overflow = complex_modulus(br, bi)
     for k, (x, y) in enumerate(zip(a, b)):
         assert complex(prod[0][k], prod[1][k]) == x * y
         assert complex(quot[0][k], quot[1][k]) == x / y
