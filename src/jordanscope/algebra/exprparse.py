@@ -9,10 +9,14 @@ Grammar (no division, no functions -- entries must be polynomial):
 
 Integers are decimal, names are parameter identifiers or the imaginary
 unit ``i``. Parentheses and unary minus nest at most ``MAX_NESTING``
-deep, which keeps the recursion far from Python's stack limit.
+deep, which keeps the recursion far from Python's stack limit. Exponents
+are at most ``MAX_EXPONENT``, and no product may form more than
+``MAX_PRODUCT_TERMS`` terms, so that parsing an entry stays fast.
 """
 
 from __future__ import annotations
+
+import math
 
 from .multipoly import MultiPoly
 from .scalars import GR_I, GaussianRational
@@ -29,6 +33,11 @@ class EntrySyntaxError(ValueError):
 _SYMBOLS = set("+-*^()")
 
 MAX_NESTING = 100
+MAX_EXPONENT = 256
+#: bound on the terms of one product, from the operands' term counts:
+#: len(a) * len(b) for a * b, and for a ^ k with t terms the C(k + t - 1, k)
+#: products of k of them
+MAX_PRODUCT_TERMS = 512
 
 
 def tokenize(text: str):
@@ -95,6 +104,12 @@ class _Parser:
         self.depth -= 1
         return result
 
+    def check_terms(self, count: int, position: int):
+        if count > MAX_PRODUCT_TERMS:
+            raise EntrySyntaxError(
+                f"product may form {count} terms, more than {MAX_PRODUCT_TERMS}",
+                position)
+
     def parse(self) -> MultiPoly:
         result = self.expr()
         kind, value, position = self.peek()
@@ -116,10 +131,12 @@ class _Parser:
     def term(self) -> MultiPoly:
         acc = self.factor()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, position = self.peek()
             if kind == "sym" and value == "*":
                 self.advance()
-                acc = acc * self.factor()
+                rhs = self.factor()
+                self.check_terms(len(acc.terms) * len(rhs.terms), position)
+                acc = acc * rhs
             else:
                 return acc
 
@@ -134,7 +151,12 @@ class _Parser:
                     "exponent must be a nonnegative decimal integer", eposition
                 )
             self.advance()
-            return base ** int(evalue)
+            k = int(evalue)
+            if k > MAX_EXPONENT:
+                raise EntrySyntaxError(
+                    f"exponent {k} exceeds {MAX_EXPONENT}", eposition)
+            self.check_terms(math.comb(k + max(len(base.terms), 1) - 1, k), position)
+            return base ** k
         return base
 
     def base(self) -> MultiPoly:

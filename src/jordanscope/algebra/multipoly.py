@@ -171,8 +171,9 @@ class MultiPoly:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def exact_div(self, divisor: "MultiPoly") -> "MultiPoly":

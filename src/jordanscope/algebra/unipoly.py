@@ -17,7 +17,7 @@ from .scalars import GaussianRational
 
 def _is_zero_scalar(x) -> bool:
     if isinstance(x, (MultiPoly, GaussianRational)):
-        return x.is_zero() if isinstance(x, MultiPoly) else x.is_zero()
+        return x.is_zero()
     return x == 0
 
 

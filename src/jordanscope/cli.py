@@ -14,6 +14,7 @@ error (an unexpected exception, reported in one line on stderr).
 from __future__ import annotations
 
 import argparse
+import cmath
 import hashlib
 import json
 import math
@@ -77,7 +78,8 @@ def cplx(z) -> list:
 def from_wire_complex(v) -> complex:
     if isinstance(v, (int, float)):
         return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
+    if (isinstance(v, (list, tuple)) and len(v) == 2
+            and all(isinstance(x, (int, float)) for x in v)):
         return complex(v[0], v[1])
     raise InputError(f"cannot read complex value from {v!r}")
 
@@ -169,9 +171,12 @@ def parse_point(text: str, nparams: int):
     out = []
     for part in parts:
         try:
-            out.append(complex(part.strip().replace("i", "j")))
+            value = complex(part.strip().replace("i", "j"))
         except ValueError as err:
             raise InputError(f"bad coordinate {part!r}") from err
+        if not cmath.isfinite(value):
+            raise InputError(f"coordinate {part!r} is not finite")
+        out.append(value)
     return tuple(out)
 
 
@@ -182,10 +187,12 @@ def parse_box(text: str, nparams: int):
     out = []
     for part in parts:
         try:
-            lo, hi = part.split(":")
-            out.append((float(lo), float(hi)))
+            lo, hi = (float(x) for x in part.split(":"))
         except ValueError as err:
             raise InputError(f"bad interval {part!r} (use lo:hi)") from err
+        if not (math.isfinite(lo) and math.isfinite(hi)) or lo == hi:
+            raise InputError(f"interval {part!r} must have finite ends that differ")
+        out.append((lo, hi))
     return out
 
 
@@ -215,7 +222,10 @@ def parse_path(text: str, nparams: int):
     for vertex in doc:
         if not isinstance(vertex, list) or len(vertex) != nparams:
             raise InputError(f"each vertex needs {nparams} coordinates")
-        path.append(tuple(from_wire_complex(v) for v in vertex))
+        vertex = tuple(from_wire_complex(v) for v in vertex)
+        if not all(cmath.isfinite(c) for c in vertex):
+            raise InputError("path coordinates must be finite")
+        path.append(vertex)
     return path
 
 
@@ -384,6 +394,9 @@ def cmd_scan(args) -> int:
     rel_tol = effective_tol(args)
     box = parse_box(args.box, fam.nparams)
     resolution = parse_resolution(args.res, fam.nparams)
+    radius = args.probe_radius
+    if radius is not None and not (math.isfinite(radius) and radius > 0):
+        raise InputError(f"--probe-radius must be finite and > 0, got {radius}")
     jobs = min(checked_count("--jobs", args.jobs), os.cpu_count() or 1)
 
     def scan(chunk_map=map):

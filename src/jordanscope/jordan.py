@@ -40,6 +40,13 @@ from .tracker import (
     theta_stack,
 )
 
+#: allowed ||T^(-1) Phi T - J|| of a chain basis, relative to
+#: (1 + ||Phi||) times its condition number
+BASIS_RESIDUAL_SCALE = 1e-8
+#: allowed similarity residual of a local Jordan transform, relative to
+#: 1 + ||A||
+TRANSFORM_RESIDUAL_SCALE = 1e-6
+
 
 class CensusInconsistencyError(RuntimeError):
     """Census invariants failed; usually a tolerance problem."""
@@ -430,7 +437,6 @@ def jordan_basis(
     phi: np.ndarray,
     census: Optional[JordanCensus] = None,
     rel_tol: float = DEFAULT_REL_TOL,
-    residual_scale: float = 1e-8,
 ) -> BasisResult:
     """Invertible T with T^(-1) Phi T in Jordan normal form (floating).
 
@@ -498,7 +504,7 @@ def jordan_basis(
         np.linalg.norm(np.linalg.solve(t, phi @ t) - j_ref, 2)
     )
     norm = float(np.linalg.norm(phi, 2))
-    if residual > residual_scale * (1.0 + norm) * max(1.0, condition):
+    if residual > BASIS_RESIDUAL_SCALE * (1.0 + norm) * max(1.0, condition):
         raise IllConditionedBasisError(
             f"residual {residual:.3e} too large for the chain basis", condition
         )
@@ -560,7 +566,6 @@ def local_jordan_transform(
     sample_points: Optional[Sequence] = None,
     sample_count: int = 50,
     rel_tol: float = DEFAULT_REL_TOL,
-    residual_scale: float = 1e-6,
     seed: int = 0,
 ) -> TransformReport:
     """Sampled holomorphic similarity to a rigid Jordan form on a disk.
@@ -577,7 +582,7 @@ def local_jordan_transform(
     n = family.n
     clusters = distinct_eigenvalues(a_xi, rel_tol)
     census = jordan_census(a_xi, clusters, rel_tol)
-    state = isolate(family.char_poly_at(xi), clusters, point=xi)
+    state = isolate(family.char_poly_at(xi), clusters)
 
     # frozen nilpotent parts per distinct eigenvalue, sizes descending
     nilpotents = []
@@ -639,7 +644,7 @@ def local_jordan_transform(
             )
         conj = s_here @ a_here @ np.linalg.inv(s_here)
         residual = float(np.linalg.norm(conj - j_here, 2))
-        limit = residual_scale * (1.0 + float(np.linalg.norm(a_here, 2)))
+        limit = TRANSFORM_RESIDUAL_SCALE * (1.0 + float(np.linalg.norm(a_here, 2)))
         if residual > limit:
             raise IllConditionedBasisError(
                 f"similarity residual {residual:.3e} exceeds {limit:.3e} "

@@ -228,15 +228,22 @@ def minors(m: Sequence[Sequence[MultiPoly]], order: int):
 # Generic rank of a polynomial matrix by exact random evaluation
 
 
+#: random points per generic-rank estimate
+GENERIC_RANK_POINTS = 3
+#: largest numerator and denominator of a random rational coordinate
+RATIONAL_BOUND = 10**4
+
 GENERIC_RANK_NOTE = (
-    "generic rank estimated as the max exact rank at {count} random rational "
-    "points (coordinates with numerator/denominator up to {bound}); by a "
-    "Schwartz-Zippel count the probability of underestimating is vanishingly "
-    "small for the polynomial degrees involved, but it is not a proof"
+    f"generic rank estimated as the max exact rank at {GENERIC_RANK_POINTS} "
+    "random rational points (coordinates with numerator/denominator up to "
+    f"{RATIONAL_BOUND}); by a Schwartz-Zippel count the probability of "
+    "underestimating is vanishingly small for the polynomial degrees "
+    "involved, but it is not a proof"
 )
 
 
-def random_rational_point(rng: random.Random, nvars: int, bound: int = 10**4):
+def random_rational_point(rng: random.Random, nvars: int):
+    bound = RATIONAL_BOUND
     pt = []
     for _ in range(nvars):
         re = Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
@@ -245,20 +252,19 @@ def random_rational_point(rng: random.Random, nvars: int, bound: int = 10**4):
     return pt
 
 
-def generic_rank(m: Sequence[Sequence[MultiPoly]], seed: int = 0,
-                 points: int = 3, bound: int = 10**4):
+def generic_rank(m: Sequence[Sequence[MultiPoly]], seed: int = 0):
     """Max exact rank over a few random rational points, plus a note.
 
     Exact evaluation keeps the rank decision exact at each sample; only
     the claim of genericity is probabilistic.
     """
     if not m or not m[0]:
-        return 0, GENERIC_RANK_NOTE.format(count=points, bound=bound)
+        return 0, GENERIC_RANK_NOTE
     nvars = m[0][0].nvars
     rng = random.Random(seed)
     best = 0
-    for _ in range(points):
-        pt = random_rational_point(rng, nvars, bound)
+    for _ in range(GENERIC_RANK_POINTS):
+        pt = random_rational_point(rng, nvars)
         value = [[entry.eval_exact(pt) for entry in row] for row in m]
         best = max(best, exact_rank(value))
-    return best, GENERIC_RANK_NOTE.format(count=points, bound=bound)
+    return best, GENERIC_RANK_NOTE

@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -20,9 +20,13 @@ from .algebra.unipoly import UniPoly, derivative
 from .family import MatrixFamily
 from .ranklab import DEFAULT_REL_TOL, stacked_ranks
 
+#: nodes per circle at the first quadrature level; each later level doubles
+FIRST_QUADRATURE_NODES = 32
 MAX_QUADRATURE_NODES = 2**14
 ROUCHE_BOUNDARY_SAMPLES = 64
 MAX_STEP_HALVINGS = 20
+#: probes per ring around a point (see probe_stack)
+PROBE_COUNT = 8
 
 
 class ContourError(RuntimeError):
@@ -95,7 +99,6 @@ class BranchState:
     centers: Tuple[complex, ...]
     multiplicities: Tuple[int, ...]
     radius: float
-    point: Optional[tuple] = None
 
     def __post_init__(self):
         if len(self.centers) != len(self.multiplicities):
@@ -109,7 +112,7 @@ class BranchState:
                     raise ValueError("isolation disks are not disjoint")
 
 
-def isolate(p: UniPoly, roots_with_multiplicities, point=None) -> BranchState:
+def isolate(p: UniPoly, roots_with_multiplicities) -> BranchState:
     """Isolation radius = quarter of the minimal pairwise root distance
     (1.0 for a single distinct root)."""
     roots = [complex(r) for r, _ in roots_with_multiplicities]
@@ -125,7 +128,7 @@ def isolate(p: UniPoly, roots_with_multiplicities, point=None) -> BranchState:
         if dmin == 0:
             raise ValueError("repeated root in the distinct-root list")
         eps = dmin / 4.0
-    return BranchState(tuple(roots), tuple(mults), eps, point)
+    return BranchState(tuple(roots), tuple(mults), eps)
 
 
 # ---------------------------------------------------------------------------
@@ -234,55 +237,32 @@ def _node_sums(blocks, count: int):
     return sums, errors
 
 
-def _node_doubling(nodes: int, multiplicity: int):
-    """The residue integral of one circle as a generator: it yields each
-    node count q it needs, receives the node sum at q, and returns the
-    root once two successive levels agree to 1e-12 relative."""
-    if multiplicity < 1:
-        raise ValueError("multiplicity must be >= 1")
-    q = max(8, nodes)
-    # (1 / (multiplicity * 2*pi*i)) * i * (2*pi/q) * sum
-    prev = (yield q) / (q * multiplicity)
-    while q <= MAX_QUADRATURE_NODES:
-        q *= 2
-        cur = (yield q) / (q * multiplicity)
-        if abs(cur - prev) < 1e-12 * (1.0 + abs(cur)):
-            return cur
-        prev = cur
-    raise ContourError(
-        f"no convergence with {MAX_QUADRATURE_NODES} nodes; "
-        "a root is probably near the contour"
-    )
-
-
 def contour_roots(
     p: UniPoly,
     centers: Sequence[complex],
     radius: float,
     multiplicities: Sequence[int],
-    nodes: int = 32,
     known=None,
 ) -> Tuple[complex, ...]:
     """The unique distinct root inside each circle |z - center| = radius,
     by the residue formula.
 
     Trapezoidal quadrature of z p'(z)/p(z) over each circle (spectrally
-    accurate for this analytic integrand), with node doubling until two
-    successive values agree to 1e-12 relative. Each circle doubles its
-    own node count; all circles at the same count are evaluated in one
-    array pass. When several circles fail, the error raised is that of
-    the first of them in order. ``known`` is a pair (Q, values of
-    ``_circle_values`` at all Q nodes of every circle) already computed
-    for this p: levels whose nodes are among them are read off it.
+    accurate for this analytic integrand), with node doubling from
+    FIRST_QUADRATURE_NODES until two successive values agree to 1e-12
+    relative. The circles that have not converged share the node count
+    and are evaluated in one array pass per level. When several circles
+    fail, the error raised is that of the first of them in order.
+    ``known`` is a pair (Q, values of ``_circle_values`` at all Q nodes of
+    every circle) already computed for this p: levels whose nodes are
+    among them are read off it.
     """
     centers = [complex(c) for c in centers]
     radius = float(radius)
     coeffs = _coefficients(p)
     dcoeffs = _coefficients(derivative(p))
     roots = [None] * len(centers)
-    failed, failure = len(centers), None  # first failing circle so far
-    steps = [_node_doubling(nodes, k) for k in multiplicities]
-    wanted = {}  # circle -> node count it waits for
+    prev = [None] * len(centers)  # each circle's value at the last level
 
     def level(rows, q):
         if known is not None and known[0] % q == 0:
@@ -293,52 +273,45 @@ def contour_roots(
             yield _circle_values(coeffs, dcoeffs, [centers[i] for i in rows],
                                  radius, q, start, min(q, start + QUADRATURE_BLOCK))
 
-    def fail(i, err):
-        nonlocal failed, failure
-        failed, failure = i, err
-        for j in [j for j in wanted if j > i]:
-            del wanted[j]
-
-    def advance(i, value):
-        try:
-            wanted[i] = steps[i].send(value)
-        except StopIteration as stop:
-            roots[i] = stop.value
-        except (ContourError, ValueError, ArithmeticError) as err:
-            # raised at the end, unless an earlier circle fails
-            fail(i, err)
-
-    for i in range(len(steps)):
-        if i < failed:
-            advance(i, None)
-    while wanted:
-        q = min(wanted.values())
-        group = sorted(i for i, want in wanted.items() if want == q)
-        for i in group:
-            del wanted[i]
+    # the first failing circle so far: no later circle can decide the error
+    failed, failure = len(centers), None
+    for i, multiplicity in enumerate(multiplicities):
+        if multiplicity < 1:
+            failed, failure = i, ValueError("multiplicity must be >= 1")
+            break
+    rows = list(range(failed))
+    q = FIRST_QUADRATURE_NODES
+    while rows:
         with np.errstate(all="ignore"):
-            sums, errors = _node_sums(level(group, q), len(group))
-        for i, total, err in zip(group, sums, errors):
-            if i >= failed:
-                continue
+            sums, errors = _node_sums(level(rows, q), len(rows))
+        for i, total, err in zip(rows, sums, errors):
+            if err is None:
+                try:
+                    # (1 / (multiplicity * 2*pi*i)) * i * (2*pi/q) * sum
+                    cur = total / (q * multiplicities[i])
+                    if prev[i] is not None and abs(cur - prev[i]) < 1e-12 * (1.0 + abs(cur)):
+                        roots[i] = cur
+                    elif q > MAX_QUADRATURE_NODES:
+                        err = ContourError(
+                            f"no convergence with {MAX_QUADRATURE_NODES} nodes; "
+                            "a root is probably near the contour"
+                        )
+                    prev[i] = cur
+                except ArithmeticError as error:
+                    err = error
             if err is not None:
-                fail(i, err)
-            else:
-                advance(i, total)
+                failed, failure = i, err
+                break
+        rows = [i for i in rows if i < failed and roots[i] is None]
+        q *= 2
     if failure is not None:
         raise failure
     return tuple(roots)
 
 
-def contour_root(
-    p: UniPoly,
-    center: complex,
-    radius: float,
-    multiplicity: int,
-    nodes: int = 32,
-) -> complex:
+def contour_root(p: UniPoly, center: complex, radius: float, multiplicity: int) -> complex:
     """The unique distinct root inside one circle (see contour_roots)."""
-    return contour_roots(p, [center], radius, [multiplicity], nodes)[0]
+    return contour_roots(p, [center], radius, [multiplicity])[0]
 
 
 def _rouche_values(p_old: UniPoly, p_new: UniPoly, state: BranchState):
@@ -415,11 +388,12 @@ def _polyline(vertices):
     return at
 
 
-def _seed_state(family: MatrixFamily, point, rel_tol: float) -> BranchState:
-    a = family.at(point)
-    clusters = distinct_eigenvalues(a, rel_tol)
+def _seed_state(family: MatrixFamily, point, rel_tol: float):
+    """The branch state at a point from its eigenvalues, and the
+    characteristic polynomial there."""
+    clusters = distinct_eigenvalues(family.at(point), rel_tol)
     p = family.char_poly_at(point)
-    return isolate(p, clusters, point=point)
+    return isolate(p, clusters), p
 
 
 def track_path(
@@ -441,46 +415,37 @@ def track_path(
     base_h = 1.0 / steps
     h_min = base_h / 2**MAX_STEP_HALVINGS
 
-    t = 0.0
-    state = _seed_state(family, zeta(0.0), rel_tol)
-    p_cur = family.char_poly_at(zeta(t))
-    samples = [TrackSample(t, zeta(t), state.centers, state.multiplicities)]
+    t, here = 0.0, zeta(0.0)
+    state, p_cur = _seed_state(family, here, rel_tol)
+    samples = [TrackSample(t, here, state.centers, state.multiplicities)]
     events: List[SplitEvent] = []
     h = base_h
 
     while t < 1.0 - 1e-14:
         t_try = min(t + h, 1.0)
-        p_try = family.char_poly_at(zeta(t_try))
+        there = zeta(t_try)
+        p_try = family.char_poly_at(there)
         known = _rouche_values(p_cur, p_try, state)
         if known is not None:
             new_centers = contour_roots(
                 p_try, state.centers, state.radius, state.multiplicities,
                 known=known,
             )
-            state = isolate(
-                p_try,
-                list(zip(new_centers, state.multiplicities)),
-                point=zeta(t_try),
-            )
-            t = t_try
-            p_cur = p_try
-            samples.append(TrackSample(t, zeta(t), state.centers,
+            state = isolate(p_try, list(zip(new_centers, state.multiplicities)))
+            t, here, p_cur = t_try, there, p_try
+            samples.append(TrackSample(t, here, state.centers,
                                        state.multiplicities))
             h = min(base_h, 2 * h)
         else:
             h /= 2
             if h < h_min:
-                t_fail = min(t + 2 * h, 1.0)  # the step that just failed
-                events.append(
-                    SplitEvent((t, t_fail), (zeta(t), zeta(t_fail)))
-                )
+                events.append(SplitEvent((t, t_try), (here, there)))
                 t_resume = min(t + base_h, 1.0)
                 if t_resume >= 1.0 - 1e-14:
                     break
-                t = t_resume
-                state = _seed_state(family, zeta(t), rel_tol)
-                p_cur = family.char_poly_at(zeta(t))
-                samples.append(TrackSample(t, zeta(t), state.centers,
+                t, here = t_resume, zeta(t_resume)
+                state, p_cur = _seed_state(family, here, rel_tol)
+                samples.append(TrackSample(t, here, state.centers,
                                            state.multiplicities))
                 h = base_h
     return TrackResult(samples=samples, events=events)
@@ -510,12 +475,12 @@ def _probe_direction(nparams: int) -> tuple:
     return tuple(x / norm for x in raw)
 
 
-def probe_ring(point, radius: float, count: int = 8):
+def probe_ring(point, radius: float):
     point = tuple(complex(c) for c in point)
     u = _probe_direction(len(point))
     out = []
-    for k in range(count):
-        w = radius * cmath.exp(2j * math.pi * k / count)
+    for k in range(PROBE_COUNT):
+        w = radius * cmath.exp(2j * math.pi * k / PROBE_COUNT)
         out.append(tuple(c + w * d for c, d in zip(point, u)))
     return out
 
@@ -524,8 +489,8 @@ def probe_ring(point, radius: float, count: int = 8):
 class ProbeStack:
     """A point and two rings of probes around it, evaluated as one stack.
 
-    ``points[0]`` is the point; then come ``count`` probes at the probe
-    radius and ``count`` at half of it. ``matrices`` holds the family
+    ``points[0]`` is the point; then come PROBE_COUNT probes at the probe
+    radius and PROBE_COUNT at half of it. ``matrices`` holds the family
     at every point and ``clusters`` their distinct eigenvalues, from one
     stacked eigensolve and one stacked norm.
     """
@@ -533,12 +498,11 @@ class ProbeStack:
     points: List[tuple]
     matrices: np.ndarray
     clusters: list
-    count: int
 
     @property
     def rings(self):
         """Cluster lists of the outer ring, then of the inner ring."""
-        c = self.count
+        c = PROBE_COUNT
         return self.clusters[1 : 1 + c], self.clusters[1 + c :]
 
     def eigen_split(self) -> bool:
@@ -552,19 +516,18 @@ def probe_stack(
     family: MatrixFamily,
     point,
     probe_radius: float,
-    probe_count: int = 8,
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> ProbeStack:
     """Evaluate a point and its two probe rings as one :class:`ProbeStack`."""
     point = tuple(complex(c) for c in point)
     points = [point]
     for radius in (probe_radius, probe_radius / 2):
-        points.extend(probe_ring(point, radius, probe_count))
+        points.extend(probe_ring(point, radius))
     matrices = family.at_many(points)
     values = np.linalg.eigvals(matrices)
     norms = np.linalg.norm(matrices, 2, axis=(1, 2))
     clusters = [cluster_eigenvalues(v, nrm, rel_tol) for v, nrm in zip(values, norms)]
-    return ProbeStack(points, matrices, clusters, probe_count)
+    return ProbeStack(points, matrices, clusters)
 
 
 def _counts_at_probe(clusters, centers, eps):
@@ -581,7 +544,7 @@ def _counts_at_probe(clusters, centers, eps):
 def amounts_from_stack(stack: ProbeStack) -> SplittingAmounts:
     """Splitting amounts read off a probe stack: the outer ring, or the
     inner one when the outer ring disagrees."""
-    state = isolate(None, stack.clusters[0], point=stack.points[0])
+    state = isolate(None, stack.clusters[0])
     for ring in stack.rings:
         counts = []
         for clusters in ring:
@@ -605,7 +568,6 @@ def splitting_amounts(
     family: MatrixFamily,
     xi,
     probe_radius: float,
-    probe_count: int = 8,
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> SplittingAmounts:
     """How many distinct eigenvalues each eigenvalue of A(xi) splits into.
@@ -615,7 +577,7 @@ def splitting_amounts(
     triggers one retry at half the probe radius before erroring.
     """
     return amounts_from_stack(
-        probe_stack(family, xi, probe_radius, probe_count, rel_tol)
+        probe_stack(family, xi, probe_radius, rel_tol)
     )
 
 
@@ -644,7 +606,7 @@ def extended_theta_factors(
 
     Powers are 1 off the splitting set and the splitting amounts on it.
     """
-    return factors_from_stack(probe_stack(family, point, probe_radius, rel_tol=rel_tol))
+    return factors_from_stack(probe_stack(family, point, probe_radius, rel_tol))
 
 
 def theta_stack(matrices: np.ndarray, factor_lists):

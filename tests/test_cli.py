@@ -372,6 +372,18 @@ def test_deeply_nested_entry_is_input_error(tmp_path, capsys):
     assert err.startswith("input error:") and "nesting deeper than" in err
 
 
+@pytest.mark.parametrize("entry,error", [
+    ("(z+w+1)^40", "product may form 861 terms, more than 512"),
+    ("z^100000000", "exponent 100000000 exceeds 256"),
+], ids=["many-terms", "huge-exponent"])
+def test_entry_beyond_parse_caps_is_input_error(family_file, capsys, entry, error):
+    doc = {"n": 2, "params": ["z", "w"], "entries": [[entry, "1"], ["0", "-z"]]}
+    code = cli.main(["scan", family_file(doc), "--box=-1:1,-1:1", "--res", "3"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and error in err
+
+
 def jordan_chain(n):
     """n x n: z on the diagonal (z + 1 in the corner), ones above it."""
     entries = [["z" if i == j else "1" if j == i + 1 else "0" for j in range(n)]
@@ -443,6 +455,27 @@ def test_tolerance_outside_unit_interval_is_input_error(capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("input error: --tol must lie strictly between 0 and 1")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--box=-1:1", "--res", "3", "--probe-radius", "nan"],
+    ["scan", "--box=-1:1", "--res", "3", "--probe-radius", "inf"],
+    ["scan", "--box=-1:1", "--res", "3", "--probe-radius", "0"],
+    ["scan", "--box=nan:1", "--res", "3"],
+    ["scan", "--box=inf:1", "--res", "3"],
+    ["scan", "--box=1:1", "--res", "3"],
+    ["census", "--point", "nan"],
+    ["census", "--point", "1e400"],
+    ["track", "--path", "[[NaN],[1.0]]"],
+    ["track", "--path", "[[Infinity],[1.0]]"],
+    ["track", "--path", '[[["a","b"]],[1.0]]'],
+], ids=["radius-nan", "radius-inf", "radius-0", "box-nan", "box-inf", "box-zero-width",
+        "point-nan", "point-overflow", "path-nan", "path-inf", "path-strings"])
+def test_non_finite_or_degenerate_number_is_input_error(capsys, argv):
+    code = cli.main([argv[0], "--builtin", "shear", *argv[1:]])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("tol", ["5", "0", "nan"])

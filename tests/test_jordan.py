@@ -370,5 +370,5 @@ def test_transform_nilpotent_family_disk():
     report = local_jordan_transform(
         nilpotent_family(), [1.0, 1.0], disk_radius=0.2, sample_count=50
     )
-    assert report.max_residual <= 1e-6 * 3  # generous: residual_scale*(1+|A|)
+    assert report.max_residual <= 1e-6 * 3  # generous: TRANSFORM_RESIDUAL_SCALE*(1+|A|)
     assert report.kernel_dim == 2

@@ -246,7 +246,8 @@ def test_rouche_verdicts_equal_scalar_loop(data):
     if known is not None:
         # the boundary values serve the first quadrature levels
         mults = (1,) * len(centers)
-        assert outcome(contour_roots, p_new, centers, radius, mults, 32, known) == outcome(
+        got = outcome(lambda: contour_roots(p_new, centers, radius, mults, known=known))
+        assert got == outcome(
             lambda: tuple(oracle_contour_root(p_new, c, radius, 1) for c in centers))
 
 
@@ -360,6 +361,23 @@ def test_track_through_split_brackets_event():
             expect = {z, -z}
             for b in s.branches:
                 assert min(abs(b - e) for e in expect) < 1e-10
+
+
+def test_track_evaluates_each_visited_point_once(monkeypatch):
+    # A rejected trial point may be tried again from a later t, so points
+    # do recur; but a seed and the step after it never evaluate one point
+    # twice in a row.
+    points = []
+    char_poly_at = MatrixFamily.char_poly_at
+
+    def counted(self, point):
+        points.append(tuple(point))
+        return char_poly_at(self, point)
+
+    monkeypatch.setattr(MatrixFamily, "char_poly_at", counted)
+    res = track_path(FAM_SHEAR(), [[1.0], [-1.0]], steps=100)
+    assert len(res.events) == 1  # one re-seed past the collision
+    assert [a for a, b in zip(points, points[1:]) if a == b] == []
 
 
 def test_track_branch_values_satisfy_charpoly():
