@@ -11,7 +11,9 @@ Integers are decimal, names are parameter identifiers or the imaginary
 unit ``i``. Parentheses and unary minus nest at most ``MAX_NESTING``
 deep, which keeps the recursion far from Python's stack limit. Exponents
 are at most ``MAX_EXPONENT``, and no product may form more than
-``MAX_PRODUCT_TERMS`` terms, so that parsing an entry stays fast.
+``MAX_PRODUCT_TERMS`` terms, so that parsing an entry stays fast. Every
+coefficient must convert to a float64 complex, which the floating
+commands evaluate.
 """
 
 from __future__ import annotations
@@ -115,6 +117,12 @@ class _Parser:
         kind, value, position = self.peek()
         if kind != "end":
             raise EntrySyntaxError(f"unexpected trailing input {value!r}", position)
+        for c in result.terms.values():
+            try:
+                complex(c)
+            except OverflowError:
+                raise EntrySyntaxError("a coefficient lies beyond the float64 range",
+                                       0) from None
         return result
 
     def expr(self) -> MultiPoly:

@@ -14,6 +14,10 @@ from fractions import Fraction
 from .multipoly import MultiPoly, one_like, zero_like
 from .scalars import GaussianRational
 
+#: a floating leading coefficient c counts as one when
+#: |c - 1| <= MONIC_REL_TOL * (1 + |c|)
+MONIC_REL_TOL = 1e-12
+
 
 def _is_zero_scalar(x) -> bool:
     if isinstance(x, (MultiPoly, GaussianRational)):
@@ -69,14 +73,15 @@ class UniPoly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def is_monic(self, tol: float = 0.0) -> bool:
+    def is_monic(self) -> bool:
+        """Leading coefficient exactly one on exact rings; within
+        MONIC_REL_TOL of one on floats."""
         if self.is_zero():
             return False
         lead = self.leading
         if isinstance(lead, (GaussianRational, MultiPoly)):
-            one = one_like(lead)
-            return lead == one
-        return abs(lead - 1.0) <= tol
+            return lead == one_like(lead)
+        return abs(lead - 1.0) <= MONIC_REL_TOL * (1 + abs(lead))
 
     def coeff(self, k: int):
         if 0 <= k < len(self.coeffs):

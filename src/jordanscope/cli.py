@@ -39,7 +39,12 @@ from .jordan import (
     verify_rank_identities,
 )
 from .corpus import builtin_cases, builtin_families
-from .ranklab import DEFAULT_REL_TOL, MINOR_DIMENSION_CAP, MinorSizeError
+from .ranklab import (
+    DEFAULT_REL_TOL,
+    MINOR_DIMENSION_CAP,
+    MinorSizeError,
+    NonFiniteError,
+)
 from .scanner import (
     MAX_GRID_POINTS,
     MAX_MATRIX_SIZE,
@@ -401,7 +406,7 @@ def cmd_scan(args) -> int:
 
     def scan(chunk_map=map):
         return scan_grid(fam, box, resolution, rel_tol, args.probe_radius,
-                         args.seed, chunk_map=chunk_map, chunks=jobs)
+                         chunk_map=chunk_map, chunks=jobs)
 
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
@@ -711,6 +716,9 @@ def main(argv=None) -> int:
             f"input error: {err}; symbolic commands build the (2n-1) x (2n-1) "
             f"splitting matrix, so they take n <= {(MINOR_DIMENSION_CAP + 1) // 2}\n"
         )
+        return EXIT_INPUT
+    except NonFiniteError as err:
+        sys.stderr.write(f"input error: {err}; values leave the float64 range\n")
         return EXIT_INPUT
     except Exception as err:  # noqa: BLE001 - no input ends in a traceback
         message = " ".join(str(err).split())

@@ -27,9 +27,10 @@ from .algebra.matrices import char_poly
 from .family import MatrixFamily
 from .ranklab import (
     DEFAULT_REL_TOL,
+    NonFiniteError,
     exact_rank,
     kernel_basis,
-    stacked_ranks,
+    power_ranks,
 )
 from .tracker import (
     contour_roots,
@@ -139,40 +140,28 @@ def rank_profile(phi, lam, rel_tol: float = DEFAULT_REL_TOL) -> RankProfile:
 
 def _floating_rank_profiles(phi: np.ndarray, lams, rel_tol: float):
     """:func:`rank_profile` of a floating matrix at several eigenvalues,
-    with every power ranked in one stacked SVD.
+    with every power ranked in one stacked SVD (:func:`power_ranks`).
 
-    All powers up to n+1 are formed; the stopping rule then discards the
+    All powers up to n+1 are ranked; the stopping rule then discards the
     ranks after the kernel chain has stabilized, so the profiles equal
-    the ones computed power by power. A power that overflows is left
-    out, and it is an error only if the profile needs its rank.
+    the ones computed power by power. A power that overflows is an error
+    only if the profile needs its rank.
     """
     n = phi.shape[0]
     eye = np.eye(n, dtype=complex)
     bases = np.array([complex(lam) for lam in lams])[:, None, None] * eye - phi
     norms = np.linalg.norm(bases, 2, axis=(1, 2)).tolist()
-    powers, scales = [], []
-    power = np.broadcast_to(eye, bases.shape)
-    for k in range(1, n + 2):
-        power = power @ bases
-        if not np.all(np.isfinite(power)):
-            break
-        powers.append(power)
-        scales.extend(nrm**k for nrm in norms)
-    if not powers:
-        raise ValueError("matrix has non-finite entries")
-    ranks = stacked_ranks(np.concatenate(powers), rel_tol, scales).reshape(
-        len(powers), len(lams)
-    )
+    ranks = power_ranks(bases, n + 1, norms, rel_tol)
     profiles = []
-    for j, lam in enumerate(lams):
+    for lam, row in zip(lams, ranks.tolist()):
         out = [n]
         for k in range(1, n + 2):
             if len(out) >= 2 and out[-1] == out[-2]:
                 out.append(out[-1])
-            elif k <= len(powers):
-                out.append(int(ranks[k - 1, j]))
+            elif k <= len(row):
+                out.append(row[k - 1])
             else:
-                raise ValueError("matrix has non-finite entries")
+                raise NonFiniteError()
         profiles.append(RankProfile(lam, tuple(out)))
     return profiles
 
@@ -310,25 +299,31 @@ def verify_rank_identities(
     m = len(census.eigenvalues)
     checks: List[IdentityCheck] = []
 
+    # rank Theta^k for k = 1..n-1, and the nilpotency check on Theta^n
     if isinstance(phi, np.ndarray):
         factors = [(complex(lam), 1) for lam in census.eigenvalues]
         thetas, scales = theta_stack(phi[None], [factors])
-        theta = thetas[0]
-        (ranks,) = theta_power_ranks(thetas, scales, rel_tol)
-        theta_ranks = dict(enumerate(ranks, start=1))
+        (theta_ranks,) = theta_power_ranks(thetas, scales, rel_tol)
+        power = thetas[0]
+        for _ in range(n - 1):
+            power = power @ thetas[0]
+        norm = float(np.linalg.norm(power, 2))
+        bound = nilpotency_scale * (1.0 + float(np.linalg.norm(phi, 2))) ** (n * m)
+        nilpotent = IdentityCheck("theta-nilpotent", f"|Theta^{n}| = {norm:.3e}",
+                                  norm <= bound, norm, bound)
     else:
         theta = theta_product(phi, census.eigenvalues)
-        theta_ranks = {}
-    power = theta
-    for k in range(1, n + 1):
-        if k > 1:
-            power = (
-                power @ theta
-                if isinstance(theta, np.ndarray)
-                else mat_mul(power, theta)
-            )
-        if k <= n - 1 and not isinstance(theta, np.ndarray):
-            theta_ranks[k] = exact_rank(power)
+        theta_ranks, power = [], theta
+        for _ in range(n - 1):
+            theta_ranks.append(exact_rank(power))
+            power = mat_mul(power, theta)
+        all_zero = all(
+            (x.is_zero() if hasattr(x, "is_zero") else x == 0)
+            for row in power
+            for x in row
+        )
+        nilpotent = IdentityCheck("theta-nilpotent", f"Theta^{n} = 0 exactly",
+                                  all_zero)
 
     # stabilization of the individual rank profiles
     for lam, nj, prof in zip(
@@ -346,28 +341,12 @@ def verify_rank_identities(
                 )
             )
 
-    # nilpotency of the product at exponent n
-    if isinstance(theta, np.ndarray):
-        norm = float(np.linalg.norm(power, 2))
-        bound = nilpotency_scale * (1.0 + float(np.linalg.norm(phi, 2))) ** (n * m)
-        checks.append(
-            IdentityCheck("theta-nilpotent", f"|Theta^{n}| = {norm:.3e}",
-                          norm <= bound, norm, bound)
-        )
-    else:
-        all_zero = all(
-            (x.is_zero() if hasattr(x, "is_zero") else x == 0)
-            for row in power
-            for x in row
-        )
-        checks.append(
-            IdentityCheck("theta-nilpotent", f"Theta^{n} = 0 exactly", all_zero)
-        )
+    checks.append(nilpotent)
 
     # the two rank formulas for Theta^k
     agg = census.aggregate
     for k in range(1, n):
-        lhs = theta_ranks[k]
+        lhs = theta_ranks[k - 1]
         rhs_sum = n - n * m + sum(
             prof.ranks[k] for prof in census.profiles
         )
@@ -405,31 +384,20 @@ class BasisResult:
     condition: float
 
 
-def _jordan_block(lam: complex, size: int) -> np.ndarray:
-    j = lam * np.eye(size, dtype=complex)
-    for i in range(size - 1):
-        j[i, i + 1] = 1.0
-    return j
-
-
 def jordan_form_from_census(census: JordanCensus, eigenvalues=None) -> np.ndarray:
     """Block-diagonal reference form: eigenvalues in (re, im) order,
-    block sizes descending within each eigenvalue."""
-    lams = list(eigenvalues) if eigenvalues is not None else [
-        complex(l) for l in census.eigenvalues
-    ]
-    blocks = []
+    block sizes descending within each eigenvalue. ``eigenvalues``, one
+    per census eigenvalue and in its order, replaces the census's own."""
+    lams = census.eigenvalues if eigenvalues is None else eigenvalues
+    out = np.zeros((census.n, census.n), dtype=complex)
+    pos = 0
     for lam, sizes in zip(lams, census.blocks):
         for size in sorted(sizes, reverse=True):
             for _ in range(sizes[size]):
-                blocks.append(_jordan_block(complex(lam), size))
-    n = sum(b.shape[0] for b in blocks)
-    out = np.zeros((n, n), dtype=complex)
-    pos = 0
-    for b in blocks:
-        k = b.shape[0]
-        out[pos : pos + k, pos : pos + k] = b
-        pos += k
+                idx = np.arange(pos, pos + size)
+                out[idx, idx] = complex(lam)
+                out[idx[:-1], idx[1:]] = 1.0
+                pos += size
     return out
 
 
@@ -525,7 +493,6 @@ class TransformSample:
 
 @dataclass
 class TransformReport:
-    base_point: tuple
     samples: List[TransformSample]
     max_residual: float
     kernel_dim: int
@@ -539,9 +506,9 @@ class KernelDimensionError(RuntimeError):
     pass
 
 
-def disk_samples(xi, radius: float, count: int, seed: int = 0):
+def disk_samples(xi, radius: float, count: int):
     """Deterministic sample points in the polydisk around xi."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     xi = tuple(complex(c) for c in xi)
     out = []
     for _ in range(count):
@@ -563,10 +530,8 @@ def local_jordan_transform(
     family: MatrixFamily,
     xi,
     disk_radius: float,
-    sample_points: Optional[Sequence] = None,
     sample_count: int = 50,
     rel_tol: float = DEFAULT_REL_TOL,
-    seed: int = 0,
 ) -> TransformReport:
     """Sampled holomorphic similarity to a rigid Jordan form on a disk.
 
@@ -583,47 +548,17 @@ def local_jordan_transform(
     clusters = distinct_eigenvalues(a_xi, rel_tol)
     census = jordan_census(a_xi, clusters, rel_tol)
     state = isolate(family.char_poly_at(xi), clusters)
-
-    # frozen nilpotent parts per distinct eigenvalue, sizes descending
-    nilpotents = []
-    for sizes, mult in zip(census.blocks, census.multiplicities):
-        nj = np.zeros((mult, mult), dtype=complex)
-        pos = 0
-        for size in sorted(sizes, reverse=True):
-            for _ in range(sizes[size]):
-                block = _jordan_block(0.0, size)
-                nj[pos : pos + size, pos : pos + size] = block
-                pos += size
-        nilpotents.append(nj)
-
     basis = jordan_basis(a_xi, census, rel_tol)
     s_xi = np.linalg.inv(basis.transform)
-
-    if sample_points is None:
-        sample_points = disk_samples(xi, disk_radius, sample_count, seed)
-
-    def jordan_at(point):
-        j = np.zeros((n, n), dtype=complex)
-        pos = 0
-        lams = contour_roots(
-            family.char_poly_at(point),
-            census.eigenvalues,
-            state.radius,
-            census.multiplicities,
-        )
-        for lam, mult, nj in zip(lams, census.multiplicities, nilpotents):
-            j[pos : pos + mult, pos : pos + mult] = (
-                lam * np.eye(mult, dtype=complex) + nj
-            )
-            pos += mult
-        return j
 
     samples = []
     kernel_dim = None
     max_residual = 0.0
-    for point in sample_points:
+    for point in disk_samples(xi, disk_radius, sample_count):
         a_here = family.at(point)
-        j_here = jordan_at(point)
+        lams = contour_roots(family.char_poly_at(point), census.eigenvalues,
+                             state.radius, census.multiplicities)
+        j_here = jordan_form_from_census(census, lams)
         w = _wasow_matrix(a_here, j_here)
         kernel = kernel_basis(w, rel_tol)
         if kernel_dim is None:
@@ -654,7 +589,6 @@ def local_jordan_transform(
         max_residual = max(max_residual, residual)
         samples.append(TransformSample(point, residual, kernel.shape[1], cond))
     return TransformReport(
-        base_point=xi,
         samples=samples,
         max_residual=max_residual,
         kernel_dim=kernel_dim or 0,

@@ -34,6 +34,13 @@ class MinorSizeError(ValueError):
     pass
 
 
+class NonFiniteError(ValueError):
+    """A floating matrix has entries beyond the float64 range."""
+
+    def __init__(self, message: str = "matrix has non-finite entries"):
+        super().__init__(message)  # one argument, so that pickling works
+
+
 @dataclass
 class RankResult:
     rank: int
@@ -46,7 +53,7 @@ def _as_complex_array(m) -> np.ndarray:
     if a.ndim != 2 or a.size == 0:
         raise ValueError("need a nonempty 2-d matrix")
     if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
+        raise NonFiniteError()
     return a
 
 
@@ -97,11 +104,41 @@ def stacked_ranks(stack, rel_tol: float = DEFAULT_REL_TOL,
     if a.ndim != 3 or a.size == 0:
         raise ValueError("need a nonempty stack of 2-d matrices")
     if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
+        raise NonFiniteError()
     sigma = np.linalg.svd(a, compute_uv=False)
     threshold = rank_threshold(sigma[:, 0], rel_tol,
                                np.asarray(scales, dtype=float), a.shape[1:])
     return np.sum(sigma > threshold[:, None], axis=1)
+
+
+def power_ranks(bases, count: int, scales,
+                rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
+    """rank B^k for k = 1..count of every B of an (N, n, n) stack.
+
+    The powers are formed by sequential products and ranked in one
+    stacked SVD; the threshold of B^k is floored at the roundoff level
+    of ``scales[i]**k`` (:func:`rank_threshold`), ``scales[i]`` being
+    the product of the factor norms of the i-th base.
+    Powers stop at the first one with a non-finite entry, so the (N, K)
+    result has K <= count columns, column k-1 holding rank B^k.
+    """
+    bases = np.asarray(bases, dtype=complex)
+    powers = []
+    power = np.broadcast_to(np.eye(bases.shape[-1], dtype=complex), bases.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(count):
+            power = power @ bases
+            if not np.all(np.isfinite(power)):
+                break
+            powers.append(power)
+    if not powers:
+        return np.zeros((len(bases), 0), dtype=int)
+    ranks = stacked_ranks(
+        np.concatenate(powers),
+        rel_tol,
+        [s**k for k in range(1, len(powers) + 1) for s in scales],
+    )
+    return ranks.reshape(len(powers), len(bases)).T
 
 
 def kernel_basis(m, rel_tol: float = DEFAULT_REL_TOL,

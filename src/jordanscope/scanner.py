@@ -20,7 +20,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import __version__
 from .algebra.matrices import mat_mul, poly_at_matrix
 from .algebra.multipoly import MultiPoly, mp_content, mp_gcd
 from .algebra.scalars import GR_ONE
@@ -126,8 +125,6 @@ class ScanReport:
     resolution: List[int]
     rel_tol: float
     probe_radius: float
-    seed: int
-    tool_version: str
     points: List[PointClass]
     summary: Dict[str, int]
     rank_theta_maxima: Tuple[int, ...]
@@ -159,7 +156,6 @@ def scan_grid(
     resolution,
     rel_tol: float = DEFAULT_REL_TOL,
     probe_radius: Optional[float] = None,
-    seed: int = 0,
     chunk_map=map,
     chunks: int = 1,
 ) -> ScanReport:
@@ -170,7 +166,7 @@ def scan_grid(
     are cut into ``chunks`` runs of consecutive nodes, and ``chunk_map``
     (``map``, or a process pool's ``map``) classifies them, one
     ``classify_point`` call per node. Output is deterministic given
-    tolerances and seed, whatever the chunking.
+    tolerances, whatever the chunking.
     """
     if len(box) != family.nparams:
         raise ValueError("need one interval per parameter")
@@ -199,8 +195,6 @@ def scan_grid(
         resolution=list(resolution),
         rel_tol=rel_tol,
         probe_radius=probe_radius,
-        seed=seed,
-        tool_version=__version__,
         points=points,
         summary=summary,
         rank_theta_maxima=maxima,
@@ -229,7 +223,6 @@ class SquareFreeResult:
     theta_num: List[List[MultiPoly]]
     denominator: MultiPoly
     distinct_degree: int  # generic number of distinct eigenvalues
-    q0_num: UniPoly  # numerator coefficients of the square-free part
 
     @property
     def denominator_is_one(self) -> bool:
@@ -291,7 +284,6 @@ def square_free_part_family(family: MatrixFamily) -> SquareFreeResult:
         theta_num=theta_num,
         denominator=denominator,
         distinct_degree=m,
-        q0_num=q_tilde,
     )
 
 
@@ -401,7 +393,6 @@ def check_split_bound(
     family: MatrixFamily,
     functions: Sequence[MultiPoly],
     sample_points: Sequence,
-    label: str = "splitting-set function",
 ) -> BoundReport:
     """|g| <= (2n)^(6n^2) * max(1, |A|)^(2n^2) for every g at the samples.
 
@@ -410,7 +401,7 @@ def check_split_bound(
     monic leading coefficient).
     """
     n = family.n
-    return bound_report(label, sample_points, functions,
+    return bound_report("splitting-set function", sample_points, functions,
                         float((2 * n) ** (6 * n * n)),
                         family.operator_norms(sample_points), 2 * n * n)
 

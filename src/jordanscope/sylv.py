@@ -16,9 +16,9 @@ from typing import List, Sequence
 import numpy as np
 
 from .algebra.multipoly import MultiPoly, StackedEvaluator, complex_modulus
-from .algebra.multipoly import one_like, zero_like
+from .algebra.multipoly import zero_like
 from .algebra.scalars import GaussianRational
-from .algebra.unipoly import UniPoly, derivative
+from .algebra.unipoly import MONIC_REL_TOL, UniPoly, derivative
 from .ranklab import (
     DEFAULT_REL_TOL,
     check_minor_size,
@@ -48,15 +48,10 @@ class SplitMatrix:
         return 2 * self.n - 1
 
 
-def _require_monic(p: UniPoly, float_tol: float = 1e-12) -> UniPoly:
+def _require_monic(p: UniPoly) -> UniPoly:
     if p.is_zero() or p.degree < 1:
         raise ValueError("need a monic polynomial of degree >= 1")
-    lead = p.leading
-    if isinstance(lead, (GaussianRational, MultiPoly)):
-        if lead != one_like(lead):
-            raise ValueError("polynomial is not monic")
-        return p
-    if abs(lead - 1.0) > float_tol * (1 + abs(lead)):
+    if not p.is_monic():
         raise ValueError("polynomial is not monic")
     return p
 
@@ -112,7 +107,7 @@ def distinct_zero_counts(coeffs, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray
     if c.ndim != 2 or c.shape[1] < 2:
         raise ValueError("need a monic polynomial of degree >= 1")
     lead = c[:, -1]
-    if np.any(np.abs(lead - 1.0) > 1e-12 * (1 + np.abs(lead))):
+    if np.any(np.abs(lead - 1.0) > MONIC_REL_TOL * (1 + np.abs(lead))):
         raise ValueError("polynomial is not monic")
     n = c.shape[1] - 1
     dc = c[:, 1:] * np.arange(1, n + 1)
@@ -141,9 +136,6 @@ class SplitSetResult:
     r_max: int
     n: int
     generic_rank_note: str
-    #: True when r_max equals the full size 2n-1 (the generic polynomial
-    #: has the maximal number of distinct zeros)
-    full_rank_generic: bool = True
 
 
 def split_defining_functions(
@@ -172,7 +164,6 @@ def split_defining_functions(
         r_max=r_max,
         n=sm.n,
         generic_rank_note=note,
-        full_rank_generic=(r_max == sm.size),
     )
 
 
@@ -229,7 +220,6 @@ def check_coeff_bound(
     functions: Sequence[MultiPoly],
     family: UniPoly,
     sample_points: Sequence[Sequence[complex]],
-    label: str = "split-set minor",
 ) -> BoundReport:
     """Check |h| <= (2n)^(4n) * max(1, max_mu |P_mu|)^(2n) for every h
     at the samples.
@@ -243,5 +233,5 @@ def check_coeff_bound(
     n = family.degree
     lower = _moduli(family.coeffs[:-1], sample_points).tolist()
     largest = [max(row, default=0.0) for row in lower]
-    return bound_report(label, sample_points, functions,
+    return bound_report("split-set minor", sample_points, functions,
                         float((2 * n) ** (4 * n)), largest, 2 * n)

@@ -18,7 +18,7 @@ import numpy as np
 from .algebra.multipoly import complex_modulus, complex_product
 from .algebra.unipoly import UniPoly, derivative
 from .family import MatrixFamily
-from .ranklab import DEFAULT_REL_TOL, stacked_ranks
+from .ranklab import DEFAULT_REL_TOL, NonFiniteError, power_ranks
 
 #: nodes per circle at the first quadrature level; each later level doubles
 FIRST_QUADRATURE_NODES = 32
@@ -642,30 +642,22 @@ def theta_stack(matrices: np.ndarray, factor_lists):
         pick = used & (powers == power)
         factor[pick] = np.linalg.matrix_power(factor[pick], power)
     theta = np.broadcast_to(eye, a.shape).copy()
-    for j in range(width):
-        theta = theta @ factor[:, j]
+    # an overflowing product is reported where it is ranked (power_ranks)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(width):
+            theta = theta @ factor[:, j]
     return theta, scales
 
 
 def theta_power_ranks(theta: np.ndarray, scales, rel_tol: float = DEFAULT_REL_TOL):
     """rank Theta^k for k = 1..n-1 of every product of a ``theta_stack``
-    result, as one tuple per matrix, from stacked powers and one stacked
-    SVD; the threshold of each power is floored at its roundoff
-    scale**k."""
-    count, n = theta.shape[0], theta.shape[-1]
-    if n < 2:
-        return [()] * count
-    powers = []
-    power = np.broadcast_to(np.eye(n, dtype=complex), theta.shape)
-    for _ in range(1, n):
-        power = power @ theta
-        powers.append(power)
-    ranks = stacked_ranks(
-        np.concatenate(powers),
-        rel_tol,
-        [s**k for k in range(1, n) for s in scales],
-    )
-    return [tuple(int(r) for r in ranks[i::count]) for i in range(count)]
+    result, as one tuple per matrix (:func:`power_ranks`); a power that
+    overflows is an error."""
+    n = theta.shape[-1]
+    ranks = power_ranks(theta, n - 1, scales, rel_tol)
+    if ranks.shape[1] < n - 1:
+        raise NonFiniteError()
+    return [tuple(int(r) for r in row) for row in ranks]
 
 
 def theta_from_factors(a: np.ndarray, factors) -> np.ndarray:

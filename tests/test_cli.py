@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -382,6 +383,38 @@ def test_entry_beyond_parse_caps_is_input_error(family_file, capsys, entry, erro
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:") and error in err
+
+
+BEYOND_FLOAT64 = [
+    # a coefficient above 1.8e308 fails every command at load time
+    ("99999999999999999999^20*z", ["scan", "--box=-1:1", "--res", "3"]),
+    ("99999999999999999999^20*z", ["census", "--point", "0.5"]),
+    ("99999999999999999999^20*z", ["track", "--path", "[[0.5],[0.6]]"]),
+    ("99999999999999999999^20*z", ["split-set", "--samples", "5"]),
+    ("99999999999999999999^20*z", ["jst-set", "--samples", "5"]),
+    # finite entries whose products of (lam - A) factors overflow
+    ("10^200*z^2", ["scan", "--box=-1:1", "--res", "3"]),
+    ("10^200*z^2", ["scan", "--box=-1:1", "--res", "3", "--jobs", "2"]),
+    ("10^200*z^2", ["census", "--point", "0.5"]),
+    ("(2*z+3)^256", ["scan", "--box=-1:1", "--res", "3"]),
+    ("(2*z+3)^256", ["census", "--point", "0.5"]),
+]
+
+
+@pytest.mark.parametrize("entry,argv", BEYOND_FLOAT64, ids=[
+    "scan-coeff", "census-coeff", "track-coeff", "split-set-coeff", "jst-set-coeff",
+    "scan-product", "scan-product-jobs2", "census-product", "scan-power",
+    "census-power",
+])
+def test_values_beyond_float64_are_input_errors(family_file, capsys, entry, argv):
+    doc = {"n": 2, "params": ["z"], "entries": [[entry, "1"], ["0", "z"]]}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main([argv[0], family_file(doc), *argv[1:]])
+    assert code == 2
+    assert not caught  # numpy overflow warnings would add stderr lines
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1
 
 
 def jordan_chain(n):

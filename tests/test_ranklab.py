@@ -17,7 +17,9 @@ from jordanscope.ranklab import (
     kernel_basis,
     minors,
     numerical_rank,
+    power_ranks,
 )
+from jordanscope.tracker import theta_power_ranks
 
 GR = GaussianRational
 
@@ -258,3 +260,44 @@ def test_numerical_rank_agrees_with_exact_on_well_conditioned():
         )
         if re and smallest_nonzero > 10 * sv.tolerance_used:
             assert rf == re
+
+
+def power_test_stack(seed, n=4):
+    """Three dense matrices, a nilpotent one with a single Jordan chain
+    (conjugated, so its high powers are roundoff, not exact zeros), and
+    a rank-2 one."""
+    rng = np.random.default_rng(seed)
+
+    def gaussian(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    s = gaussian(n, n) + 4 * np.eye(n)
+    nilpotent = s @ np.diag(1.0 + rng.uniform(size=n - 1), 1) @ np.linalg.inv(s)
+    deficient = gaussian(n, 2) @ gaussian(2, n)
+    return np.concatenate([gaussian(3, n, n), nilpotent[None], deficient[None]])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_power_ranks_equal_ranks_of_sequential_powers(seed):
+    n = 4
+    stack = power_test_stack(seed, n)
+    scales = np.linalg.norm(stack, 2, axis=(1, 2)).tolist()
+    got = power_ranks(stack, n + 1, scales)
+    assert got.shape == (len(stack), n + 1)
+    assert got[3].tolist() == [3, 2, 1, 0, 0]  # floored: B^4 is roundoff
+    assert got[4].tolist() == [2] * (n + 1)
+    for i, base in enumerate(stack):
+        power = np.eye(n, dtype=complex)
+        for k in range(1, n + 2):
+            power = power @ base
+            want = numerical_rank(power, scale=scales[i] ** k).rank
+            assert got[i, k - 1] == want
+
+
+def test_power_ranks_stop_at_the_first_overflowing_power():
+    # the third power of 1e104 * I is beyond float64
+    stack = np.array([1e104 * np.eye(4), np.eye(4)], dtype=complex)
+    scales = [1e104, 1.0]
+    assert power_ranks(stack, 3, scales).tolist() == [[4, 4], [4, 4]]
+    with pytest.raises(ValueError, match="matrix has non-finite entries"):
+        theta_power_ranks(stack, scales)
