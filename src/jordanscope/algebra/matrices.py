@@ -4,12 +4,15 @@ polynomial via the Faddeev-LeVerrier recursion.
 Matrices are plain lists of lists so the same code runs over complex
 floats, GaussianRationals and MultiPolys. Floating callers that want
 speed use numpy directly; these helpers are for the exact and symbolic
-paths (n <= 8 or so).
+paths (n <= 8 or so), except :func:`char_poly_stack`, the recursion on
+a numpy stack of complex matrices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+import numpy as np
 
 from .multipoly import divide_by_int, one_like, zero_like
 from .scalars import GaussianRational
@@ -121,3 +124,20 @@ def char_poly(matrix) -> MonicPoly:
         for i in range(n):
             m[i][i] = m[i][i] + c
     return MonicPoly(coeffs)
+
+
+def char_poly_stack(a) -> np.ndarray:
+    """:func:`char_poly` of every matrix of an (N, n, n) complex stack,
+    by the same recursion in float64: shape (N, n + 1), constant term
+    first. Coefficients beyond float64 come out non-finite, silently."""
+    a = np.asarray(a, dtype=complex)
+    n = a.shape[-1]
+    coeffs = np.ones((len(a), n + 1), dtype=complex)
+    diagonal = np.arange(n)
+    m = np.broadcast_to(np.eye(n, dtype=complex), a.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n + 1):
+            m = a @ m
+            coeffs[:, n - k] = -np.trace(m, axis1=1, axis2=2) / k
+            m[:, diagonal, diagonal] += coeffs[:, n - k, None]
+    return coeffs

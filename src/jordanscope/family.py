@@ -11,6 +11,7 @@ from .algebra.exprparse import parse_entry
 from .algebra.matrices import char_poly
 from .algebra.multipoly import MultiPoly, StackedEvaluator
 from .algebra.unipoly import UniPoly
+from .ranklab import NonFiniteError
 
 
 @dataclass
@@ -73,12 +74,19 @@ class MatrixFamily:
         return self.at_many([point])[0]
 
     def at_many(self, points) -> np.ndarray:
-        """Evaluate at a stack of points: shape (N, n, n)."""
+        """Evaluate at a stack of points: shape (N, n, n). Values beyond
+        the float64 range raise NonFiniteError."""
         if not hasattr(self, "_entry_eval"):
             self._entry_eval = StackedEvaluator(
                 [e for row in self.entries for e in row], self.nparams
             )
-        return self._entry_eval(points).reshape(-1, self.n, self.n)
+        try:
+            values = self._entry_eval(points)
+        except OverflowError:  # a power beyond float64
+            raise NonFiniteError() from None
+        if not np.all(np.isfinite(values)):
+            raise NonFiniteError()
+        return values.reshape(-1, self.n, self.n)
 
     def at_exact(self, point):
         """Evaluate at a GaussianRational point; exact list-of-lists."""
@@ -93,16 +101,11 @@ class MatrixFamily:
 
     def char_poly_at(self, point) -> UniPoly:
         """Characteristic polynomial at a point, complex coefficients."""
-        return UniPoly(self.char_poly_coeffs_many([point])[0].tolist())
-
-    def char_poly_coeffs_many(self, points) -> np.ndarray:
-        """Characteristic-polynomial coefficients, constant term first,
-        at a stack of points: shape (N, n + 1)."""
         if not hasattr(self, "_charpoly_eval"):
             self._charpoly_eval = StackedEvaluator(
                 self.char_poly_family().coeffs, self.nparams
             )
-        return self._charpoly_eval(points)
+        return UniPoly(self._charpoly_eval([point])[0].tolist())
 
     def operator_norm_at(self, point) -> float:
         return self.operator_norms([point])[0]

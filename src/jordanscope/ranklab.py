@@ -119,25 +119,27 @@ def power_ranks(bases, count: int, scales,
     stacked SVD; the threshold of B^k is floored at the roundoff level
     of ``scales[i]**k`` (:func:`rank_threshold`), ``scales[i]`` being
     the product of the factor norms of the i-th base.
-    Powers stop at the first one with a non-finite entry, so the (N, K)
-    result has K <= count columns, column k-1 holding rank B^k.
+    Powers stop at the first one with a non-finite entry or a roundoff
+    scale beyond float64, so the (N, K) result has K <= count columns,
+    column k-1 holding rank B^k.
     """
     bases = np.asarray(bases, dtype=complex)
-    powers = []
+    powers, floors = [], []
     power = np.broadcast_to(np.eye(bases.shape[-1], dtype=complex), bases.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(count):
+        for k in range(1, count + 1):
             power = power @ bases
-            if not np.all(np.isfinite(power)):
+            try:
+                floor = [s**k for s in scales]
+            except OverflowError:
+                break
+            if not (np.all(np.isfinite(power)) and np.all(np.isfinite(floor))):
                 break
             powers.append(power)
+            floors.extend(floor)
     if not powers:
         return np.zeros((len(bases), 0), dtype=int)
-    ranks = stacked_ranks(
-        np.concatenate(powers),
-        rel_tol,
-        [s**k for k in range(1, len(powers) + 1) for s in scales],
-    )
+    ranks = stacked_ranks(np.concatenate(powers), rel_tol, floors)
     return ranks.reshape(len(powers), len(bases)).T
 
 

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra.matrices import mat_mul, poly_at_matrix
+from .algebra.matrices import char_poly_stack, mat_mul, poly_at_matrix
 from .algebra.multipoly import MultiPoly, mp_content, mp_gcd
 from .algebra.scalars import GR_ONE
 from .algebra.unipoly import UniPoly, derivative, pseudo_divmod, subresultant_gcd
@@ -81,7 +81,7 @@ def classify_point(
     probe. Stability can only be refuted by sampling, never certified.
     """
     stack = probe_stack(family, point, probe_radius, rel_tol=rel_tol)
-    counts = distinct_zero_counts(family.char_poly_coeffs_many(stack.points), rel_tol)
+    counts = distinct_zero_counts(char_poly_stack(stack.matrices), rel_tol)
     point, here = stack.points[0], stack.clusters[0]
     note = ""
     if np.any(counts[1:] > counts[0]):

@@ -636,7 +636,10 @@ def theta_stack(matrices: np.ndarray, factor_lists):
     for i, factors in enumerate(factor_lists):
         scale = 1.0
         for j, (_, power) in enumerate(factors):
-            scale *= norms[i][j] ** int(power)
+            try:
+                scale *= norms[i][j] ** int(power)
+            except OverflowError:  # power_ranks stops at a non-finite scale
+                scale = math.inf
         scales.append(scale)
     for power in set(powers[used].tolist()) - {1}:
         pick = used & (powers == power)

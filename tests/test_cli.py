@@ -385,29 +385,47 @@ def test_entry_beyond_parse_caps_is_input_error(family_file, capsys, entry, erro
     assert err.startswith("input error:") and error in err
 
 
+def corner(entry):
+    """A 2 x 2 family with ``entry`` in its top-left corner."""
+    return [[entry, "1"], ["0", "z"]]
+
+
+BIG = [["10^200*z^2", "0"], ["0", "1"]]
 BEYOND_FLOAT64 = [
     # a coefficient above 1.8e308 fails every command at load time
-    ("99999999999999999999^20*z", ["scan", "--box=-1:1", "--res", "3"]),
-    ("99999999999999999999^20*z", ["census", "--point", "0.5"]),
-    ("99999999999999999999^20*z", ["track", "--path", "[[0.5],[0.6]]"]),
-    ("99999999999999999999^20*z", ["split-set", "--samples", "5"]),
-    ("99999999999999999999^20*z", ["jst-set", "--samples", "5"]),
+    (corner("99999999999999999999^20*z"), ["scan", "--box=-1:1", "--res", "3"]),
+    (corner("99999999999999999999^20*z"), ["census", "--point", "0.5"]),
+    (corner("99999999999999999999^20*z"), ["track", "--path", "[[0.5],[0.6]]"]),
+    (corner("99999999999999999999^20*z"), ["split-set", "--samples", "5"]),
+    (corner("99999999999999999999^20*z"), ["jst-set", "--samples", "5"]),
     # finite entries whose products of (lam - A) factors overflow
-    ("10^200*z^2", ["scan", "--box=-1:1", "--res", "3"]),
-    ("10^200*z^2", ["scan", "--box=-1:1", "--res", "3", "--jobs", "2"]),
-    ("10^200*z^2", ["census", "--point", "0.5"]),
-    ("(2*z+3)^256", ["scan", "--box=-1:1", "--res", "3"]),
-    ("(2*z+3)^256", ["census", "--point", "0.5"]),
+    (corner("10^200*z^2"), ["scan", "--box=-1:1", "--res", "3"]),
+    (corner("10^200*z^2"), ["scan", "--box=-1:1", "--res", "3", "--jobs", "2"]),
+    (corner("10^200*z^2"), ["census", "--point", "0.5"]),
+    (corner("(2*z+3)^256"), ["scan", "--box=-1:1", "--res", "3"]),
+    (corner("(2*z+3)^256"), ["census", "--point", "0.5"]),
+    # infinite entries, which eigvals and the SVDs refuse
+    (BIG, ["census", "--point", "1e60"]),
+    (BIG, ["scan", "--box=-1e60:1e60", "--res", "3"]),
+    (BIG, ["track", "--path", "[[1e60],[2e60]]", "--steps", "2"]),
+    # a power that overflows in the evaluator
+    ([["z^256", "0"], ["0", "1"]], ["census", "--point", "1e2"]),
+    # finite powers (lam - A)^k whose roundoff scale ||lam - A||^k overflows
+    ([["10^150*z", "10^150", "0"], ["0", "10^150*z", "1"], ["0", "0", "z^2"]],
+     ["census", "--point", "0"]),
+    # finite entries whose characteristic polynomial overflows
+    ([["10^200*z", "1"], ["0", "10^200*z+1"]], ["scan", "--box=1:2", "--res", "3"]),
 ]
 
 
-@pytest.mark.parametrize("entry,argv", BEYOND_FLOAT64, ids=[
+@pytest.mark.parametrize("entries,argv", BEYOND_FLOAT64, ids=[
     "scan-coeff", "census-coeff", "track-coeff", "split-set-coeff", "jst-set-coeff",
     "scan-product", "scan-product-jobs2", "census-product", "scan-power",
-    "census-power",
+    "census-power", "census-inf-entry", "scan-inf-entry", "track-inf-entry",
+    "census-entry-power", "census-roundoff-scale", "scan-char-poly",
 ])
-def test_values_beyond_float64_are_input_errors(family_file, capsys, entry, argv):
-    doc = {"n": 2, "params": ["z"], "entries": [[entry, "1"], ["0", "z"]]}
+def test_values_beyond_float64_are_input_errors(family_file, capsys, entries, argv):
+    doc = {"n": len(entries), "params": ["z"], "entries": entries}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = cli.main([argv[0], family_file(doc), *argv[1:]])

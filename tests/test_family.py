@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jordanscope.algebra import GaussianRational, char_poly
+from jordanscope.algebra.matrices import char_poly_stack
 from jordanscope.family import MatrixFamily
 
 from test_evaluator import bits, term_loop
@@ -53,7 +54,7 @@ def test_stacked_evaluation_matches_exact(family, data):
     )
     floating = [[complex(c) for c in pt] for pt in points]
     matrices = family.at_many(floating)
-    coeffs = family.char_poly_coeffs_many(floating)
+    coeffs = char_poly_stack(matrices)
     assert matrices.shape == (len(points), family.n, family.n)
     assert coeffs.shape == (len(points), family.n + 1)
     for pt, a, c in zip(points, matrices, coeffs):

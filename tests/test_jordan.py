@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from jordanscope import jordan, tracker
 from jordanscope.algebra import GaussianRational
@@ -211,6 +212,60 @@ def test_census_similarity_invariance():
         c1 = jordan_census(phi, pairs)
         c2 = jordan_census(j, pairs)
         assert c1.blocks == c2.blocks
+
+
+def sympy_similar_to_jordan(rng, n_max=4):
+    """P J P^-1 over the Gaussian integers: J has random blocks at
+    Gaussian-integer eigenvalues, and P, a permutation times a unit upper
+    triangular matrix times one lower shear, has determinant +-1."""
+    n = rng.randint(2, n_max)
+    grid = [a + b * sympy.I for a in range(-2, 3) for b in range(-2, 3)]
+    values = rng.sample(grid, rng.randint(1, min(3, n)))
+    blocks, left = [], n
+    while left:
+        size = rng.randint(1, left)
+        blocks.append(sympy.Matrix.jordan_block(size, rng.choice(values)))
+        left -= size
+    j = sympy.diag(*blocks)
+
+    def gaussian():
+        return rng.randint(-1, 1) + rng.randint(-1, 1) * sympy.I
+
+    upper = sympy.Matrix(n, n, lambda r, c: 1 if r == c else gaussian() if r < c else 0)
+    shear = sympy.eye(n)
+    row = rng.randrange(1, n)
+    shear[row, rng.randrange(row)] = gaussian()
+    p = sympy.eye(n).permute(rng.sample(range(n), n)) * upper * shear
+    return (p * j * p.inv()).expand()
+
+
+def sympy_gr(x):
+    re, im = x.as_real_imag()
+    return gr(int(re), int(im))
+
+
+def sympy_block_sizes(a):
+    """{eigenvalue: {block size: count}} read off sympy's Jordan form."""
+    j = a.jordan_form(calc_transform=False)
+    sizes, i = {}, 0
+    while i < a.rows:
+        size = 1
+        while i + size < a.rows and j[i + size - 1, i + size] == 1:
+            size += 1
+        counts = sizes.setdefault(sympy_gr(j[i, i]), {})
+        counts[size] = counts.get(size, 0) + 1
+        i += size
+    return sizes
+
+
+def test_census_matches_sympy_jordan_form():
+    rng = random.Random(31)
+    for _ in range(20):
+        a = sympy_similar_to_jordan(rng)
+        exact = [[sympy_gr(x) for x in a.row(r)] for r in range(a.rows)]
+        pairs = [(sympy_gr(lam), m) for lam, m in a.eigenvals().items()]
+        census = jordan_census(exact, pairs)
+        assert dict(zip(census.eigenvalues, census.blocks)) == sympy_block_sizes(a)
 
 
 def test_census_floating_autodetects_eigenvalues():

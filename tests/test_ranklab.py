@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from jordanscope.algebra import GaussianRational, MultiPoly, parse_entry
 from jordanscope.algebra.matrices import mat_mul
 from jordanscope.ranklab import (
     MinorSizeError,
+    NonFiniteError,
     det_multipoly,
     exact_rank,
     generic_rank,
@@ -19,7 +21,7 @@ from jordanscope.ranklab import (
     numerical_rank,
     power_ranks,
 )
-from jordanscope.tracker import theta_power_ranks
+from jordanscope.tracker import theta_power_ranks, theta_stack
 
 GR = GaussianRational
 
@@ -301,3 +303,15 @@ def test_power_ranks_stop_at_the_first_overflowing_power():
     assert power_ranks(stack, 3, scales).tolist() == [[4, 4], [4, 4]]
     with pytest.raises(ValueError, match="matrix has non-finite entries"):
         theta_power_ranks(stack, scales)
+
+
+def test_power_ranks_stop_at_the_first_roundoff_scale_beyond_float64():
+    # B^2 = 0 is finite, but its scale ||B||^2 = 1e400 is not: an infinite
+    # threshold would call any B^2 rank 0
+    b = np.array([[[0, 1e200], [0, 0]]], dtype=complex)
+    assert power_ranks(b, 2, [1e200]).tolist() == [[1]]
+    # Theta = B^2, whose scale ||0 - B||^2 overflows
+    theta, scales = theta_stack(b, [[(0.0, 2)]])
+    assert np.all(theta == 0) and scales == [math.inf]
+    with pytest.raises(NonFiniteError):
+        theta_power_ranks(theta, scales)

@@ -145,6 +145,28 @@ def test_scan_triangular_collision_line_kinds_and_ranks_pinned():
     assert all(p.note == "" for p in report.points)
 
 
+def test_scan_evaluates_each_node_once_and_builds_no_symbolic_char_poly(monkeypatch):
+    family = MatrixFamily.from_entries(
+        [["x", "y", "0"], ["0", "x", "0"], ["0", "0", "y"]], ["x", "y"]
+    )
+
+    def refuse(self):
+        raise AssertionError("a scan built the symbolic characteristic polynomial")
+
+    evaluated = []
+    at_many = MatrixFamily.at_many
+
+    def counting_at_many(self, points):
+        evaluated.append(len(points))
+        return at_many(self, points)
+
+    monkeypatch.setattr(MatrixFamily, "char_poly_family", refuse)
+    monkeypatch.setattr(MatrixFamily, "at_many", counting_at_many)
+    report = scan_grid(family, [(-1, 1), (-1, 1)], 5)
+    assert evaluated == [17] * 25
+    assert report.summary == {"Split": 5, "Jump": 4, "StableCandidate": 16}
+
+
 def test_scan_chunk_map_hook_matches_plain_map():
     family = nilpotent_family()
     plain = scan_grid(family, [(-1, 1), (-1, 1)], 5)
