@@ -36,7 +36,7 @@ for label, roots in cases:
     p = UniPoly.from_roots([gr(r) for r in roots], one=GR_ONE)
     n = p.degree
     sm = build_split_matrix(p)
-    rank = exact_rank(sm.entries)
+    rank = exact_rank(sm)
     m_rank = distinct_zero_count(p)
     m_gcd, q0 = gcd_squarefree_oracle(p)
     print(f"{label:28s} n={n}  rank={rank}  ->  m={m_rank}  (gcd oracle: {m_gcd})")
@@ -49,6 +49,6 @@ print("\n=== the full-size minor is the discriminant ===\n")
 c = MultiPoly.variable(1, 0)
 p_sym = UniPoly([-c, MultiPoly.zero(1), MultiPoly.one(1)])
 sm = build_split_matrix(p_sym)
-det = det_multipoly(sm.entries)
+det = det_multipoly(sm)
 print("p = lam^2 - c   det(rank matrix) =", det.to_string(["c"]))
 print("root collision locus: {c = 0}")

@@ -20,6 +20,13 @@ from .scalars import GR_ONE, GR_ZERO, GaussianRational
 BLOCK_CELLS = 2**15
 
 
+class NonFiniteError(ValueError):
+    """A floating value beyond the float64 range."""
+
+    def __init__(self, message: str = "matrix has non-finite entries"):
+        super().__init__(message)  # one argument, so that pickling works
+
+
 def _grade_key(expo):
     return (sum(expo), expo)
 
@@ -163,6 +170,12 @@ class MultiPoly:
         out.terms = {e: k * c for e, k in self.terms.items()}
         return out
 
+    def __truediv__(self, k: int):
+        """Exact division by a nonzero integer."""
+        if not isinstance(k, int):
+            return NotImplemented
+        return self.scale(Fraction(1, k))
+
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
@@ -290,7 +303,10 @@ class StackedEvaluator:
         expos = np.zeros((self.width, self.count, nvars), dtype=np.intp)
         for j, p in enumerate(polys):
             for k, (e, c) in enumerate(p.terms.items(), start=1):
-                c = complex(c)
+                try:
+                    c = complex(c)
+                except OverflowError:
+                    raise NonFiniteError("polynomial coefficient too large") from None
                 terms[:, k, j] = c.real, c.imag
                 expos[k, j] = e
         self.terms = terms.reshape(2, 1, -1)
@@ -373,15 +389,6 @@ def one_like(x):
     if isinstance(x, GaussianRational):
         return GR_ONE
     return type(x)(1)
-
-
-def divide_by_int(x, k: int):
-    """Exact division by a nonzero integer, in whatever ring x lives in."""
-    if isinstance(x, MultiPoly):
-        return x.scale(Fraction(1, k))
-    if isinstance(x, GaussianRational):
-        return x / GaussianRational(k)
-    return x / k
 
 
 # -- multivariate gcd ------------------------------------------------------------

@@ -193,16 +193,7 @@ def derivative(p: UniPoly) -> UniPoly:
     """Formal derivative; degree drops by exactly 1 for nonconstant input."""
     if p.degree < 1:
         return UniPoly.zero()
-    out = []
-    for k in range(1, len(p.coeffs)):
-        c = p.coeffs[k]
-        if isinstance(c, MultiPoly):
-            out.append(c.scale(k))
-        elif isinstance(c, GaussianRational):
-            out.append(c * GaussianRational(k))
-        else:
-            out.append(c * k)
-    return UniPoly(out)
+    return UniPoly([p.coeffs[k] * k for k in range(1, len(p.coeffs))])
 
 
 def divmod_field(a: UniPoly, b: UniPoly):

@@ -208,9 +208,12 @@ def parse_resolution(text: str, nparams: int):
         raise InputError(f"bad --res {text!r} (use integers)") from err
     if len(resolution) == 1:
         resolution = resolution * nparams
+    if len(resolution) != nparams:
+        raise InputError(f"--res takes one value or one per parameter ({nparams}), "
+                         f"got {len(resolution)}")
     if min(resolution) < 2:
         raise InputError("--res must be at least 2 per axis")
-    total = math.prod(resolution[:nparams])
+    total = math.prod(resolution)
     if total > MAX_GRID_POINTS:
         raise InputError(f"grid size {total} exceeds cap {MAX_GRID_POINTS}")
     return resolution
@@ -231,6 +234,14 @@ def parse_path(text: str, nparams: int):
         if not all(cmath.isfinite(c) for c in vertex):
             raise InputError("path coordinates must be finite")
         path.append(vertex)
+    # the tracker's measure: Euclidean segment lengths
+    try:
+        length = sum(abs(x - y) ** 2 for a, b in zip(path, path[1:])
+                     for x, y in zip(a, b))
+    except OverflowError:
+        raise InputError("--path segment lengths overflow float64") from None
+    if length == 0:
+        raise InputError("--path has zero length")
     return path
 
 
@@ -548,10 +559,7 @@ def _verify_family(fam: MatrixFamily, case, rel_tol: float, seed: int, lines):
         clusters = distinct_eigenvalues(a, rel_tol)
         if len(clusters) != generic_m:
             continue  # point fell on the splitting set; resample
-        sq = np.array(
-            [[complex(x) for x in row]
-             for row in theta_from_squarefree(fam.at_exact(pt_exact))]
-        )
+        sq = theta_from_squarefree(fam.at_exact(pt_exact)).astype(complex)
         direct = theta_product(a, [lam for lam, _ in clusters])
         if np.linalg.norm(sq - direct, 2) > 1e-6 * (1 + np.linalg.norm(direct, 2)):
             ok = False

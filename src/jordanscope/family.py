@@ -8,7 +8,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .algebra.exprparse import parse_entry
-from .algebra.matrices import char_poly
+from .algebra.matrices import as_matrix, char_poly
 from .algebra.multipoly import MultiPoly, StackedEvaluator
 from .algebra.unipoly import UniPoly
 from .ranklab import NonFiniteError
@@ -88,9 +88,9 @@ class MatrixFamily:
             raise NonFiniteError()
         return values.reshape(-1, self.n, self.n)
 
-    def at_exact(self, point):
-        """Evaluate at a GaussianRational point; exact list-of-lists."""
-        return [[e.eval_exact(point) for e in row] for row in self.entries]
+    def at_exact(self, point) -> np.ndarray:
+        """Evaluate at a GaussianRational point; an exact object array."""
+        return as_matrix([[e.eval_exact(point) for e in row] for row in self.entries])
 
     def char_poly_family(self) -> UniPoly:
         """Symbolic characteristic polynomial, coefficients in the

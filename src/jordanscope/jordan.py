@@ -13,17 +13,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra.matrices import (
-    coerce_matrix,
-    identity,
-    mat_mul,
-    poly_at_matrix,
-    shifted,
-)
-from .algebra.multipoly import one_like, zero_like
+from .algebra.matrices import as_matrix, char_poly, identity_like, poly_at_matrix
 from .algebra.scalars import GaussianRational
 from .algebra.unipoly import gcd_squarefree_oracle
-from .algebra.matrices import char_poly
 from .family import MatrixFamily
 from .ranklab import (
     DEFAULT_REL_TOL,
@@ -65,34 +57,31 @@ def theta_product(phi, eigenvalues):
     """Product of (lam_j - Phi) over the distinct eigenvalues.
 
     The factors commute, so the order does not matter. Exact matrices
-    (lists of GaussianRational rows) stay exact; numpy input stays
-    floating. Repeated eigenvalues are rejected.
+    (GaussianRational entries) stay exact; numeric arrays stay floating.
+    Repeated eigenvalues are rejected.
     """
     eigenvalues = list(eigenvalues)
     for i, a in enumerate(eigenvalues):
         for b in eigenvalues[i + 1 :]:
             if a == b:
                 raise ValueError("eigenvalue list must be distinct")
-    if isinstance(phi, np.ndarray):
+    phi = as_matrix(phi)
+    if phi.dtype != object:
         return theta_from_factors(phi, [(complex(lam), 1) for lam in eigenvalues])
-    rows = coerce_matrix(phi)
-    sample = rows[0][0]
-    theta = identity(len(rows), one_like(sample), zero_like(sample))
+    eye = identity_like(phi)
+    theta = eye
     for lam in eigenvalues:
-        theta = mat_mul(theta, shifted(lam, rows))
+        theta = theta @ (lam * eye - phi)
     return theta
 
 
 def theta_from_squarefree(phi):
     """Exact cross-check route: (-1)^m q0(Phi) with q0 the square-free
     part of the characteristic polynomial."""
-    rows = coerce_matrix(phi)
-    p = char_poly(rows)
-    m, q0 = gcd_squarefree_oracle(p)
-    value = poly_at_matrix(q0.coeffs, rows)
-    if m % 2 == 1:
-        value = [[-x for x in row] for row in value]
-    return value
+    phi = as_matrix(phi)
+    m, q0 = gcd_squarefree_oracle(char_poly(phi))
+    value = poly_at_matrix(q0.coeffs, phi)
+    return -value if m % 2 == 1 else value
 
 
 # ---------------------------------------------------------------------------
@@ -121,19 +110,18 @@ def rank_profile(phi, lam, rel_tol: float = DEFAULT_REL_TOL) -> RankProfile:
     that is not an eigenvalue gives the constant profile n, a valid
     degenerate case rather than an error.
     """
-    if isinstance(phi, np.ndarray):
+    phi = as_matrix(phi)
+    if phi.dtype != object:
         return _floating_rank_profiles(phi, [lam], rel_tol)[0]
-    rows = coerce_matrix(phi)
-    n = len(rows)
-    base = shifted(lam, rows)
+    n = len(phi)
+    power = identity_like(phi)
+    base = lam * power - phi
     ranks = [n]
-    sample = rows[0][0]
-    power = identity(n, one_like(sample), zero_like(sample))
     for _ in range(n + 1):
         if len(ranks) >= 2 and ranks[-1] == ranks[-2]:
             ranks.append(ranks[-1])
             continue
-        power = mat_mul(power, base)
+        power = power @ base
         ranks.append(exact_rank(power))
     return RankProfile(lam, tuple(ranks))
 
@@ -149,7 +137,8 @@ def _floating_rank_profiles(phi: np.ndarray, lams, rel_tol: float):
     """
     n = phi.shape[0]
     eye = np.eye(n, dtype=complex)
-    bases = np.array([complex(lam) for lam in lams])[:, None, None] * eye - phi
+    with np.errstate(over="ignore", invalid="ignore"):  # power_ranks refuses inf
+        bases = np.array([complex(lam) for lam in lams])[:, None, None] * eye - phi
     norms = np.linalg.norm(bases, 2, axis=(1, 2)).tolist()
     ranks = power_ranks(bases, n + 1, norms, rel_tol)
     profiles = []
@@ -208,12 +197,14 @@ def jordan_census(
     verified and an inconsistency (negative count, multiplicity
     mismatch) raises with the offending rank profile attached.
     """
+    phi = as_matrix(phi)
+    exact = phi.dtype == object
     if eigenvalues is None:
-        if not isinstance(phi, np.ndarray):
+        if exact:
             raise ValueError("exact path requires the eigenvalue list")
         eigenvalues = distinct_eigenvalues(phi, rel_tol)
     pairs = sorted(eigenvalues, key=lambda p: _sort_key(p[0]))
-    n = phi.shape[0] if isinstance(phi, np.ndarray) else len(phi)
+    n = len(phi)
     for i, (a, _) in enumerate(pairs):
         for b, _ in pairs[i + 1 :]:
             if a == b:
@@ -221,10 +212,10 @@ def jordan_census(
     if sum(m for _, m in pairs) != n:
         raise ValueError("multiplicities must sum to the matrix size")
 
-    if isinstance(phi, np.ndarray):
-        all_profiles = _floating_rank_profiles(phi, [lam for lam, _ in pairs], rel_tol)
-    else:
+    if exact:
         all_profiles = [rank_profile(phi, lam, rel_tol) for lam, _ in pairs]
+    else:
+        all_profiles = _floating_rank_profiles(phi, [lam for lam, _ in pairs], rel_tol)
     blocks = []
     profiles = []
     for (lam, mult), prof in zip(pairs, all_profiles):
@@ -300,7 +291,8 @@ def verify_rank_identities(
     checks: List[IdentityCheck] = []
 
     # rank Theta^k for k = 1..n-1, and the nilpotency check on Theta^n
-    if isinstance(phi, np.ndarray):
+    phi = as_matrix(phi)
+    if phi.dtype != object:
         factors = [(complex(lam), 1) for lam in census.eigenvalues]
         thetas, scales = theta_stack(phi[None], [factors])
         (theta_ranks,) = theta_power_ranks(thetas, scales, rel_tol)
@@ -316,14 +308,9 @@ def verify_rank_identities(
         theta_ranks, power = [], theta
         for _ in range(n - 1):
             theta_ranks.append(exact_rank(power))
-            power = mat_mul(power, theta)
-        all_zero = all(
-            (x.is_zero() if hasattr(x, "is_zero") else x == 0)
-            for row in power
-            for x in row
-        )
+            power = power @ theta
         nilpotent = IdentityCheck("theta-nilpotent", f"Theta^{n} = 0 exactly",
-                                  all_zero)
+                                  all(x.is_zero() for x in power.flat))
 
     # stabilization of the individual rank profiles
     for lam, nj, prof in zip(

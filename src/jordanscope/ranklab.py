@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra.multipoly import MultiPoly
+from .algebra.multipoly import MultiPoly, NonFiniteError
 from .algebra.scalars import GaussianRational
 
 DEFAULT_REL_TOL = 1e-8
@@ -32,13 +32,6 @@ MINOR_DIMENSION_CAP = 9
 
 class MinorSizeError(ValueError):
     pass
-
-
-class NonFiniteError(ValueError):
-    """A floating matrix has entries beyond the float64 range."""
-
-    def __init__(self, message: str = "matrix has non-finite entries"):
-        super().__init__(message)  # one argument, so that pickling works
 
 
 @dataclass
@@ -244,8 +237,11 @@ def minors(m: Sequence[Sequence[MultiPoly]], order: int):
 
     Ordered by (row-index tuple, column-index tuple), both lexicographic,
     so the output is deterministic regardless of evaluation schedule.
-    Size-capped: matrices beyond 9x9 (or r > 9) are refused.
+    Size-capped: matrices beyond 9x9 (or r > 9) are refused. The
+    input is read into lists once: the submatrix loop indexes entries
+    far faster there than in an array.
     """
+    m = [list(row) for row in m]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     if order > min(nrows, ncols):
@@ -297,7 +293,7 @@ def generic_rank(m: Sequence[Sequence[MultiPoly]], seed: int = 0):
     Exact evaluation keeps the rank decision exact at each sample; only
     the claim of genericity is probabilistic.
     """
-    if not m or not m[0]:
+    if len(m) == 0 or len(m[0]) == 0:
         return 0, GENERIC_RANK_NOTE
     nvars = m[0][0].nvars
     rng = random.Random(seed)

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra.matrices import char_poly_stack, mat_mul, poly_at_matrix
+from .algebra.matrices import as_matrix, char_poly_stack, poly_at_matrix
 from .algebra.multipoly import MultiPoly, mp_content, mp_gcd
 from .algebra.scalars import GR_ONE
 from .algebra.unipoly import UniPoly, derivative, pseudo_divmod, subresultant_gcd
@@ -220,7 +220,7 @@ class SquareFreeResult:
     collide, theta_num evaluates to D(point) * Theta(point).
     """
 
-    theta_num: List[List[MultiPoly]]
+    theta_num: np.ndarray  # n x n, MultiPoly entries
     denominator: MultiPoly
     distinct_degree: int  # generic number of distinct eigenvalues
 
@@ -277,9 +277,9 @@ def square_free_part_family(family: MatrixFamily) -> SquareFreeResult:
             "cleared square-free part is not monic over the denominator"
         )
     m = q_tilde.degree
-    theta_num = poly_at_matrix(q_tilde.coeffs, family.entries)
+    theta_num = poly_at_matrix(q_tilde.coeffs, as_matrix(family.entries))
     if m % 2 == 1:
-        theta_num = [[-x for x in row] for row in theta_num]
+        theta_num = -theta_num
     return SquareFreeResult(
         theta_num=theta_num,
         denominator=denominator,
@@ -349,7 +349,7 @@ def jst_defining_functions(family: MatrixFamily, seed: int = 0) -> JstResult:
     k0 = 0
     for k in range(1, n):
         if k > 1:
-            power = mat_mul(power, sf.theta_num)
+            power = power @ sf.theta_num
         r_k, note = generic_rank(power, seed=seed)
         rank_values[k] = r_k
         if k == 1:

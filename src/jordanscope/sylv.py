@@ -15,10 +15,11 @@ from typing import List, Sequence
 
 import numpy as np
 
+from .algebra.matrices import as_matrix
 from .algebra.multipoly import MultiPoly, StackedEvaluator, complex_modulus
 from .algebra.multipoly import zero_like
 from .algebra.scalars import GaussianRational
-from .algebra.unipoly import MONIC_REL_TOL, UniPoly, derivative
+from .algebra.unipoly import MONIC_REL_TOL, UniPoly
 from .ranklab import (
     DEFAULT_REL_TOL,
     check_minor_size,
@@ -29,25 +30,6 @@ from .ranklab import (
 )
 
 
-@dataclass
-class SplitMatrix:
-    """Representation matrix of (s, q) |-> p*s - p'*q.
-
-    Rows are indexed by the monomial basis 1, lam, ..., lam**(2n-2) of
-    the codomain. The first n-1 columns hold the coefficients of
-    p*lam**j (j = 0..n-2); the remaining n columns hold the
-    coefficients of -p'*lam**t (t = 0..n-1). Entries outside those
-    bands are zero.
-    """
-
-    n: int
-    entries: list  # (2n-1) x (2n-1), scalars of the polynomial's ring
-
-    @property
-    def size(self) -> int:
-        return 2 * self.n - 1
-
-
 def _require_monic(p: UniPoly) -> UniPoly:
     if p.is_zero() or p.degree < 1:
         raise ValueError("need a monic polynomial of degree >= 1")
@@ -56,29 +38,32 @@ def _require_monic(p: UniPoly) -> UniPoly:
     return p
 
 
-def build_split_matrix(p: UniPoly) -> SplitMatrix:
-    """Assemble the (2n-1) x (2n-1) splitting matrix of a monic p.
+def split_matrices(coeffs) -> np.ndarray:
+    """The (N, 2n-1, 2n-1) splitting matrices of an (N, n + 1) array of
+    monic coefficients, constant term first, complex or object.
 
-    Works for complex, exact, and MultiPoly coefficients alike; the
-    rank of the result does not depend on this column convention, being
-    the rank of the underlying linear map.
+    Rows are indexed by the monomial basis 1, lam, ..., lam**(2n-2) of
+    the codomain. The first n-1 columns hold the coefficients of
+    p*lam**j (j = 0..n-2); the remaining n columns hold the
+    coefficients of -p'*lam**t (t = 0..n-1). Entries outside those
+    bands are zero. The rank does not depend on this column convention,
+    being the rank of the underlying linear map.
     """
-    p = _require_monic(p)
-    n = p.degree
-    size = 2 * n - 1
-    zero = zero_like(p.coeffs[0])
-    dp = derivative(p)
-    entries = [[zero for _ in range(size)] for _ in range(size)]
-    # block 1: columns j = 0..n-2 hold p * lam**j
+    n = coeffs.shape[1] - 1
+    dc = coeffs[:, 1:] * np.arange(1, n + 1).astype(coeffs.dtype)
+    sm = np.full((len(coeffs), 2 * n - 1, 2 * n - 1), zero_like(coeffs.flat[0]),
+                 dtype=coeffs.dtype)
     for j in range(n - 1):
-        for k in range(n + 1):
-            entries[k + j][j] = p.coeffs[k]
-    # block 2: columns n-1+t for t = 0..n-1 hold -p' * lam**t
+        sm[:, j : j + n + 1, j] = coeffs
     for t in range(n):
-        for k in range(n):  # deg p' = n-1
-            c = dp.coeff(k)
-            entries[k + t][n - 1 + t] = -c
-    return SplitMatrix(n=n, entries=entries)
+        sm[:, t : t + n, n - 1 + t] = -dc
+    return sm
+
+
+def build_split_matrix(p: UniPoly) -> np.ndarray:
+    """The (2n-1) x (2n-1) splitting matrix of a monic p, over the ring
+    of its coefficients (:func:`split_matrices`)."""
+    return split_matrices(as_matrix([_require_monic(p).coeffs]))[0]
 
 
 def distinct_zero_count(p: UniPoly, rel_tol: float = DEFAULT_REL_TOL) -> int:
@@ -92,16 +77,14 @@ def distinct_zero_count(p: UniPoly, rel_tol: float = DEFAULT_REL_TOL) -> int:
         raise TypeError("evaluate the family at a point first")
     if not isinstance(sample, GaussianRational):
         return int(distinct_zero_counts(np.array([p.coeffs]), rel_tol)[0])
-    sm = build_split_matrix(p)
-    return _count_from_rank(exact_rank(sm.entries), sm.n)
+    return _count_from_rank(exact_rank(build_split_matrix(p)), p.degree)
 
 
 def distinct_zero_counts(coeffs, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
     """:func:`distinct_zero_count` for a stack of monic polynomials.
 
     ``coeffs`` is an (N, n + 1) array of complex coefficients, constant
-    term first. The N splitting matrices are assembled as one stack and
-    ranked by one stacked SVD.
+    term first. The N splitting matrices are ranked by one stacked SVD.
     """
     c = np.asarray(coeffs, dtype=complex)
     if c.ndim != 2 or c.shape[1] < 2:
@@ -110,14 +93,7 @@ def distinct_zero_counts(coeffs, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray
     if np.any(np.abs(lead - 1.0) > MONIC_REL_TOL * (1 + np.abs(lead))):
         raise ValueError("polynomial is not monic")
     n = c.shape[1] - 1
-    dc = c[:, 1:] * np.arange(1, n + 1)
-    sm = np.zeros((c.shape[0], 2 * n - 1, 2 * n - 1), dtype=complex)
-    # the column layout of build_split_matrix
-    for j in range(n - 1):
-        sm[:, j : j + n + 1, j] = c
-    for t in range(n):
-        sm[:, t : t + n, n - 1 + t] = -dc
-    ranks = stacked_ranks(sm, rel_tol)
+    ranks = stacked_ranks(split_matrices(c), rel_tol)
     return np.array([_count_from_rank(int(r), n) for r in ranks])
 
 
@@ -152,17 +128,16 @@ def split_defining_functions(
     """
     if not all(isinstance(c, MultiPoly) for c in family.coeffs):
         raise TypeError("family coefficients must be MultiPoly")
-    _require_monic(family)
     sm = build_split_matrix(family)
-    check_minor_size(sm.size, sm.size)  # before the costly generic rank
-    r_max, note = generic_rank(sm.entries, seed=seed)
+    check_minor_size(*sm.shape)  # before the costly generic rank
+    r_max, note = generic_rank(sm, seed=seed)
     if r_max == 0:
         raise ArithmeticError("splitting matrix cannot be identically zero")
-    hs = minors(sm.entries, r_max)
+    hs = minors(sm, r_max)
     return SplitSetResult(
         functions=hs,
         r_max=r_max,
-        n=sm.n,
+        n=family.degree,
         generic_rank_note=note,
     )
 

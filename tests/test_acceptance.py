@@ -20,7 +20,6 @@ from jordanscope.algebra import (
     UniPoly,
     gcd_squarefree_oracle,
 )
-from jordanscope.algebra.matrices import mat_mul
 from jordanscope.family import MatrixFamily
 from jordanscope.jordan import (
     jordan_census,
@@ -42,6 +41,7 @@ from jordanscope.tracker import splitting_amounts, theta_extended, track_path
 from test_jordan import (
     block_diag_exact,
     jordan_block_exact,
+    mat_mul,
     random_jordan_structure,
     random_unimodular,
 )
@@ -104,7 +104,7 @@ def test_criterion_1_split_matrix_rank_law():
                 p = UniPoly.from_roots(roots, one=GR_ONE)
                 m_oracle, _ = gcd_squarefree_oracle(p)
                 assert m_oracle == len(part)
-                rank = exact_rank(build_split_matrix(p).entries)
+                rank = exact_rank(build_split_matrix(p))
                 if rank != n + m_oracle - 1:
                     failures += 1
                 checked += 1

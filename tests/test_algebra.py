@@ -19,10 +19,14 @@ from jordanscope.algebra import (
     parse_entry,
     subresultant_prs,
 )
-from jordanscope.algebra.matrices import coerce_matrix, mat_mul, shifted
+from jordanscope.algebra.matrices import as_matrix
 from jordanscope.algebra.unipoly import divmod_field, pseudo_divmod
 
 GR = GaussianRational
+
+
+def mat_mul(a, b):
+    return as_matrix(a) @ as_matrix(b)
 
 
 def gr(a, b=0):
@@ -482,8 +486,8 @@ def test_char_poly_similarity_invariance():
         n = 4
         a = [[gr(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
         # unimodular T from elementary shears with known inverse
-        t = coerce_matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-        tinv = coerce_matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        t = as_matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        tinv = as_matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
         for _ in range(6):
             i, j = rng.sample(range(n), 2)
             c = gr(rng.randint(-2, 2))

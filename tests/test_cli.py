@@ -354,7 +354,7 @@ def test_bad_entry_expression_is_input_error(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("res", ["1", "2,1", "x", "2000"])
+@pytest.mark.parametrize("res", ["1", "2,1", "x", "2000", "2,3,4"])
 def test_scan_bad_resolution_is_input_error(capsys, res):
     code = cli.main(["scan", "--builtin", "nilpotent", "--box=-1:1,-1:1",
                      "--res", res])
@@ -415,6 +415,11 @@ BEYOND_FLOAT64 = [
      ["census", "--point", "0"]),
     # finite entries whose characteristic polynomial overflows
     ([["10^200*z", "1"], ["0", "10^200*z+1"]], ["scan", "--box=1:2", "--res", "3"]),
+    ([["10^200*z", "1"], ["0", "10^200*z+1"]],
+     ["track", "--path", "[[1],[2]]", "--steps", "2"]),
+    ([["10^200*z", "1"], ["0", "10^200*z+1"]], ["split-set", "--samples", "5"]),
+    # a finite point at which lam - A overflows
+    ([["z", "1"], ["0", "-z"]], ["census", "--point", "1e308+1e308i"]),
 ]
 
 
@@ -423,6 +428,7 @@ BEYOND_FLOAT64 = [
     "scan-product", "scan-product-jobs2", "census-product", "scan-power",
     "census-power", "census-inf-entry", "scan-inf-entry", "track-inf-entry",
     "census-entry-power", "census-roundoff-scale", "scan-char-poly",
+    "track-char-poly", "split-set-char-poly", "census-extreme-point",
 ])
 def test_values_beyond_float64_are_input_errors(family_file, capsys, entries, argv):
     doc = {"n": len(entries), "params": ["z"], "entries": entries}
@@ -520,8 +526,12 @@ def test_tolerance_outside_unit_interval_is_input_error(capsys, argv):
     ["track", "--path", "[[NaN],[1.0]]"],
     ["track", "--path", "[[Infinity],[1.0]]"],
     ["track", "--path", '[[["a","b"]],[1.0]]'],
+    ["track", "--path", "[[1],[1]]"],
+    ["track", "--path", "[[0],[1e-300]]"],
+    ["track", "--path", "[[0],[1e200]]"],
 ], ids=["radius-nan", "radius-inf", "radius-0", "box-nan", "box-inf", "box-zero-width",
-        "point-nan", "point-overflow", "path-nan", "path-inf", "path-strings"])
+        "point-nan", "point-overflow", "path-nan", "path-inf", "path-strings",
+        "path-zero-length", "path-length-underflow", "path-length-overflow"])
 def test_non_finite_or_degenerate_number_is_input_error(capsys, argv):
     code = cli.main([argv[0], "--builtin", "shear", *argv[1:]])
     assert code == 2

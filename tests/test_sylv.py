@@ -41,25 +41,25 @@ def test_split_matrix_lambda_squared():
     # p = lam^2: columns {p*1, -p'*1, -p'*lam} in basis (1, lam, lam^2)
     p = UniPoly([gr(0), gr(0), gr(1)])
     sm = build_split_matrix(p)
-    cols = [[sm.entries[i][j] for i in range(3)] for j in range(3)]
+    cols = [[sm[i][j] for i in range(3)] for j in range(3)]
     assert cols[0] == [gr(0), gr(0), gr(1)]
     assert cols[1] == [gr(0), gr(-2), gr(0)]
     assert cols[2] == [gr(0), gr(0), gr(-2)]
     from jordanscope.ranklab import exact_rank
 
-    assert exact_rank(sm.entries) == 2
+    assert exact_rank(sm) == 2
 
 
 def test_split_matrix_distinct_roots_full_rank():
     p = UniPoly([gr(-1), gr(0), gr(1)])  # lam^2 - 1
     sm = build_split_matrix(p)
-    cols = [[sm.entries[i][j] for i in range(3)] for j in range(3)]
+    cols = [[sm[i][j] for i in range(3)] for j in range(3)]
     assert cols[0] == [gr(-1), gr(0), gr(1)]
     assert cols[1] == [gr(0), gr(-2), gr(0)]
     assert cols[2] == [gr(0), gr(0), gr(-2)]
     from jordanscope.ranklab import exact_rank
 
-    assert exact_rank(sm.entries) == 3
+    assert exact_rank(sm) == 3
 
 
 def test_split_matrix_band_structure():
@@ -71,12 +71,12 @@ def test_split_matrix_band_structure():
         for j in range(n - 1):  # p-block bands: j <= i <= n+j
             for i in range(size):
                 if not (j <= i <= n + j):
-                    assert sm.entries[i][j].is_zero()
+                    assert sm[i][j].is_zero()
         for t in range(n):  # q-block bands: t <= i <= t+n-1
             j = n - 1 + t
             for i in range(size):
                 if not (t <= i <= t + n - 1):
-                    assert sm.entries[i][j].is_zero()
+                    assert sm[i][j].is_zero()
 
 
 def test_split_matrix_rejects_bad_input():
@@ -95,7 +95,7 @@ def test_split_matrix_symbolic_discriminant():
     sm = build_split_matrix(p)
     from jordanscope.ranklab import det_multipoly
 
-    d = det_multipoly(sm.entries)
+    d = det_multipoly(sm)
     assert d in (c.scale(4), c.scale(-4))
 
 
@@ -140,14 +140,14 @@ def test_rank_invariance_under_translation_and_scaling():
         n = rng.randint(2, 5)
         roots = [rng.randint(-3, 3) for _ in range(n)]
         p = monic_from_roots(roots)
-        base = exact_rank(build_split_matrix(p).entries)
+        base = exact_rank(build_split_matrix(p))
         a = gr(rng.choice([1, 2, 3, -2]))
         # translation p(lam - a): roots shift by a
         shifted = monic_from_roots([gr(r) + a for r in roots])
-        assert exact_rank(build_split_matrix(shifted).entries) == base
+        assert exact_rank(build_split_matrix(shifted)) == base
         # scaling a^{-n} p(a lam): roots divide by a
         scaled = monic_from_roots([gr(r) / a for r in roots])
-        assert exact_rank(build_split_matrix(scaled).entries) == base
+        assert exact_rank(build_split_matrix(scaled)) == base
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +217,7 @@ def test_no_minor_references_leading_coefficient():
         coeffs = [MultiPoly.variable(nv, k) for k in range(n)] + [MultiPoly.one(nv)]
         fam = UniPoly(coeffs)
         sm = build_split_matrix(fam)
-        for h in minors(sm.entries, 2 * n - 1):
+        for h in minors(sm, 2 * n - 1):
             assert h.terms.get((0,) * nv) is None
 
 
