@@ -3,13 +3,14 @@
 Floating ranks use the SVD threshold rule
 ``sigma > rel_tol * sigma_max * max(rows, cols)``; exact ranks use
 fraction-free (Bareiss) elimination with full pivoting over Gaussian
-rationals. Minors of polynomial matrices are fraction-free as well.
+rationals. Minors of polynomial matrices come from one sweep over the
+rows that expands every order-k minor along its last row in terms of
+the order-(k-1) minors above it: sums and products only, no division,
+and each nonzero lower minor is computed once for all minors above it.
 """
 
 from __future__ import annotations
 
-import itertools
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +27,8 @@ DEFAULT_REL_TOL = 1e-8
 #: of order (a few) * eps * prod of factor norms
 ROUNDOFF_MARGIN = 1e3
 
-#: minor enumeration refuses matrices larger than this (C(9, r)**2 blow-up)
+#: minor enumeration refuses matrices larger than this: the row sweep
+#: holds up to C(9, k)**2 polynomial minors at level k (15,876 at k = 4)
 MINOR_DIMENSION_CAP = 9
 
 
@@ -166,38 +168,28 @@ def _coerce_exact(m):
     return rows
 
 
-def _bareiss(work, divide):
-    """Fraction-free (Bareiss) elimination with full pivoting, in place.
-
-    ``divide`` is the exact division of the entries' ring. Returns the
-    rank and the sign of the row and column swaps; for a square matrix
-    of full rank the determinant is that sign times the last pivot,
-    ``work[-1][-1]``.
-    """
+def _bareiss(work) -> int:
+    """Rank by fraction-free (Bareiss) elimination with full pivoting,
+    in place, over Gaussian rationals."""
     nrows, ncols = len(work), len(work[0])
-    sign = 1
     prev = None
     for r in range(min(nrows, ncols)):
         # full pivot: any nonzero entry of the remaining submatrix
         pivot = next(((i, j) for i in range(r, nrows) for j in range(r, ncols)
                       if not work[i][j].is_zero()), None)
         if pivot is None:
-            return r, sign
+            return r
         pi, pj = pivot
-        if pi != r:
-            work[r], work[pi] = work[pi], work[r]
-            sign = -sign
-        if pj != r:
-            for row in work:
-                row[r], row[pj] = row[pj], row[r]
-            sign = -sign
+        work[r], work[pi] = work[pi], work[r]
+        for row in work:
+            row[r], row[pj] = row[pj], row[r]
         p = work[r][r]
         for i in range(r + 1, nrows):
             for j in range(r + 1, ncols):
                 num = p * work[i][j] - work[i][r] * work[r][j]
-                work[i][j] = num if prev is None else divide(num, prev)
+                work[i][j] = num if prev is None else num / prev
         prev = p
-    return min(nrows, ncols), sign
+    return min(nrows, ncols)
 
 
 def exact_rank(m) -> int:
@@ -205,7 +197,7 @@ def exact_rank(m) -> int:
     work = _coerce_exact(m)
     if not work or not work[0]:
         return 0
-    return _bareiss(work, operator.truediv)[0]
+    return _bareiss(work)
 
 
 # ---------------------------------------------------------------------------
@@ -213,15 +205,13 @@ def exact_rank(m) -> int:
 
 
 def det_multipoly(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
-    """Fraction-free (Bareiss) determinant over the polynomial ring."""
+    """Determinant over the polynomial ring: the order-n case of
+    :func:`minors`."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
-    work = [list(r) for r in rows]
-    rank, sign = _bareiss(work, MultiPoly.exact_div)
-    if rank < n:
-        return MultiPoly.zero(rows[0][0].nvars)
-    return work[n - 1][n - 1] if sign > 0 else -work[n - 1][n - 1]
+    found = minors(rows, n)
+    return found[0] if found else MultiPoly.zero(rows[0][0].nvars)
 
 
 def check_minor_size(nrows: int, ncols: int):
@@ -237,9 +227,21 @@ def minors(m: Sequence[Sequence[MultiPoly]], order: int):
 
     Ordered by (row-index tuple, column-index tuple), both lexicographic,
     so the output is deterministic regardless of evaluation schedule.
-    Size-capped: matrices beyond 9x9 (or r > 9) are refused. The
-    input is read into lists once: the submatrix loop indexes entries
-    far faster there than in an array.
+    Each minor holds its terms in ``sorted_terms()`` order: a floating
+    evaluation sums terms in insertion order, so this order fixes the
+    bits of the bound checks whatever the arithmetic that built them.
+    Size-capped: matrices beyond 9x9 (or r > 9) are refused.
+
+    One sweep over the rows, a generalized Laplace expansion along the
+    last row: the minor on rows R + (i,), i > max R, and columns C + {j}
+    sums (-1)**(len(R) + t) * m[i][j] * minor(R, C) over j, t being j's
+    position in the new column tuple. Each level keeps, per row tuple,
+    only its nonzero minors; zero entries are skipped, and a row tuple
+    too late to reach order r is not extended. Only sums and products
+    are formed, never a quotient. Building the order-k minors costs one
+    polynomial product per nonzero order-(k-1) minor and nonzero entry
+    of a later row outside its columns; each lower minor is formed once
+    for all the minors above it.
     """
     m = [list(row) for row in m]
     nrows = len(m)
@@ -249,14 +251,30 @@ def minors(m: Sequence[Sequence[MultiPoly]], order: int):
     if order < 1:
         raise ValueError("minor order must be >= 1")
     check_minor_size(nrows, ncols)
-    out = []
-    for ri in itertools.combinations(range(nrows), order):
-        for ci in itertools.combinations(range(ncols), order):
-            sub = [[m[i][j] for j in ci] for i in ri]
-            d = det_multipoly(sub)
-            if not d.is_zero():
-                out.append(d)
-    return out
+    # per row: its nonzero entries j, as (m[i][j], -m[i][j]) indexed by sign
+    signed = [[(j, (e, -e)) for j, e in enumerate(row) if not e.is_zero()]
+              for row in m]
+    level = {(): {(): MultiPoly.one(m[0][0].nvars)}}
+    for k in range(order):
+        following = {}
+        for rows, table in level.items():
+            first = rows[-1] + 1 if rows else 0
+            for i in range(first, nrows - order + k + 1):
+                sums = {}
+                for cols, minor in table.items():
+                    for j, entry in signed[i]:
+                        if j in cols:
+                            continue
+                        t = sum(c < j for c in cols)
+                        key = cols[:t] + (j,) + cols[t:]
+                        term = entry[(k + t) % 2] * minor
+                        sums[key] = sums[key] + term if key in sums else term
+                nonzero = {c: d for c, d in sums.items() if not d.is_zero()}
+                if nonzero:
+                    following[rows + (i,)] = nonzero
+        level = following
+    return [MultiPoly(d.nvars, dict(d.sorted_terms()))
+            for rows in sorted(level) for _, d in sorted(level[rows].items())]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from jordanscope.algebra import GaussianRational, MultiPoly, parse_entry
 from jordanscope.algebra.matrices import as_matrix
+from jordanscope.corpus import builtin_cases
 from jordanscope.ranklab import (
     MinorSizeError,
     NonFiniteError,
@@ -21,6 +23,7 @@ from jordanscope.ranklab import (
     numerical_rank,
     power_ranks,
 )
+from jordanscope.sylv import build_split_matrix
 from jordanscope.tracker import theta_power_ranks, theta_stack
 
 GR = GaussianRational
@@ -222,6 +225,85 @@ def test_det_multipoly_against_cofactor_oracle():
         n = rng.randint(2, 4)
         m = [[rand_entry() for _ in range(n)] for _ in range(n)]
         assert det_multipoly(m) == cofactor(m)
+
+
+def bareiss_det(rows):
+    """Fraction-free (Bareiss) determinant with full pivoting: the
+    per-submatrix reference that the minor sweep replaced."""
+    n = len(rows)
+    work = [list(r) for r in rows]
+    sign, prev = 1, None
+    for r in range(n):
+        pivot = next(((i, j) for i in range(r, n) for j in range(r, n)
+                      if not work[i][j].is_zero()), None)
+        if pivot is None:
+            return MultiPoly.zero(rows[0][0].nvars)
+        pi, pj = pivot
+        if pi != r:
+            work[r], work[pi] = work[pi], work[r]
+            sign = -sign
+        if pj != r:
+            for row in work:
+                row[r], row[pj] = row[pj], row[r]
+            sign = -sign
+        p = work[r][r]
+        for i in range(r + 1, n):
+            for j in range(r + 1, n):
+                num = p * work[i][j] - work[i][r] * work[r][j]
+                work[i][j] = num if prev is None else num.exact_div(prev)
+        prev = p
+    return work[-1][-1] if sign > 0 else -work[-1][-1]
+
+
+def bareiss_minors(m, order):
+    out = []
+    for ri in itertools.combinations(range(len(m)), order):
+        for ci in itertools.combinations(range(len(m[0])), order):
+            d = bareiss_det([[m[i][j] for j in ci] for i in ri])
+            if not d.is_zero():
+                out.append(d)
+    return out
+
+
+RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+GAUSSIAN = st.builds(GR, RATIONALS, RATIONALS)
+
+
+@st.composite
+def multipoly_matrices(draw):
+    nvars = draw(st.integers(1, 2))
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    exponents = st.tuples(*[st.integers(0, 2)] * nvars)
+    entries = st.dictionaries(exponents, GAUSSIAN, max_size=3).map(
+        lambda terms: MultiPoly(nvars, terms))
+    return draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+
+
+@settings(max_examples=40, deadline=None)
+@given(multipoly_matrices())
+def test_minor_sweep_equals_per_submatrix_bareiss(m):
+    for order in range(1, min(len(m), len(m[0])) + 1):
+        got = minors(m, order)
+        assert got == bareiss_minors(m, order)
+        for h in got:
+            assert list(h.terms) == [e for e, _ in h.sorted_terms()]
+
+
+def test_minors_form_no_quotient(monkeypatch):
+    # every built-in family's splitting matrix at its generic rank
+    cases = builtin_cases()
+    matrices = [build_split_matrix(case.family.char_poly_family()) for case in cases]
+    ranks = [generic_rank(sm)[0] for sm in matrices]
+    want = [minors(sm, r) for sm, r in zip(matrices, ranks)]
+
+    def refuse(self, divisor):
+        raise AssertionError("minors divided")
+
+    monkeypatch.setattr(MultiPoly, "exact_div", refuse)
+    for case, sm, r, expected in zip(cases, matrices, ranks, want):
+        assert expected, case.name
+        assert minors(sm, r) == expected
 
 
 def test_minors_vanish_iff_rank_drops():

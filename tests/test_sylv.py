@@ -11,9 +11,12 @@ from jordanscope.algebra import (
     GR_ONE,
     MultiPoly,
     UniPoly,
+    derivative,
     gcd_squarefree_oracle,
+    subresultant_prs,
 )
 from jordanscope.algebra.multipoly import StackedEvaluator
+from jordanscope.family import MatrixFamily
 from jordanscope.sylv import (
     build_split_matrix,
     check_coeff_bound,
@@ -204,6 +207,57 @@ def test_split_zero_set_matches_distinct_count_drop():
         m = distinct_zero_count(fam_at)
         all_zero = all(h.eval_exact(pt).is_zero() for h in res.functions)
         assert all_zero == (m < 2)
+
+
+def principal_subresultant(p, d):
+    """psc_d(p, p') up to sign: the leading coefficient of the element of
+    degree d of the subresultant PRS of p and p', which is the
+    subresultant S_d itself when the PRS reaches degree d from d + 1."""
+    prs = subresultant_prs(p, derivative(p))
+    degrees = [u.degree for u in prs]
+    assert d in degrees and d + 1 in degrees
+    return prs[degrees.index(d)].leading
+
+
+def _gaussian(rng):
+    return GR(Fraction(rng.randint(-50, 50), rng.randint(1, 9)),
+              Fraction(rng.randint(-50, 50), rng.randint(1, 9)))
+
+
+# upper-triangular families (eigenvalues on the diagonal), their generic
+# gcd degree d0, and lines t -> (z, w) on which two eigenvalue branches
+# collide
+TRIANGULAR_COLLISIONS = [
+    ([["z", "1", "w"], ["0", "z", "1"], ["0", "0", "w"]], 1,
+     [lambda t: (t, t)]),
+    ([["z", "w", "1"], ["0", "w", "z"], ["0", "0", "z + w"]], 0,
+     [lambda t: (t, t), lambda t: (t, GR(0)), lambda t: (GR(0), t)]),
+    ([["z", "1", "w", "2"], ["0", "z", "1", "w"], ["0", "0", "z", "z + w"],
+      ["0", "0", "0", "w + 1"]], 2,
+     [lambda t: (t + GR(1), t)]),
+]
+
+
+@pytest.mark.parametrize("entries,d0,lines", TRIANGULAR_COLLISIONS,
+                         ids=["double", "distinct", "triple"])
+def test_split_minors_vanish_with_the_principal_subresultant(entries, d0, lines):
+    # Collins 1967: for monic p, deg gcd(p, p') is the least d with
+    # psc_d(p, p') != 0, so the order-r_max minors and psc_d0, d0 the
+    # generic gcd degree, vanish at the same points
+    p = MatrixFamily.from_entries(entries, ["z", "w"]).char_poly_family()
+    res = split_defining_functions(p)
+    assert res.r_max == 2 * p.degree - 1 - d0
+    psc = principal_subresultant(p, d0)
+    rng = random.Random(res.r_max)
+    for line in lines:
+        for _ in range(3):
+            pt = line(_gaussian(rng))
+            assert psc.eval_exact(pt).is_zero()
+            assert all(h.eval_exact(pt).is_zero() for h in res.functions)
+    for _ in range(5):
+        pt = (_gaussian(rng), _gaussian(rng))
+        assert not psc.eval_exact(pt).is_zero()
+        assert not all(h.eval_exact(pt).is_zero() for h in res.functions)
 
 
 def test_no_minor_references_leading_coefficient():
