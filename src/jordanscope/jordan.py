@@ -95,10 +95,6 @@ class RankProfile:
     eigenvalue: object
     ranks: Tuple[int, ...]
 
-    def is_convex(self) -> bool:
-        r = self.ranks
-        return all(r[k - 1] + r[k + 1] >= 2 * r[k] for k in range(1, len(r) - 1))
-
 
 def rank_profile(phi, lam, rel_tol: float = DEFAULT_REL_TOL) -> RankProfile:
     """Ranks of the powers (lam - Phi)^k, k = 0..n+1.

@@ -388,14 +388,6 @@ def _polyline(vertices):
     return at
 
 
-def _seed_state(family: MatrixFamily, point, rel_tol: float):
-    """The branch state at a point from its eigenvalues, and the
-    characteristic polynomial there."""
-    clusters = distinct_eigenvalues(family.at(point), rel_tol)
-    p = family.char_poly_at(point)
-    return isolate(p, clusters), p
-
-
 def track_path(
     family: MatrixFamily,
     path: Sequence[Sequence[complex]],
@@ -415,8 +407,25 @@ def track_path(
     base_h = 1.0 / steps
     h_min = base_h / 2**MAX_STEP_HALVINGS
 
-    t, here = 0.0, zeta(0.0)
-    state, p_cur = _seed_state(family, here, rel_tol)
+    # A rejected trial point is tried again from a later t, and a re-seed
+    # may land on one, so each point's polynomial is kept for the path.
+    polys = {}  # t -> characteristic polynomial at zeta(t)
+
+    def char_poly(t_at, point):
+        if t_at not in polys:
+            polys[t_at] = family.char_poly_at(point)
+        return polys[t_at]
+
+    def seed(t_at):
+        """The point, its branch state from its eigenvalues, and its
+        characteristic polynomial."""
+        point = zeta(t_at)
+        clusters = distinct_eigenvalues(family.at(point), rel_tol)
+        p = char_poly(t_at, point)
+        return point, isolate(p, clusters), p
+
+    t = 0.0
+    here, state, p_cur = seed(t)
     samples = [TrackSample(t, here, state.centers, state.multiplicities)]
     events: List[SplitEvent] = []
     h = base_h
@@ -424,7 +433,7 @@ def track_path(
     while t < 1.0 - 1e-14:
         t_try = min(t + h, 1.0)
         there = zeta(t_try)
-        p_try = family.char_poly_at(there)
+        p_try = char_poly(t_try, there)
         known = _rouche_values(p_cur, p_try, state)
         if known is not None:
             new_centers = contour_roots(
@@ -443,8 +452,8 @@ def track_path(
                 t_resume = min(t + base_h, 1.0)
                 if t_resume >= 1.0 - 1e-14:
                     break
-                t, here = t_resume, zeta(t_resume)
-                state, p_cur = _seed_state(family, here, rel_tol)
+                t = t_resume
+                here, state, p_cur = seed(t)
                 samples.append(TrackSample(t, here, state.centers,
                                            state.multiplicities))
                 h = base_h

@@ -364,9 +364,8 @@ def test_track_through_split_brackets_event():
 
 
 def test_track_evaluates_each_visited_point_once(monkeypatch):
-    # A rejected trial point may be tried again from a later t, so points
-    # do recur; but a seed and the step after it never evaluate one point
-    # twice in a row.
+    # Near the collision, rejected trial points are tried again from later
+    # t, and a re-seed may land on one; each point is still evaluated once.
     points = []
     char_poly_at = MatrixFamily.char_poly_at
 
@@ -377,7 +376,8 @@ def test_track_evaluates_each_visited_point_once(monkeypatch):
     monkeypatch.setattr(MatrixFamily, "char_poly_at", counted)
     res = track_path(FAM_SHEAR(), [[1.0], [-1.0]], steps=100)
     assert len(res.events) == 1  # one re-seed past the collision
-    assert [a for a, b in zip(points, points[1:]) if a == b] == []
+    assert len(points) > 100
+    assert len(points) == len(set(points))
 
 
 def test_track_branch_values_satisfy_charpoly():
