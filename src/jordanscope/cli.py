@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import hashlib
 import json
 import math
@@ -269,13 +270,23 @@ def checked_count(option: str, value: int, cap: float = math.inf) -> int:
     return value
 
 
-def unit_polydisk_samples(nparams: int, count: int, seed: int):
+def unit_polydisk_samples(nparams: int, count: int, seed: int) -> np.ndarray:
+    """``count`` points of the box [-1, 1]^(2 nparams): shape (count, nparams).
+
+    The values are those of ``complex(rng.uniform(-1, 1), rng.uniform(-1, 1))``
+    per parameter per sample with ``rng = random.Random(seed)``, bit for bit,
+    drawn as one array. ``uniform(-1, 1)`` is ``-1 + 2.0 * random()``, and
+    ``random()`` is ``((a >> 5) * 2**26 + (b >> 6)) / 2**53`` for two
+    consecutive 32-bit Mersenne Twister outputs a, b; every step but the
+    last sum is exact in float64. ``getrandbits(32 k)`` returns k
+    consecutive outputs with the first in the lowest word.
+    """
     checked_count("--samples", count, MAX_SAMPLES)
-    rng = random.Random(seed)
-    return [
-        [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(nparams)]
-        for _ in range(count)
-    ]
+    words = 4 * nparams * count  # two outputs per float, two floats per coordinate
+    raw = random.Random(seed).getrandbits(32 * words).to_bytes(4 * words, "little")
+    a, b = np.frombuffer(raw, dtype="<u4").reshape(-1, 2).T
+    unit = ((a >> 5) * 67108864.0 + (b >> 6)) * (1.0 / 9007199254740992.0)
+    return (-1.0 + 2.0 * unit).view(complex).reshape(count, nparams)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +322,10 @@ def bound_doc(report) -> dict:
         "passed": report.passed,
         "applicable": report.applicable,
         "max_ratio": report.max_ratio,
-        "violations": report.violations[:10],
+        "violations": [
+            {**v, "point": [cplx(c) for c in v["point"]]}
+            for v in report.violations[:10]
+        ],
         "note": report.note,
     }
 
@@ -635,7 +649,11 @@ def cmd_verify(args) -> int:
 # argument parsing
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared after: every
+    ``parse_args`` returns a new namespace, and no option has a mutable
+    default."""
     parser = argparse.ArgumentParser(
         prog="jordanscope",
         description=(

@@ -1,12 +1,14 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
-from jordanscope import cli
+from jordanscope import cli, scanner
 from jordanscope.algebra import parse_entry
 from jordanscope.family import MatrixFamily
 
@@ -637,6 +639,43 @@ def test_samples_above_cap_is_input_error(capsys, monkeypatch, command, work):
     assert code == 2 and not built
     assert capsys.readouterr().err == (
         "input error: --samples must be at most 100000, got 100001\n")
+
+
+def test_jst_bound_violation_is_a_validation_failure(capsys, monkeypatch):
+    real = scanner.bound_report
+
+    def tiny_constant(label, points, functions, constant, scales, exponent):
+        return real(label, points, functions, 1e-300, scales, exponent)
+
+    monkeypatch.setattr(scanner, "bound_report", tiny_constant)
+    code, out = run_cli(["jst-set", "--builtin", "shear", "--samples", "20"], capsys)
+    assert code == cli.EXIT_VALIDATION
+    bound = json.loads(out)["bound_check"]
+    assert bound["applicable"] and not bound["passed"]
+    assert bound["violations"]
+    for violation in bound["violations"]:
+        assert [[type(x) for x in c] for c in violation["point"]] == [[float, float]]
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    out_path = tmp_path / "seed3.json"
+    code, out = run_cli(["split-set", "--builtin", "shear", "--samples", "20",
+                         "--seed", "3", "--out", str(out_path)], capsys)
+    assert code == 0 and out == ""
+    assert json.loads(out_path.read_text())["manifest"]["seed"] == 3
+    src = str(Path(cli.__file__).resolve().parents[1])
+    for command in ("split-set", "jst-set"):
+        argv = [command, "--builtin", "shear", "--samples", "20"]
+        code, out = run_cli(argv, capsys)
+        assert code == 0
+        assert json.loads(out)["manifest"]["seed"] == 0
+        fresh = subprocess.run(
+            [sys.executable, "-m", "jordanscope.cli", *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert fresh.returncode == 0
+        assert out == fresh.stdout
 
 
 def test_track_steps_above_cap_is_input_error(capsys, monkeypatch):
