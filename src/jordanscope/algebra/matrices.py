@@ -20,17 +20,23 @@ from .unipoly import MonicPoly
 
 
 def as_matrix(rows) -> np.ndarray:
-    """Numeric arrays pass through; anything else becomes a rectangular
-    object array, with int/Fraction entries coerced to GaussianRational
-    (complex and MultiPoly pass through)."""
+    """The matrix of ``rows`` in the ring its entries decide: numeric
+    arrays pass through, a float, complex or numpy scalar entry anywhere
+    makes it complex128, and otherwise it is an object array, int and
+    Fraction entries becoming GaussianRational (others pass through)."""
     if isinstance(rows, np.ndarray) and rows.dtype != object:
         return rows
-    rows = [[GaussianRational(x) if isinstance(x, (int, Fraction)) else x
-             for x in row] for row in rows]
+    rows = [list(row) for row in rows]
     if not rows or not rows[0]:
         raise ValueError("empty matrix")
     if any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("ragged matrix")
+    kinds = {type(x) for row in rows for x in row}
+    if any(issubclass(t, (float, complex, np.number)) for t in kinds):
+        return np.array(rows, dtype=complex)
+    if any(issubclass(t, (int, Fraction)) for t in kinds):
+        rows = [[GaussianRational(x) if isinstance(x, (int, Fraction)) else x
+                 for x in row] for row in rows]
     return np.array(rows, dtype=object)
 
 

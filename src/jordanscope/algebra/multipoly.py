@@ -170,11 +170,14 @@ class MultiPoly:
         out.terms = {e: k * c for e, k in self.terms.items()}
         return out
 
-    def __truediv__(self, k: int):
-        """Exact division by a nonzero integer."""
-        if not isinstance(k, int):
+    def __truediv__(self, other):
+        """Exact division by a nonzero integer, or by a polynomial that
+        divides this one (:meth:`exact_div`)."""
+        if isinstance(other, MultiPoly):
+            return self.exact_div(other)
+        if not isinstance(other, int):
             return NotImplemented
-        return self.scale(Fraction(1, k))
+        return self.scale(Fraction(1, other))
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:

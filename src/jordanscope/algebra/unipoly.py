@@ -207,10 +207,7 @@ def divmod_field(a: UniPoly, b: UniPoly):
     rem = UniPoly(list(a.coeffs))
     while not rem.is_zero() and rem.degree >= b.degree:
         k = rem.degree - b.degree
-        if isinstance(lead, MultiPoly):
-            c = rem.leading.exact_div(lead)
-        else:
-            c = rem.leading / lead
+        c = rem.leading / lead
         q[k] = c
         rem = rem - b.scale(c).shift(k)
     zero = zero_like(a.coeffs[0])
@@ -299,14 +296,15 @@ def subresultant_prs(f: UniPoly, g: UniPoly):
         _, r = pseudo_divmod(a, b)
         if r.is_zero():
             break
-        r = _exact_scalar_div_poly(r, gg * _scalar_pow(h, delta))
+        divisor = gg * _scalar_pow(h, delta)
+        r = UniPoly([c / divisor for c in r.coeffs])
         seq.append(r)
         a, b = b, r
         gg = a.leading
         if delta == 1:
             h = gg
         elif delta > 1:
-            h = _exact_scalar_div(_scalar_pow(gg, delta), _scalar_pow(h, delta - 1))
+            h = _scalar_pow(gg, delta) / _scalar_pow(h, delta - 1)
     return seq
 
 
@@ -323,15 +321,3 @@ def _scalar_pow(c, k: int):
     if k == 0:
         return one_like(c)
     return c**k
-
-
-def _exact_scalar_div(a, b):
-    if isinstance(a, MultiPoly):
-        return a.exact_div(b)
-    return a / b
-
-
-def _exact_scalar_div_poly(p: UniPoly, c) -> UniPoly:
-    if isinstance(c, MultiPoly):
-        return UniPoly([q.exact_div(c) for q in p.coeffs])
-    return UniPoly([q / c for q in p.coeffs])

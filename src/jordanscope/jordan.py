@@ -20,7 +20,6 @@ from .family import MatrixFamily
 from .ranklab import (
     DEFAULT_REL_TOL,
     NonFiniteError,
-    exact_rank,
     kernel_basis,
     power_ranks,
 )
@@ -28,7 +27,6 @@ from .tracker import (
     contour_roots,
     distinct_eigenvalues,
     isolate,
-    theta_from_factors,
     theta_power_ranks,
     theta_stack,
 )
@@ -53,12 +51,19 @@ class CensusInconsistencyError(RuntimeError):
 # the nilpotent product over distinct eigenvalues
 
 
-def theta_product(phi, eigenvalues):
-    """Product of (lam_j - Phi) over the distinct eigenvalues.
+def _ring_scalars(phi: np.ndarray, values) -> np.ndarray:
+    """``values`` in the ring of ``phi``: complex unless ``phi`` is exact."""
+    if phi.dtype == object:
+        return np.array(list(values), dtype=object)
+    return np.array([complex(v) for v in values])
 
-    The factors commute, so the order does not matter. Exact matrices
-    (GaussianRational entries) stay exact; numeric arrays stay floating.
-    Repeated eigenvalues are rejected.
+
+def theta_product(phi, eigenvalues):
+    """Product of (lam_j - Phi) over the distinct eigenvalues, in the
+    ring of Phi's entries (:func:`as_matrix`).
+
+    The factors commute, so the order does not matter. Repeated
+    eigenvalues are rejected.
     """
     eigenvalues = list(eigenvalues)
     for i, a in enumerate(eigenvalues):
@@ -66,11 +71,9 @@ def theta_product(phi, eigenvalues):
             if a == b:
                 raise ValueError("eigenvalue list must be distinct")
     phi = as_matrix(phi)
-    if phi.dtype != object:
-        return theta_from_factors(phi, [(complex(lam), 1) for lam in eigenvalues])
     eye = identity_like(phi)
     theta = eye
-    for lam in eigenvalues:
+    for lam in _ring_scalars(phi, eigenvalues):
         theta = theta @ (lam * eye - phi)
     return theta
 
@@ -97,45 +100,32 @@ class RankProfile:
 
 
 def rank_profile(phi, lam, rel_tol: float = DEFAULT_REL_TOL) -> RankProfile:
-    """Ranks of the powers (lam - Phi)^k, k = 0..n+1.
+    """Ranks of the powers (lam - Phi)^k, k = 0..n+1, by the rank rule
+    of the ring of Phi's entries (:func:`ranklab.stacked_ranks`).
 
     Once two consecutive ranks agree the kernel chain has stabilized
-    and all later ranks equal them exactly, so computation stops there
-    and the tail is filled in; this also keeps deep powers of badly
-    scaled matrices from polluting the profile with roundoff. A lam
-    that is not an eigenvalue gives the constant profile n, a valid
-    degenerate case rather than an error.
+    and all later ranks equal them exactly, so the tail repeats that
+    rank; this also keeps deep powers of badly scaled matrices from
+    polluting the profile with roundoff. A lam that is not an eigenvalue
+    gives the constant profile n, a valid degenerate case.
     """
-    phi = as_matrix(phi)
-    if phi.dtype != object:
-        return _floating_rank_profiles(phi, [lam], rel_tol)[0]
-    n = len(phi)
-    power = identity_like(phi)
-    base = lam * power - phi
-    ranks = [n]
-    for _ in range(n + 1):
-        if len(ranks) >= 2 and ranks[-1] == ranks[-2]:
-            ranks.append(ranks[-1])
-            continue
-        power = power @ base
-        ranks.append(exact_rank(power))
-    return RankProfile(lam, tuple(ranks))
+    return _rank_profiles(as_matrix(phi), [lam], rel_tol)[0]
 
 
-def _floating_rank_profiles(phi: np.ndarray, lams, rel_tol: float):
-    """:func:`rank_profile` of a floating matrix at several eigenvalues,
-    with every power ranked in one stacked SVD (:func:`power_ranks`).
+def _rank_profiles(phi: np.ndarray, lams, rel_tol: float):
+    """:func:`rank_profile` of a matrix at several eigenvalues, with
+    every power of every base ranked in one :func:`power_ranks` call.
 
     All powers up to n+1 are ranked; the stopping rule then discards the
     ranks after the kernel chain has stabilized, so the profiles equal
-    the ones computed power by power. A power that overflows is an error
-    only if the profile needs its rank.
+    the ones computed power by power. A floating power that overflows
+    is an error only if the profile needs its rank.
     """
     n = phi.shape[0]
-    eye = np.eye(n, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # power_ranks refuses inf
-        bases = np.array([complex(lam) for lam in lams])[:, None, None] * eye - phi
-    norms = np.linalg.norm(bases, 2, axis=(1, 2)).tolist()
+        bases = _ring_scalars(phi, lams)[:, None, None] * identity_like(phi) - phi
+    exact = phi.dtype == object
+    norms = None if exact else np.linalg.norm(bases, 2, axis=(1, 2)).tolist()
     ranks = power_ranks(bases, n + 1, norms, rel_tol)
     profiles = []
     for lam, row in zip(lams, ranks.tolist()):
@@ -194,9 +184,8 @@ def jordan_census(
     mismatch) raises with the offending rank profile attached.
     """
     phi = as_matrix(phi)
-    exact = phi.dtype == object
     if eigenvalues is None:
-        if exact:
+        if phi.dtype == object:
             raise ValueError("exact path requires the eigenvalue list")
         eigenvalues = distinct_eigenvalues(phi, rel_tol)
     pairs = sorted(eigenvalues, key=lambda p: _sort_key(p[0]))
@@ -208,10 +197,7 @@ def jordan_census(
     if sum(m for _, m in pairs) != n:
         raise ValueError("multiplicities must sum to the matrix size")
 
-    if exact:
-        all_profiles = [rank_profile(phi, lam, rel_tol) for lam, _ in pairs]
-    else:
-        all_profiles = _floating_rank_profiles(phi, [lam for lam, _ in pairs], rel_tol)
+    all_profiles = _rank_profiles(phi, [lam for lam, _ in pairs], rel_tol)
     blocks = []
     profiles = []
     for (lam, mult), prof in zip(pairs, all_profiles):
@@ -288,25 +274,23 @@ def verify_rank_identities(
 
     # rank Theta^k for k = 1..n-1, and the nilpotency check on Theta^n
     phi = as_matrix(phi)
-    if phi.dtype != object:
+    if phi.dtype == object:
+        thetas, scales = theta_product(phi, census.eigenvalues)[None], None
+    else:
         factors = [(complex(lam), 1) for lam in census.eigenvalues]
         thetas, scales = theta_stack(phi[None], [factors])
-        (theta_ranks,) = theta_power_ranks(thetas, scales, rel_tol)
-        power = thetas[0]
-        for _ in range(n - 1):
-            power = power @ thetas[0]
+    (theta_ranks,) = theta_power_ranks(thetas, scales, rel_tol)
+    power = thetas[0]
+    for _ in range(n - 1):
+        power = power @ thetas[0]
+    if phi.dtype == object:
+        nilpotent = IdentityCheck("theta-nilpotent", f"Theta^{n} = 0 exactly",
+                                  all(x.is_zero() for x in power.flat))
+    else:
         norm = float(np.linalg.norm(power, 2))
         bound = nilpotency_scale * (1.0 + float(np.linalg.norm(phi, 2))) ** (n * m)
         nilpotent = IdentityCheck("theta-nilpotent", f"|Theta^{n}| = {norm:.3e}",
                                   norm <= bound, norm, bound)
-    else:
-        theta = theta_product(phi, census.eigenvalues)
-        theta_ranks, power = [], theta
-        for _ in range(n - 1):
-            theta_ranks.append(exact_rank(power))
-            power = power @ theta
-        nilpotent = IdentityCheck("theta-nilpotent", f"Theta^{n} = 0 exactly",
-                                  all(x.is_zero() for x in power.flat))
 
     # stabilization of the individual rank profiles
     for lam, nj, prof in zip(
@@ -490,7 +474,10 @@ class KernelDimensionError(RuntimeError):
 
 
 def disk_samples(xi, radius: float, count: int):
-    """Deterministic sample points in the polydisk around xi."""
+    """Deterministic sample points in the Euclidean ball of ``radius``
+    around xi, not the polydisk: a direction uniform on the sphere and a
+    distance radius * sqrt(u), u uniform in [0, 1], which is uniform
+    over the disk when there is one parameter."""
     rng = np.random.default_rng(0)
     xi = tuple(complex(c) for c in xi)
     out = []

@@ -3,10 +3,11 @@
 Floating ranks use the SVD threshold rule
 ``sigma > rel_tol * sigma_max * max(rows, cols)``; exact ranks use
 fraction-free (Bareiss) elimination with full pivoting over Gaussian
-rationals. Minors of polynomial matrices come from one sweep over the
-rows that expands every order-k minor along its last row in terms of
-the order-(k-1) minors above it: sums and products only, no division,
-and each nonzero lower minor is computed once for all minors above it.
+rationals; :func:`stacked_ranks` picks the rule from the ring of the
+stack. Minors of polynomial matrices come from one sweep over the rows
+that expands every order-k minor along its last row in terms of the
+order-(k-1) minors above it: sums and products only, no division, and
+each nonzero lower minor is computed once for all minors above it.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .algebra.matrices import as_matrix, identity_like
 from .algebra.multipoly import MultiPoly, NonFiniteError
 from .algebra.scalars import GaussianRational
 
@@ -92,12 +94,16 @@ def numerical_rank(m, rel_tol: float = DEFAULT_REL_TOL,
 
 def stacked_ranks(stack, rel_tol: float = DEFAULT_REL_TOL,
                   scales=0.0) -> np.ndarray:
-    """:func:`numerical_rank` of every matrix of an (N, rows, cols)
-    stack, from one stacked SVD; ``scales`` is one roundoff scale per
-    matrix (or one for all)."""
-    a = np.asarray(stack, dtype=complex)
+    """The rank of every matrix of an (N, rows, cols) stack, by the rule
+    of its ring: :func:`exact_rank` of each matrix of an object stack,
+    else :func:`numerical_rank` of each from one stacked SVD, ``scales``
+    being one roundoff scale per matrix (or one for all)."""
+    a = np.asarray(stack)
     if a.ndim != 3 or a.size == 0:
         raise ValueError("need a nonempty stack of 2-d matrices")
+    if a.dtype == object:
+        return np.array([exact_rank(m) for m in a])
+    a = a.astype(complex, copy=False)
     if not np.all(np.isfinite(a)):
         raise NonFiniteError()
     sigma = np.linalg.svd(a, compute_uv=False)
@@ -110,28 +116,30 @@ def power_ranks(bases, count: int, scales,
                 rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
     """rank B^k for k = 1..count of every B of an (N, n, n) stack.
 
-    The powers are formed by sequential products and ranked in one
-    stacked SVD; the threshold of B^k is floored at the roundoff level
-    of ``scales[i]**k`` (:func:`rank_threshold`), ``scales[i]`` being
-    the product of the factor norms of the i-th base.
-    Powers stop at the first one with a non-finite entry or a roundoff
-    scale beyond float64, so the (N, K) result has K <= count columns,
-    column k-1 holding rank B^k.
+    The powers are formed by sequential products and ranked together by
+    :func:`stacked_ranks`. On a numeric stack the threshold of B^k is
+    floored at the roundoff level of ``scales[i]**k``, ``scales[i]``
+    being the product of the factor norms of the i-th base, and powers
+    stop at the first one with a non-finite entry or scale, so the
+    (N, K) result has K <= count columns, column k-1 holding rank B^k.
+    An object stack is ranked exactly, up to ``count``; ``scales`` is unused.
     """
-    bases = np.asarray(bases, dtype=complex)
+    bases = np.asarray(bases)
+    exact = bases.dtype == object
     powers, floors = [], []
-    power = np.broadcast_to(np.eye(bases.shape[-1], dtype=complex), bases.shape)
+    power = np.broadcast_to(identity_like(bases), bases.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, count + 1):
             power = power @ bases
-            try:
-                floor = [s**k for s in scales]
-            except OverflowError:
-                break
-            if not (np.all(np.isfinite(power)) and np.all(np.isfinite(floor))):
-                break
+            if not exact:
+                try:
+                    floor = [s**k for s in scales]
+                except OverflowError:
+                    break
+                if not (np.all(np.isfinite(power)) and np.all(np.isfinite(floor))):
+                    break
+                floors.extend(floor)
             powers.append(power)
-            floors.extend(floor)
     if not powers:
         return np.zeros((len(bases), 0), dtype=int)
     ranks = stacked_ranks(np.concatenate(powers), rel_tol, floors)
@@ -151,21 +159,6 @@ def kernel_basis(m, rel_tol: float = DEFAULT_REL_TOL,
     smax = float(sigma[0]) if sigma.size else 0.0
     rank = int(np.sum(sigma > rank_threshold(smax, rel_tol, scale, a.shape)))
     return vh[rank:].conj().T
-
-
-def _coerce_exact(m):
-    rows = []
-    for row in m:
-        out = []
-        for x in row:
-            if isinstance(x, GaussianRational):
-                out.append(x)
-            elif isinstance(x, (int, Fraction)):
-                out.append(GaussianRational(x))
-            else:
-                raise TypeError(f"exact rank needs exact entries, got {type(x)}")
-        rows.append(out)
-    return rows
 
 
 def _bareiss(work) -> int:
@@ -193,11 +186,12 @@ def _bareiss(work) -> int:
 
 
 def exact_rank(m) -> int:
-    """True rank over QQ(i) by Bareiss elimination with full pivoting."""
-    work = _coerce_exact(m)
-    if not work or not work[0]:
-        return 0
-    return _bareiss(work)
+    """True rank over QQ(i) by Bareiss elimination with full pivoting,
+    of a matrix whose entries :func:`as_matrix` reads as exact."""
+    a = as_matrix(m)
+    if a.dtype != object:
+        raise TypeError("exact rank needs exact entries")
+    return _bareiss(a.tolist())
 
 
 # ---------------------------------------------------------------------------

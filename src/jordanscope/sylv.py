@@ -18,12 +18,10 @@ import numpy as np
 from .algebra.matrices import as_matrix
 from .algebra.multipoly import MultiPoly, StackedEvaluator, complex_modulus
 from .algebra.multipoly import zero_like
-from .algebra.scalars import GaussianRational
 from .algebra.unipoly import MONIC_REL_TOL, UniPoly
 from .ranklab import (
     DEFAULT_REL_TOL,
     check_minor_size,
-    exact_rank,
     generic_rank,
     minors,
     stacked_ranks,
@@ -69,15 +67,14 @@ def build_split_matrix(p: UniPoly) -> np.ndarray:
 def distinct_zero_count(p: UniPoly, rel_tol: float = DEFAULT_REL_TOL) -> int:
     """Number of distinct zeros of monic p, from the split-matrix rank.
 
-    rank = n + m - 1, so m = rank - n + 1. Exact coefficients go
-    through Bareiss elimination; floating ones through the SVD rank.
+    rank = n + m - 1, so m = rank - n + 1. The rank follows the ring of
+    the coefficients (:func:`ranklab.stacked_ranks`): Bareiss elimination
+    for exact ones, the SVD rank for floating ones.
     """
-    sample = p.coeffs[0]
-    if isinstance(sample, MultiPoly):
+    if isinstance(p.coeffs[0], MultiPoly):
         raise TypeError("evaluate the family at a point first")
-    if not isinstance(sample, GaussianRational):
-        return int(distinct_zero_counts(np.array([p.coeffs]), rel_tol)[0])
-    return _count_from_rank(exact_rank(build_split_matrix(p)), p.degree)
+    (rank,) = stacked_ranks(build_split_matrix(p)[None], rel_tol)
+    return _count_from_rank(int(rank), p.degree)
 
 
 def distinct_zero_counts(coeffs, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:

@@ -672,11 +672,6 @@ def theta_power_ranks(theta: np.ndarray, scales, rel_tol: float = DEFAULT_REL_TO
     return [tuple(int(r) for r in row) for row in ranks]
 
 
-def theta_from_factors(a: np.ndarray, factors) -> np.ndarray:
-    theta, _ = theta_stack(np.asarray(a, dtype=complex)[None], [factors])
-    return theta[0]
-
-
 def theta_extended(
     family: MatrixFamily,
     point,
@@ -691,4 +686,5 @@ def theta_extended(
     converge to.
     """
     factors = extended_theta_factors(family, point, rel_tol, probe_radius)
-    return theta_from_factors(family.at(point), factors)
+    theta, _ = theta_stack(family.at(point)[None], [factors])
+    return theta[0]

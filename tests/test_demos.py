@@ -1,4 +1,7 @@
-"""Every demo script runs to completion against the sources in ``src/``."""
+"""Every demo script runs to completion against the sources in ``src/``,
+with a numpy ``RuntimeWarning`` turned into an error, as the suite's own
+``filterwarnings`` rule does in-process (that rule does not reach a
+subprocess)."""
 
 import os
 import subprocess
@@ -18,6 +21,7 @@ def test_all_six_demos_are_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_exits_cleanly(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    result = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                            cwd=tmp_path, env=env,
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr

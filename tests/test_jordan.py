@@ -4,10 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jordanscope import jordan, tracker
 from jordanscope.algebra import GaussianRational
-from jordanscope.algebra.matrices import as_matrix
+from jordanscope.algebra.matrices import as_matrix, char_poly, identity_like
 from jordanscope.family import MatrixFamily
 from jordanscope.jordan import (
     CensusInconsistencyError,
@@ -21,7 +23,9 @@ from jordanscope.jordan import (
     theta_product,
     verify_rank_identities,
 )
+from jordanscope.ranklab import exact_rank, power_ranks
 from jordanscope.scanner import PointKind, classify_point
+from jordanscope.sylv import distinct_zero_count
 
 GR = GaussianRational
 
@@ -179,6 +183,71 @@ def test_rank_profiles_are_convex():
             assert is_convex(rank_profile(phi, lam).ranks)
 
 
+def early_stop_profile(phi, lam):
+    """Oracle: rank (lam - Phi)^k by Bareiss, one power at a time, and no
+    power formed once two consecutive ranks agree."""
+    phi = as_matrix(phi)
+    n = len(phi)
+    power = identity_like(phi)
+    base = lam * power - phi
+    ranks = [n]
+    for _ in range(n + 1):
+        if len(ranks) >= 2 and ranks[-1] == ranks[-2]:
+            ranks.append(ranks[-1])
+            continue
+        power = power @ base
+        ranks.append(exact_rank(power))
+    return tuple(ranks)
+
+
+GAUSSIAN_INT = st.builds(gr, st.integers(-3, 3), st.integers(-3, 3))
+SMALL_EIGENVALUES = st.sampled_from([gr(0), gr(1), gr(-1), gr(0, 1), gr(2, -1)])
+
+
+@st.composite
+def profile_cases(draw):
+    """(Phi, eigenvalue candidates): a Gaussian-integer matrix with n <= 5,
+    either plain, or T J T^-1 for a Jordan matrix J whose blocks may share
+    eigenvalues and a product T of integer shears."""
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        phi = draw(st.lists(st.lists(GAUSSIAN_INT, min_size=n, max_size=n),
+                            min_size=n, max_size=n))
+        return phi, [gr(0), phi[0][0], draw(GAUSSIAN_INT)]
+    blocks = []
+    while sum(size for _, size in blocks) < n:
+        left = n - sum(size for _, size in blocks)
+        blocks.append((draw(SMALL_EIGENVALUES), draw(st.integers(1, left))))
+    j = block_diag_exact([jordan_block_exact(lam, size) for lam, size in blocks])
+    t = as_matrix([[int(r == c) for c in range(n)] for r in range(n)])
+    tinv = t.copy()
+    shears = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), GAUSSIAN_INT)
+    for row, col, c in draw(st.lists(shears, max_size=6)):
+        if row != col:
+            t[:, col] += c * t[:, row]
+            tinv[row, :] -= c * tinv[col, :]
+    lams = sorted({lam for lam, _ in blocks}, key=lambda z: (z.re, z.im))
+    return t @ as_matrix(j) @ tinv, lams + [draw(SMALL_EIGENVALUES)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(profile_cases())
+def test_exact_profiles_and_power_ranks_against_power_by_power(case):
+    phi, lams = case
+    phi = as_matrix(phi)
+    n = len(phi)
+    for lam in lams:
+        assert rank_profile(phi, lam).ranks == early_stop_profile(phi, lam)
+    bases = np.array([lam * identity_like(phi) - phi for lam in lams])
+    got = power_ranks(bases, n + 1, None)
+    assert got.shape == (len(lams), n + 1)
+    for base, row in zip(bases, got.tolist()):
+        power = base
+        for k in range(n + 1):
+            assert row[k] == exact_rank(power)
+            power = power @ base
+
+
 # ---------------------------------------------------------------------------
 # jordan_census
 
@@ -286,6 +355,28 @@ def test_census_inconsistency_raises():
     with pytest.raises(CensusInconsistencyError) as err:
         jordan_census(np.eye(2, dtype=complex), [(0.0, 2)])
     assert err.value.profile is not None
+
+
+SHEAR_CALLS = {
+    "jordan_census": lambda m: jordan_census(m, [(1.0, 2)]),
+    "rank_profile": lambda m: rank_profile(m, 1.0),
+    "theta_product": lambda m: theta_product(m, [1.0]),
+    "verify_rank_identities":
+        lambda m: verify_rank_identities(m, jordan_census(m, [(1.0, 2)])),
+    "distinct_zero_count": lambda m: distinct_zero_count(char_poly(m)),
+}
+
+
+@pytest.mark.parametrize("call", SHEAR_CALLS.values(), ids=SHEAR_CALLS.keys())
+def test_float_lists_take_the_floating_path(call):
+    # a float among the entries puts the matrix in the floating ring,
+    # whether it comes as nested lists or as a numpy array
+    rows = [[1.0, 1.0], [0.0, 1.0]]
+    got, want = call(rows), call(np.array(rows))
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    else:
+        assert got == want
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -160,3 +161,21 @@ def test_split_matrices_of_exact_coefficients_are_the_complex_ones(lower):
     floating = np.array(exact.tolist(), dtype=complex)
     got = np.array(split_matrices(exact).tolist(), dtype=complex)
     assert np.array_equal(got, split_matrices(floating))
+
+
+@pytest.mark.parametrize("rows, dtype", [
+    ([[1, Fraction(1, 2)], [0, GaussianRational(0, 1)]], object),
+    ([[1, 0.5], [0, 1]], complex),
+    ([[1, 2j], [0, 1]], complex),
+    ([[GaussianRational(1), 2.0], [0, 1]], complex),
+    ([[np.int64(1), 2], [0, 1]], complex),
+    (np.array([[1, 2], [0, 1]], dtype=object), object),
+], ids=["exact", "float", "complex", "mixed", "numpy-int", "object-array"])
+def test_as_matrix_reads_the_ring_off_the_entries(rows, dtype):
+    # one float or numpy scalar among exact entries makes the matrix floating
+    a = as_matrix(rows)
+    assert a.dtype == dtype
+    if dtype is object:
+        assert all(isinstance(x, GaussianRational) for x in a.flat)
+    assert np.array_equal(np.asarray(a, dtype=complex),
+                          np.array([[complex(x) for x in row] for row in rows]))
