@@ -5,7 +5,6 @@ from .matrices import char_poly
 from .multipoly import MultiPoly, mp_content, mp_gcd
 from .scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational
 from .unipoly import (
-    MonicPoly,
     UniPoly,
     derivative,
     gcd_monic,
@@ -21,7 +20,6 @@ __all__ = [
     "GR_I",
     "GR_ONE",
     "GR_ZERO",
-    "MonicPoly",
     "MultiPoly",
     "UniPoly",
     "char_poly",

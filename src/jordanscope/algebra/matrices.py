@@ -16,7 +16,7 @@ import numpy as np
 
 from .multipoly import one_like, zero_like
 from .scalars import GaussianRational
-from .unipoly import MonicPoly
+from .unipoly import UniPoly
 
 
 def as_matrix(rows) -> np.ndarray:
@@ -62,13 +62,13 @@ def poly_at_matrix(coeffs, a: np.ndarray) -> np.ndarray:
     return acc
 
 
-def char_poly(matrix) -> MonicPoly:
+def char_poly(matrix) -> UniPoly:
     """Monic characteristic polynomial det(lam*I - matrix), by
     :func:`char_poly_stack` on a stack of one."""
     a = as_matrix(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("characteristic polynomial needs a square matrix")
-    return MonicPoly(char_poly_stack(a[None])[0].tolist())
+    return UniPoly(char_poly_stack(a[None])[0].tolist())
 
 
 def char_poly_stack(a) -> np.ndarray:

@@ -166,29 +166,6 @@ class UniPoly:
         return f"UniPoly({self.coeffs!r})"
 
 
-class MonicPoly(UniPoly):
-    """UniPoly whose leading coefficient is one.
-
-    Exact coefficients must be exactly one; floating inputs are
-    normalized by the leading coefficient on construction.
-    """
-
-    def __init__(self, coeffs):
-        super().__init__(coeffs)
-        if self.is_zero():
-            raise ValueError("monic polynomial cannot be the zero polynomial")
-        lead = self.coeffs[-1]
-        if isinstance(lead, (GaussianRational, MultiPoly)):
-            if lead != one_like(lead):
-                raise ValueError("leading coefficient is not exactly 1")
-        else:
-            if lead == 0:
-                raise ValueError("zero leading coefficient")
-            if lead != 1.0:
-                self.coeffs = [c / lead for c in self.coeffs]
-                self.coeffs[-1] = 1.0 + 0j
-
-
 def derivative(p: UniPoly) -> UniPoly:
     """Formal derivative; degree drops by exactly 1 for nonconstant input."""
     if p.degree < 1:
@@ -247,7 +224,7 @@ def gcd_squarefree_oracle(p: UniPoly):
     q0, rem = divmod_field(p, g)
     if not rem.is_zero():
         raise ArithmeticError("gcd does not divide p")  # cannot happen
-    return q0.degree, MonicPoly(q0.coeffs)
+    return q0.degree, q0
 
 
 def pseudo_divmod(a: UniPoly, b: UniPoly):

@@ -82,12 +82,13 @@ def cplx(z) -> list:
 
 
 def from_wire_complex(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if (isinstance(v, (list, tuple)) and len(v) == 2
-            and all(isinstance(x, (int, float)) for x in v)):
-        return complex(v[0], v[1])
-    raise InputError(f"cannot read complex value from {v!r}")
+    parts = v if isinstance(v, (list, tuple)) and len(v) == 2 else [v]
+    if not all(isinstance(x, (int, float)) for x in parts):
+        raise InputError(f"cannot read complex value from {v!r}")
+    try:
+        return complex(*parts)
+    except OverflowError:
+        raise InputError("complex value beyond the float64 range") from None
 
 
 #: options that change where results go or how many workers compute
@@ -137,7 +138,7 @@ def load_family(path: str):
         raise InputError(f"cannot read family file: {err}") from err
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # JSONDecodeError, or an int over the digit limit
         raise InputError(f"family file is not valid JSON: {err}") from err
     try:
         fam = MatrixFamily.from_spec_dict(doc)
@@ -223,7 +224,7 @@ def parse_resolution(text: str, nparams: int):
 def parse_path(text: str, nparams: int):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # JSONDecodeError, or an int over the digit limit
         raise InputError(f"--path must be JSON: {err}") from err
     if not isinstance(doc, list) or len(doc) < 2:
         raise InputError("--path needs a JSON list of at least two vertices")

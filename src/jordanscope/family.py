@@ -14,6 +14,14 @@ from .algebra.unipoly import UniPoly
 from .ranklab import NonFiniteError
 
 
+#: most parameters a family spec may name; sampling memory grows with it
+MAX_PARAMS = 16
+
+
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
 @dataclass
 class MatrixFamily:
     """An n x n grid of MultiPoly entries over shared parameters."""
@@ -45,13 +53,21 @@ class MatrixFamily:
 
     @classmethod
     def from_spec_dict(cls, doc: dict) -> "MatrixFamily":
-        n = int(doc["n"])
-        params = list(doc["params"])
-        texts = doc["entries"]
-        if len(texts) != n or any(len(row) != n for row in texts):
-            raise ValueError("entries grid does not match n")
-        fam = cls.from_entries(texts, params, label=doc.get("label"))
-        return fam
+        """The family of a JSON spec; a malformed one raises ValueError
+        (KeyError for a missing key) before any entry is parsed."""
+        if not isinstance(doc, dict):
+            raise ValueError("a family spec is a JSON object")
+        n, params, texts = doc["n"], doc["params"], doc["entries"]
+        if type(n) is not int or n < 1:
+            raise ValueError("n must be a positive integer")
+        if not _strings(params) or len(set(params)) != len(params):
+            raise ValueError("params must be a list of distinct strings")
+        if len(params) > MAX_PARAMS:
+            raise ValueError(f"{len(params)} parameters exceed the cap of {MAX_PARAMS}")
+        if not (isinstance(texts, list) and len(texts) == n
+                and all(_strings(row) and len(row) == n for row in texts)):
+            raise ValueError("entries must be n lists of n strings")
+        return cls.from_entries(texts, params, label=doc.get("label"))
 
     def to_spec_dict(self) -> dict:
         return {

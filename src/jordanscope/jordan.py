@@ -51,16 +51,9 @@ class CensusInconsistencyError(RuntimeError):
 # the nilpotent product over distinct eigenvalues
 
 
-def _ring_scalars(phi: np.ndarray, values) -> np.ndarray:
-    """``values`` in the ring of ``phi``: complex unless ``phi`` is exact."""
-    if phi.dtype == object:
-        return np.array(list(values), dtype=object)
-    return np.array([complex(v) for v in values])
-
-
 def theta_product(phi, eigenvalues):
     """Product of (lam_j - Phi) over the distinct eigenvalues, in the
-    ring of Phi's entries (:func:`as_matrix`).
+    ring of Phi's entries (:func:`as_matrix`), by :func:`theta_stack`.
 
     The factors commute, so the order does not matter. Repeated
     eigenvalues are rejected.
@@ -70,12 +63,8 @@ def theta_product(phi, eigenvalues):
         for b in eigenvalues[i + 1 :]:
             if a == b:
                 raise ValueError("eigenvalue list must be distinct")
-    phi = as_matrix(phi)
-    eye = identity_like(phi)
-    theta = eye
-    for lam in _ring_scalars(phi, eigenvalues):
-        theta = theta @ (lam * eye - phi)
-    return theta
+    theta, _ = theta_stack(as_matrix(phi)[None], [[(lam, 1) for lam in eigenvalues]])
+    return theta[0]
 
 
 def theta_from_squarefree(phi):
@@ -122,9 +111,10 @@ def _rank_profiles(phi: np.ndarray, lams, rel_tol: float):
     is an error only if the profile needs its rank.
     """
     n = phi.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):  # power_ranks refuses inf
-        bases = _ring_scalars(phi, lams)[:, None, None] * identity_like(phi) - phi
     exact = phi.dtype == object
+    ring = np.array(lams, dtype=object if exact else complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # power_ranks refuses inf
+        bases = ring[:, None, None] * identity_like(phi) - phi
     norms = None if exact else np.linalg.norm(bases, 2, axis=(1, 2)).tolist()
     ranks = power_ranks(bases, n + 1, norms, rel_tol)
     profiles = []
@@ -274,11 +264,7 @@ def verify_rank_identities(
 
     # rank Theta^k for k = 1..n-1, and the nilpotency check on Theta^n
     phi = as_matrix(phi)
-    if phi.dtype == object:
-        thetas, scales = theta_product(phi, census.eigenvalues)[None], None
-    else:
-        factors = [(complex(lam), 1) for lam in census.eigenvalues]
-        thetas, scales = theta_stack(phi[None], [factors])
+    thetas, scales = theta_stack(phi[None], [[(lam, 1) for lam in census.eigenvalues]])
     (theta_ranks,) = theta_power_ranks(thetas, scales, rel_tol)
     power = thetas[0]
     for _ in range(n - 1):

@@ -18,7 +18,7 @@ import numpy as np
 from .algebra.matrices import as_matrix
 from .algebra.multipoly import MultiPoly, StackedEvaluator, complex_modulus
 from .algebra.multipoly import zero_like
-from .algebra.unipoly import MONIC_REL_TOL, UniPoly
+from .algebra.unipoly import UniPoly
 from .ranklab import (
     DEFAULT_REL_TOL,
     check_minor_size,
@@ -65,40 +65,30 @@ def build_split_matrix(p: UniPoly) -> np.ndarray:
 
 
 def distinct_zero_count(p: UniPoly, rel_tol: float = DEFAULT_REL_TOL) -> int:
-    """Number of distinct zeros of monic p, from the split-matrix rank.
-
-    rank = n + m - 1, so m = rank - n + 1. The rank follows the ring of
-    the coefficients (:func:`ranklab.stacked_ranks`): Bareiss elimination
-    for exact ones, the SVD rank for floating ones.
-    """
+    """Number of distinct zeros of monic p: :func:`distinct_zero_counts`
+    of a stack of one."""
     if isinstance(p.coeffs[0], MultiPoly):
         raise TypeError("evaluate the family at a point first")
-    (rank,) = stacked_ranks(build_split_matrix(p)[None], rel_tol)
-    return _count_from_rank(int(rank), p.degree)
+    (count,) = distinct_zero_counts(as_matrix([_require_monic(p).coeffs]), rel_tol)
+    return int(count)
 
 
 def distinct_zero_counts(coeffs, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
-    """:func:`distinct_zero_count` for a stack of monic polynomials.
+    """Distinct-zero counts m of a stack of monic polynomials, from the
+    ranks n + m - 1 of their splitting matrices, by the rank rule of the
+    stack's ring (:func:`ranklab.stacked_ranks`).
 
-    ``coeffs`` is an (N, n + 1) array of complex coefficients, constant
-    term first. The N splitting matrices are ranked by one stacked SVD.
+    ``coeffs`` is an (N, n + 1) array, constant term first; the leading
+    coefficients are taken to be one, as :func:`char_poly_stack` sets them.
     """
-    c = np.asarray(coeffs, dtype=complex)
+    c = np.asarray(coeffs)
     if c.ndim != 2 or c.shape[1] < 2:
         raise ValueError("need a monic polynomial of degree >= 1")
-    lead = c[:, -1]
-    if np.any(np.abs(lead - 1.0) > MONIC_REL_TOL * (1 + np.abs(lead))):
-        raise ValueError("polynomial is not monic")
     n = c.shape[1] - 1
-    ranks = stacked_ranks(split_matrices(c), rel_tol)
-    return np.array([_count_from_rank(int(r), n) for r in ranks])
-
-
-def _count_from_rank(rank: int, n: int) -> int:
-    m = rank - n + 1
-    if not 1 <= m <= n:
-        raise ArithmeticError(f"rank {rank} outside the admissible band")
-    return m
+    counts = stacked_ranks(split_matrices(c), rel_tol) - n + 1
+    if np.any((counts < 1) | (counts > n)):
+        raise ArithmeticError("splitting-matrix rank outside the admissible band")
+    return counts
 
 
 @dataclass

@@ -15,6 +15,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from .algebra.matrices import identity_like
 from .algebra.multipoly import complex_modulus, complex_product
 from .algebra.unipoly import UniPoly, derivative
 from .family import MatrixFamily
@@ -579,15 +580,11 @@ def splitting_amounts(
     probe_radius: float,
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> SplittingAmounts:
-    """How many distinct eigenvalues each eigenvalue of A(xi) splits into.
-
-    Counts distinct eigenvalues of A at ring probes inside each
-    isolation disk of A(xi); all probes must agree. Disagreement
-    triggers one retry at half the probe radius before erroring.
-    """
-    return amounts_from_stack(
-        probe_stack(family, xi, probe_radius, rel_tol)
-    )
+    """How many distinct eigenvalues each eigenvalue of A(xi) splits into,
+    counted at the probes of one :func:`probe_stack` evaluation: the
+    outer ring if all its probes agree, else the inner ring at half the
+    probe radius, else a ProbeDisagreementError (:func:`amounts_from_stack`)."""
+    return amounts_from_stack(probe_stack(family, xi, probe_radius, rel_tol))
 
 
 def factors_from_stack(stack: ProbeStack):
@@ -619,37 +616,45 @@ def extended_theta_factors(
 
 
 def theta_stack(matrices: np.ndarray, factor_lists):
-    """The products Theta = prod (lam - A)^power for a stack of matrices.
+    """The products Theta = prod (lam - A)^power for a stack of matrices,
+    in the ring of the stack: complex, or exact for an object stack.
 
     ``factor_lists[i]`` is the [(lam, power)] list of ``matrices[i]``.
     Shorter lists are padded with identity factors, which leaves every
     product bit-for-bit what the unpadded product would be. Returns the
     (N, n, n) stack and, per matrix, the roundoff scale: the product of
-    the factor norms ``||lam - A||**power``.
+    the factor norms ``||lam - A||**power``. An object stack takes powers
+    of 1 only (numpy forms no powers of object stacks) and has no
+    roundoff, so its scales are None.
     """
-    a = np.asarray(matrices, dtype=complex)
+    a = np.asarray(matrices)
+    exact = a.dtype == object
+    if not exact:
+        a = a.astype(complex, copy=False)
     count, n = a.shape[0], a.shape[-1]
     width = max((len(f) for f in factor_lists), default=0)
     used = np.zeros((count, width), dtype=bool)
-    lams = np.zeros((count, width), dtype=complex)
+    lams = np.zeros((count, width), dtype=a.dtype)
     powers = np.ones((count, width), dtype=int)
     for i, factors in enumerate(factor_lists):
         for j, (lam, power) in enumerate(factors):
             used[i, j], lams[i, j], powers[i, j] = True, lam, power
-    eye = np.eye(n, dtype=complex)
+    eye = identity_like(a)
     factor = np.broadcast_to(eye, (count, width, n, n)).copy()
     factor[used] = lams[used][:, None, None] * eye - np.repeat(a, used.sum(1), axis=0)
-    # operator norms, one stacked SVD; an identity pad has norm 1
-    norms = np.linalg.svd(factor, compute_uv=False)[..., 0].tolist()
-    scales = []
-    for i, factors in enumerate(factor_lists):
-        scale = 1.0
-        for j, (_, power) in enumerate(factors):
-            try:
-                scale *= norms[i][j] ** int(power)
-            except OverflowError:  # power_ranks stops at a non-finite scale
-                scale = math.inf
-        scales.append(scale)
+    scales = None
+    if not exact:
+        # operator norms, one stacked SVD; an identity pad has norm 1
+        norms = np.linalg.svd(factor, compute_uv=False)[..., 0].tolist()
+        scales = []
+        for i, factors in enumerate(factor_lists):
+            scale = 1.0
+            for j, (_, power) in enumerate(factors):
+                try:
+                    scale *= norms[i][j] ** int(power)
+                except OverflowError:  # power_ranks stops at a non-finite scale
+                    scale = math.inf
+            scales.append(scale)
     for power in set(powers[used].tolist()) - {1}:
         pick = used & (powers == power)
         factor[pick] = np.linalg.matrix_power(factor[pick], power)

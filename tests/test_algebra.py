@@ -8,7 +8,6 @@ from jordanscope.algebra import (
     GaussianRational,
     GR_I,
     GR_ONE,
-    MonicPoly,
     MultiPoly,
     UniPoly,
     char_poly,
@@ -104,14 +103,14 @@ def test_divmod_field_roundtrip():
 
 
 def test_oracle_single_root():
-    p = MonicPoly([gr(0), gr(0), gr(1)])  # lam^2
+    p = UniPoly([gr(0), gr(0), gr(1)])  # lam^2
     m, q0 = gcd_squarefree_oracle(p)
     assert m == 1
     assert q0 == UniPoly([gr(0), gr(1)])
 
 
 def test_oracle_distinct_roots():
-    p = MonicPoly([gr(-1), gr(0), gr(1)])  # lam^2 - 1
+    p = UniPoly([gr(-1), gr(0), gr(1)])  # lam^2 - 1
     m, q0 = gcd_squarefree_oracle(p)
     assert m == 2
     assert q0 == p
@@ -119,7 +118,7 @@ def test_oracle_distinct_roots():
 
 def test_oracle_mixed_multiplicities():
     # (lam-1)^2 (lam+2) expanded; square-free part (lam-1)(lam+2)
-    p = MonicPoly(UniPoly.from_roots([gr(1), gr(1), gr(-2)], one=GR_ONE).coeffs)
+    p = UniPoly(UniPoly.from_roots([gr(1), gr(1), gr(-2)], one=GR_ONE).coeffs)
     m, q0 = gcd_squarefree_oracle(p)
     assert m == 2
     expect = UniPoly.from_roots([gr(1), gr(-2)], one=GR_ONE)
@@ -147,7 +146,7 @@ def test_oracle_degree_law_on_random_factored_polys():
         mults = {r: rng.randint(1, 3) for r in used}
         for r, k in mults.items():
             roots.extend([gr(r)] * k)
-        p = MonicPoly(UniPoly.from_roots(roots, one=GR_ONE).coeffs)
+        p = UniPoly(UniPoly.from_roots(roots, one=GR_ONE).coeffs)
         m, q0 = gcd_squarefree_oracle(p)
         assert m == n_distinct
         g = gcd_monic(p, derivative(p))

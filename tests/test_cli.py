@@ -10,7 +10,7 @@ import pytest
 
 from jordanscope import cli, scanner
 from jordanscope.algebra import parse_entry
-from jordanscope.family import MatrixFamily
+from jordanscope.family import MAX_PARAMS, MatrixFamily
 
 NILPOTENT = {
     "n": 2,
@@ -414,6 +414,28 @@ def test_bad_entry_expression_is_input_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", [
+    '{"n": 1e999, "params": ["z"], "entries": [["z"]]}',
+    '{"n": [1], "params": ["z"], "entries": [["z"]]}',
+    '{"n": 1, "params": 5, "entries": [["z"]]}',
+    '{"n": 1, "params": ["z"], "entries": [[1]]}',
+    '[1, ["z"], [["z"]]]',
+    '{"n": 2, "params": ["z"], "entries": ["z1", "0z"]}',
+    '{"n": 1, "params": ["z", "z"], "entries": [["z"]]}',
+    '{"n": ' + "9" * 5000 + ', "params": ["z"], "entries": [["z"]]}',
+    json.dumps({"n": 1, "params": [f"p{k}" for k in range(MAX_PARAMS + 1)],
+                "entries": [["p0"]]}),
+], ids=["n-overflow", "n-list", "params-int", "entry-int", "top-level-list",
+        "rows-as-strings", "repeated-param", "n-long-digits", "params-over-cap"])
+def test_malformed_family_spec_is_input_error(tmp_path, capsys, text):
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    code = cli.main(["split-set", str(path), "--samples", "10"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("res", ["1", "2,1", "x", "2000", "2,3,4"])
 def test_scan_bad_resolution_is_input_error(capsys, res):
     code = cli.main(["scan", "--builtin", "nilpotent", "--box=-1:1,-1:1",
@@ -589,9 +611,13 @@ def test_tolerance_outside_unit_interval_is_input_error(capsys, argv):
     ["track", "--path", "[[1],[1]]"],
     ["track", "--path", "[[0],[1e-300]]"],
     ["track", "--path", "[[0],[1e200]]"],
+    ["track", "--path", "[[0],[1" + "0" * 400 + "]]"],
+    ["track", "--path", "[[0],[[1, 1" + "0" * 400 + "]]]"],
+    ["track", "--path", "[[0],[1" + "0" * 5000 + "]]"],
 ], ids=["radius-nan", "radius-inf", "radius-0", "box-nan", "box-inf", "box-zero-width",
         "point-nan", "point-overflow", "path-nan", "path-inf", "path-strings",
-        "path-zero-length", "path-length-underflow", "path-length-overflow"])
+        "path-zero-length", "path-length-underflow", "path-length-overflow",
+        "path-big-int", "path-big-int-pair", "path-int-beyond-digit-limit"])
 def test_non_finite_or_degenerate_number_is_input_error(capsys, argv):
     code = cli.main([argv[0], "--builtin", "shear", *argv[1:]])
     assert code == 2

@@ -133,6 +133,36 @@ def test_theta_rejects_repeats():
         theta_product(np.eye(2), [1.0, 1.0])
 
 
+def theta_by_loop(phi, eigenvalues):
+    """Theta as eye @ (lam_1 - Phi) @ ... @ (lam_m - Phi), one 2-d
+    product at a time in the ring of Phi."""
+    phi = as_matrix(phi)
+    eye = identity_like(phi)
+    theta = eye
+    for lam in eigenvalues:
+        if phi.dtype != object:
+            lam = complex(lam)
+        theta = theta @ (lam * eye - phi)
+    return theta
+
+
+def test_theta_product_has_the_bits_of_the_factor_loop():
+    rng = np.random.default_rng(15)
+    for _ in range(60):
+        n = int(rng.integers(1, 7))
+        phi = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        lams = [lam for lam, _ in tracker.distinct_eigenvalues(phi)]
+        got, want = theta_product(phi, lams), theta_by_loop(phi, lams)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    pyrng = random.Random(16)
+    for _ in range(20):
+        j, pairs, _ = random_jordan_structure(pyrng, n_max=6)
+        t, tinv = random_unimodular(pyrng, len(j))
+        phi = mat_mul(t, mat_mul(j, tinv)) + gr(0, 1) * as_matrix(j)
+        lams = [lam for lam, _ in pairs] + [gr(1, -2)]
+        assert theta_product(phi, lams).tolist() == theta_by_loop(phi, lams).tolist()
+
+
 def test_theta_cross_check_squarefree_route():
     rng = random.Random(77)
     for _ in range(20):
@@ -418,8 +448,6 @@ def test_identities_floating_path():
 
 
 def test_floating_identities_build_theta_once(monkeypatch):
-    phi = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 5.0]])
-    census = jordan_census(phi)
     calls = []
     build = tracker.theta_stack
 
@@ -429,9 +457,14 @@ def test_floating_identities_build_theta_once(monkeypatch):
 
     monkeypatch.setattr(tracker, "theta_stack", counted)
     monkeypatch.setattr(jordan, "theta_stack", counted, raising=False)
-    report = verify_rank_identities(phi, census)
-    assert report.passed, report.failures()
-    assert len(calls) == 1
+    floating = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 5.0]])
+    exact = block_diag_exact([jordan_block_exact(2, 2), jordan_block_exact(5, 1)])
+    for phi, census in [(floating, jordan_census(floating)),
+                        (exact, jordan_census(exact, [(gr(2), 2), (gr(5), 1)]))]:
+        calls.clear()
+        report = verify_rank_identities(phi, census)
+        assert report.passed, report.failures()
+        assert len(calls) == 1
 
 
 def test_identities_detect_corruption():

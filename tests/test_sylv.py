@@ -21,6 +21,7 @@ from jordanscope.sylv import (
     build_split_matrix,
     check_coeff_bound,
     distinct_zero_count,
+    distinct_zero_counts,
     split_defining_functions,
 )
 
@@ -116,6 +117,16 @@ def test_distinct_zero_count_floating():
     assert distinct_zero_count(p) == 2
     q = UniPoly([0.0, 0.0, 1.0])
     assert distinct_zero_count(q) == 1
+
+
+def test_exact_stack_counts_exactly():
+    # roots 1 and 1 + 10**-12 are two zeros exactly; a floating rank
+    # of the same splitting matrix sees one
+    close = gr(1) + GR(Fraction(1, 10**12))
+    coeffs = [monic_from_roots([1, close]).coeffs, monic_from_roots([1, 1]).coeffs]
+    assert distinct_zero_counts(np.array(coeffs, dtype=object)).tolist() == [2, 1]
+    floating = np.array([[complex(c) for c in row] for row in coeffs])
+    assert distinct_zero_counts(floating).tolist() == [1, 1]
 
 
 def test_distinct_zero_count_matches_gcd_oracle_corpus():
