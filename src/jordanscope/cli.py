@@ -7,6 +7,11 @@ an input digest, tolerances, the seed and the tool version, so a run
 can be reproduced byte-identically (wall-clock timing goes to stderr
 only, never into the report).
 
+``main`` resolves the family and the tolerance, runs the command, and
+writes the body it returns in the one report envelope (schema, kind,
+manifest, family label) to stdout or ``--out``; ``verify`` alone writes
+its own report.
+
 Exit codes: 0 success, 1 validation failure, 2 input error, 3 internal
 error (an unexpected exception, reported in one line on stderr).
 """
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import functools
 import hashlib
 import json
@@ -67,6 +73,14 @@ EXIT_INTERNAL = 3
 
 TOL_ENV_VAR = "JORDANSCOPE_TOL"
 
+#: the commands that run floating-point kernels per point; they take
+#: families up to n = MAX_MATRIX_SIZE
+CAPPED_COMMANDS = ("census", "scan", "track")
+
+#: the most rational points ``verify`` draws for its square-free cross-check:
+#: on a family whose eigenvalues always cluster, no draw has the generic count
+CROSS_CHECK_DRAWS = 100
+
 
 class InputError(Exception):
     pass
@@ -100,17 +114,12 @@ NOT_IN_MANIFEST = ("--jobs", "--out", "--csv")
 def manifest(argv, raw_input: bytes, rel_tol: float, seed: int) -> dict:
     """The run manifest; ``argv`` is the command line given to ``main``."""
     cleaned = []
-    skip = False
-    for arg in argv:
-        if skip:
-            skip = False
-            continue
+    words = iter(argv)
+    for arg in words:
         if arg in NOT_IN_MANIFEST:
-            skip = True
-            continue
-        if arg.split("=", 1)[0] in NOT_IN_MANIFEST:
-            continue
-        cleaned.append(arg)
+            next(words, None)  # its value
+        elif arg.split("=", 1)[0] not in NOT_IN_MANIFEST:
+            cleaned.append(arg)
     return {
         "command": cleaned,
         "input_sha256": hashlib.sha256(raw_input).hexdigest(),
@@ -130,9 +139,30 @@ def emit(doc: dict, out_path=None):
         sys.stdout.write(text)
 
 
-def load_family(path: str):
+def write_csv(path: str, header, rows):
+    """One comma-separated line for the header and each row, fields by ``str``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in [header, *rows]:
+            fh.write(",".join(map(str, row)) + "\n")
+
+
+def resolve_family(args):
+    """The family named by ``--builtin`` or read from the family file, and
+    the bytes whose digest the manifest records."""
+    if args.builtin:
+        families = builtin_families()
+        if args.builtin not in families:
+            raise InputError(
+                f"unknown builtin {args.builtin!r}; choose from "
+                f"{sorted(families)}"
+            )
+        fam = families[args.builtin]
+        raw = json.dumps(fam.to_spec_dict(), sort_keys=True).encode()
+        return fam, raw
+    if not args.family:
+        raise InputError("provide a family file or --builtin NAME")
     try:
-        with open(path, "rb") as fh:
+        with open(args.family, "rb") as fh:
             raw = fh.read()
     except OSError as err:
         raise InputError(f"cannot read family file: {err}") from err
@@ -144,30 +174,6 @@ def load_family(path: str):
         fam = MatrixFamily.from_spec_dict(doc)
     except (KeyError, ValueError, EntrySyntaxError) as err:
         raise InputError(f"invalid family spec: {err}") from err
-    return fam, raw
-
-
-def resolve_family(args):
-    if getattr(args, "builtin", None):
-        families = builtin_families()
-        if args.builtin not in families:
-            raise InputError(
-                f"unknown builtin {args.builtin!r}; choose from "
-                f"{sorted(families)}"
-            )
-        fam = families[args.builtin]
-        raw = json.dumps(fam.to_spec_dict(), sort_keys=True).encode()
-        return fam, raw
-    if not getattr(args, "family", None):
-        raise InputError("provide a family file or --builtin NAME")
-    return load_family(args.family)
-
-
-def floating_family(args):
-    """resolve_family for the commands that take n <= MAX_MATRIX_SIZE."""
-    fam, raw = resolve_family(args)
-    if fam.n > MAX_MATRIX_SIZE:
-        raise InputError(f"n = {fam.n} exceeds the supported size {MAX_MATRIX_SIZE}")
     return fam, raw
 
 
@@ -241,7 +247,9 @@ def parse_path(text: str, nparams: int):
         length = sum(abs(x - y) ** 2 for a, b in zip(path, path[1:])
                      for x, y in zip(a, b))
     except OverflowError:
-        raise InputError("--path segment lengths overflow float64") from None
+        length = math.inf
+    if not math.isfinite(length):  # a difference of finite values can be inf
+        raise InputError("--path segment lengths overflow float64")
     if length == 0:
         raise InputError("--path has zero length")
     return path
@@ -336,33 +344,21 @@ def bound_doc(report) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes (args, family, rel_tol) and returns the exit code
+# and the report body, or None for no report; ``main`` adds the envelope
 
 
-def cmd_census(args) -> int:
-    fam, raw = floating_family(args)
-    rel_tol = effective_tol(args)
+def cmd_census(args, fam, rel_tol):
     point = parse_point(args.point, fam.nparams)
     try:
         census = jordan_census(fam.at(point), rel_tol=rel_tol)
     except CensusInconsistencyError as err:
         sys.stderr.write(f"census inconsistency: {err}\n")
-        return EXIT_VALIDATION
-    doc = {
-        "schema": "v1",
-        "kind": "census",
-        "manifest": manifest(args.argv, raw, rel_tol, args.seed),
-        "family_label": fam.label,
-        "point": [cplx(c) for c in point],
-        "census": census_doc(census),
-    }
-    emit(doc, args.out)
-    return EXIT_OK
+        return EXIT_VALIDATION, None
+    return EXIT_OK, {"point": [cplx(c) for c in point], "census": census_doc(census)}
 
 
-def cmd_split_set(args) -> int:
-    fam, raw = resolve_family(args)
-    rel_tol = effective_tol(args)
+def cmd_split_set(args, fam, rel_tol):
     pts = unit_polydisk_samples(fam.nparams, args.samples, args.seed)
     res = split_defining_functions(fam.char_poly_family(), seed=args.seed)
     bound = check_coeff_bound(res.functions, fam.char_poly_family(), pts)
@@ -370,11 +366,7 @@ def cmd_split_set(args) -> int:
         h.is_constant() and not h.constant_value().is_zero()
         for h in res.functions
     )
-    doc = {
-        "schema": "v1",
-        "kind": "split-set",
-        "manifest": manifest(args.argv, raw, rel_tol, args.seed),
-        "family_label": fam.label,
+    return EXIT_OK if bound.passed else EXIT_VALIDATION, {
         "r_max": res.r_max,
         "functions": [h.to_string(fam.params) for h in res.functions],
         "empty": empty,
@@ -385,21 +377,14 @@ def cmd_split_set(args) -> int:
             "max_ratio": bound.max_ratio,
         },
     }
-    emit(doc, args.out)
-    return EXIT_OK if bound.passed else EXIT_VALIDATION
 
 
-def cmd_jst_set(args) -> int:
-    fam, raw = resolve_family(args)
-    rel_tol = effective_tol(args)
+def cmd_jst_set(args, fam, rel_tol):
     pts = unit_polydisk_samples(fam.nparams, args.samples, args.seed)
     res = jst_defining_functions(fam, seed=args.seed)
     bound = check_jst_bound(fam, res, pts)
-    doc = {
-        "schema": "v1",
-        "kind": "jst-set",
-        "manifest": manifest(args.argv, raw, rel_tol, args.seed),
-        "family_label": fam.label,
+    ok = bound.passed or not bound.applicable
+    return EXIT_OK if ok else EXIT_VALIDATION, {
         "rank_values": {str(k): v for k, v in res.rank_values.items()},
         "k0": res.k0,
         "denominator": res.denominator.to_string(fam.params),
@@ -419,36 +404,25 @@ def cmd_jst_set(args) -> int:
         "notes": res.notes,
         "bound_check": bound_doc(bound),
     }
-    emit(doc, args.out)
-    ok = bound.passed or not bound.applicable
-    return EXIT_OK if ok else EXIT_VALIDATION
 
 
-def cmd_scan(args) -> int:
-    fam, raw = floating_family(args)
-    rel_tol = effective_tol(args)
+def cmd_scan(args, fam, rel_tol):
     box = parse_box(args.box, fam.nparams)
     resolution = parse_resolution(args.res, fam.nparams)
     radius = args.probe_radius
     if radius is not None and not (math.isfinite(radius) and radius > 0):
         raise InputError(f"--probe-radius must be finite and > 0, got {radius}")
     jobs = min(checked_count("--jobs", args.jobs), os.cpu_count() or 1)
-
-    def scan(chunk_map=map):
-        return scan_grid(fam, box, resolution, rel_tol, args.probe_radius,
-                         chunk_map=chunk_map, chunks=jobs)
-
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            report = scan(pool.map)
-    else:
-        report = scan()
+    with multiprocessing.Pool(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
+        report = scan_grid(fam, box, resolution, rel_tol, args.probe_radius,
+                           chunk_map=pool.map if pool else map, chunks=jobs)
     point_docs = [point_doc(p) for p in report.points]
-    doc = {
-        "schema": "v1",
-        "kind": "scan",
-        "manifest": manifest(args.argv, raw, rel_tol, args.seed),
-        "family_label": fam.label,
+    if args.csv:
+        write_csv(args.csv, [f"re_{p}" for p in fam.params] + ["kind", "rank_theta"],
+                  ([c[0] for c in d["point"]]
+                   + [d["kind"], ";".join(map(str, d["rank_theta"]))]
+                   for d in point_docs))
+    return EXIT_OK, {
         "params": fam.params,
         "box": [[lo, hi] for lo, hi in report.box],
         "resolution": report.resolution,
@@ -457,34 +431,17 @@ def cmd_scan(args) -> int:
         "rank_theta_maxima": list(report.rank_theta_maxima),
         "points": point_docs,
     }
-    emit(doc, args.out)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            header = [f"re_{p}" for p in fam.params] + ["kind", "rank_theta"]
-            fh.write(",".join(header) + "\n")
-            for pdoc in point_docs:
-                coords = [repr(c[0]) for c in pdoc["point"]]
-                fh.write(
-                    ",".join(
-                        coords
-                        + [pdoc["kind"], ";".join(map(str, pdoc["rank_theta"]))]
-                    )
-                    + "\n"
-                )
-    return EXIT_OK
 
 
-def cmd_track(args) -> int:
-    fam, raw = floating_family(args)
-    rel_tol = effective_tol(args)
+def cmd_track(args, fam, rel_tol):
     checked_count("--steps", args.steps, MAX_STEPS)
     path = parse_path(args.path, fam.nparams)
     result = track_path(fam, path, steps=args.steps, rel_tol=rel_tol)
-    doc = {
-        "schema": "v1",
-        "kind": "track",
-        "manifest": manifest(args.argv, raw, rel_tol, args.seed),
-        "family_label": fam.label,
+    if args.csv:
+        write_csv(args.csv, ["t", "branch", "lambda_re", "lambda_im", "multiplicity"],
+                  ([s.t, idx, b.real, b.imag, m] for s in result.samples
+                   for idx, (b, m) in enumerate(zip(s.branches, s.multiplicities))))
+    return EXIT_OK, {
         "steps": args.steps,
         "samples": [
             {
@@ -507,16 +464,6 @@ def cmd_track(args) -> int:
             for e in result.events
         ],
     }
-    emit(doc, args.out)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("t,branch,lambda_re,lambda_im,multiplicity\n")
-            for s in result.samples:
-                for idx, (b, m) in enumerate(
-                    zip(s.branches, s.multiplicities)
-                ):
-                    fh.write(f"{s.t!r},{idx},{b.real!r},{b.imag!r},{m}\n")
-    return EXIT_OK
 
 
 def _verify_family(fam: MatrixFamily, case, rel_tol: float, seed: int, lines):
@@ -566,9 +513,10 @@ def _verify_family(fam: MatrixFamily, case, rel_tol: float, seed: int, lines):
     # direct product vs square-free route at rational points
     jst = jst_defining_functions(fam, seed=seed)
     generic_m = jst.squarefree.distinct_degree
+    check = f"{label}: square-free product cross-check"
     ok = True
     compared = 0
-    while compared < 5:
+    for _ in range(CROSS_CHECK_DRAWS):
         pt_exact = [
             GaussianRational(Fraction(rng.randint(1, 24), rng.randint(1, 4)))
             for _ in range(fam.nparams)
@@ -583,7 +531,12 @@ def _verify_family(fam: MatrixFamily, case, rel_tol: float, seed: int, lines):
         if np.linalg.norm(sq - direct, 2) > 1e-6 * (1 + np.linalg.norm(direct, 2)):
             ok = False
         compared += 1
-    lines.append((f"{label}: square-free product cross-check", ok))
+        if compared == 5:
+            break
+    else:
+        check += f": only {compared} of 5 points compared in {CROSS_CHECK_DRAWS} draws"
+        ok = False
+    lines.append((check, ok))
 
     # splitting amounts at the known split point
     if case and case.split_point and case.splitting_amounts:
@@ -625,8 +578,7 @@ def _verify_family(fam: MatrixFamily, case, rel_tol: float, seed: int, lines):
                       f"({bound.note})", True))
 
 
-def cmd_verify(args) -> int:
-    rel_tol = effective_tol(args)
+def cmd_verify(args, rel_tol) -> int:
     lines = []
     if args.builtin_corpus:
         raw = b"builtin-corpus"
@@ -670,12 +622,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, family=True):
-        if family:
-            p.add_argument("family", nargs="?", help="family spec JSON file")
-            p.add_argument(
-                "--builtin", help="use a built-in family by name instead"
-            )
+    def common(p):
+        p.add_argument("family", nargs="?", help="family spec JSON file")
+        p.add_argument("--builtin", help="use a built-in family by name instead")
         p.add_argument("--tol", type=float, default=None,
                        help=f"relative rank tolerance (or ${TOL_ENV_VAR})")
         p.add_argument("--seed", type=int, default=0,
@@ -732,7 +681,19 @@ def main(argv=None) -> int:
     args.argv = argv
     started = time.monotonic()
     try:
-        code = args.func(args)
+        if args.command == "verify":  # its report has no family label
+            code = cmd_verify(args, effective_tol(args))
+        else:
+            fam, raw = resolve_family(args)
+            if args.command in CAPPED_COMMANDS and fam.n > MAX_MATRIX_SIZE:
+                raise InputError(f"n = {fam.n} exceeds the supported size "
+                                 f"{MAX_MATRIX_SIZE}")
+            rel_tol = effective_tol(args)
+            code, body = args.func(args, fam, rel_tol)
+            if body is not None:
+                emit({"schema": "v1", "kind": args.command,
+                      "manifest": manifest(args.argv, raw, rel_tol, args.seed),
+                      "family_label": fam.label, **body}, args.out)
     except InputError as err:
         sys.stderr.write(f"input error: {err}\n")
         return EXIT_INPUT

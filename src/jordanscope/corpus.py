@@ -20,8 +20,6 @@ class CorpusCase:
     #: a split point with known splitting amounts, if any
     split_point: Optional[tuple] = None
     splitting_amounts: Optional[Tuple[int, ...]] = None
-    #: scan box fitting the interesting region
-    box: Optional[list] = None
 
 
 def builtin_cases() -> List[CorpusCase]:
@@ -56,7 +54,6 @@ def builtin_cases() -> List[CorpusCase]:
             non_stable=[((0.0, 0.0), "Jump")],
             stable_point=(1.0, 1.0),
             stable_census={2: 1},
-            box=[(-1.0, 1.0), (-1.0, 1.0)],
         ),
         CorpusCase(
             name="shear",
@@ -66,7 +63,6 @@ def builtin_cases() -> List[CorpusCase]:
             stable_census={1: 2},
             split_point=(0.0,),
             splitting_amounts=(2,),
-            box=[(-1.0, 1.0)],
         ),
         CorpusCase(
             name="sqrt",
@@ -76,7 +72,6 @@ def builtin_cases() -> List[CorpusCase]:
             stable_census={1: 2},
             split_point=(0.0,),
             splitting_amounts=(2,),
-            box=[(0.25, 2.0)],
         ),
         CorpusCase(
             name="double-eig",
@@ -86,7 +81,6 @@ def builtin_cases() -> List[CorpusCase]:
             stable_census={1: 3},
             split_point=(1.0,),
             splitting_amounts=(2,),
-            box=[(0.0, 2.0)],
         ),
         CorpusCase(
             name="jordan-cell",
@@ -96,7 +90,6 @@ def builtin_cases() -> List[CorpusCase]:
             stable_census={1: 1, 2: 1},
             split_point=(1.0,),
             splitting_amounts=(2,),
-            box=[(2.0, 4.0)],
         ),
         CorpusCase(
             name="constant",
@@ -104,7 +97,6 @@ def builtin_cases() -> List[CorpusCase]:
             non_stable=[],
             stable_point=(0.5,),
             stable_census={1: 2},
-            box=[(-1.0, 1.0)],
         ),
     ]
 

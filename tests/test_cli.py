@@ -359,6 +359,42 @@ def test_split_set_report_is_pinned(family_file, capsys, spec, r_max, count,
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# the sha256 of every byte a command writes, manifest included: stdout, then
+# the file named by "{file}"; recorded before the commands shared one runner
+PINNED_OUTPUTS = [
+    (["census", "--builtin", "jordan-cell", "--point", "3"],
+     ["76a8853b5f1b6d850903ab122a97a501eb102b5d78b9dba0d2bfd5b18f31d3a1"]),
+    (["split-set", "--builtin", "nilpotent", "--samples", "50"],
+     ["9f9d56836b5bff4c6f4323bf2ab57a677b228648c0bf09c31d9b2bddd35a7822"]),
+    (["jst-set", "--builtin", "jordan-cell", "--samples", "50"],
+     ["62cd839ff3a8ff9f1686d1369e3b22e6c5b6ba2020a1818e4b9fe761921ae27e"]),
+    (["scan", "--builtin", "nilpotent", "--box=-1:1,-1:1", "--res", "3",
+      "--csv", "{file}"],
+     ["7994c1de7a5e2b3d54a9b6591ce58ce203465b21c88e2ebdaff40c5bb97bf9c8",
+      "5b4b7ea4c32b2b2327627e8a8843e22112d32e9b7de5fd150279e06bcfef5b58"]),
+    (["track", "--builtin", "shear", "--path", "[[1.0],[-1.0]]", "--steps", "50",
+      "--csv", "{file}"],
+     ["13025a9aff9f03855c4270eb19136e9edc46bd9240bd329b9e23de7c45f50dcc",
+      "12cbba74b8ce1da22fa112991eb9f54253dadceeb6bbf78d350988ee7b5209a7"]),
+    (["verify", "--builtin-corpus", "--out", "{file}"],
+     ["2c2c8927bf70e46941689317ef9c72b86f20b8a15656d6a6b6113c2baf929386",
+      "ab62c5c34b9e0423e498c04cea0b46d8dbd74c1ee2eee9b2a31739d9935dbd9b"]),
+]
+
+
+@pytest.mark.parametrize("argv,digests", PINNED_OUTPUTS,
+                         ids=["census", "split-set", "jst-set", "scan-csv",
+                              "track-csv", "verify-out"])
+def test_output_bytes_are_pinned(tmp_path, capsys, argv, digests):
+    out_file = tmp_path / "output"
+    code = cli.main([str(out_file) if a == "{file}" else a for a in argv])
+    assert code == 0
+    outputs = [capsys.readouterr().out.encode()]
+    if out_file.exists():
+        outputs.append(out_file.read_bytes())
+    assert [hashlib.sha256(b).hexdigest() for b in outputs] == digests
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -381,6 +417,22 @@ def test_verify_detects_corruption(family_file, capsys, monkeypatch):
     code, out = run_cli(["verify", path], capsys)
     assert code == 1
     assert "FAIL" in out
+
+
+def test_verify_ends_when_no_draw_has_the_generic_count(family_file):
+    # the clustering tolerance 1e-5 (1 + |A|) merges the two eigenvalues,
+    # which differ by 1, at every point the cross-check draws
+    path = family_file({"n": 2, "params": ["z"],
+                        "entries": [["10^6*z", "1"], ["0", "10^6*z+1"]]})
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "jordanscope.cli", "verify", path],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 1
+    assert ("FAIL  family: square-free product cross-check: only 0 of 5 points "
+            "compared in 100 draws\n") in result.stdout
 
 
 # ---------------------------------------------------------------------------
@@ -596,33 +648,35 @@ def test_tolerance_outside_unit_interval_is_input_error(capsys, argv):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ["scan", "--box=-1:1", "--res", "3", "--probe-radius", "nan"],
-    ["scan", "--box=-1:1", "--res", "3", "--probe-radius", "inf"],
-    ["scan", "--box=-1:1", "--res", "3", "--probe-radius", "0"],
-    ["scan", "--box=nan:1", "--res", "3"],
-    ["scan", "--box=inf:1", "--res", "3"],
-    ["scan", "--box=1:1", "--res", "3"],
-    ["census", "--point", "nan"],
-    ["census", "--point", "1e400"],
-    ["track", "--path", "[[NaN],[1.0]]"],
-    ["track", "--path", "[[Infinity],[1.0]]"],
-    ["track", "--path", '[[["a","b"]],[1.0]]'],
-    ["track", "--path", "[[1],[1]]"],
-    ["track", "--path", "[[0],[1e-300]]"],
-    ["track", "--path", "[[0],[1e200]]"],
-    ["track", "--path", "[[0],[1" + "0" * 400 + "]]"],
-    ["track", "--path", "[[0],[[1, 1" + "0" * 400 + "]]]"],
-    ["track", "--path", "[[0],[1" + "0" * 5000 + "]]"],
+@pytest.mark.parametrize("argv,error", [
+    (["scan", "--box=-1:1", "--res", "3", "--probe-radius", "nan"], "--probe-radius"),
+    (["scan", "--box=-1:1", "--res", "3", "--probe-radius", "inf"], "--probe-radius"),
+    (["scan", "--box=-1:1", "--res", "3", "--probe-radius", "0"], "--probe-radius"),
+    (["scan", "--box=nan:1", "--res", "3"], "interval"),
+    (["scan", "--box=inf:1", "--res", "3"], "interval"),
+    (["scan", "--box=1:1", "--res", "3"], "interval"),
+    (["census", "--point", "nan"], "coordinate"),
+    (["census", "--point", "1e400"], "coordinate"),
+    (["track", "--path", "[[NaN],[1.0]]"], "path coordinates"),
+    (["track", "--path", "[[Infinity],[1.0]]"], "path coordinates"),
+    (["track", "--path", '[[["a","b"]],[1.0]]'], "cannot read complex value"),
+    (["track", "--path", "[[1],[1]]"], "--path has zero length"),
+    (["track", "--path", "[[0],[1e-300]]"], "--path has zero length"),
+    (["track", "--path", "[[0],[1e200]]"], "--path segment lengths overflow"),
+    (["track", "--path", "[[1e308],[-1e308]]"], "--path segment lengths overflow"),
+    (["track", "--path", "[[0],[1" + "0" * 400 + "]]"], "complex value beyond"),
+    (["track", "--path", "[[0],[[1, 1" + "0" * 400 + "]]]"], "complex value beyond"),
+    (["track", "--path", "[[0],[1" + "0" * 5000 + "]]"], "--path must be JSON"),
 ], ids=["radius-nan", "radius-inf", "radius-0", "box-nan", "box-inf", "box-zero-width",
         "point-nan", "point-overflow", "path-nan", "path-inf", "path-strings",
         "path-zero-length", "path-length-underflow", "path-length-overflow",
-        "path-big-int", "path-big-int-pair", "path-int-beyond-digit-limit"])
-def test_non_finite_or_degenerate_number_is_input_error(capsys, argv):
+        "path-length-inf", "path-big-int", "path-big-int-pair",
+        "path-int-beyond-digit-limit"])
+def test_non_finite_or_degenerate_number_is_input_error(capsys, argv, error):
     code = cli.main([argv[0], "--builtin", "shear", *argv[1:]])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("input error:") and err.count("\n") == 1
+    assert err.startswith(f"input error: {error}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("tol", ["5", "0", "nan"])
