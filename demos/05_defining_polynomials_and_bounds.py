@@ -4,8 +4,10 @@ Two nested bad sets admit explicit polynomial equations built from the
 matrix entries alone: where eigenvalues split (minors of the rank
 matrix of the characteristic polynomial) and where the Jordan
 structure jumps (products with rank minors of the powers of the
-denominator-cleared square-free evaluation). Each defining polynomial
-obeys an a-priori norm bound, checked here by sampling.
+square-free evaluation Theta). The characteristic polynomial is monic,
+so by Gauss's lemma its square-free part, and with it Theta, has
+polynomial entries. Each defining polynomial obeys an a-priori norm
+bound, checked here by sampling.
 """
 
 import random
@@ -30,8 +32,7 @@ nilpotent = MatrixFamily.from_entries(
     [["z*w", "-z^2"], ["w^2", "-z*w"]], ["z", "w"]
 )
 res = jst_defining_functions(nilpotent)
-print(f"generic rank of the cleared square-free evaluation: {res.rank_values}")
-print(f"denominator: {res.denominator.to_string(['z', 'w'])}")
+print(f"generic ranks of the powers of Theta: {res.rank_values}")
 print("defining polynomials of the non-stable set:")
 for h in res.functions:
     print("   ", h.to_string(["z", "w"]))

@@ -19,12 +19,6 @@ from .scalars import GaussianRational
 MONIC_REL_TOL = 1e-12
 
 
-def _is_zero_scalar(x) -> bool:
-    if isinstance(x, (MultiPoly, GaussianRational)):
-        return x.is_zero()
-    return x == 0
-
-
 def _coerce(c):
     if isinstance(c, (MultiPoly, GaussianRational)):
         return c
@@ -40,7 +34,7 @@ class UniPoly:
 
     def __init__(self, coeffs):
         coeffs = [_coerce(c) for c in coeffs]
-        while coeffs and _is_zero_scalar(coeffs[-1]):
+        while coeffs and not coeffs[-1]:
             coeffs.pop()
         self.coeffs = coeffs
 
@@ -83,33 +77,16 @@ class UniPoly:
             return lead == one_like(lead)
         return abs(lead - 1.0) <= MONIC_REL_TOL * (1 + abs(lead))
 
-    def coeff(self, k: int):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        if self.coeffs:
-            return zero_like(self.coeffs[0])
-        return 0.0
-
     def coeffs_nonzero(self):
-        return [c for c in self.coeffs if not _is_zero_scalar(c)]
+        return [c for c in self.coeffs if c]
 
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, UniPoly):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for k in range(n):
-            a = self.coeff(k) if k < len(self.coeffs) else None
-            b = other.coeff(k) if k < len(other.coeffs) else None
-            if a is None:
-                out.append(b)
-            elif b is None:
-                out.append(a)
-            else:
-                out.append(a + b)
-        return UniPoly(out)
+        a, b = self.coeffs, other.coeffs
+        return UniPoly([x + y for x, y in zip(a, b)] + a[len(b):] + b[len(a):])
 
     def __sub__(self, other):
         if not isinstance(other, UniPoly):
@@ -127,7 +104,7 @@ class UniPoly:
         zero = zero_like(self.coeffs[0])
         out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if _is_zero_scalar(a):
+            if not a:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
@@ -273,7 +250,7 @@ def subresultant_prs(f: UniPoly, g: UniPoly):
         _, r = pseudo_divmod(a, b)
         if r.is_zero():
             break
-        divisor = gg * _scalar_pow(h, delta)
+        divisor = gg * h**delta
         r = UniPoly([c / divisor for c in r.coeffs])
         seq.append(r)
         a, b = b, r
@@ -281,7 +258,7 @@ def subresultant_prs(f: UniPoly, g: UniPoly):
         if delta == 1:
             h = gg
         elif delta > 1:
-            h = _scalar_pow(gg, delta) / _scalar_pow(h, delta - 1)
+            h = gg**delta / h ** (delta - 1)
     return seq
 
 
@@ -292,9 +269,3 @@ def subresultant_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     if g.is_zero():
         return f
     return subresultant_prs(f, g)[-1]
-
-
-def _scalar_pow(c, k: int):
-    if k == 0:
-        return one_like(c)
-    return c**k

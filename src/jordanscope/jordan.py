@@ -34,6 +34,8 @@ from .tracker import (
 #: allowed ||T^(-1) Phi T - J|| of a chain basis, relative to
 #: (1 + ||Phi||) times its condition number
 BASIS_RESIDUAL_SCALE = 1e-8
+#: allowed ||Theta^n|| on the floating path, relative to (1 + ||Phi||)^(n m)
+NILPOTENCY_SCALE = 1e-8
 #: allowed similarity residual of a local Jordan transform, relative to
 #: 1 + ||A||
 TRANSFORM_RESIDUAL_SCALE = 1e-6
@@ -247,7 +249,6 @@ def verify_rank_identities(
     phi,
     census: JordanCensus,
     rel_tol: float = DEFAULT_REL_TOL,
-    nilpotency_scale: float = 1e-8,
 ) -> IdentityReport:
     """Check the rank identities tying the census together.
 
@@ -256,7 +257,7 @@ def verify_rank_identities(
       * rank Theta^k = n - sum_(l<=k) l*theta_l - k * sum_(l>k) theta_l
     plus the power stabilization rank (lam_j - Phi)^k = n - n_j for
     k >= n_j, and nilpotency Theta^n = 0 (exact zero on the exact path;
-    norm below nilpotency_scale * (1 + |Phi|)^(n m) on the floating path).
+    norm below NILPOTENCY_SCALE * (1 + |Phi|)^(n m) on the floating path).
     """
     n = census.n
     m = len(census.eigenvalues)
@@ -274,7 +275,7 @@ def verify_rank_identities(
                                   all(x.is_zero() for x in power.flat))
     else:
         norm = float(np.linalg.norm(power, 2))
-        bound = nilpotency_scale * (1.0 + float(np.linalg.norm(phi, 2))) ** (n * m)
+        bound = NILPOTENCY_SCALE * (1.0 + float(np.linalg.norm(phi, 2))) ** (n * m)
         nilpotent = IdentityCheck("theta-nilpotent", f"|Theta^{n}| = {norm:.3e}",
                                   norm <= bound, norm, bound)
 

@@ -4,8 +4,8 @@ pipeline for the set of non-Jordan-stable points.
 The pointwise classifier samples probe rings; the symbolic pipeline
 produces polynomials whose common zero set cuts out exactly the bad
 points, by combining the splitting-set minors of the characteristic
-polynomial with the rank minors of the powers of the (denominator-
-cleared) square-free evaluation of the family.
+polynomial with the rank minors of the powers of the square-free
+evaluation of the family.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .algebra.matrices import as_matrix, char_poly_stack, poly_at_matrix
-from .algebra.multipoly import MultiPoly, mp_content, mp_gcd
+from .algebra.multipoly import MultiPoly, mp_content
 from .algebra.scalars import GR_ONE
 from .algebra.unipoly import UniPoly, derivative, pseudo_divmod, subresultant_gcd
 from .family import MatrixFamily
@@ -211,80 +211,50 @@ class GcdDegenerationError(RuntimeError):
 
 @dataclass
 class SquareFreeResult:
-    """Denominator-cleared square-free evaluation of the family.
+    """Square-free evaluation of the family.
 
-    ``theta_num`` holds the MultiPoly entries of D * Theta, where Theta
-    is the product of (lam_j - A) over the distinct eigenvalue branches
-    and D clears the rational-function denominators picked up by the
-    gcd over the parameter field. Wherever D != 0 and no eigenvalues
-    collide, theta_num evaluates to D(point) * Theta(point).
+    ``theta`` holds the MultiPoly entries of Theta, the product of
+    (lam_j - A) over the distinct eigenvalue branches; wherever no
+    eigenvalues collide, it evaluates to Theta(point).
     """
 
-    theta_num: np.ndarray  # n x n, MultiPoly entries
-    denominator: MultiPoly
+    theta: np.ndarray  # n x n, MultiPoly entries
     distinct_degree: int  # generic number of distinct eigenvalues
-
-    @property
-    def denominator_is_one(self) -> bool:
-        return self.denominator.is_constant() and self.denominator.constant_value().is_one()
 
 
 def square_free_part_family(family: MatrixFamily) -> SquareFreeResult:
-    """Symbolic D*Theta for a polynomial family.
+    """Symbolic Theta for a polynomial family.
 
     The square-free part q0 = P / gcd(P, P') of the characteristic
-    polynomial is computed over the rational-function field via a
-    subresultant remainder sequence; pseudo-division and a content gcd
-    produce the minimal polynomial denominator D with q0 = Q / D, and
-    D * Theta = (-1)^m Q(A).
+    polynomial P comes from a subresultant remainder sequence and one
+    pseudo-division by the primitive part of its gcd. P is monic, so by
+    Gauss's lemma that primitive part has a constant leading coefficient
+    and q0 has polynomial coefficients: Theta = (-1)^m q0(A).
     """
     p = family.char_poly_family()
-    nv = len(family.params)
-    one = MultiPoly.one(nv)
-    dp = derivative(p)
-    g = subresultant_gcd(p, dp)
+    g = subresultant_gcd(p, derivative(p))
     if g.is_zero():
         raise GcdDegenerationError("vanishing remainder sequence")
+    q = p  # a constant gcd: the family is generically square-free
     if g.degree >= 1:
         cont = mp_content(g.coeffs_nonzero())
         g = UniPoly([c.exact_div(cont) for c in g.coeffs])
-        lead = g.leading
-        d = p.degree - g.degree
-        q_tilde, remainder = pseudo_divmod(p, g)
+        q, remainder = pseudo_divmod(p, g)
         if not remainder.is_zero():
             raise GcdDegenerationError(
                 "gcd of the remainder sequence does not divide the "
                 "characteristic polynomial (non-generic content)"
             )
-        d_raw = lead**d if d else one
-    else:
-        # gcd is a nonzero scalar: the family is generically square-free
-        q_tilde, d_raw = p, one
-    common = mp_gcd(mp_content(q_tilde.coeffs_nonzero()), d_raw)
-    if not common.is_constant():
-        q_tilde = UniPoly([c.exact_div(common) for c in q_tilde.coeffs])
-        d_raw = d_raw.exact_div(common)
-    if d_raw.is_constant():
-        c = d_raw.constant_value()
-        q_tilde = UniPoly([q.scale(GR_ONE / c) for q in q_tilde.coeffs])
-        denominator = one
-    else:
-        _, lead_c = d_raw.leading
-        denominator = d_raw.scale(GR_ONE / lead_c)
-        q_tilde = UniPoly([q.scale(GR_ONE / lead_c) for q in q_tilde.coeffs])
-    if q_tilde.leading != denominator:
+    if not q.leading.is_constant():
         raise GcdDegenerationError(
-            "cleared square-free part is not monic over the denominator"
+            "square-free part has a non-constant leading coefficient"
         )
-    m = q_tilde.degree
-    theta_num = poly_at_matrix(q_tilde.coeffs, as_matrix(family.entries))
-    if m % 2 == 1:
-        theta_num = -theta_num
-    return SquareFreeResult(
-        theta_num=theta_num,
-        denominator=denominator,
-        distinct_degree=m,
-    )
+    scale = GR_ONE / q.leading.constant_value()
+    q = UniPoly([c.scale(scale) for c in q.coeffs])
+    theta = poly_at_matrix(q.coeffs, as_matrix(family.entries))
+    if q.degree % 2 == 1:
+        theta = -theta
+    return SquareFreeResult(theta=theta, distinct_degree=q.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -300,14 +270,9 @@ class JstResult:
     rank_minor_functions: Dict[int, List[MultiPoly]]
     rank_values: Dict[int, int]
     k0: int
-    denominator: MultiPoly
     squarefree: SquareFreeResult
     capped: bool = False
     notes: List[str] = field(default_factory=list)
-
-    @property
-    def denominator_is_one(self) -> bool:
-        return self.squarefree.denominator_is_one
 
     @property
     def whole_space_stable(self) -> bool:
@@ -329,27 +294,19 @@ def jst_defining_functions(family: MatrixFamily, seed: int = 0) -> JstResult:
     Splitting-set functions g_j come from the splitting matrix of the
     characteristic polynomial; for each power k up to the last with
     positive generic rank, the f's are the nonvanishing minors of order
-    r_k of (D*Theta)^k; the h's are all products g * f^(1) * ... * f^(k0).
-    When D is not 1 the f-minors can acquire extra zeros along {D = 0},
-    which is flagged rather than silently asserted away.
+    r_k of Theta^k; the h's are all products g * f^(1) * ... * f^(k0).
     """
     notes: List[str] = []
     gs = split_defining_functions(family.char_poly_family(), seed=seed).functions
     sf = square_free_part_family(family)
-    if not sf.denominator_is_one:
-        notes.append(
-            "cleared denominator D != 1: minors of (D*Theta)^k may vanish "
-            "on {D = 0} without a rank jump; zero-set equality is sampled, "
-            "not asserted"
-        )
     n = family.n
     rank_values: Dict[int, int] = {}
     minor_functions: Dict[int, List[MultiPoly]] = {}
-    power = sf.theta_num
+    power = sf.theta
     k0 = 0
     for k in range(1, n):
         if k > 1:
-            power = power @ sf.theta_num
+            power = power @ sf.theta
         r_k, note = generic_rank(power, seed=seed)
         rank_values[k] = r_k
         if k == 1:
@@ -378,7 +335,6 @@ def jst_defining_functions(family: MatrixFamily, seed: int = 0) -> JstResult:
         rank_minor_functions=minor_functions,
         rank_values=rank_values,
         k0=k0,
-        denominator=sf.denominator,
         squarefree=sf,
         capped=capped,
         notes=notes,
@@ -413,16 +369,13 @@ def check_jst_bound(
 ) -> BoundReport:
     """|h| <= (2n)^(2n^4) * max(1, |A|)^(2n^4) at the samples.
 
-    Only applicable to the denominator-free case D = 1; with D != 1 the
-    cleared functions differ from sums of products of matrix elements
-    and the report is marked not applicable.
+    When the product list is capped there are no h's to check, and the
+    report is marked not applicable.
     """
     label = "non-stable-set function"
-    if not jst.denominator_is_one or jst.functions is None:
-        reason = ("cleared denominator D != 1" if not jst.denominator_is_one
-                  else "product list capped; factors emitted instead")
-        return BoundReport(label, 0, [], 0.0, applicable=False,
-                           note=f"NOT APPLICABLE: {reason}")
+    if jst.functions is None:
+        return BoundReport(label, 0, [], 0.0, applicable=False, note=(
+            "NOT APPLICABLE: product list capped; factors emitted instead"))
     n = family.n
     return bound_report(label, sample_points, jst.functions,
                         float((2 * n) ** (2 * n**4)),

@@ -10,6 +10,7 @@ points where zeros collide.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -150,11 +151,12 @@ def bound_report(label: str, points: Sequence, functions: Sequence[MultiPoly],
     f at every sample point, given one scale per point.
 
     Each point's bound is computed once, and the function list is
-    evaluated once over all points. A value violates its bound when it
-    exceeds it by more than a relative 1e-12; each violation is kept with
-    its witness point, in point order.
+    evaluated once over all points; a power beyond float64 makes the
+    bound inf, which no value violates. A value violates its bound when
+    it exceeds it by more than a relative 1e-12; each violation is kept
+    with its witness point, in point order.
     """
-    bounds = [constant * max(1.0, s) ** exponent for s in scales]
+    bounds = [constant * _power(max(1.0, s), exponent) for s in scales]
     values = _moduli(functions, points)
     limits = np.array(bounds)[:, None]
     with np.errstate(all="ignore"):
@@ -166,6 +168,13 @@ def bound_report(label: str, points: Sequence, functions: Sequence[MultiPoly],
     ]
     max_ratio = float(np.fmax.reduce(ratios, axis=None, initial=0.0))
     return BoundReport(label, values.size, violations, max_ratio)
+
+
+def _power(base: float, exponent: int) -> float:
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
 
 
 def _moduli(polys: Sequence[MultiPoly], points) -> np.ndarray:

@@ -575,6 +575,29 @@ def test_values_beyond_float64_are_input_errors(family_file, capsys, entries, ar
     assert err.startswith("input error:") and err.count("\n") == 1
 
 
+# finite entries whose sampled bound constant * max(1, |A|)^e leaves
+# float64: the bound is inf, which every finite value meets
+HUGE_BOUNDS = [
+    ([["10^200"]], "split-set"),
+    ([["10^200"]], "jst-set"),
+    ([["10^150*z", "1"], ["0", "-z"]], "split-set"),
+    ([["10^150*z", "1"], ["0", "-z"]], "jst-set"),
+    ([["10^200*z", "1"], ["0", "10^200*z+1"]], "jst-set"),
+]
+
+
+@pytest.mark.parametrize("entries,command", HUGE_BOUNDS, ids=[
+    "split-set-constant", "jst-set-constant", "split-set-norm", "jst-set-norm",
+    "jst-set-char-poly",
+])
+def test_bound_beyond_float64_is_met(family_file, capsys, entries, command):
+    doc = {"n": len(entries), "params": ["z"], "entries": entries}
+    code, out = run_cli([command, family_file(doc), "--samples", "20"], capsys)
+    assert code == 0
+    check = json.loads(out)["bound_check"]
+    assert check["passed"] and check["max_ratio"] == 0.0
+
+
 def jordan_chain(n):
     """n x n: z on the diagonal (z + 1 in the corner), ones above it."""
     entries = [["z" if i == j else "1" if j == i + 1 else "0" for j in range(n)]

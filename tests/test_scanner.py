@@ -194,28 +194,25 @@ def test_scan_size_cap():
 
 def test_squarefree_nilpotent_family():
     sf = square_free_part_family(nilpotent_family())
-    assert sf.denominator_is_one
     assert sf.distinct_degree == 1
     # Theta = -A
     f = nilpotent_family()
     for i in range(2):
         for j in range(2):
-            assert sf.theta_num[i][j] == -f.entries[i][j]
+            assert sf.theta[i][j] == -f.entries[i][j]
 
 
 def test_squarefree_shear_family_is_cayley_hamilton_zero():
     sf = square_free_part_family(shear_family())
-    assert sf.denominator_is_one
     assert sf.distinct_degree == 2
-    assert all(e.is_zero() for row in sf.theta_num for e in row)
+    assert all(e.is_zero() for row in sf.theta for e in row)
 
 
 def test_squarefree_double_eigenvalue_family():
     sf = square_free_part_family(double_eig_family())
-    assert sf.denominator_is_one
     assert sf.distinct_degree == 2
     # A diagonalizable with exactly the eigenvalues {z, 1}: Theta = 0
-    assert all(e.is_zero() for row in sf.theta_num for e in row)
+    assert all(e.is_zero() for row in sf.theta for e in row)
 
 
 def test_squarefree_jordan_cell_family():
@@ -224,19 +221,18 @@ def test_squarefree_jordan_cell_family():
         [["z", "1", "0"], ["0", "z", "0"], ["0", "0", "1"]], ["z"]
     )
     sf = square_free_part_family(f)
-    assert sf.denominator_is_one
     assert sf.distinct_degree == 2
     z = MultiPoly.variable(1, 0)
     one = MultiPoly.one(1)
     # Theta = (z - A)(1 - A): single nonzero entry (z - 1) at (0, 1)
-    assert sf.theta_num[0][1] == z - one
+    assert sf.theta[0][1] == z - one
     zero_positions = [(i, j) for i in range(3) for j in range(3) if (i, j) != (0, 1)]
     for i, j in zero_positions:
-        assert sf.theta_num[i][j].is_zero()
+        assert sf.theta[i][j].is_zero()
 
 
 def test_squarefree_evaluation_identity_at_rational_points():
-    # (D*Theta)(pt) == D(pt) * theta_product(A(pt)) at random points
+    # Theta(pt) == theta_product(A(pt)) at random points
     rng = random.Random(71)
     for fam in (nilpotent_family(), double_eig_family()):
         sf = square_free_part_family(fam)
@@ -246,17 +242,78 @@ def test_squarefree_evaluation_identity_at_rational_points():
                 for _ in range(fam.nparams)
             ]
             sym = np.array(
-                [[complex(e.eval_complex(pt)) for e in row] for row in sf.theta_num]
+                [[complex(e.eval_complex(pt)) for e in row] for row in sf.theta]
             )
             a = fam.at(pt)
             clusters = distinct_eigenvalues(a)
             direct = theta_product(a, [lam for lam, _ in clusters])
-            d_val = complex(sf.denominator.eval_complex(pt))
             if len(clusters) != sf.distinct_degree:
                 continue  # point accidentally on the splitting set
-            assert np.linalg.norm(sym - d_val * direct) <= 1e-6 * (
+            assert np.linalg.norm(sym - direct) <= 1e-6 * (
                 1 + np.linalg.norm(direct)
             )
+
+
+def random_jordan_family(rng):
+    """(family, eigenvalue branches): S T S^-1 with T upper triangular,
+    n <= 4, one or two parameters. T's diagonal repeats m <= n distinct
+    linear branches; between equal diagonal entries the superdiagonal
+    holds 1, 0 or a parameter, so Jordan blocks come and go. S is a
+    permutation times integer row operations."""
+    nv = rng.choice([1, 2])
+    n = rng.randint(2, 4)
+    one = MultiPoly.one(nv)
+    var = [MultiPoly.variable(nv, k) for k in range(nv)]
+    m = rng.randint(1, n)
+    branches = []
+    while len(branches) < m:
+        lam = one.scale(rng.randint(-3, 3))
+        for x in var:
+            lam = lam + x.scale(rng.randint(-2, 2))
+        if lam not in branches:
+            branches.append(lam)
+    slots = sorted(list(range(len(branches)))
+                   + [rng.randrange(len(branches)) for _ in range(n - len(branches))])
+    t = [[MultiPoly.zero(nv) for _ in range(n)] for _ in range(n)]
+    for i, b in enumerate(slots):
+        t[i][i] = branches[b]
+        if i + 1 < n and slots[i + 1] == b:
+            t[i][i + 1] = rng.choice([one, MultiPoly.zero(nv), var[-1]])
+        for j in range(i + 2, n):
+            t[i][j] = one.scale(rng.randint(-1, 1))
+    for _ in range(3):
+        # T -> E T E^-1 with E = I + c e_i e_j
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([-1, 1])
+        t[i] = [a + b.scale(c) for a, b in zip(t[i], t[j])]
+        for row in t:
+            row[j] = row[j] - row[i].scale(c)
+    perm = rng.sample(range(n), n)
+    entries = [[t[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    params = ["z", "w"][:nv]
+    return MatrixFamily(n=n, params=params, entries=entries), branches
+
+
+def test_squarefree_random_families_give_monic_theta():
+    """Theta has the generic distinct-eigenvalue count as its degree and
+    equals the monic product theta_product exactly at rational points,
+    so no denominator or leading factor is left over."""
+    rng = random.Random(2024)
+    nonzero = 0
+    for _ in range(40):
+        fam, branches = random_jordan_family(rng)
+        sf = square_free_part_family(fam)
+        assert sf.distinct_degree == len(branches)
+        for _ in range(3):
+            pt = [gr(rng.randint(-5, 5), rng.randint(-2, 2)) for _ in fam.params]
+            values = list(dict.fromkeys(b.eval_exact(pt) for b in branches))
+            if len(values) < len(branches):
+                continue  # the point lies on the splitting set
+            direct = theta_product(fam.at_exact(pt), values)
+            sym = [[e.eval_exact(pt) for e in row] for row in sf.theta]
+            assert sym == direct.tolist()
+            nonzero += any(x for row in sym for x in row)
+    assert nonzero >= 20
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +322,6 @@ def test_squarefree_evaluation_identity_at_rational_points():
 
 def test_jst_nilpotent_family_zero_set_is_origin():
     res = jst_defining_functions(nilpotent_family())
-    assert res.denominator_is_one
     assert res.k0 == 1
     assert res.rank_values[1] == 1
     assert not res.whole_space_stable

@@ -18,6 +18,7 @@ from jordanscope.algebra import (
 from jordanscope.algebra.multipoly import StackedEvaluator
 from jordanscope.family import MatrixFamily
 from jordanscope.sylv import (
+    bound_report,
     build_split_matrix,
     check_coeff_bound,
     distinct_zero_count,
@@ -375,3 +376,15 @@ def test_coeff_bound_sampled_under_unit_polydisk():
     ]
     rep = check_coeff_bound(res.functions, fam, pts)
     assert rep.passed, rep.violations[:1]
+
+
+def test_bound_report_overflowing_power_is_an_infinite_bound():
+    # 1e200 ** 2 leaves float64: that point's bound is inf and its ratio
+    # 0, while the finite point keeps the exact bound 4 * 2.0 ** 2
+    one = MultiPoly.one(1)
+    report = bound_report("test", [[0j], [1j]], [one.scale(100)], 4.0,
+                          [1e200, 2.0], 2)
+    assert report.checked == 2
+    assert [v["bound"] for v in report.violations] == [16.0]
+    assert report.violations[0]["point"] == [1j]
+    assert report.max_ratio == 100 / 16.0
