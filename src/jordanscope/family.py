@@ -117,11 +117,19 @@ class MatrixFamily:
 
     def char_poly_at(self, point) -> UniPoly:
         """Characteristic polynomial at a point, complex coefficients."""
+        return self.char_poly_at_many([point])[0]
+
+    def char_poly_at_many(self, points) -> List[UniPoly]:
+        """Characteristic polynomials at a stack of points, complex
+        coefficients, from one evaluator call. Each row depends only on
+        its own point, so every polynomial has the bits that
+        ``char_poly_at`` gives at that point. A power beyond float64 at
+        any point raises OverflowError."""
         if not hasattr(self, "_charpoly_eval"):
             self._charpoly_eval = StackedEvaluator(
                 self.char_poly_family().coeffs, self.nparams
             )
-        return UniPoly(self._charpoly_eval([point])[0].tolist())
+        return [UniPoly(row) for row in self._charpoly_eval(points).tolist()]
 
     def operator_norm_at(self, point) -> float:
         return self.operator_norms([point])[0]

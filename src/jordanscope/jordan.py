@@ -497,7 +497,10 @@ def local_jordan_transform(
     move, following the contour-integral branches. At each sample the
     intertwiner S with S A = J S is recovered by orthogonal projection
     of S(xi) onto the kernel of the intertwining map, and
-    T = S^(-1) conjugates A into J up to the reported residual.
+    T = S^(-1) conjugates A into J up to the reported residual. The
+    family and its characteristic polynomial are evaluated at all samples
+    as one stack each, so a sample beyond float64 raises before any
+    sample is processed.
     """
     xi = tuple(complex(c) for c in xi)
     a_xi = family.at(xi)
@@ -511,10 +514,12 @@ def local_jordan_transform(
     samples = []
     kernel_dim = None
     max_residual = 0.0
-    for point in disk_samples(xi, disk_radius, sample_count):
-        a_here = family.at(point)
-        lams = contour_roots(family.char_poly_at(point), census.eigenvalues,
-                             state.radius, census.multiplicities)
+    points = disk_samples(xi, disk_radius, sample_count)
+    stack = np.reshape(np.asarray(points, dtype=complex), (len(points), len(xi)))
+    for point, a_here, p_here in zip(points, family.at_many(stack),
+                                     family.char_poly_at_many(stack)):
+        lams = contour_roots(p_here, census.eigenvalues, state.radius,
+                             census.multiplicities)
         j_here = jordan_form_from_census(census, lams)
         w = _wasow_matrix(a_here, j_here)
         kernel = kernel_basis(w, rel_tol)

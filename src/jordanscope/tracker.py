@@ -210,18 +210,26 @@ def _circle_values(coeffs, dcoeffs, centers, radius: float, q: int,
     return (zr, zi, cr, ci, *_horner(coeffs, zr, zi), *_horner(dcoeffs, zr, zi))
 
 
+def _terms(zr, zi, cr, ci, pr, pi, dr, di):
+    """The integrand z p'(z)/p(z) (z - center) at the nodes of
+    ``_circle_values``, and two masks: where the node loop stops (|p|
+    vanishes or abs(p) overflows) and where abs(p) overflows."""
+    size, overflow = complex_modulus(pr, pi)
+    tr, ti = _quotient(*complex_product(zr, zi, dr, di), pr, pi)
+    # dz/dtheta = i*(z - center)
+    tr, ti = complex_product(tr, ti, zr - cr, zi - ci)
+    return tr, ti, overflow | (size < 1e-300), overflow
+
+
 def _node_sums(blocks, count: int):
-    """Per circle, the sum over the nodes of z p'(z)/p(z) (z - center),
-    in node order from 0j, from the blocks of ``_circle_values`` that
-    cover a level, and the error the node loop raises first (None if
-    none): ContourError where |p| vanishes, OverflowError where abs(p)
-    overflows."""
+    """Per circle, the sum of the integrand over the nodes, in node order
+    from 0j, from the blocks of ``_terms`` that cover a level, and the
+    error the node loop raises first (None if none): ContourError where
+    |p| vanishes, OverflowError where abs(p) overflows."""
     acc_r = np.zeros((count, 1))
     acc_i = np.zeros((count, 1))
     errors = [None] * count
-    for zr, zi, cr, ci, pr, pi, dr, di in blocks:
-        size, overflow = complex_modulus(pr, pi)
-        bad = overflow | (size < 1e-300)
+    for tr, ti, bad, overflow in blocks:
         for row in np.flatnonzero(bad.any(axis=1)):
             if errors[row] is None:
                 errors[row] = (
@@ -229,15 +237,13 @@ def _node_sums(blocks, count: int):
                     if overflow[row, bad[row].argmax()]
                     else ContourError("|p| vanishes on the contour")
                 )
-        tr, ti = _quotient(*complex_product(zr, zi, dr, di), pr, pi)
-        # dz/dtheta = i*(z - center)
-        tr, ti = complex_product(tr, ti, zr - cr, zi - ci)
         acc_r = np.add.accumulate(np.hstack([acc_r, tr]), axis=1)[:, -1:]
         acc_i = np.add.accumulate(np.hstack([acc_i, ti]), axis=1)[:, -1:]
     sums = [complex(r, i) for r, i in zip(acc_r[:, 0].tolist(), acc_i[:, 0].tolist())]
     return sums, errors
 
 
+@np.errstate(all="ignore")
 def contour_roots(
     p: UniPoly,
     centers: Sequence[complex],
@@ -255,24 +261,29 @@ def contour_roots(
     and are evaluated in one array pass per level. When several circles
     fail, the error raised is that of the first of them in order.
     ``known`` is a pair (Q, values of ``_circle_values`` at all Q nodes of
-    every circle) already computed for this p: levels whose nodes are
-    among them are read off it.
+    every circle) already computed for this p. The integrand is computed
+    once at those Q nodes, and each level whose nodes are among them sums
+    its strided columns; the coefficients of p and p' are built only for
+    a level beyond them.
     """
     centers = [complex(c) for c in centers]
     radius = float(radius)
-    coeffs = _coefficients(p)
-    dcoeffs = _coefficients(derivative(p))
     roots = [None] * len(centers)
     prev = [None] * len(centers)  # each circle's value at the last level
+    known_terms = None if known is None else _terms(*known[1])
+    coeffs = []  # of p and p', once a level needs them
 
     def level(rows, q):
         if known is not None and known[0] % q == 0:
             pick = rows if len(rows) < len(centers) else slice(None)
-            yield tuple(a[pick, :: known[0] // q] for a in known[1])
+            yield tuple(a[pick, :: known[0] // q] for a in known_terms)
             return
+        if not coeffs:
+            coeffs.extend((_coefficients(p), _coefficients(derivative(p))))
         for start in range(0, q, QUADRATURE_BLOCK):
-            yield _circle_values(coeffs, dcoeffs, [centers[i] for i in rows],
-                                 radius, q, start, min(q, start + QUADRATURE_BLOCK))
+            yield _terms(*_circle_values(
+                *coeffs, [centers[i] for i in rows], radius, q, start,
+                min(q, start + QUADRATURE_BLOCK)))
 
     # the first failing circle so far: no later circle can decide the error
     failed, failure = len(centers), None
@@ -283,8 +294,7 @@ def contour_roots(
     rows = list(range(failed))
     q = FIRST_QUADRATURE_NODES
     while rows:
-        with np.errstate(all="ignore"):
-            sums, errors = _node_sums(level(rows, q), len(rows))
+        sums, errors = _node_sums(level(rows, q), len(rows))
         for i, total, err in zip(rows, sums, errors):
             if err is None:
                 try:
@@ -427,6 +437,19 @@ def track_path(
 
     t = 0.0
     here, state, p_cur = seed(t)
+    # While every step is accepted, t runs through this grid, so its points
+    # are evaluated as one stack. A rejected step leaves the grid, and a
+    # point off it is evaluated alone. If a value at some grid point leaves
+    # float64, every point is evaluated alone when the path visits it, so
+    # the error comes where the path reaches that point.
+    grid, t_at = [], t
+    while t_at < 1.0 - 1e-14:
+        t_at = min(t_at + base_h, 1.0)
+        grid.append(t_at)
+    try:
+        polys.update(zip(grid, family.char_poly_at_many([zeta(g) for g in grid])))
+    except (OverflowError, NonFiniteError):
+        pass
     samples = [TrackSample(t, here, state.centers, state.multiplicities)]
     events: List[SplitEvent] = []
     h = base_h

@@ -76,6 +76,23 @@ def test_stacked_evaluation_of_one_point_stays_close_to_the_loop():
     assert family.at_many(np.empty((0, 2))).shape == (0, 4, 4)
 
 
+COMPLEX = st.builds(complex, st.floats(-3, 3), st.floats(-3, 3))
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.label)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_char_poly_at_many_has_the_bits_of_char_poly_at(family, data):
+    points = data.draw(st.lists(
+        st.tuples(*[COMPLEX] * family.nparams), min_size=1, max_size=6))
+    stacked = family.char_poly_at_many(points)
+    assert len(stacked) == len(points)
+    for point, p in zip(points, stacked):
+        assert [bits(c) for c in p.coeffs] == [
+            bits(c) for c in family.char_poly_at(point).coeffs]
+    assert family.char_poly_at_many(np.empty((0, family.nparams))) == []
+
+
 def test_stacked_evaluation_rejects_wrong_dimension():
     with pytest.raises(ValueError):
         FAMILIES[0].at_many([(1.0,)])

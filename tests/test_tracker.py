@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from jordanscope.algebra import GaussianRational, MultiPoly, UniPoly
 from jordanscope.algebra.multipoly import complex_modulus, complex_product
 from jordanscope.algebra.unipoly import derivative
+from jordanscope import tracker
 from jordanscope.family import MatrixFamily
 from jordanscope.tracker import (
     MAX_QUADRATURE_NODES,
@@ -365,19 +366,75 @@ def test_track_through_split_brackets_event():
 
 def test_track_evaluates_each_visited_point_once(monkeypatch):
     # Near the collision, rejected trial points are tried again from later
-    # t, and a re-seed may land on one; each point is still evaluated once.
-    points = []
-    char_poly_at = MatrixFamily.char_poly_at
+    # t, and a re-seed may land on one; each point is still evaluated once,
+    # whether alone or in the stacked evaluation of the step grid.
+    stacks = []
+    char_poly_at_many = MatrixFamily.char_poly_at_many
 
-    def counted(self, point):
-        points.append(tuple(point))
-        return char_poly_at(self, point)
+    def counted_many(self, points):
+        stacks.append([tuple(point) for point in points])
+        return char_poly_at_many(self, points)
 
-    monkeypatch.setattr(MatrixFamily, "char_poly_at", counted)
+    def counted_one(self, point):
+        stacks.append([tuple(point)])
+        return char_poly_at_many(self, [point])[0]
+
+    monkeypatch.setattr(MatrixFamily, "char_poly_at_many", counted_many)
+    monkeypatch.setattr(MatrixFamily, "char_poly_at", counted_one)
     res = track_path(FAM_SHEAR(), [[1.0], [-1.0]], steps=100)
     assert len(res.events) == 1  # one re-seed past the collision
+    points = [point for stack in stacks for point in stack]
+    assert max(len(stack) for stack in stacks) == 100  # the step grid
     assert len(points) > 100
     assert len(points) == len(set(points))
+    # with every step accepted, the seed and the grid are all there is
+    stacks.clear()
+    assert track_path(FAM_SQRT(), [[1.0], [4.0]], steps=100).events == []
+    assert [len(stack) for stack in stacks] == [1, 100]
+
+
+@pytest.mark.parametrize("family, path", [
+    (FAM_SHEAR, [[1.0], [-1.0]]),  # one split event, rejected steps
+    (FAM_SQRT, [[1.0], [4.0]]),
+], ids=["shear", "sqrt"])
+def test_track_without_the_stacked_grid_gives_the_same_result(monkeypatch, family, path):
+    want = track_path(family(), path, steps=100)
+    refused = []
+    char_poly_at_many = MatrixFamily.char_poly_at_many
+
+    def overflowing(self, points):
+        # a stack raises as a power beyond float64 would; single points pass
+        if len(points) > 1:
+            refused.append(len(points))
+            raise OverflowError("complex exponentiation")
+        return char_poly_at_many(self, points)
+
+    monkeypatch.setattr(MatrixFamily, "char_poly_at_many", overflowing)
+    assert track_path(family(), path, steps=100) == want
+    assert refused == [100]
+
+
+def test_known_levels_share_one_integrand_pass(monkeypatch):
+    # both roots converge at 64 nodes: the 32- and 64-node levels are read
+    # off one integrand array, and p' is never rebuilt
+    p_old = UniPoly([-1.0, 0.0, 1.0])
+    p_new = UniPoly([-1.0 - 1e-3, 0.0, 1.0])
+    state = BranchState((-1.0 + 0j, 1.0 + 0j), (1, 1), 0.5)
+    known = _rouche_values(p_old, p_new, state)
+    assert known is not None
+    calls = {"_quotient": 0, "derivative": 0}
+    for name in calls:
+        original = getattr(tracker, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(tracker, name, counted)
+    roots = contour_roots(p_new, state.centers, state.radius, (1, 1), known=known)
+    assert roots == outcome(lambda: tuple(
+        oracle_contour_root(p_new, c, state.radius, 1) for c in state.centers))
+    assert calls == {"_quotient": 1, "derivative": 0}
 
 
 def test_track_branch_values_satisfy_charpoly():
