@@ -59,7 +59,7 @@ from .scanner import (
     MAX_STEPS,
     check_jst_bound,
     check_split_bound,
-    classify_point,
+    classify_points,
     jst_defining_functions,
     scan_grid,
 )
@@ -559,7 +559,7 @@ def _verify_family(fam: MatrixFamily, case, rel_tol: float, seed: int, lines):
     # classification of the known non-stable points
     if case:
         for point, kind in case.non_stable:
-            pc = classify_point(fam, point, probe_radius=1e-2, rel_tol=rel_tol)
+            pc = classify_points(fam, [point], probe_radius=1e-2, rel_tol=rel_tol)[0]
             lines.append(
                 (f"{label}: {point} classified {kind}", pc.kind.value == kind)
             )

@@ -35,8 +35,9 @@ from .sylv import (
 )
 from .tracker import (
     ProbeDisagreementError,
+    ProbeStack,
     factors_from_stack,
-    probe_stack,
+    probe_stacks,
     theta_power_ranks,
     theta_stack,
 )
@@ -48,6 +49,8 @@ MAX_MATRIX_SIZE = 8
 #: caps of the bound-check sample count and of the path step count
 MAX_SAMPLES = 10**5
 MAX_STEPS = 10**5
+#: most grid nodes classified as one stack; bounds the stack memory
+STACK_NODES = 16
 
 
 class PointKind(enum.Enum):
@@ -65,40 +68,84 @@ class PointClass:
     note: str = ""
 
 
-def classify_point(
+def classify_points(
     family: MatrixFamily,
-    point,
+    nodes,
     probe_radius: float = 1e-2,
     rel_tol: float = DEFAULT_REL_TOL,
-) -> PointClass:
-    """Split / Jump / StableCandidate at one parameter point, by probing.
+) -> List[PointClass]:
+    """Split / Jump / StableCandidate at each of a run of parameter
+    points, by probing.
 
-    The point and two rings of 8 probes (at the probe radius and half
-    of it) are evaluated and decided as one stack of 17 matrices.
-    Splitting is detected through the rank of the splitting matrix of
-    the characteristic polynomial (more distinct roots at a probe than
-    at the point). Jumps are detected through rank Theta^k rising at a
-    probe. Stability can only be refuted by sampling, never certified.
+    Every node and its two rings of 8 probes (at the probe radius and
+    half of it) are evaluated as one stack of 17 matrices per node
+    (:func:`probe_stacks`). One splitting-matrix rank pass counts the
+    distinct roots of all 17 * N characteristic polynomials. Then one
+    Theta rank pass ranks the powers of the extended product at every
+    Split node and of the plain product at all 17 matrices of every
+    other node. :func:`classify_point` decides each node from its rows.
+    Each row depends only on its own matrix, and identity padding of
+    shorter factor lists is exact, so a node classifies the same in any
+    run; ``classify_points(family, [point])[0]`` classifies one point.
     """
-    stack = probe_stack(family, point, probe_radius, rel_tol=rel_tol)
-    counts = distinct_zero_counts(char_poly_stack(stack.matrices), rel_tol)
-    point, here = stack.points[0], stack.clusters[0]
-    note = ""
-    if np.any(counts[1:] > counts[0]):
-        try:
-            factors = factors_from_stack(stack)
-        except ProbeDisagreementError as err:
-            note = f"extended product unavailable: {err}"
-            factors = [(lam, 1) for lam, _ in here]
-        (rank_theta,) = theta_power_ranks(
-            *theta_stack(stack.matrices[:1], [factors]), rel_tol
-        )
-        return PointClass(point, PointKind.SPLIT, rank_theta, None, note)
+    stacks = probe_stacks(family, nodes, probe_radius, rel_tol)
+    matrices = np.concatenate([stack.matrices for stack in stacks])
+    counts = distinct_zero_counts(char_poly_stack(matrices), rel_tol)
+    counts = counts.reshape(len(stacks), -1)
+    bases, factor_lists, notes = [], [], []
+    for stack, node_counts in zip(stacks, counts):
+        note = ""
+        if _splits(node_counts):
+            try:
+                factors = factors_from_stack(stack)
+            except ProbeDisagreementError as err:
+                note = f"extended product unavailable: {err}"
+                factors = [(lam, 1) for lam, _ in stack.clusters[0]]
+            bases.append(stack.matrices[:1])
+            factor_lists.append(factors)
+        else:
+            bases.append(stack.matrices)
+            factor_lists.extend([(lam, 1) for lam, _ in c] for c in stack.clusters)
+        notes.append(note)
+    ranks = theta_power_ranks(
+        *theta_stack(np.concatenate(bases), factor_lists), rel_tol
+    )
+    out, start = [], 0
+    for stack, node_counts, base, note in zip(stacks, counts, bases, notes):
+        rows = ranks[start : start + len(base)]
+        start += len(base)
+        out.append(classify_point(stack, node_counts, rows, note, rel_tol))
+    return out
 
-    factor_lists = [[(lam, 1) for lam, _ in c] for c in stack.clusters]
-    ranks = theta_power_ranks(*theta_stack(stack.matrices, factor_lists), rel_tol)
-    rank_theta = ranks[0]
-    census = _try_census(stack.matrices[0], here, rel_tol)
+
+def _splits(counts) -> bool:
+    """Does some probe carry more distinct roots than the node?"""
+    return bool(np.any(counts[1:] > counts[0]))
+
+
+def classify_point(
+    stack: ProbeStack,
+    counts: np.ndarray,
+    ranks: List[Tuple[int, ...]],
+    note: str,
+    rel_tol: float = DEFAULT_REL_TOL,
+) -> PointClass:
+    """The decision at one node of :func:`classify_points`.
+
+    ``counts`` holds the distinct-root counts of the 17 matrices of the
+    node's probe stack. ``ranks`` holds the Theta rank rows: one, of
+    the extended product at the node, when a probe splits; else one per
+    matrix of the stack. Splitting is detected through the rank of the
+    splitting matrix of the characteristic polynomial (more distinct
+    roots at a probe than at the point). Jumps are detected through
+    rank Theta^k rising at a probe. Stability can only be refuted by
+    sampling, never certified. A node that does not split gets its
+    Jordan census here.
+    """
+    point, rank_theta = stack.points[0], ranks[0]
+    if _splits(counts):
+        return PointClass(point, PointKind.SPLIT, rank_theta, None, note)
+    census = _try_census(stack.matrices[0], stack.clusters[0], rel_tol)
     if any(pr > br for probe in ranks[1:] for pr, br in zip(probe, rank_theta)):
         return PointClass(point, PointKind.JUMP, rank_theta, census, note)
     if census is None:
@@ -146,10 +193,6 @@ def grid_nodes(box, resolution):
     return list(itertools.product(*axes))
 
 
-def _classify_chunk(family, probe_radius, rel_tol, nodes):
-    return [classify_point(family, node, probe_radius, rel_tol) for node in nodes]
-
-
 def scan_grid(
     family: MatrixFamily,
     box: Sequence[Tuple[float, float]],
@@ -163,10 +206,12 @@ def scan_grid(
 
     ``box`` gives one real interval per parameter (the grid lives on
     the real slice; probes still explore complex directions). The nodes
-    are cut into ``chunks`` runs of consecutive nodes, and ``chunk_map``
-    (``map``, or a process pool's ``map``) classifies them, one
-    ``classify_point`` call per node. Output is deterministic given
-    tolerances, whatever the chunking.
+    are cut into runs of consecutive nodes, ``chunks`` runs or more so
+    that none holds over STACK_NODES nodes, and ``chunk_map`` (``map``,
+    or a process pool's ``map``) classifies each run with one
+    :func:`classify_points` call, which makes one ``classify_point``
+    call per node. Output is deterministic given tolerances, whatever
+    the chunking.
     """
     if len(box) != family.nparams:
         raise ValueError("need one interval per parameter")
@@ -178,8 +223,9 @@ def scan_grid(
             (hi - lo) / (res - 1) for (lo, hi), res in zip(box, resolution)
         )
         probe_radius = spacing / 4.0
-    size = -(-len(nodes) // max(1, chunks))
-    work = functools.partial(_classify_chunk, family, probe_radius, rel_tol)
+    size = min(-(-len(nodes) // max(1, chunks)), STACK_NODES)
+    work = functools.partial(classify_points, family,
+                             probe_radius=probe_radius, rel_tol=rel_tol)
     results = chunk_map(work, [nodes[i : i + size] for i in range(0, len(nodes), size)])
     points = [p for chunk in results for p in chunk]
     summary = {kind.value: 0 for kind in PointKind}

@@ -545,22 +545,43 @@ class ProbeStack:
         return any(len(c) > here for c in self.clusters[1:])
 
 
+def probe_stacks(
+    family: MatrixFamily,
+    points,
+    probe_radius: float,
+    rel_tol: float = DEFAULT_REL_TOL,
+) -> List[ProbeStack]:
+    """One :class:`ProbeStack` per point, all evaluated as one stack.
+
+    The 17 points of every stack go through one ``at_many`` call, one
+    ``eigvals`` call and one stacked 2-norm; each result row depends
+    only on its own matrix, so every stack has the bits it would have
+    alone. Clustering runs once per matrix.
+    """
+    rows = []
+    for point in points:
+        point = tuple(complex(c) for c in point)
+        rows.append(point)
+        for radius in (probe_radius, probe_radius / 2):
+            rows.extend(probe_ring(point, radius))
+    matrices = family.at_many(rows)
+    values = np.linalg.eigvals(matrices)
+    norms = np.linalg.norm(matrices, 2, axis=(1, 2))
+    clusters = [cluster_eigenvalues(v, nrm, rel_tol) for v, nrm in zip(values, norms)]
+    size = 1 + 2 * PROBE_COUNT
+    return [ProbeStack(rows[i : i + size], matrices[i : i + size],
+                       clusters[i : i + size]) for i in range(0, len(rows), size)]
+
+
 def probe_stack(
     family: MatrixFamily,
     point,
     probe_radius: float,
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> ProbeStack:
-    """Evaluate a point and its two probe rings as one :class:`ProbeStack`."""
-    point = tuple(complex(c) for c in point)
-    points = [point]
-    for radius in (probe_radius, probe_radius / 2):
-        points.extend(probe_ring(point, radius))
-    matrices = family.at_many(points)
-    values = np.linalg.eigvals(matrices)
-    norms = np.linalg.norm(matrices, 2, axis=(1, 2))
-    clusters = [cluster_eigenvalues(v, nrm, rel_tol) for v, nrm in zip(values, norms)]
-    return ProbeStack(points, matrices, clusters)
+    """Evaluate a point and its two probe rings: :func:`probe_stacks`
+    for one point."""
+    return probe_stacks(family, [point], probe_radius, rel_tol)[0]
 
 
 def _counts_at_probe(clusters, centers, eps):
@@ -664,7 +685,9 @@ def theta_stack(matrices: np.ndarray, factor_lists):
             used[i, j], lams[i, j], powers[i, j] = True, lam, power
     eye = identity_like(a)
     factor = np.broadcast_to(eye, (count, width, n, n)).copy()
-    factor[used] = lams[used][:, None, None] * eye - np.repeat(a, used.sum(1), axis=0)
+    for j in range(width):  # a column at a time keeps the temporaries small
+        rows = used[:, j]
+        factor[rows, j] = lams[rows, j, None, None] * eye - a[rows]
     scales = None
     if not exact:
         # operator norms, one stacked SVD; an identity pad has norm 1

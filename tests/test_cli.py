@@ -538,6 +538,10 @@ BEYOND_FLOAT64 = [
     (corner("10^200*z^2"), ["census", "--point", "0.5"]),
     (corner("(2*z+3)^256"), ["scan", "--box=-1:1", "--res", "3"]),
     (corner("(2*z+3)^256"), ["census", "--point", "0.5"]),
+    # products that overflow only past z = 10: in the second run of
+    # STACK_NODES nodes and later ones
+    (corner("10^150*z^4"), ["scan", "--box=0:20", "--res", "40"]),
+    (corner("10^150*z^4"), ["scan", "--box=0:20", "--res", "40", "--jobs", "2"]),
     # infinite entries, which eigvals and the SVDs refuse
     (BIG, ["census", "--point", "1e60"]),
     (BIG, ["scan", "--box=-1e60:1e60", "--res", "3"]),
@@ -560,7 +564,7 @@ BEYOND_FLOAT64 = [
 @pytest.mark.parametrize("entries,argv", BEYOND_FLOAT64, ids=[
     "scan-coeff", "census-coeff", "track-coeff", "split-set-coeff", "jst-set-coeff",
     "scan-product", "scan-product-jobs2", "census-product", "scan-power",
-    "census-power", "census-inf-entry", "scan-inf-entry", "track-inf-entry",
+    "census-power", "scan-late-run", "scan-late-run-jobs2", "census-inf-entry", "scan-inf-entry", "track-inf-entry",
     "census-entry-power", "census-roundoff-scale", "scan-char-poly",
     "track-char-poly", "split-set-char-poly", "census-extreme-point",
 ])

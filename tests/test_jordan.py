@@ -24,7 +24,7 @@ from jordanscope.jordan import (
     verify_rank_identities,
 )
 from jordanscope.ranklab import exact_rank, power_ranks
-from jordanscope.scanner import PointKind, classify_point
+from jordanscope.scanner import PointKind, classify_points
 from jordanscope.sylv import distinct_zero_count
 
 GR = GaussianRational
@@ -520,18 +520,18 @@ def nilpotent_family():
 
 
 def test_stability_nilpotent_family_origin_jumps():
-    got = classify_point(nilpotent_family(), [0.0, 0.0])
+    got = classify_points(nilpotent_family(), [[0.0, 0.0]])[0]
     assert got.kind is PointKind.JUMP
 
 
 def test_stability_nilpotent_family_generic_point():
-    got = classify_point(nilpotent_family(), [1.0, 1.0])
+    got = classify_points(nilpotent_family(), [[1.0, 1.0]])[0]
     assert got.kind is PointKind.STABLE_CANDIDATE
 
 
 def test_stability_shear_family_splits_at_origin():
     f = MatrixFamily.from_entries([["z", "1"], ["0", "-z"]], ["z"])
-    assert classify_point(f, [0.0]).kind is PointKind.SPLIT
+    assert classify_points(f, [[0.0]])[0].kind is PointKind.SPLIT
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,13 @@ from jordanscope.scanner import (
     PointKind,
     check_jst_bound,
     check_split_bound,
-    classify_point,
+    classify_points,
     grid_nodes,
     jst_defining_functions,
     scan_grid,
     square_free_part_family,
 )
-from jordanscope.tracker import distinct_eigenvalues
+from jordanscope.tracker import distinct_eigenvalues, probe_ring
 
 GR = GaussianRational
 
@@ -45,11 +45,11 @@ def double_eig_family():
 
 
 # ---------------------------------------------------------------------------
-# classify_point
+# classify_points
 
 
 def test_classify_nilpotent_family_origin_is_jump():
-    pc = classify_point(nilpotent_family(), [0.0, 0.0], probe_radius=0.025)
+    pc = classify_points(nilpotent_family(), [[0.0, 0.0]], probe_radius=0.025)[0]
     assert pc.kind is PointKind.JUMP
     assert pc.rank_theta == (0,)
     assert pc.census is not None
@@ -57,14 +57,14 @@ def test_classify_nilpotent_family_origin_is_jump():
 
 
 def test_classify_nilpotent_family_generic_point_stable():
-    pc = classify_point(nilpotent_family(), [0.3, -0.7], probe_radius=0.025)
+    pc = classify_points(nilpotent_family(), [[0.3, -0.7]], probe_radius=0.025)[0]
     assert pc.kind is PointKind.STABLE_CANDIDATE
     assert pc.census.aggregate == {2: 1}
     assert pc.rank_theta == (1,)
 
 
 def test_classify_shear_family_origin_is_split():
-    pc = classify_point(shear_family(), [0.0], probe_radius=0.025)
+    pc = classify_points(shear_family(), [[0.0]], probe_radius=0.025)[0]
     assert pc.kind is PointKind.SPLIT
     assert pc.census is None
     assert len(pc.rank_theta) == 1
@@ -157,13 +157,22 @@ def test_scan_evaluates_each_node_once_and_builds_no_symbolic_char_poly(monkeypa
     at_many = MatrixFamily.at_many
 
     def counting_at_many(self, points):
-        evaluated.append(len(points))
+        evaluated.append(list(points))
         return at_many(self, points)
 
     monkeypatch.setattr(MatrixFamily, "char_poly_family", refuse)
     monkeypatch.setattr(MatrixFamily, "at_many", counting_at_many)
     report = scan_grid(family, [(-1, 1), (-1, 1)], 5)
-    assert evaluated == [17] * 25
+    # one evaluation per run of at most STACK_NODES = 16 nodes
+    assert [len(points) for points in evaluated] == [17 * 16, 17 * 9]
+    # every node's 17 points, each evaluated exactly once
+    r = report.probe_radius
+    nodes = [tuple(complex(c) for c in node)
+             for node in grid_nodes([(-1, 1), (-1, 1)], [5, 5])]
+    assert [p for run in evaluated for p in run] == [
+        p for node in nodes
+        for p in [node] + probe_ring(node, r) + probe_ring(node, r / 2)
+    ]
     assert report.summary == {"Split": 5, "Jump": 4, "StableCandidate": 16}
 
 
@@ -181,6 +190,57 @@ def test_scan_chunk_map_hook_matches_plain_map():
     assert seen == [3]
     assert _kinds_and_ranks(chunked) == _kinds_and_ranks(plain)
     assert [p.point for p in chunked.points] == [p.point for p in plain.points]
+
+
+def random_dense_family(rng):
+    """A dense n x n family, n = 2..5, in one or two parameters: each
+    entry a small integer plus integer multiples of the parameters and
+    of the square of the first one."""
+    nv = rng.choice([1, 2])
+    n = rng.randint(2, 5)
+    var = [MultiPoly.variable(nv, k) for k in range(nv)]
+    monomials = [MultiPoly.one(nv)] + var + [var[0] * var[0]]
+    entries = [[MultiPoly.zero(nv) for _ in range(n)] for _ in range(n)]
+    for row in entries:
+        for j in range(n):
+            for m in monomials:
+                row[j] = row[j] + m.scale(rng.randint(-2, 2))
+    return MatrixFamily(n=n, params=["z", "w"][:nv], entries=entries)
+
+
+def _class_fields(pc):
+    census = pc.census and (pc.census.eigenvalues, pc.census.multiplicities,
+                            pc.census.blocks, pc.census.profiles)
+    return pc.point, pc.kind, pc.rank_theta, pc.note, census
+
+
+def test_classify_points_run_matches_nodes_one_by_one():
+    """A run of nodes that mixes Split, Jump and StableCandidate nodes
+    and different distinct-eigenvalue counts (so Theta factor lists of
+    different lengths, padded in one stack) classifies every node
+    exactly as a run of that node alone does."""
+    rng = random.Random(19)
+    families = [
+        nilpotent_family(),
+        MatrixFamily.from_entries(
+            [["x", "y", "0"], ["0", "x", "0"], ["0", "0", "y"]], ["x", "y"]),
+        MatrixFamily.from_entries(
+            [["x", "1", "y", "0", "0"], ["0", "x", "1", "0", "0"],
+             ["0", "0", "x", "0", "1"], ["0", "0", "0", "y", "x"],
+             ["0", "0", "0", "0", "x+y"]], ["x", "y"]),
+    ]
+    families += [random_jordan_family(rng)[0] for _ in range(6)]
+    families += [random_dense_family(rng) for _ in range(6)]
+    kinds = Counter()
+    for family in families:
+        res = 5 if family.nparams == 2 else 9
+        nodes = grid_nodes([(-1, 1)] * family.nparams, [res] * family.nparams)
+        run = classify_points(family, nodes, probe_radius=0.05)
+        for node, pc in zip(nodes, run):
+            (alone,) = classify_points(family, [node], probe_radius=0.05)
+            assert _class_fields(pc) == _class_fields(alone)
+            kinds[pc.kind] += 1
+    assert set(kinds) == set(PointKind)
 
 
 def test_scan_size_cap():
