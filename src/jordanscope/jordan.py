@@ -8,6 +8,7 @@ rank (lam-Phi)^(k-1) + rank (lam-Phi)^(k+1) - 2 rank (lam-Phi)^k.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -21,7 +22,7 @@ from .ranklab import (
     DEFAULT_REL_TOL,
     NonFiniteError,
     kernel_basis,
-    power_ranks,
+    stacked_ranks,
 )
 from .tracker import (
     contour_roots,
@@ -95,42 +96,60 @@ def rank_profile(phi, lam, rel_tol: float = DEFAULT_REL_TOL) -> RankProfile:
     of the ring of Phi's entries (:func:`ranklab.stacked_ranks`).
 
     Once two consecutive ranks agree the kernel chain has stabilized
-    and all later ranks equal them exactly, so the tail repeats that
-    rank; this also keeps deep powers of badly scaled matrices from
-    polluting the profile with roundoff. A lam that is not an eigenvalue
-    gives the constant profile n, a valid degenerate case.
+    and all later ranks equal them exactly, so no later power is formed
+    and the tail repeats that rank; this also keeps deep powers of badly
+    scaled matrices from polluting the profile with roundoff. A lam that
+    is not an eigenvalue gives the constant profile n, a valid
+    degenerate case.
     """
-    return _rank_profiles(as_matrix(phi), [lam], rel_tol)[0]
+    return _rank_profiles(as_matrix(phi)[None], [[lam]], rel_tol)[0][0]
 
 
-def _rank_profiles(phi: np.ndarray, lams, rel_tol: float):
-    """:func:`rank_profile` of a matrix at several eigenvalues, with
-    every power of every base ranked in one :func:`power_ranks` call.
+def _rank_profiles(phis: np.ndarray, lam_lists, rel_tol: float):
+    """:func:`rank_profile` of each matrix of an (N, n, n) stack at each
+    of its eigenvalues, as one list per matrix: one rank chain over the
+    bases lam - Phi of all of them.
 
-    All powers up to n+1 are ranked; the stopping rule then discards the
-    ranks after the kernel chain has stabilized, so the profiles equal
-    the ones computed power by power. A floating power that overflows
-    is an error only if the profile needs its rank.
+    Step k multiplies (lam - Phi)^(k-1) by lam - Phi for the bases whose
+    profile has not stabilized, and ranks those powers with one
+    :func:`stacked_ranks` call, a floating threshold floored at the
+    roundoff level of ||lam - Phi||^k. A base leaves the chain once two
+    consecutive ranks agree. Only a power that a profile still needs is
+    formed and checked: a non-finite entry or floor there raises
+    NonFiniteError. Every power and norm depends only on its own base,
+    so a profile is the same in any stack.
     """
-    n = phi.shape[0]
-    exact = phi.dtype == object
-    ring = np.array(lams, dtype=object if exact else complex)
-    with np.errstate(over="ignore", invalid="ignore"):  # power_ranks refuses inf
-        bases = ring[:, None, None] * identity_like(phi) - phi
+    n = phis.shape[-1]
+    exact = phis.dtype == object
+    owners = [i for i, lams in enumerate(lam_lists) for _ in lams]
+    flat = [lam for lams in lam_lists for lam in lams]
+    ring = np.array(flat, dtype=object if exact else complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # stacked_ranks refuses inf
+        bases = ring[:, None, None] * identity_like(phis) - phis[owners]
     norms = None if exact else np.linalg.norm(bases, 2, axis=(1, 2)).tolist()
-    ranks = power_ranks(bases, n + 1, norms, rel_tol)
-    profiles = []
-    for lam, row in zip(lams, ranks.tolist()):
-        out = [n]
-        for k in range(1, n + 2):
-            if len(out) >= 2 and out[-1] == out[-2]:
-                out.append(out[-1])
-            elif k <= len(row):
-                out.append(row[k - 1])
-            else:
+    rows = [[n] for _ in flat]
+    active = list(range(len(flat)))
+    power = identity_like(phis)
+    for k in range(1, n + 2):
+        floors = None
+        if not exact:
+            try:
+                floors = [norms[i] ** k for i in active]
+            except OverflowError:
+                raise NonFiniteError() from None
+            if not all(map(math.isfinite, floors)):
                 raise NonFiniteError()
-        profiles.append(RankProfile(lam, tuple(out)))
-    return profiles
+        with np.errstate(over="ignore", invalid="ignore"):
+            power = power @ bases[active]
+        for i, r in zip(active, stacked_ranks(power, rel_tol, floors).tolist()):
+            rows[i].append(r)
+        keep = [j for j, i in enumerate(active) if rows[i][-1] != rows[i][-2]]
+        if not keep:
+            break
+        power, active = power[keep], [active[j] for j in keep]
+    profiles = iter(RankProfile(lam, tuple(row + row[-1:] * (n + 2 - len(row))))
+                    for lam, row in zip(flat, rows))
+    return [[next(profiles) for _ in lams] for lams in lam_lists]
 
 
 @dataclass
@@ -162,37 +181,25 @@ def _sort_key(lam):
     return (z.real, z.imag)
 
 
-def jordan_census(
-    phi,
-    eigenvalues: Optional[Sequence] = None,
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> JordanCensus:
-    """Jordan block census of a single matrix from rank second differences.
-
-    ``eigenvalues`` is a complete list of (value, algebraic
-    multiplicity) pairs; pass None on the floating path to obtain it
-    from the eigensolver with clustering. Census invariants are
-    verified and an inconsistency (negative count, multiplicity
-    mismatch) raises with the offending rank profile attached.
-    """
-    phi = as_matrix(phi)
-    if eigenvalues is None:
-        if phi.dtype == object:
-            raise ValueError("exact path requires the eigenvalue list")
-        eigenvalues = distinct_eigenvalues(phi, rel_tol)
+def _sorted_pairs(eigenvalues, n: int):
+    """(value, multiplicity) pairs in (re, im) order, checked distinct
+    and summing to n."""
     pairs = sorted(eigenvalues, key=lambda p: _sort_key(p[0]))
-    n = len(phi)
     for i, (a, _) in enumerate(pairs):
         for b, _ in pairs[i + 1 :]:
             if a == b:
                 raise ValueError("eigenvalues must be distinct")
     if sum(m for _, m in pairs) != n:
         raise ValueError("multiplicities must sum to the matrix size")
+    return pairs
 
-    all_profiles = _rank_profiles(phi, [lam for lam, _ in pairs], rel_tol)
+
+def _census(pairs, profiles) -> JordanCensus:
+    """Block counts from the rank profiles, with the census invariants
+    checked."""
+    n = sum(m for _, m in pairs)
     blocks = []
-    profiles = []
-    for (lam, mult), prof in zip(pairs, all_profiles):
+    for (lam, mult), prof in zip(pairs, profiles):
         r = prof.ranks
         theta = {}
         for k in range(1, n + 1):
@@ -211,13 +218,63 @@ def jordan_census(
                 prof,
             )
         blocks.append(theta)
-        profiles.append(prof)
     return JordanCensus(
         eigenvalues=tuple(lam for lam, _ in pairs),
         multiplicities=tuple(m for _, m in pairs),
         blocks=tuple(blocks),
         profiles=tuple(profiles),
     )
+
+
+def jordan_censuses(phis, eigenvalue_lists, rel_tol: float = DEFAULT_REL_TOL) -> list:
+    """:func:`jordan_census` of each of a sequence of n x n matrices of
+    one ring, with the complete (value, multiplicity) list of each.
+
+    Every profile of every matrix comes from one rank chain
+    (:func:`_rank_profiles`), so a matrix gets the same census in any
+    sequence. A matrix whose census is inconsistent gets its
+    :class:`CensusInconsistencyError` in place of a census; a malformed
+    eigenvalue list raises ValueError before any rank is taken.
+    """
+    if not len(phis):
+        return []
+    phis = np.stack([as_matrix(phi) for phi in phis])
+    pair_lists = [_sorted_pairs(pairs, phis.shape[-1]) for pairs in eigenvalue_lists]
+    all_profiles = _rank_profiles(
+        phis, [[lam for lam, _ in pairs] for pairs in pair_lists], rel_tol
+    )
+    out = []
+    for pairs, profiles in zip(pair_lists, all_profiles):
+        try:
+            out.append(_census(pairs, profiles))
+        except CensusInconsistencyError as err:
+            out.append(err)
+    return out
+
+
+def jordan_census(
+    phi,
+    eigenvalues: Optional[Sequence] = None,
+    rel_tol: float = DEFAULT_REL_TOL,
+) -> JordanCensus:
+    """Jordan block census of a single matrix from rank second differences:
+    :func:`jordan_censuses` of a sequence of one.
+
+    ``eigenvalues`` is a complete list of (value, algebraic
+    multiplicity) pairs; pass None on the floating path to obtain it
+    from the eigensolver with clustering. Census invariants are
+    verified and an inconsistency (negative count, multiplicity
+    mismatch) raises with the offending rank profile attached.
+    """
+    phi = as_matrix(phi)
+    if eigenvalues is None:
+        if phi.dtype == object:
+            raise ValueError("exact path requires the eigenvalue list")
+        eigenvalues = distinct_eigenvalues(phi, rel_tol)
+    (census,) = jordan_censuses([phi], [eigenvalues], rel_tol)
+    if isinstance(census, CensusInconsistencyError):
+        raise census
+    return census
 
 
 # ---------------------------------------------------------------------------

@@ -116,21 +116,23 @@ def power_ranks(bases, count: int, scales,
                 rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
     """rank B^k for k = 1..count of every B of an (N, n, n) stack.
 
-    The powers are formed by sequential products and ranked together by
-    :func:`stacked_ranks`. On a numeric stack the threshold of B^k is
-    floored at the roundoff level of ``scales[i]**k``, ``scales[i]``
-    being the product of the factor norms of the i-th base, and powers
-    stop at the first one with a non-finite entry or scale, so the
-    (N, K) result has K <= count columns, column k-1 holding rank B^k.
-    An object stack is ranked exactly, up to ``count``; ``scales`` is unused.
+    The powers are formed by sequential products into one (count, N, n, n)
+    stack and ranked together by :func:`stacked_ranks`. On a numeric
+    stack the threshold of B^k is floored at the roundoff level of
+    ``scales[i]**k``, ``scales[i]`` being the product of the factor norms
+    of the i-th base, and powers stop at the first one with a non-finite
+    entry or scale, so the (N, K) result has K <= count columns, column
+    k-1 holding rank B^k. An object stack is ranked exactly, up to
+    ``count``; ``scales`` is unused.
     """
     bases = np.asarray(bases)
     exact = bases.dtype == object
-    powers, floors = [], []
+    powers = np.empty((count, *bases.shape), dtype=bases.dtype)
+    floors, filled = [], 0
     power = np.broadcast_to(identity_like(bases), bases.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, count + 1):
-            power = power @ bases
+            power = np.matmul(power, bases, out=powers[k - 1])
             if not exact:
                 try:
                     floor = [s**k for s in scales]
@@ -139,11 +141,12 @@ def power_ranks(bases, count: int, scales,
                 if not (np.all(np.isfinite(power)) and np.all(np.isfinite(floor))):
                     break
                 floors.extend(floor)
-            powers.append(power)
-    if not powers:
+            filled = k
+    if not filled:
         return np.zeros((len(bases), 0), dtype=int)
-    ranks = stacked_ranks(np.concatenate(powers), rel_tol, floors)
-    return ranks.reshape(len(powers), len(bases)).T
+    ranks = stacked_ranks(powers[:filled].reshape(-1, *bases.shape[1:]),
+                          rel_tol, floors)
+    return ranks.reshape(filled, len(bases)).T
 
 
 def kernel_basis(m, rel_tol: float = DEFAULT_REL_TOL,

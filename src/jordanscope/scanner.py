@@ -25,7 +25,7 @@ from .algebra.multipoly import MultiPoly, mp_content
 from .algebra.scalars import GR_ONE
 from .algebra.unipoly import UniPoly, derivative, pseudo_divmod, subresultant_gcd
 from .family import MatrixFamily
-from .jordan import CensusInconsistencyError, JordanCensus, jordan_census
+from .jordan import JordanCensus, jordan_censuses
 from .ranklab import DEFAULT_REL_TOL, generic_rank, minors
 from .sylv import (
     BoundReport,
@@ -83,8 +83,10 @@ def classify_points(
     distinct roots of all 17 * N characteristic polynomials. Then one
     Theta rank pass ranks the powers of the extended product at every
     Split node and of the plain product at all 17 matrices of every
-    other node. :func:`classify_point` decides each node from its rows.
-    Each row depends only on its own matrix, and identity padding of
+    other node. One rank chain takes the Jordan census of every node that
+    does not split (:func:`jordan_censuses`). :func:`classify_point`
+    decides each node from its rows and its census. Each row and each
+    census depends only on its own matrix, and identity padding of
     shorter factor lists is exact, so a node classifies the same in any
     run; ``classify_points(family, [point])[0]`` classifies one point.
     """
@@ -92,7 +94,7 @@ def classify_points(
     matrices = np.concatenate([stack.matrices for stack in stacks])
     counts = distinct_zero_counts(char_poly_stack(matrices), rel_tol)
     counts = counts.reshape(len(stacks), -1)
-    bases, factor_lists, notes = [], [], []
+    bases, factor_lists, notes, whole = [], [], [], []
     for stack, node_counts in zip(stacks, counts):
         note = ""
         if _splits(node_counts):
@@ -106,15 +108,21 @@ def classify_points(
         else:
             bases.append(stack.matrices)
             factor_lists.extend([(lam, 1) for lam, _ in c] for c in stack.clusters)
+            whole.append(stack)
         notes.append(note)
     ranks = theta_power_ranks(
         *theta_stack(np.concatenate(bases), factor_lists), rel_tol
     )
+    censuses = iter(jordan_censuses([stack.matrices[0] for stack in whole],
+                                    [stack.clusters[0] for stack in whole], rel_tol))
     out, start = [], 0
     for stack, node_counts, base, note in zip(stacks, counts, bases, notes):
         rows = ranks[start : start + len(base)]
         start += len(base)
-        out.append(classify_point(stack, node_counts, rows, note, rel_tol))
+        census = None if _splits(node_counts) else next(censuses)
+        if not isinstance(census, JordanCensus):  # inconsistent at tolerance
+            census = None
+        out.append(classify_point(stack, node_counts, rows, note, census))
     return out
 
 
@@ -128,36 +136,29 @@ def classify_point(
     counts: np.ndarray,
     ranks: List[Tuple[int, ...]],
     note: str,
-    rel_tol: float = DEFAULT_REL_TOL,
+    census: Optional[JordanCensus],
 ) -> PointClass:
     """The decision at one node of :func:`classify_points`.
 
     ``counts`` holds the distinct-root counts of the 17 matrices of the
     node's probe stack. ``ranks`` holds the Theta rank rows: one, of
     the extended product at the node, when a probe splits; else one per
-    matrix of the stack. Splitting is detected through the rank of the
+    matrix of the stack. ``census`` is the node's Jordan census from the
+    run's rank chain, None when the node splits or its census is
+    inconsistent. Splitting is detected through the rank of the
     splitting matrix of the characteristic polynomial (more distinct
     roots at a probe than at the point). Jumps are detected through
     rank Theta^k rising at a probe. Stability can only be refuted by
-    sampling, never certified. A node that does not split gets its
-    Jordan census here.
+    sampling, never certified.
     """
     point, rank_theta = stack.points[0], ranks[0]
     if _splits(counts):
         return PointClass(point, PointKind.SPLIT, rank_theta, None, note)
-    census = _try_census(stack.matrices[0], stack.clusters[0], rel_tol)
     if any(pr > br for probe in ranks[1:] for pr, br in zip(probe, rank_theta)):
         return PointClass(point, PointKind.JUMP, rank_theta, census, note)
     if census is None:
         note = "census inconsistent at tolerance"
     return PointClass(point, PointKind.STABLE_CANDIDATE, rank_theta, census, note)
-
-
-def _try_census(a: np.ndarray, clusters, rel_tol: float) -> Optional[JordanCensus]:
-    try:
-        return jordan_census(a, clusters, rel_tol)
-    except CensusInconsistencyError:
-        return None
 
 
 # ---------------------------------------------------------------------------

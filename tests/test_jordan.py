@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jordanscope import jordan, tracker
+from jordanscope import jordan, ranklab, tracker
 from jordanscope.algebra import GaussianRational
 from jordanscope.algebra.matrices import as_matrix, char_poly, identity_like
 from jordanscope.family import MatrixFamily
@@ -16,6 +16,7 @@ from jordanscope.jordan import (
     TransformReport,
     jordan_basis,
     jordan_census,
+    jordan_censuses,
     jordan_form_from_census,
     local_jordan_transform,
     rank_profile,
@@ -23,7 +24,7 @@ from jordanscope.jordan import (
     theta_product,
     verify_rank_identities,
 )
-from jordanscope.ranklab import exact_rank, power_ranks
+from jordanscope.ranklab import NonFiniteError, exact_rank, power_ranks
 from jordanscope.scanner import PointKind, classify_points
 from jordanscope.sylv import distinct_zero_count
 
@@ -385,6 +386,137 @@ def test_census_inconsistency_raises():
     with pytest.raises(CensusInconsistencyError) as err:
         jordan_census(np.eye(2, dtype=complex), [(0.0, 2)])
     assert err.value.profile is not None
+
+
+def jordan_of_size(rng, n):
+    """(T J T^-1, [(lam, mult)]) over the Gaussian integers: J an n x n
+    (n >= 2) Jordan matrix with blocks of size 1-4 at one to three eigenvalues."""
+    values = rng.sample(range(-3, 4), rng.randint(1, min(3, n)))
+    blocks, mults, left = [], {}, n
+    while left:
+        lam, size = rng.choice(values), rng.randint(1, min(4, left))
+        blocks.append(jordan_block_exact(lam, size))
+        mults[lam] = mults.get(lam, 0) + size
+        left -= size
+    rng.shuffle(blocks)
+    t, tinv = random_unimodular(rng, n, shears=4, magnitude=1)
+    phi = mat_mul(t, mat_mul(block_diag_exact(blocks), tinv))
+    return phi, [(gr(lam), m) for lam, m in mults.items()]
+
+
+def census_or_error(phi, pairs):
+    try:
+        return jordan_census(phi, pairs)
+    except CensusInconsistencyError as err:
+        return err
+
+
+def assert_same_census(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, CensusInconsistencyError):
+        assert str(got) == str(want) and got.profile == want.profile
+    else:
+        assert got.eigenvalues == want.eigenvalues
+        assert got.multiplicities == want.multiplicities
+        assert got.blocks == want.blocks and got.profiles == want.profiles
+
+
+def census_runs(seed):
+    """(matrices, eigenvalue lists) runs of one size n <= 6 each: exact
+    and floating T J T^-1 with repeated eigenvalues and blocks of size
+    up to 4, one of them also scaled by 1e4, random dense and
+    nilpotent-family matrices with clustered eigenvalues, and some lists
+    that make the census inconsistent."""
+    rng = random.Random(seed)
+    nprng = np.random.default_rng(seed)
+    for _ in range(3):
+        n = rng.randint(2, 6)
+        exact = [jordan_of_size(rng, n) for _ in range(rng.randint(1, 6))]
+        wrong = [(phi, [(lam + gr(0, 1), m) for lam, m in pairs])
+                 for phi, pairs in exact[:2]]
+        yield exact + wrong
+        floating = [(as_matrix(phi).astype(complex), [(complex(lam), m) for lam, m in pairs])
+                    for phi, pairs in exact + wrong]
+        # a matrix 1e4 times larger: no roundoff floor may leak across
+        floating.append((1e4 * floating[0][0], [(1e4 * lam, m) for lam, m in floating[0][1]]))
+        for _ in range(3):
+            phi = nprng.normal(size=(n, n)) + 1j * nprng.normal(size=(n, n))
+            floating.append((phi, tracker.distinct_eigenvalues(phi)))
+        yield floating
+    family = nilpotent_family()
+    points = [(0.0, 0.0)] + [tuple(nprng.normal(size=2)) for _ in range(4)]
+    yield [(a, tracker.distinct_eigenvalues(a))
+           for a in family.at_many(np.array(points, dtype=complex))]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_census_of_a_run_equals_census_one_matrix_at_a_time(seed):
+    kinds = set()
+    for run in census_runs(seed):
+        got = jordan_censuses([phi for phi, _ in run], [pairs for _, pairs in run])
+        assert len(got) == len(run)
+        for (phi, pairs), census in zip(run, got):
+            assert_same_census(census, census_or_error(phi, pairs))
+            if isinstance(census, CensusInconsistencyError):
+                kinds.add("inconsistent")
+            else:
+                kinds.update(f"block {size}" for b in census.blocks for size in b)
+                kinds.update("repeated" for m in census.multiplicities if m > 1)
+    assert {"inconsistent", "repeated", "block 2"} <= kinds
+    assert jordan_censuses([], []) == []
+
+
+def test_census_chain_ranks_no_power_past_stabilization(monkeypatch):
+    ranked = []
+    real = ranklab.stacked_ranks
+
+    def spy(stack, *args, **kwargs):
+        ranked.append(len(stack))
+        return real(stack, *args, **kwargs)
+
+    monkeypatch.setattr(ranklab, "stacked_ranks", spy)
+    monkeypatch.setattr(jordan, "stacked_ranks", spy, raising=False)
+    for n in range(1, 7):  # n simple eigenvalues: ranks of (lam - A) and its square
+        ranked.clear()
+        jordan_census(np.diag(np.arange(n) + 1j), [(k + 1j, 1) for k in range(n)])
+        assert sum(ranked) == 2 * n
+    rng = random.Random(3)
+    for _ in range(20):
+        phi, pairs = jordan_of_size(rng, rng.randint(2, 6))
+        for a, lams in [(phi, pairs),
+                        (as_matrix(phi).astype(complex),
+                         [(complex(lam), m) for lam, m in pairs])]:
+            ranked.clear()
+            census = jordan_census(a, lams)
+            # a profile is ranked up to the first k with rank k = rank (k-1)
+            want = sum(next(k for k in range(1, len(p.ranks)) if p.ranks[k] == p.ranks[k - 1])
+                       for p in census.profiles)
+            assert sum(ranked) == want
+
+
+def test_census_overflow_only_where_a_profile_needs_the_power():
+    # Phi = J2(0) (+) 0 scaled by 1e150: the profile at 0 needs (0 - Phi)^3,
+    # whose roundoff scale ||Phi||^3 = 1e450 is beyond float64
+    big = np.zeros((3, 3), dtype=complex)
+    big[0, 1] = 1e150
+    with pytest.raises(NonFiniteError):
+        jordan_census(big, [(0j, 3)])
+    # three simple eigenvalues near 1e150 stop at the square, and a
+    # small J2 (+) 1 needs the cube: neither profile needs a power that
+    # overflows, in one chain as alone
+    simple = np.diag([1e150, 2e150, 3e150]).astype(complex)
+    small = np.array([[0, 1, 0], [0, 0, 0], [0, 0, 1]], dtype=complex)
+    lists = [[(1e150 + 0j, 1), (2e150 + 0j, 1), (3e150 + 0j, 1)], [(0j, 2), (1 + 0j, 1)]]
+    got = jordan_censuses([simple, small], lists)
+    for phi, pairs, census in zip([simple, small], lists, got):
+        assert_same_census(census, jordan_census(phi, pairs))
+    assert got[1].blocks == ({2: 1}, {1: 1})
+    # one matrix: the simple eigenvalue c stops at the square, though
+    # ||c - Phi||^3 overflows; the profile at 0 needs the cube, and
+    # ||Phi||^3 = c^3 = 1.25e308 is finite
+    c = 5e102
+    phi = np.array([[0, c / 2, 0], [0, 0, 0], [0, 0, c]], dtype=complex)
+    assert jordan_census(phi, [(0j, 2), (c + 0j, 1)]).blocks == ({2: 1}, {1: 1})
 
 
 SHEAR_CALLS = {
