@@ -8,7 +8,6 @@ rank (lam-Phi)^(k-1) + rank (lam-Phi)^(k+1) - 2 rank (lam-Phi)^k.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -20,9 +19,8 @@ from .algebra.unipoly import gcd_squarefree_oracle
 from .family import MatrixFamily
 from .ranklab import (
     DEFAULT_REL_TOL,
-    NonFiniteError,
     kernel_basis,
-    stacked_ranks,
+    power_ranks,
 )
 from .tracker import (
     contour_roots,
@@ -93,7 +91,7 @@ class RankProfile:
 
 def rank_profile(phi, lam, rel_tol: float = DEFAULT_REL_TOL) -> RankProfile:
     """Ranks of the powers (lam - Phi)^k, k = 0..n+1, by the rank rule
-    of the ring of Phi's entries (:func:`ranklab.stacked_ranks`).
+    of the ring of Phi's entries (:func:`ranklab.power_ranks`).
 
     Once two consecutive ranks agree the kernel chain has stabilized
     and all later ranks equal them exactly, so no later power is formed
@@ -107,17 +105,12 @@ def rank_profile(phi, lam, rel_tol: float = DEFAULT_REL_TOL) -> RankProfile:
 
 def _rank_profiles(phis: np.ndarray, lam_lists, rel_tol: float):
     """:func:`rank_profile` of each matrix of an (N, n, n) stack at each
-    of its eigenvalues, as one list per matrix: one rank chain over the
-    bases lam - Phi of all of them.
-
-    Step k multiplies (lam - Phi)^(k-1) by lam - Phi for the bases whose
-    profile has not stabilized, and ranks those powers with one
-    :func:`stacked_ranks` call, a floating threshold floored at the
-    roundoff level of ||lam - Phi||^k. A base leaves the chain once two
-    consecutive ranks agree. Only a power that a profile still needs is
-    formed and checked: a non-finite entry or floor there raises
-    NonFiniteError. Every power and norm depends only on its own base,
-    so a profile is the same in any stack.
+    of its eigenvalues, as one list per matrix: one
+    :func:`ranklab.power_ranks` chain over the bases lam - Phi of all of
+    them, each floored at the roundoff level of ||lam - Phi||^k and
+    leaving the chain once two consecutive ranks agree. Only a power that
+    a profile still needs is formed, so only such a power or floor can
+    raise NonFiniteError, and a profile is the same in any stack.
     """
     n = phis.shape[-1]
     exact = phis.dtype == object
@@ -127,26 +120,7 @@ def _rank_profiles(phis: np.ndarray, lam_lists, rel_tol: float):
     with np.errstate(over="ignore", invalid="ignore"):  # stacked_ranks refuses inf
         bases = ring[:, None, None] * identity_like(phis) - phis[owners]
     norms = None if exact else np.linalg.norm(bases, 2, axis=(1, 2)).tolist()
-    rows = [[n] for _ in flat]
-    active = list(range(len(flat)))
-    power = identity_like(phis)
-    for k in range(1, n + 2):
-        floors = None
-        if not exact:
-            try:
-                floors = [norms[i] ** k for i in active]
-            except OverflowError:
-                raise NonFiniteError() from None
-            if not all(map(math.isfinite, floors)):
-                raise NonFiniteError()
-        with np.errstate(over="ignore", invalid="ignore"):
-            power = power @ bases[active]
-        for i, r in zip(active, stacked_ranks(power, rel_tol, floors).tolist()):
-            rows[i].append(r)
-        keep = [j for j, i in enumerate(active) if rows[i][-1] != rows[i][-2]]
-        if not keep:
-            break
-        power, active = power[keep], [active[j] for j in keep]
+    rows = power_ranks(bases, n + 1, norms, lambda r: r[-1] == r[-2], rel_tol)
     profiles = iter(RankProfile(lam, tuple(row + row[-1:] * (n + 2 - len(row))))
                     for lam, row in zip(flat, rows))
     return [[next(profiles) for _ in lams] for lams in lam_lists]
@@ -564,7 +538,7 @@ def local_jordan_transform(
     n = family.n
     clusters = distinct_eigenvalues(a_xi, rel_tol)
     census = jordan_census(a_xi, clusters, rel_tol)
-    state = isolate(family.char_poly_at(xi), clusters)
+    state = isolate(clusters)
     basis = jordan_basis(a_xi, census, rel_tol)
     s_xi = np.linalg.inv(basis.transform)
 

@@ -12,6 +12,7 @@ each nonzero lower minor is computed once for all minors above it.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra.matrices import as_matrix, identity_like
+from .algebra.matrices import as_matrix
 from .algebra.multipoly import MultiPoly, NonFiniteError
 from .algebra.scalars import GaussianRational
 
@@ -112,41 +113,43 @@ def stacked_ranks(stack, rel_tol: float = DEFAULT_REL_TOL,
     return np.sum(sigma > threshold[:, None], axis=1)
 
 
-def power_ranks(bases, count: int, scales,
-                rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
-    """rank B^k for k = 1..count of every B of an (N, n, n) stack.
+def power_ranks(bases, count: int, scales, done,
+                rel_tol: float = DEFAULT_REL_TOL) -> list:
+    """rank B^k for k = 0..count of every B of an (N, n, n) stack, one
+    list per base from rank B^0 = n: the one rank chain of the package.
 
-    The powers are formed by sequential products into one (count, N, n, n)
-    stack and ranked together by :func:`stacked_ranks`. On a numeric
-    stack the threshold of B^k is floored at the roundoff level of
-    ``scales[i]**k``, ``scales[i]`` being the product of the factor norms
-    of the i-th base, and powers stop at the first one with a non-finite
-    entry or scale, so the (N, K) result has K <= count columns, column
-    k-1 holding rank B^k. An object stack is ranked exactly, up to
-    ``count``; ``scales`` is unused.
+    Step k forms B^k = B^(k-1) B (B itself at k = 1) for the bases still
+    in the chain and ranks them with one :func:`stacked_ranks` call, the
+    threshold of a numeric B^k floored at ``scales[i]**k``, the roundoff
+    level of the i-th base (an object stack is ranked exactly). A base
+    leaves once ``done(its list)`` holds after some k >= 1. Only a power
+    that a base still needs is formed, and a non-finite entry or floor
+    there raises NonFiniteError; a list is the same in any stack.
     """
     bases = np.asarray(bases)
-    exact = bases.dtype == object
-    powers = np.empty((count, *bases.shape), dtype=bases.dtype)
-    floors, filled = [], 0
-    power = np.broadcast_to(identity_like(bases), bases.shape)
+    rows = [[bases.shape[-1]] for _ in bases]
+    active = list(range(len(bases)))
+    power = bases
+    # stacked_ranks refuses an overflowed power; a floor is checked here
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, count + 1):
-            power = np.matmul(power, bases, out=powers[k - 1])
-            if not exact:
+            if not active:
+                break
+            floors = None
+            if bases.dtype != object:
                 try:
-                    floor = [s**k for s in scales]
+                    floors = [scales[i] ** k for i in active]
                 except OverflowError:
-                    break
-                if not (np.all(np.isfinite(power)) and np.all(np.isfinite(floor))):
-                    break
-                floors.extend(floor)
-            filled = k
-    if not filled:
-        return np.zeros((len(bases), 0), dtype=int)
-    ranks = stacked_ranks(powers[:filled].reshape(-1, *bases.shape[1:]),
-                          rel_tol, floors)
-    return ranks.reshape(filled, len(bases)).T
+                    raise NonFiniteError() from None
+                if not all(map(math.isfinite, floors)):
+                    raise NonFiniteError()
+            if k > 1:
+                power = power @ bases[active]
+            for i, r in zip(active, stacked_ranks(power, rel_tol, floors).tolist()):
+                rows[i].append(r)
+            keep = [j for j, i in enumerate(active) if not done(rows[i])]
+            power, active = power[keep], [active[j] for j in keep]
+    return rows
 
 
 def kernel_basis(m, rel_tol: float = DEFAULT_REL_TOL,

@@ -21,8 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .algebra.matrices import as_matrix, char_poly_stack, poly_at_matrix
-from .algebra.multipoly import MultiPoly, mp_content
-from .algebra.scalars import GR_ONE
+from .algebra.multipoly import MultiPoly
 from .algebra.unipoly import UniPoly, derivative, pseudo_divmod, subresultant_gcd
 from .family import MatrixFamily
 from .jordan import JordanCensus, jordan_censuses
@@ -274,9 +273,10 @@ def square_free_part_family(family: MatrixFamily) -> SquareFreeResult:
 
     The square-free part q0 = P / gcd(P, P') of the characteristic
     polynomial P comes from a subresultant remainder sequence and one
-    pseudo-division by the primitive part of its gcd. P is monic, so by
-    Gauss's lemma that primitive part has a constant leading coefficient
-    and q0 has polynomial coefficients: Theta = (-1)^m q0(A).
+    division by its gcd g. P is monic, so by Gauss's lemma the primitive
+    part of g is monic up to a unit and g's content is its leading
+    coefficient: g divided by it is monic, and so is q0, whose
+    coefficients are polynomials. Theta = (-1)^m q0(A).
     """
     p = family.char_poly_family()
     g = subresultant_gcd(p, derivative(p))
@@ -284,20 +284,13 @@ def square_free_part_family(family: MatrixFamily) -> SquareFreeResult:
         raise GcdDegenerationError("vanishing remainder sequence")
     q = p  # a constant gcd: the family is generically square-free
     if g.degree >= 1:
-        cont = mp_content(g.coeffs_nonzero())
-        g = UniPoly([c.exact_div(cont) for c in g.coeffs])
+        g = UniPoly([c.exact_div(g.leading) for c in g.coeffs])
         q, remainder = pseudo_divmod(p, g)
         if not remainder.is_zero():
             raise GcdDegenerationError(
                 "gcd of the remainder sequence does not divide the "
                 "characteristic polynomial (non-generic content)"
             )
-    if not q.leading.is_constant():
-        raise GcdDegenerationError(
-            "square-free part has a non-constant leading coefficient"
-        )
-    scale = GR_ONE / q.leading.constant_value()
-    q = UniPoly([c.scale(scale) for c in q.coeffs])
     theta = poly_at_matrix(q.coeffs, as_matrix(family.entries))
     if q.degree % 2 == 1:
         theta = -theta

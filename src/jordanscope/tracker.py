@@ -113,13 +113,11 @@ class BranchState:
                     raise ValueError("isolation disks are not disjoint")
 
 
-def isolate(p: UniPoly, roots_with_multiplicities) -> BranchState:
+def isolate(roots_with_multiplicities) -> BranchState:
     """Isolation radius = quarter of the minimal pairwise root distance
     (1.0 for a single distinct root)."""
     roots = [complex(r) for r, _ in roots_with_multiplicities]
     mults = [int(k) for _, k in roots_with_multiplicities]
-    if p is not None and sum(mults) != p.degree:
-        raise ValueError("multiplicities do not sum to the degree")
     if len(roots) == 1:
         eps = 1.0
     else:
@@ -433,7 +431,7 @@ def track_path(
         point = zeta(t_at)
         clusters = distinct_eigenvalues(family.at(point), rel_tol)
         p = char_poly(t_at, point)
-        return point, isolate(p, clusters), p
+        return point, isolate(clusters), p
 
     t = 0.0
     here, state, p_cur = seed(t)
@@ -464,7 +462,7 @@ def track_path(
                 p_try, state.centers, state.radius, state.multiplicities,
                 known=known,
             )
-            state = isolate(p_try, list(zip(new_centers, state.multiplicities)))
+            state = isolate(list(zip(new_centers, state.multiplicities)))
             t, here, p_cur = t_try, there, p_try
             samples.append(TrackSample(t, here, state.centers,
                                        state.multiplicities))
@@ -598,7 +596,7 @@ def _counts_at_probe(clusters, centers, eps):
 def amounts_from_stack(stack: ProbeStack) -> SplittingAmounts:
     """Splitting amounts read off a probe stack: the outer ring, or the
     inner one when the outer ring disagrees."""
-    state = isolate(None, stack.clusters[0])
+    state = isolate(stack.clusters[0])
     for ring in stack.rings:
         counts = []
         for clusters in ring:
@@ -698,7 +696,7 @@ def theta_stack(matrices: np.ndarray, factor_lists):
             for j, (_, power) in enumerate(factors):
                 try:
                     scale *= norms[i][j] ** int(power)
-                except OverflowError:  # power_ranks stops at a non-finite scale
+                except OverflowError:  # power_ranks refuses a non-finite scale it needs
                     scale = math.inf
             scales.append(scale)
     for power in set(powers[used].tolist()) - {1}:
@@ -714,13 +712,16 @@ def theta_stack(matrices: np.ndarray, factor_lists):
 
 def theta_power_ranks(theta: np.ndarray, scales, rel_tol: float = DEFAULT_REL_TOL):
     """rank Theta^k for k = 1..n-1 of every product of a ``theta_stack``
-    result, as one tuple per matrix (:func:`power_ranks`); a power that
-    overflows is an error."""
+    result, as one tuple per matrix, from one :func:`power_ranks` chain.
+
+    A Theta of rank 0 leaves the chain at k = 1 with higher ranks 0,
+    which is exact: either Theta = 0 exactly, or rel_tol * n >= 1, or
+    ||Theta^k|| <= ||Theta||^k <= (1e3 * eps * n * S)^k lies below the
+    floor 1e3 * eps * n * S^k of Theta^k, S being its roundoff scale.
+    """
     n = theta.shape[-1]
-    ranks = power_ranks(theta, n - 1, scales, rel_tol)
-    if ranks.shape[1] < n - 1:
-        raise NonFiniteError()
-    return [tuple(int(r) for r in row) for row in ranks]
+    rows = power_ranks(theta, n - 1, scales, lambda ranks: ranks[1] == 0, rel_tol)
+    return [tuple(row[1:] + [0] * (n - len(row))) for row in rows]
 
 
 def theta_extended(

@@ -579,6 +579,23 @@ def test_values_beyond_float64_are_input_errors(family_file, capsys, entries, ar
     assert err.startswith("input error:") and err.count("\n") == 1
 
 
+def test_scan_ranks_no_power_of_a_zero_theta(family_file, capsys):
+    # distinct eigenvalues near 1e80: every Theta has rank 0, so no higher
+    # power is ranked, though the roundoff scale of Theta^2, about 1.6e481,
+    # is beyond float64
+    doc = {"n": 3, "params": ["z"],
+           "entries": [["z", "0", "0"], ["0", "10^80", "0"], ["0", "0", "2*10^80"]]}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run_cli(["scan", family_file(doc), "--box=-1:1", "--res", "3"],
+                            capsys)
+    assert code == 0 and not caught
+    points = json.loads(out)["points"]
+    assert len(points) == 3
+    assert all(p["kind"] == "StableCandidate" and p["rank_theta"] == [0, 0]
+               for p in points)
+
+
 # finite entries whose sampled bound constant * max(1, |A|)^e leaves
 # float64: the bound is inf, which every finite value meets
 HUGE_BOUNDS = [

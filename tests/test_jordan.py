@@ -270,11 +270,11 @@ def test_exact_profiles_and_power_ranks_against_power_by_power(case):
     for lam in lams:
         assert rank_profile(phi, lam).ranks == early_stop_profile(phi, lam)
     bases = np.array([lam * identity_like(phi) - phi for lam in lams])
-    got = power_ranks(bases, n + 1, None)
-    assert got.shape == (len(lams), n + 1)
-    for base, row in zip(bases, got.tolist()):
+    got = power_ranks(bases, n + 1, None, lambda ranks: False)
+    for base, row in zip(bases, got):
+        assert len(row) == n + 2 and row[0] == n
         power = base
-        for k in range(n + 1):
+        for k in range(1, n + 2):
             assert row[k] == exact_rank(power)
             power = power @ base
 

@@ -1,7 +1,9 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jordanscope.algebra import GaussianRational, MultiPoly, parse_entry
-from jordanscope.algebra.matrices import as_matrix
+from jordanscope.algebra.matrices import as_matrix, identity_like
 from jordanscope.corpus import builtin_cases
+from jordanscope.family import MatrixFamily
 from jordanscope.ranklab import (
     MinorSizeError,
     NonFiniteError,
@@ -24,7 +27,7 @@ from jordanscope.ranklab import (
     power_ranks,
 )
 from jordanscope.sylv import build_split_matrix
-from jordanscope.tracker import theta_power_ranks, theta_stack
+from jordanscope.tracker import probe_stacks, theta_power_ranks, theta_stack
 
 GR = GaussianRational
 
@@ -365,39 +368,125 @@ def power_test_stack(seed, n=4):
     return np.concatenate([gaussian(3, n, n), nilpotent[None], deficient[None]])
 
 
+def never(ranks):
+    return False
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_power_ranks_equal_ranks_of_sequential_powers(seed):
     n = 4
     stack = power_test_stack(seed, n)
     scales = np.linalg.norm(stack, 2, axis=(1, 2)).tolist()
-    got = power_ranks(stack, n + 1, scales)
-    assert got.shape == (len(stack), n + 1)
-    assert got[3].tolist() == [3, 2, 1, 0, 0]  # floored: B^4 is roundoff
-    assert got[4].tolist() == [2] * (n + 1)
+    got = power_ranks(stack, n + 1, scales, never)
+    assert [len(row) for row in got] == [n + 2] * len(stack)
+    assert got[3] == [4, 3, 2, 1, 0, 0]  # floored: B^4 is roundoff
+    assert got[4] == [4] + [2] * (n + 1)
     for i, base in enumerate(stack):
         power = np.eye(n, dtype=complex)
         for k in range(1, n + 2):
             power = power @ base
             want = numerical_rank(power, scale=scales[i] ** k).rank
-            assert got[i, k - 1] == want
+            assert got[i][k] == want
+    # a base leaves the chain once its list is done, and the others go on
+    stop = power_ranks(stack, n + 1, scales, lambda ranks: ranks[-1] == ranks[-2])
+    assert stop[3] == got[3] and stop[4] == got[4][:3]
 
 
 def test_power_ranks_stop_at_the_first_overflowing_power():
     # the third power of 1e104 * I is beyond float64
     stack = np.array([1e104 * np.eye(4), np.eye(4)], dtype=complex)
     scales = [1e104, 1.0]
-    assert power_ranks(stack, 3, scales).tolist() == [[4, 4], [4, 4]]
+    with pytest.raises(ValueError, match="matrix has non-finite entries"):
+        power_ranks(stack, 3, scales, never)
     with pytest.raises(ValueError, match="matrix has non-finite entries"):
         theta_power_ranks(stack, scales)
+    # the powers it needs are finite, and the one it does not is never formed
+    assert power_ranks(stack, 2, scales, never) == [[4, 4, 4], [4, 4, 4]]
+    assert power_ranks(stack, 3, scales, lambda ranks: len(ranks) == 3) == [
+        [4, 4, 4], [4, 4, 4]]
 
 
 def test_power_ranks_stop_at_the_first_roundoff_scale_beyond_float64():
     # B^2 = 0 is finite, but its scale ||B||^2 = 1e400 is not: an infinite
     # threshold would call any B^2 rank 0
     b = np.array([[[0, 1e200], [0, 0]]], dtype=complex)
-    assert power_ranks(b, 2, [1e200]).tolist() == [[1]]
+    with pytest.raises(NonFiniteError):
+        power_ranks(b, 2, [1e200], never)
+    assert power_ranks(b, 1, [1e200], never) == [[2, 1]]
     # Theta = B^2, whose scale ||0 - B||^2 overflows
     theta, scales = theta_stack(b, [[(0.0, 2)]])
     assert np.all(theta == 0) and scales == [math.inf]
     with pytest.raises(NonFiniteError):
         theta_power_ranks(theta, scales)
+
+
+def theta_ranks_power_by_power(theta, scale):
+    """Oracle: rank Theta^k for k = 1..n-1, every power formed and ranked
+    alone, by the rule of its ring."""
+    n = len(theta)
+    power, ranks = theta, []
+    for k in range(1, n):
+        if theta.dtype == object:
+            ranks.append(exact_rank(power))
+        else:
+            ranks.append(numerical_rank(power, scale=scale**k).rank)
+        power = power @ theta
+    return tuple(ranks)
+
+
+def conjugated_jordan_stack(rng, n):
+    """S J S^-1 for random Jordan matrices J with n <= 8, some
+    diagonalizable and some not, each J with the factor list of its
+    distinct eigenvalues."""
+    matrices, factor_lists = [], []
+    for _ in range(6):
+        lams = rng.choice([-2.0, -1.0, 0.5, 1.0, 3.0], size=rng.integers(1, 4),
+                          replace=False)
+        blocks = rng.choice(lams, size=n)
+        j = np.diag(blocks).astype(complex)
+        for i in range(n - 1):
+            if blocks[i] == blocks[i + 1] and rng.uniform() < 0.5:
+                j[i, i + 1] = 1.0
+        s = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) + 4 * np.eye(n)
+        matrices.append(s @ j @ np.linalg.inv(s))
+        factor_lists.append([(complex(lam), 1) for lam in sorted(set(blocks))])
+    return np.array(matrices), factor_lists
+
+
+def test_theta_power_ranks_equal_ranks_of_every_power():
+    # the stop at rank Theta = 0 against ranking every power: on the probe
+    # stacks of a dense 8 x 8 family, where every Theta is roundoff, and on
+    # conjugated Jordan matrices, where some Theta are not
+    with open(Path(__file__).parent / "data" / "dense8.json") as f:
+        family = MatrixFamily.from_spec_dict(json.load(f))
+    nodes = [(z, w) for z in (-1.0, 0.3) for w in (-0.5, 1.0)]
+    stacks = probe_stacks(family, nodes, 1e-2)
+    cases = [(np.concatenate([st.matrices for st in stacks]),
+              [[(lam, 1) for lam, _ in c] for st in stacks for c in st.clusters])]
+    rng = np.random.default_rng(21)
+    cases += [conjugated_jordan_stack(rng, n) for n in range(2, 9)]
+    for matrices, factor_lists in cases:
+        theta, scales = theta_stack(matrices, factor_lists)
+        got = theta_power_ranks(theta, scales)
+        assert got == [theta_ranks_power_by_power(t, s)
+                       for t, s in zip(theta, scales)]
+    assert {r for row in got for r in row} != {0}  # some Theta are not zero
+    # the exact ring: Theta = 0 exactly when the matrix is diagonalizable
+    pyrng = random.Random(22)
+    for n in range(2, 7):
+        j = [[GR(0)] * n for _ in range(n)]
+        for i in range(n):
+            j[i][i] = GR(pyrng.choice([0, 1]))
+            if i and j[i][i] == j[i - 1][i - 1] and pyrng.random() < 0.5:
+                j[i - 1][i] = GR(1)
+        shear = as_matrix([[GR(pyrng.randint(-2, 2) if c > r else int(c == r))
+                            for c in range(n)] for r in range(n)])
+        unshear, power = identity_like(shear), identity_like(shear)
+        for _ in range(n - 1):  # (I + N)^-1 = I - N + N^2 - ...
+            power = power @ (identity_like(shear) - shear)
+            unshear = unshear + power
+        phi = shear @ as_matrix(j) @ unshear
+        lams = sorted({j[i][i] for i in range(n)}, key=lambda z: z.re)
+        theta, scales = theta_stack(phi[None], [[(lam, 1) for lam in lams]])
+        assert theta_power_ranks(theta, scales) == [
+            theta_ranks_power_by_power(theta[0], None)]

@@ -52,20 +52,17 @@ def test_cluster_values_groups_transitively():
 
 
 def test_isolate_single_cluster():
-    p = UniPoly([0.0, 0.0, 1.0])  # lam^2
-    st = isolate(p, [(0.0, 2)])
+    st = isolate([(0.0, 2)])
     assert st.radius == 1.0
 
 
 def test_isolate_two_roots():
-    p = UniPoly([-1.0, 0.0, 1.0])
-    st = isolate(p, [(1.0, 1), (-1.0, 1)])
+    st = isolate([(1.0, 1), (-1.0, 1)])
     assert st.radius == pytest.approx(0.5)
 
 
 def test_isolate_min_distance():
-    p = UniPoly.from_roots([0.0, 1.0, 1.0 + 1.0j], one=1.0)
-    st = isolate(p, [(0.0, 1), (1.0, 1), (1.0 + 1.0j, 1)])
+    st = isolate([(0.0, 1), (1.0, 1), (1.0 + 1.0j, 1)])
     assert st.radius == pytest.approx(0.25)
 
 
