@@ -20,6 +20,7 @@ from .family import MatrixFamily
 from .ranklab import (
     DEFAULT_REL_TOL,
     kernel_basis,
+    norm_scales,
     power_ranks,
 )
 from .tracker import (
@@ -107,7 +108,7 @@ def _rank_profiles(phis: np.ndarray, lam_lists, rel_tol: float):
     """:func:`rank_profile` of each matrix of an (N, n, n) stack at each
     of its eigenvalues, as one list per matrix: one
     :func:`ranklab.power_ranks` chain over the bases lam - Phi of all of
-    them, each floored at the roundoff level of ||lam - Phi||^k and
+    them, floored at ||lam - Phi||^k (:func:`ranklab.norm_scales`) and
     leaving the chain once two consecutive ranks agree. Only a power that
     a profile still needs is formed, so only such a power or floor can
     raise NonFiniteError, and a profile is the same in any stack.
@@ -119,8 +120,8 @@ def _rank_profiles(phis: np.ndarray, lam_lists, rel_tol: float):
     ring = np.array(flat, dtype=object if exact else complex)
     with np.errstate(over="ignore", invalid="ignore"):  # stacked_ranks refuses inf
         bases = ring[:, None, None] * identity_like(phis) - phis[owners]
-    norms = None if exact else np.linalg.norm(bases, 2, axis=(1, 2)).tolist()
-    rows = power_ranks(bases, n + 1, norms, lambda r: r[-1] == r[-2], rel_tol)
+    scales = None if exact else norm_scales(bases)
+    rows = power_ranks(bases, n + 1, scales, lambda r: r[-1] == r[-2], rel_tol)
     profiles = iter(RankProfile(lam, tuple(row + row[-1:] * (n + 2 - len(row))))
                     for lam, row in zip(flat, rows))
     return [[next(profiles) for _ in lams] for lams in lam_lists]

@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -29,6 +29,10 @@ DEFAULT_REL_TOL = 1e-8
 #: roundoff floor multiplier: products of k factors carry relative error
 #: of order (a few) * eps * prod of factor norms
 ROUNDOFF_MARGIN = 1e3
+
+#: relative widening of :func:`norm_bounds`, far above their roundoff and the SVD's
+NORM_BOUND_MARGIN = 1e-6
+_TINY = np.finfo(float).tiny
 
 #: minor enumeration refuses matrices larger than this: the row sweep
 #: holds up to C(9, k)**2 polynomial minors at level k (15,876 at k = 4)
@@ -98,7 +102,8 @@ def stacked_ranks(stack, rel_tol: float = DEFAULT_REL_TOL,
     """The rank of every matrix of an (N, rows, cols) stack, by the rule
     of its ring: :func:`exact_rank` of each matrix of an object stack,
     else :func:`numerical_rank` of each from one stacked SVD, ``scales``
-    being one roundoff scale per matrix (or one for all)."""
+    being one roundoff scale per matrix (or one for all), or a (2, N)
+    pair of them, which ranks each matrix at both from its one SVD."""
     a = np.asarray(stack)
     if a.ndim != 3 or a.size == 0:
         raise ValueError("need a nonempty stack of 2-d matrices")
@@ -110,7 +115,39 @@ def stacked_ranks(stack, rel_tol: float = DEFAULT_REL_TOL,
     sigma = np.linalg.svd(a, compute_uv=False)
     threshold = rank_threshold(sigma[:, 0], rel_tol,
                                np.asarray(scales, dtype=float), a.shape[1:])
-    return np.sum(sigma > threshold[:, None], axis=1)
+    return np.sum(sigma > threshold[..., None], axis=-1)
+
+
+class ScaleBounds(NamedTuple):
+    """Roundoff scales of a stack: lo[i] <= S_i <= hi[i], exact(i) = S_i."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    exact: Callable[[int], float]
+
+
+def norm_bounds(stack):
+    """(lo, hi) with lo <= ||M||_2 <= hi for every M of an (N, rows, cols)
+    stack: the largest row or column 2-norm and the Frobenius norm (Golub
+    & Van Loan, Matrix Computations, 2.3), widened by NORM_BOUND_MARGIN.
+    A zero matrix gets (0, 0), and any other whose squared sum may have
+    left the normal float range (0, inf)."""
+    a = np.asarray(stack)
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = a.real**2 + a.imag**2
+        total = squares.sum(axis=(1, 2))
+        rows, cols = squares.sum(axis=2).max(axis=1), squares.sum(axis=1).max(axis=1)
+    normal = (total >= _TINY) & (total < np.inf)
+    lo = np.sqrt(np.maximum(rows, cols)) * (1 - NORM_BOUND_MARGIN)
+    hi = np.sqrt(total) * (1 + NORM_BOUND_MARGIN)
+    wide = np.where(a.any(axis=(1, 2)), np.inf, 0.0)
+    return np.where(normal, lo, 0.0), np.where(normal, hi, wide)
+
+
+def norm_scales(stack) -> ScaleBounds:
+    """The 2-norms of a stack: :func:`norm_bounds`, and an SVD on demand."""
+    a = np.asarray(stack)
+    return ScaleBounds(*norm_bounds(a), lambda i: float(np.linalg.norm(a[i], 2)))
 
 
 def power_ranks(bases, count: int, scales, done,
@@ -119,33 +156,46 @@ def power_ranks(bases, count: int, scales, done,
     list per base from rank B^0 = n: the one rank chain of the package.
 
     Step k forms B^k = B^(k-1) B (B itself at k = 1) for the bases still
-    in the chain and ranks them with one :func:`stacked_ranks` call, the
-    threshold of a numeric B^k floored at ``scales[i]**k``, the roundoff
-    level of the i-th base (an object stack is ranked exactly). A base
-    leaves once ``done(its list)`` holds after some k >= 1. Only a power
-    that a base still needs is formed, and a non-finite entry or floor
-    there raises NonFiniteError; a list is the same in any stack.
+    in the chain and ranks them with one :func:`stacked_ranks` call,
+    exactly for an object stack (``scales`` None), else floored at S_i**k,
+    S_i in [lo_i, hi_i] the roundoff scale of the i-th base (a
+    :class:`ScaleBounds`). The threshold is monotone in the floor, so
+    where the ranks at lo_i**k and hi_i**k agree and both floors are
+    normal (or hi_i = 0) that is the rank; elsewhere S_i is asked of
+    ``scales.exact``, once per base. A base leaves once ``done(its
+    list)`` holds after some k >= 1. Only a power that a base still needs
+    is formed, and a non-finite entry there or exact floor raises
+    NonFiniteError; a list is the same in any stack.
     """
     bases = np.asarray(bases)
     rows = [[bases.shape[-1]] for _ in bases]
     active = list(range(len(bases)))
-    power = bases
-    # stacked_ranks refuses an overflowed power; a floor is checked here
+    power, exact = bases, {}
+    # a non-finite power or floor is refused where it is ranked
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, count + 1):
             if not active:
                 break
-            floors = None
-            if bases.dtype != object:
+            if k > 1:
+                power = power @ bases[active]
+            if bases.dtype == object:
+                got = stacked_ranks(power)
+            else:
+                lo, hi = scales.lo[active] ** k, scales.hi[active] ** k
+                got, top = stacked_ranks(power, rel_tol, np.stack([lo, hi]))
+                known = (lo >= _TINY) & (hi < np.inf) | (scales.hi[active] == 0)
+                ask = np.flatnonzero((got != top) | ~known)
+                need = [active[j] for j in ask.tolist()]
+                exact.update((i, scales.exact(i)) for i in need if i not in exact)
                 try:
-                    floors = [scales[i] ** k for i in active]
+                    floors = [exact[i] ** k for i in need]
                 except OverflowError:
                     raise NonFiniteError() from None
                 if not all(map(math.isfinite, floors)):
                     raise NonFiniteError()
-            if k > 1:
-                power = power @ bases[active]
-            for i, r in zip(active, stacked_ranks(power, rel_tol, floors).tolist()):
+                if floors:
+                    got[ask] = stacked_ranks(power[ask], rel_tol, floors)
+            for i, r in zip(active, got.tolist()):
                 rows[i].append(r)
             keep = [j for j, i in enumerate(active) if not done(rows[i])]
             power, active = power[keep], [active[j] for j in keep]

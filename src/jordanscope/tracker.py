@@ -19,7 +19,8 @@ from .algebra.matrices import identity_like
 from .algebra.multipoly import complex_modulus, complex_product
 from .algebra.unipoly import UniPoly, derivative
 from .family import MatrixFamily
-from .ranklab import DEFAULT_REL_TOL, NonFiniteError, power_ranks
+from .ranklab import (DEFAULT_REL_TOL, NonFiniteError, ScaleBounds, norm_bounds,
+                      norm_scales, power_ranks)
 
 #: nodes per circle at the first quadrature level; each later level doubles
 FIRST_QUADRATURE_NODES = 32
@@ -46,47 +47,62 @@ def cluster_tolerance(norm: float, rel_tol: float = DEFAULT_REL_TOL) -> float:
     return 1e3 * rel_tol * (1.0 + norm)
 
 
-def cluster_values(values: Sequence[complex], tol: float):
-    """Group values whose transitive pairwise distance is below tol.
+def _clusters(values: np.ndarray, close: np.ndarray) -> list:
+    """The cluster lists of the rows of an (N, k) array of values,
+    ``close[r, i, j]`` marking the pairs of row r within tolerance. A row
+    without a close pair is a list of singletons, sorted at once; in the
+    others each close pair joins its two groups."""
+    near = {}
+    for r, i, j in np.argwhere(np.triu(close, 1)).tolist():
+        near.setdefault(r, []).append((i, j))
+    order = np.lexsort((values.imag, values.real))
+    out = []
+    for r, (row, line) in enumerate(zip(values.tolist(),
+                                        np.take_along_axis(values, order, 1).tolist())):
+        if r not in near:  # a group of one has the center sum([v]) / 1
+            out.append([(sum([v]) / 1, 1) for v in line])
+            continue
+        group = list(range(len(row)))
+        for i, j in near[r]:
+            group = [group[j] if g == group[i] else g for g in group]
+        groups = {}
+        for g, v in zip(group, row):
+            groups.setdefault(g, []).append(v)
+        clusters = [(sum(g) / len(g), len(g)) for g in groups.values()]
+        clusters.sort(key=lambda c: (c[0].real, c[0].imag))
+        out.append(clusters)
+    return out
 
-    Returns [(center, count)] with centers = cluster means, ordered by
-    (re, im) of the center. Deterministic.
+
+def cluster_stack(values: np.ndarray, scales: ScaleBounds,
+                  rel_tol: float = DEFAULT_REL_TOL) -> list:
+    """The distinct eigenvalues of each row of an (N, k) array, as
+    [(center, count)]: the groups of values within transitive distance
+    :func:`cluster_tolerance` of the matrix's 2-norm, centered at their
+    means and ordered by (re, im). The norms come as
+    :class:`ranklab.ScaleBounds` (:func:`ranklab.norm_scales`); the
+    tolerance is monotone in the norm, so only a row with a distance in
+    (tol(lo), tol(hi)] asks ``scales.exact``, and the others get the same
+    clusters at tol(lo). Distances are the hypot of the parts, which has
+    the bits of Python's abs(complex).
     """
-    values = list(values)
-    k = len(values)
-    parent = list(range(k))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(k):
-        for j in range(i + 1, k):
-            if abs(values[i] - values[j]) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups = {}
-    for i in range(k):
-        groups.setdefault(find(i), []).append(values[i])
-    clusters = [(sum(g) / len(g), len(g)) for g in groups.values()]
-    clusters.sort(key=lambda c: (c[0].real, c[0].imag))
-    return clusters
-
-
-def cluster_eigenvalues(values: np.ndarray, norm: float,
-                        rel_tol: float = DEFAULT_REL_TOL):
-    """Distinct eigenvalues with multiplicities, from precomputed
-    eigenvalues of a matrix with operator norm ``norm``."""
-    return cluster_values(values.tolist(), cluster_tolerance(float(norm), rel_tol))
+    values = np.asarray(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = values[:, :, None] - values[:, None, :]
+        dist = np.hypot(diff.real, diff.imag)
+    tol = cluster_tolerance(scales.lo, rel_tol)
+    top = cluster_tolerance(scales.hi, rel_tol)[:, None, None]
+    between = ((dist > tol[:, None, None]) & (dist <= top)).any(axis=(1, 2))
+    for i in np.flatnonzero(between):
+        tol[i] = cluster_tolerance(scales.exact(i), rel_tol)
+    return _clusters(values, dist <= tol[:, None, None])
 
 
 def distinct_eigenvalues(matrix: np.ndarray, rel_tol: float = DEFAULT_REL_TOL):
-    """Distinct eigenvalues with multiplicities, by clustering."""
-    return cluster_eigenvalues(np.linalg.eigvals(matrix),
-                               np.linalg.norm(matrix, 2), rel_tol)
+    """Distinct eigenvalues with multiplicities, by clustering: a
+    :func:`cluster_stack` of one."""
+    stack = np.asarray(matrix)[None]
+    return cluster_stack(np.linalg.eigvals(stack), norm_scales(stack), rel_tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -552,9 +568,9 @@ def probe_stacks(
     """One :class:`ProbeStack` per point, all evaluated as one stack.
 
     The 17 points of every stack go through one ``at_many`` call, one
-    ``eigvals`` call and one stacked 2-norm; each result row depends
-    only on its own matrix, so every stack has the bits it would have
-    alone. Clustering runs once per matrix.
+    ``eigvals`` call and one :func:`cluster_stack`, which takes an SVD
+    norm only where the norm bounds leave a cluster open; each row
+    depends only on its own matrix, so a stack has the bits it has alone.
     """
     rows = []
     for point in points:
@@ -563,9 +579,7 @@ def probe_stacks(
         for radius in (probe_radius, probe_radius / 2):
             rows.extend(probe_ring(point, radius))
     matrices = family.at_many(rows)
-    values = np.linalg.eigvals(matrices)
-    norms = np.linalg.norm(matrices, 2, axis=(1, 2))
-    clusters = [cluster_eigenvalues(v, nrm, rel_tol) for v, nrm in zip(values, norms)]
+    clusters = cluster_stack(np.linalg.eigvals(matrices), norm_scales(matrices), rel_tol)
     size = 1 + 2 * PROBE_COUNT
     return [ProbeStack(rows[i : i + size], matrices[i : i + size],
                        clusters[i : i + size]) for i in range(0, len(rows), size)]
@@ -664,10 +678,13 @@ def theta_stack(matrices: np.ndarray, factor_lists):
     ``factor_lists[i]`` is the [(lam, power)] list of ``matrices[i]``.
     Shorter lists are padded with identity factors, which leaves every
     product bit-for-bit what the unpadded product would be. Returns the
-    (N, n, n) stack and, per matrix, the roundoff scale: the product of
-    the factor norms ``||lam - A||**power``. An object stack takes powers
-    of 1 only (numpy forms no powers of object stacks) and has no
-    roundoff, so its scales are None.
+    (N, n, n) stack and, as :class:`ranklab.ScaleBounds`, the roundoff
+    scales of the products, the products of the factor norms
+    ``||lam - A||**power``: bounded by the same products of the factors'
+    :func:`ranklab.norm_bounds` (0 with a zero factor, (0, inf) if a factor
+    or partial product leaves the normal range), exact from SVDs on demand.
+    An object stack takes powers of 1 only (numpy forms no powers of
+    object stacks) and has no roundoff: its scales are None.
     """
     a = np.asarray(matrices)
     exact = a.dtype == object
@@ -688,25 +705,37 @@ def theta_stack(matrices: np.ndarray, factor_lists):
         factor[rows, j] = lams[rows, j, None, None] * eye - a[rows]
     scales = None
     if not exact:
-        # operator norms, one stacked SVD; an identity pad has norm 1
-        norms = np.linalg.svd(factor, compute_uv=False)[..., 0].tolist()
-        scales = []
-        for i, factors in enumerate(factor_lists):
+        lo, hi = (b.reshape(count, width) for b in norm_bounds(factor.reshape(-1, n, n)))
+        low, high, normal = np.ones(count), np.ones(count), np.ones(count, dtype=bool)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(width):  # an identity pad takes the power 0
+                power = np.where(used[:, j], powers[:, j], 0)
+                term = lo[:, j] ** power
+                low, high = low * term, high * hi[:, j] ** power
+                normal &= np.minimum(term, low) >= np.finfo(float).tiny
+        zero = np.any(used & (hi == 0), axis=1) & (high == 0)  # a zero factor
+
+        def exact_scale(i):  # SVD norms, each to its power, multiplied in list order
+            norms = np.linalg.svd(factor[i, : len(factor_lists[i])], compute_uv=False)
             scale = 1.0
-            for j, (_, power) in enumerate(factors):
+            for norm, (_, power) in zip(norms[:, 0].tolist(), factor_lists[i]):
                 try:
-                    scale *= norms[i][j] ** int(power)
+                    scale *= norm ** int(power)
                 except OverflowError:  # power_ranks refuses a non-finite scale it needs
                     scale = math.inf
-            scales.append(scale)
+            return scale
+
+        scales = ScaleBounds(np.where(normal, low, 0.0),
+                             np.where(normal, high, np.where(zero, 0.0, np.inf)), exact_scale)
+    powered = factor.copy() if np.any(powers[used] > 1) else factor
     for power in set(powers[used].tolist()) - {1}:
         pick = used & (powers == power)
-        factor[pick] = np.linalg.matrix_power(factor[pick], power)
+        powered[pick] = np.linalg.matrix_power(factor[pick], power)
     theta = np.broadcast_to(eye, a.shape).copy()
     # an overflowing product is reported where it is ranked (power_ranks)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(width):
-            theta = theta @ factor[:, j]
+            theta = theta @ powered[:, j]
     return theta, scales
 
 

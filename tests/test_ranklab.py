@@ -23,6 +23,7 @@ from jordanscope.ranklab import (
     generic_rank,
     kernel_basis,
     minors,
+    norm_scales,
     numerical_rank,
     power_ranks,
 )
@@ -376,7 +377,7 @@ def never(ranks):
 def test_power_ranks_equal_ranks_of_sequential_powers(seed):
     n = 4
     stack = power_test_stack(seed, n)
-    scales = np.linalg.norm(stack, 2, axis=(1, 2)).tolist()
+    scales = norm_scales(stack)
     got = power_ranks(stack, n + 1, scales, never)
     assert [len(row) for row in got] == [n + 2] * len(stack)
     assert got[3] == [4, 3, 2, 1, 0, 0]  # floored: B^4 is roundoff
@@ -385,7 +386,7 @@ def test_power_ranks_equal_ranks_of_sequential_powers(seed):
         power = np.eye(n, dtype=complex)
         for k in range(1, n + 2):
             power = power @ base
-            want = numerical_rank(power, scale=scales[i] ** k).rank
+            want = numerical_rank(power, scale=scales.exact(i) ** k).rank
             assert got[i][k] == want
     # a base leaves the chain once its list is done, and the others go on
     stop = power_ranks(stack, n + 1, scales, lambda ranks: ranks[-1] == ranks[-2])
@@ -395,7 +396,8 @@ def test_power_ranks_equal_ranks_of_sequential_powers(seed):
 def test_power_ranks_stop_at_the_first_overflowing_power():
     # the third power of 1e104 * I is beyond float64
     stack = np.array([1e104 * np.eye(4), np.eye(4)], dtype=complex)
-    scales = [1e104, 1.0]
+    scales = norm_scales(stack)
+    assert [scales.exact(i) for i in range(2)] == [1e104, 1.0]
     with pytest.raises(ValueError, match="matrix has non-finite entries"):
         power_ranks(stack, 3, scales, never)
     with pytest.raises(ValueError, match="matrix has non-finite entries"):
@@ -410,12 +412,14 @@ def test_power_ranks_stop_at_the_first_roundoff_scale_beyond_float64():
     # B^2 = 0 is finite, but its scale ||B||^2 = 1e400 is not: an infinite
     # threshold would call any B^2 rank 0
     b = np.array([[[0, 1e200], [0, 0]]], dtype=complex)
+    scales = norm_scales(b)  # the squared sum overflows: bounds (0, inf)
+    assert (scales.lo[0], scales.hi[0], scales.exact(0)) == (0.0, math.inf, 1e200)
     with pytest.raises(NonFiniteError):
-        power_ranks(b, 2, [1e200], never)
-    assert power_ranks(b, 1, [1e200], never) == [[2, 1]]
+        power_ranks(b, 2, scales, never)
+    assert power_ranks(b, 1, scales, never) == [[2, 1]]
     # Theta = B^2, whose scale ||0 - B||^2 overflows
     theta, scales = theta_stack(b, [[(0.0, 2)]])
-    assert np.all(theta == 0) and scales == [math.inf]
+    assert np.all(theta == 0) and scales.hi[0] == scales.exact(0) == math.inf
     with pytest.raises(NonFiniteError):
         theta_power_ranks(theta, scales)
 
@@ -468,8 +472,8 @@ def test_theta_power_ranks_equal_ranks_of_every_power():
     for matrices, factor_lists in cases:
         theta, scales = theta_stack(matrices, factor_lists)
         got = theta_power_ranks(theta, scales)
-        assert got == [theta_ranks_power_by_power(t, s)
-                       for t, s in zip(theta, scales)]
+        assert got == [theta_ranks_power_by_power(t, scales.exact(i))
+                       for i, t in enumerate(theta)]
     assert {r for row in got for r in row} != {0}  # some Theta are not zero
     # the exact ring: Theta = 0 exactly when the matrix is diagonalizable
     pyrng = random.Random(22)

@@ -14,6 +14,7 @@ from jordanscope.algebra.multipoly import complex_modulus, complex_product
 from jordanscope.algebra.unipoly import derivative
 from jordanscope import tracker
 from jordanscope.family import MatrixFamily
+from jordanscope.ranklab import ScaleBounds
 from jordanscope.tracker import (
     MAX_QUADRATURE_NODES,
     ROUCHE_BOUNDARY_SAMPLES,
@@ -22,7 +23,7 @@ from jordanscope.tracker import (
     _horner,
     _quotient,
     _rouche_values,
-    cluster_values,
+    cluster_stack,
     contour_root,
     contour_roots,
     isolate,
@@ -46,8 +47,10 @@ FAM_SQRT = lambda: fam([["0", "1"], ["z", "0"]], ["z"])  # eigenvalues +-sqrt(z)
 
 
 def test_cluster_values_groups_transitively():
-    vals = [0.0, 1e-9, 2e-9, 1.0]
-    out = cluster_values(vals, tol=1.5e-9)
+    # the tolerance 1e3 * rel_tol * (1 + ||A||) is 1.5e-9 for the norm 0
+    vals = np.array([[0.0, 1e-9, 2e-9, 1.0]])
+    zero_norm = ScaleBounds(np.zeros(1), np.zeros(1), lambda i: 0.0)
+    out = cluster_stack(vals, zero_norm, rel_tol=1.5e-12)[0]
     assert [c for _, c in out] == [3, 1]
 
 
