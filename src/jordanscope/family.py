@@ -22,6 +22,18 @@ def _strings(value) -> bool:
     return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
 
+def _finite(evaluator: StackedEvaluator, points, message: str) -> np.ndarray:
+    """The evaluator's values at the points; a value beyond the float64
+    range raises NonFiniteError with ``message``."""
+    try:
+        values = evaluator(points)
+    except OverflowError:  # a power beyond float64
+        raise NonFiniteError(message) from None
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteError(message)
+    return values
+
+
 @dataclass
 class MatrixFamily:
     """An n x n grid of MultiPoly entries over shared parameters."""
@@ -96,12 +108,7 @@ class MatrixFamily:
             self._entry_eval = StackedEvaluator(
                 [e for row in self.entries for e in row], self.nparams
             )
-        try:
-            values = self._entry_eval(points)
-        except OverflowError:  # a power beyond float64
-            raise NonFiniteError() from None
-        if not np.all(np.isfinite(values)):
-            raise NonFiniteError()
+        values = _finite(self._entry_eval, points, "matrix has non-finite entries")
         return values.reshape(-1, self.n, self.n)
 
     def at_exact(self, point) -> np.ndarray:
@@ -123,13 +130,16 @@ class MatrixFamily:
         """Characteristic polynomials at a stack of points, complex
         coefficients, from one evaluator call. Each row depends only on
         its own point, so every polynomial has the bits that
-        ``char_poly_at`` gives at that point. A power beyond float64 at
-        any point raises OverflowError."""
+        ``char_poly_at`` gives at that point. Coefficients beyond the
+        float64 range at any point raise NonFiniteError, as in
+        :meth:`at_many`."""
         if not hasattr(self, "_charpoly_eval"):
             self._charpoly_eval = StackedEvaluator(
                 self.char_poly_family().coeffs, self.nparams
             )
-        return [UniPoly(row) for row in self._charpoly_eval(points).tolist()]
+        values = _finite(self._charpoly_eval, points,
+                         "characteristic polynomial has non-finite coefficients")
+        return [UniPoly(row) for row in values.tolist()]
 
     def operator_norm_at(self, point) -> float:
         return self.operator_norms([point])[0]

@@ -24,16 +24,13 @@ from .ranklab import (
     power_ranks,
 )
 from .tracker import (
-    contour_roots,
+    disk_means,
     distinct_eigenvalues,
     isolate,
     theta_power_ranks,
     theta_stack,
 )
 
-#: allowed ||T^(-1) Phi T - J|| of a chain basis, relative to
-#: (1 + ||Phi||) times its condition number
-BASIS_RESIDUAL_SCALE = 1e-8
 #: allowed ||Theta^n|| on the floating path, relative to (1 + ||Phi||)^(n m)
 NILPOTENCY_SCALE = 1e-8
 #: allowed similarity residual of a local Jordan transform, relative to
@@ -353,7 +350,7 @@ def verify_rank_identities(
 
 
 # ---------------------------------------------------------------------------
-# numerical Jordan basis (chains from kernels of powers)
+# reference Jordan form
 
 
 class IllConditionedBasisError(RuntimeError):
@@ -362,22 +359,13 @@ class IllConditionedBasisError(RuntimeError):
         self.condition = condition
 
 
-@dataclass
-class BasisResult:
-    transform: np.ndarray
-    jordan_form: np.ndarray
-    residual: float
-    condition: float
-
-
-def jordan_form_from_census(census: JordanCensus, eigenvalues=None) -> np.ndarray:
-    """Block-diagonal reference form: eigenvalues in (re, im) order,
-    block sizes descending within each eigenvalue. ``eigenvalues``, one
-    per census eigenvalue and in its order, replaces the census's own."""
-    lams = census.eigenvalues if eigenvalues is None else eigenvalues
+def jordan_form_from_census(census: JordanCensus, eigenvalues) -> np.ndarray:
+    """Block-diagonal Jordan form with the census's blocks and the given
+    eigenvalues, one per census eigenvalue and in its (re, im) order;
+    block sizes descend within each eigenvalue."""
     out = np.zeros((census.n, census.n), dtype=complex)
     pos = 0
-    for lam, sizes in zip(lams, census.blocks):
+    for lam, sizes in zip(eigenvalues, census.blocks):
         for size in sorted(sizes, reverse=True):
             for _ in range(sizes[size]):
                 idx = np.arange(pos, pos + size)
@@ -385,84 +373,6 @@ def jordan_form_from_census(census: JordanCensus, eigenvalues=None) -> np.ndarra
                 out[idx[:-1], idx[1:]] = 1.0
                 pos += size
     return out
-
-
-def jordan_basis(
-    phi: np.ndarray,
-    census: Optional[JordanCensus] = None,
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> BasisResult:
-    """Invertible T with T^(-1) Phi T in Jordan normal form (floating).
-
-    Chains are built down the kernel staircase of (Phi - lam)^k; new
-    chain tops are chosen orthogonal to the lower kernel and to the
-    already-inherited vectors (minimal-norm tie-breaking). Block order:
-    eigenvalues by (re, im), sizes descending.
-    """
-    phi = np.asarray(phi, dtype=complex)
-    n = phi.shape[0]
-    if census is None:
-        census = jordan_census(phi, rel_tol=rel_tol)
-    columns = []
-    for lam, sizes in zip(census.eigenvalues, census.blocks):
-        lam = complex(lam)
-        nilp = phi - lam * np.eye(n)
-        nilp_norm = float(np.linalg.norm(nilp, 2))
-        max_size = max(sizes)
-        kernels = {0: np.zeros((n, 0), dtype=complex)}
-        power = np.eye(n, dtype=complex)
-        for k in range(1, max_size + 1):
-            power = power @ nilp
-            kernels[k] = kernel_basis(power, rel_tol, scale=nilp_norm**k)
-        chains_here: List[List[np.ndarray]] = []  # chains as [top, N top, ...]
-        carried: List[np.ndarray] = []  # height-(k+1) vectors mapped down
-        for k in range(max_size, 0, -1):
-            inherited = [nilp @ v for v in carried]
-            needed = sizes.get(k, 0)
-            new_tops = []
-            if needed:
-                avoid = [kernels[k - 1]] + [
-                    v.reshape(-1, 1) for v in inherited
-                ]
-                avoid_mat = np.hstack(avoid) if avoid else np.zeros((n, 0))
-                kk = kernels[k]
-                if avoid_mat.shape[1]:
-                    q, _ = np.linalg.qr(avoid_mat)
-                    proj = kk - q @ (q.conj().T @ kk)
-                else:
-                    proj = kk
-                u, s, vh = np.linalg.svd(proj, full_matrices=False)
-                if needed > np.sum(s > 1e-10):
-                    raise IllConditionedBasisError(
-                        "cannot separate new chain tops from the lower kernel",
-                        np.inf,
-                    )
-                new_tops = [kk @ vh[i].conj() for i in range(needed)]
-            for top in new_tops:
-                chain = [top]
-                for _ in range(k - 1):
-                    chain.append(nilp @ chain[-1])
-                chains_here.append(chain)
-            carried = inherited + new_tops
-        # assemble columns: sizes descending, each chain bottom-up
-        chains_here.sort(key=len, reverse=True)
-        for chain in chains_here:
-            columns.extend(reversed(chain))
-    t = np.column_stack(columns)
-    condition = float(np.linalg.cond(t))
-    if not np.isfinite(condition) or condition > 1e13:
-        raise IllConditionedBasisError("chain basis is numerically singular",
-                                       condition)
-    j_ref = jordan_form_from_census(census)
-    residual = float(
-        np.linalg.norm(np.linalg.solve(t, phi @ t) - j_ref, 2)
-    )
-    norm = float(np.linalg.norm(phi, 2))
-    if residual > BASIS_RESIDUAL_SCALE * (1.0 + norm) * max(1.0, condition):
-        raise IllConditionedBasisError(
-            f"residual {residual:.3e} too large for the chain basis", condition
-        )
-    return BasisResult(t, j_ref, residual, condition)
 
 
 # ---------------------------------------------------------------------------
@@ -526,36 +436,37 @@ def local_jordan_transform(
 
     At the (Jordan stable) base point xi the census fixes nilpotent
     parts N_j once and for all; on the disk only the eigenvalue scalars
-    move, following the contour-integral branches. At each sample the
-    intertwiner S with S A = J S is recovered by orthogonal projection
-    of S(xi) onto the kernel of the intertwining map, and
-    T = S^(-1) conjugates A into J up to the reported residual. The
-    family and its characteristic polynomial are evaluated at all samples
-    as one stack each, so a sample beyond float64 raises before any
-    sample is processed.
+    move. Every point, xi included, takes the same rule: J has as its
+    eigenvalues the means of the eigenvalues of A in the isolation disks
+    of xi's (:func:`tracker.disk_means`), and the intertwiner S with
+    S A = J S is the orthogonal projection of a target onto the kernel of
+    the intertwining map. At xi the target is a fixed generic matrix, at
+    every sample it is S(xi); T = S^(-1) conjugates A into J up to the
+    reported residual. xi and the samples are evaluated as one stack, so
+    a sample beyond float64 raises before any point is processed.
     """
     xi = tuple(complex(c) for c in xi)
-    a_xi = family.at(xi)
     n = family.n
-    clusters = distinct_eigenvalues(a_xi, rel_tol)
-    census = jordan_census(a_xi, clusters, rel_tol)
-    state = isolate(clusters)
-    basis = jordan_basis(a_xi, census, rel_tol)
-    s_xi = np.linalg.inv(basis.transform)
+    points = [xi] + disk_samples(xi, disk_radius, sample_count)
+    stack = family.at_many(points)
+    census = jordan_census(stack[0], rel_tol=rel_tol)
+    state = isolate(list(zip(census.eigenvalues, census.multiplicities)))
+    rng = np.random.default_rng(1)
+    target = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
 
     samples = []
-    kernel_dim = None
-    max_residual = 0.0
-    points = disk_samples(xi, disk_radius, sample_count)
-    stack = np.reshape(np.asarray(points, dtype=complex), (len(points), len(xi)))
-    for point, a_here, p_here in zip(points, family.at_many(stack),
-                                     family.char_poly_at_many(stack)):
-        lams = contour_roots(p_here, census.eigenvalues, state.radius,
-                             census.multiplicities)
-        j_here = jordan_form_from_census(census, lams)
-        w = _wasow_matrix(a_here, j_here)
-        kernel = kernel_basis(w, rel_tol)
-        if kernel_dim is None:
+    for point, a_here, lams in zip(points, stack, np.linalg.eigvals(stack)):
+        means = disk_means(lams.tolist(), state)
+        if means is None:
+            raise KernelDimensionError(
+                f"an isolation disk lost its multiplicity at {point}; the base "
+                "point may not be Jordan stable or the disk is too large"
+            )
+        j_here = jordan_form_from_census(census, means)
+        norm = float(np.linalg.norm(a_here, 2))
+        kernel = kernel_basis(_wasow_matrix(a_here, j_here), rel_tol,
+                              scale=norm + float(np.linalg.norm(j_here, 2)))
+        if point is xi:
             kernel_dim = kernel.shape[1]
         elif kernel.shape[1] != kernel_dim:
             raise KernelDimensionError(
@@ -563,8 +474,7 @@ def local_jordan_transform(
                 f"{kernel.shape[1]} at {point}; the base point may not be "
                 "Jordan stable or the disk is too large"
             )
-        vec = s_xi.flatten(order="F")
-        projected = kernel @ (kernel.conj().T @ vec)
+        projected = kernel @ (kernel.conj().T @ target.flatten(order="F"))
         s_here = projected.reshape((n, n), order="F")
         cond = float(np.linalg.cond(s_here))
         if not np.isfinite(cond) or cond > 1e12:
@@ -573,17 +483,19 @@ def local_jordan_transform(
             )
         conj = s_here @ a_here @ np.linalg.inv(s_here)
         residual = float(np.linalg.norm(conj - j_here, 2))
-        limit = TRANSFORM_RESIDUAL_SCALE * (1.0 + float(np.linalg.norm(a_here, 2)))
+        limit = TRANSFORM_RESIDUAL_SCALE * (1.0 + norm)
         if residual > limit:
             raise IllConditionedBasisError(
                 f"similarity residual {residual:.3e} exceeds {limit:.3e} "
                 f"at {point}",
                 cond,
             )
-        max_residual = max(max_residual, residual)
-        samples.append(TransformSample(point, residual, kernel.shape[1], cond))
+        if point is xi:
+            target = s_here
+        else:
+            samples.append(TransformSample(point, residual, kernel.shape[1], cond))
     return TransformReport(
         samples=samples,
-        max_residual=max_residual,
-        kernel_dim=kernel_dim or 0,
+        max_residual=max((s.residual for s in samples), default=0.0),
+        kernel_dim=kernel_dim,
     )

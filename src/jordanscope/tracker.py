@@ -146,6 +146,33 @@ def isolate(roots_with_multiplicities) -> BranchState:
     return BranchState(tuple(roots), tuple(mults), eps)
 
 
+def nearest_disks(values, state: BranchState):
+    """Index of the isolation disk of ``state`` nearest to each value
+    (the first on a tie), or None when some value lies in no disk."""
+    out = []
+    for value in values:
+        dists = [abs(value - c) for c in state.centers]
+        j = dists.index(min(dists))
+        if dists[j] >= state.radius:
+            return None
+        out.append(j)
+    return out
+
+
+def disk_means(eigenvalues, state: BranchState):
+    """Mean of the eigenvalues in each isolation disk of ``state``, or
+    None unless every disk holds exactly its multiplicity of them."""
+    disks = nearest_disks(eigenvalues, state)
+    if disks is None:
+        return None
+    groups = [[] for _ in state.centers]
+    for value, j in zip(eigenvalues, disks):
+        groups[j].append(value)
+    if tuple(len(g) for g in groups) != state.multiplicities:
+        return None
+    return tuple(sum(g) / len(g) for g in groups)
+
+
 # ---------------------------------------------------------------------------
 # residue integrals and the dominance check, stacked over circles
 #
@@ -462,7 +489,7 @@ def track_path(
         grid.append(t_at)
     try:
         polys.update(zip(grid, family.char_poly_at_many([zeta(g) for g in grid])))
-    except (OverflowError, NonFiniteError):
+    except NonFiniteError:
         pass
     samples = [TrackSample(t, here, state.centers, state.multiplicities)]
     events: List[SplitEvent] = []
@@ -596,32 +623,23 @@ def probe_stack(
     return probe_stacks(family, [point], probe_radius, rel_tol)[0]
 
 
-def _counts_at_probe(clusters, centers, eps):
-    counts = [0] * len(centers)
-    for lam, _ in clusters:
-        dists = [abs(lam - c) for c in centers]
-        j = dists.index(min(dists))
-        if dists[j] >= eps:
-            return None  # an eigenvalue escaped all disks: probe too far
-        counts[j] += 1
-    return tuple(counts)
-
-
 def amounts_from_stack(stack: ProbeStack) -> SplittingAmounts:
     """Splitting amounts read off a probe stack: the outer ring, or the
     inner one when the outer ring disagrees."""
     state = isolate(stack.clusters[0])
     for ring in stack.rings:
-        counts = []
+        # distinct eigenvalues of each probe in each disk; None for a
+        # probe with one outside every disk (the probe is too far)
+        counts = set()
         for clusters in ring:
-            c = _counts_at_probe(clusters, state.centers, state.radius)
-            if c is not None:
-                counts.append(c)
-        if counts and all(c == counts[0] for c in counts) and len(counts) == len(ring):
+            disks = nearest_disks([lam for lam, _ in clusters], state)
+            counts.add(None if disks is None
+                       else tuple(disks.count(j) for j in range(len(state.centers))))
+        if len(counts) == 1 and None not in counts:
             return SplittingAmounts(
                 eigenvalues=state.centers,
                 multiplicities=state.multiplicities,
-                amounts=counts[0],
+                amounts=counts.pop(),
                 radius=state.radius,
             )
     raise ProbeDisagreementError(

@@ -329,10 +329,14 @@ def test_criterion_9_local_jordan_transform():
         local_jordan_transform(shear, [1.0], 0.2, sample_count=50),
         local_jordan_transform(nilpotent, [1.0, 1.0], 0.2, sample_count=50),
     ]
-    for rep in reports:
+    families = [constant, shear, nilpotent]
+    assert [rep.kernel_dim for rep in reports] == [2, 2, 2]
+    for family, rep in zip(families, reports):
         assert len(rep.samples) == 50
         for s in rep.samples:
-            pass  # residual limits enforced inside; re-assert the cap below
+            norm = np.linalg.norm(family.at(s.point), 2)
+            assert s.residual <= 1e-6 * (1 + norm)
+            assert s.kernel_dim == rep.kernel_dim
     worst = max(rep.max_residual for rep in reports)
     print(
         f"ACCEPTANCE 9: PASS - holomorphic similarity residual <= "

@@ -548,6 +548,7 @@ BEYOND_FLOAT64 = [
     (BIG, ["track", "--path", "[[1e60],[2e60]]", "--steps", "2"]),
     # a power that overflows in the evaluator
     ([["z^256", "0"], ["0", "1"]], ["census", "--point", "1e2"]),
+    ([["z^40"]], ["track", "--path", "[[1],[1e8]]", "--steps", "2"]),
     # finite powers (lam - A)^k whose roundoff scale ||lam - A||^k overflows
     ([["10^150*z", "10^150", "0"], ["0", "10^150*z", "1"], ["0", "0", "z^2"]],
      ["census", "--point", "0"]),
@@ -565,7 +566,7 @@ BEYOND_FLOAT64 = [
     "scan-coeff", "census-coeff", "track-coeff", "split-set-coeff", "jst-set-coeff",
     "scan-product", "scan-product-jobs2", "census-product", "scan-power",
     "census-power", "scan-late-run", "scan-late-run-jobs2", "census-inf-entry", "scan-inf-entry", "track-inf-entry",
-    "census-entry-power", "census-roundoff-scale", "scan-char-poly",
+    "census-entry-power", "track-entry-power", "census-roundoff-scale", "scan-char-poly",
     "track-char-poly", "split-set-char-poly", "census-extreme-point",
 ])
 def test_values_beyond_float64_are_input_errors(family_file, capsys, entries, argv):

@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 from jordanscope import jordan, ranklab, tracker
 from jordanscope.algebra import GaussianRational
 from jordanscope.algebra.matrices import as_matrix, char_poly, identity_like
+from jordanscope.corpus import builtin_cases
 from jordanscope.family import MatrixFamily
 from jordanscope.jordan import (
     CensusInconsistencyError,
     TransformReport,
-    jordan_basis,
     jordan_census,
     jordan_censuses,
-    jordan_form_from_census,
     local_jordan_transform,
     rank_profile,
     theta_from_squarefree,
@@ -613,35 +612,6 @@ def test_identities_detect_corruption():
 
 
 # ---------------------------------------------------------------------------
-# jordan_basis
-
-
-def test_basis_already_in_jordan_form():
-    phi = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
-    res = jordan_basis(phi)
-    assert np.allclose(res.transform, np.eye(2))
-    assert np.allclose(res.jordan_form, phi)
-
-
-def test_basis_recovers_random_structures():
-    rng = random.Random(515)
-    for _ in range(25):
-        j, pairs, _ = random_jordan_structure(rng, n_max=5)
-        t, tinv = random_unimodular(rng, len(j), shears=5, magnitude=1)
-        phi_exact = mat_mul(t, mat_mul(j, tinv))
-        phi = np.array([[complex(x) for x in row] for row in phi_exact])
-        census = jordan_census(phi, [(complex(l), m) for l, m in pairs])
-        res = jordan_basis(phi, census)
-        recon = np.linalg.solve(res.transform, phi @ res.transform)
-        assert np.linalg.norm(recon - res.jordan_form, 2) <= 1e-7 * (
-            1 + np.linalg.norm(phi, 2)
-        ) * max(1.0, res.condition)
-        # canonical reference form matches the construction
-        ref = jordan_form_from_census(census)
-        assert np.allclose(ref, res.jordan_form)
-
-
-# ---------------------------------------------------------------------------
 # stability sampling, through the one pointwise classifier
 
 
@@ -690,3 +660,58 @@ def test_transform_nilpotent_family_disk():
     )
     assert report.max_residual <= 1e-6 * 3  # generous: TRANSFORM_RESIDUAL_SCALE*(1+|A|)
     assert report.kernel_dim == 2
+
+
+def centralizer_dimension(blocks):
+    """Sum over eigenvalues of sum_{a,b} min(a, b) c_a c_b, c_a the
+    number of blocks of size a (``blocks``: one {a: c_a} per eigenvalue):
+    the dimension of the matrices that commute with the Jordan form."""
+    return sum(min(a, b) * ca * cb
+               for sizes in blocks
+               for a, ca in sizes.items() for b, cb in sizes.items())
+
+
+def constant_family(matrix):
+    texts = [[str(x.re) for x in row] for row in matrix]
+    return MatrixFamily.from_entries(texts, ["z"])
+
+
+def transform_cases():
+    """(family, point, blocks per eigenvalue): constant families
+    T J T^(-1) of random Jordan structures, with the blocks they were
+    built from, then the built-in corpus at its stable points, with the
+    census there."""
+    rng = random.Random(515)
+    for _ in range(25):
+        j, _, multiset = random_jordan_structure(rng, n_max=5)
+        t, tinv = random_unimodular(rng, len(j), shears=5, magnitude=1)
+        blocks = {}
+        for (lam, size), count in multiset.items():
+            blocks.setdefault(lam, {})[size] = count
+        yield constant_family(mat_mul(t, mat_mul(j, tinv))), (0.0,), blocks.values()
+    for case in builtin_cases():
+        census = jordan_census(case.family.at(case.stable_point))
+        yield case.family, case.stable_point, census.blocks
+
+
+def test_transform_recovers_random_structures():
+    for family, xi, blocks in transform_cases():
+        report = local_jordan_transform(family, xi, disk_radius=0.1,
+                                        sample_count=5)
+        assert report.kernel_dim == centralizer_dimension(blocks)
+        norm = np.linalg.norm(family.at(xi), 2)
+        assert report.max_residual <= 1e-6 * (1 + norm)
+
+
+@pytest.mark.parametrize("entries", [
+    [["3", "0"], ["0", "3"]],
+    [["z", "0"], ["0", "z"]],
+    [["z", "0", "0"], ["0", "z", "0"], ["0", "0", "z"]],
+], ids=["constant-2x2", "z-2x2", "z-3x3"])
+def test_transform_of_a_scalar_family_keeps_the_whole_kernel(entries):
+    # the intertwining map is zero up to roundoff: its kernel is every matrix
+    family = MatrixFamily.from_entries(entries, ["z"])
+    report = local_jordan_transform(family, [0.3], disk_radius=0.1,
+                                    sample_count=10)
+    assert report.kernel_dim == family.n ** 2
+    assert all(s.kernel_dim == family.n ** 2 for s in report.samples)
