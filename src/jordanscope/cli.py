@@ -45,7 +45,7 @@ from .jordan import (
     theta_product,
     verify_rank_identities,
 )
-from .corpus import builtin_cases, builtin_families
+from .corpus import CorpusCase, builtin_cases, builtin_families
 from .ranklab import (
     DEFAULT_REL_TOL,
     MINOR_DIMENSION_CAP,
@@ -64,7 +64,12 @@ from .scanner import (
     scan_grid,
 )
 from .sylv import check_coeff_bound, split_defining_functions
-from .tracker import distinct_eigenvalues, splitting_amounts, track_path
+from .tracker import (
+    ProbeDisagreementError,
+    distinct_eigenvalues,
+    splitting_amounts,
+    track_path,
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -80,6 +85,13 @@ CAPPED_COMMANDS = ("census", "scan", "track")
 #: the most rational points ``verify`` draws for its square-free cross-check:
 #: on a family whose eigenvalues always cluster, no draw has the generic count
 CROSS_CHECK_DRAWS = 100
+
+#: what ``main`` adds to the message of an input error of each type
+INPUT_ERROR_SUFFIXES = {
+    MinorSizeError: "; symbolic commands build the (2n-1) x (2n-1) splitting "
+                    f"matrix, so they take n <= {(MINOR_DIMENSION_CAP + 1) // 2}",
+    NonFiniteError: "; values leave the float64 range",
+}
 
 
 class InputError(Exception):
@@ -467,65 +479,51 @@ def cmd_track(args, fam, rel_tol):
     }
 
 
-def _verify_family(fam: MatrixFamily, case, rel_tol: float, seed: int, lines):
-    """Run the identity/bound battery; append (label, ok) pairs."""
-    label = case.name if case else (fam.label or "family")
+def _verify_case(case: CorpusCase, rel_tol: float, seed: int):
+    """Run the identity/bound battery on a case's family; yield (label, ok)
+    pairs. A family with no known answers is a case with only a name."""
+    fam, label = case.family, case.name
     rng = random.Random(seed)
+    non_stable = [point for point, _ in case.non_stable]
+    known_bad = non_stable + ([] if case.split_point is None else [case.split_point])
 
-    def away_from_known_bad(pt) -> bool:
-        if not case:
-            return True
-        for bad, _ in case.non_stable:
-            if all(abs(a - b) < 0.05 for a, b in zip(pt, bad)):
-                return False
-        if case.split_point is not None and all(
-            abs(a - b) < 0.05 for a, b in zip(pt, case.split_point)
-        ):
-            return False
-        return True
-
-    # rank identity suite at sample points
-    sample_points = []
-    if case and case.stable_point:
-        sample_points.append(case.stable_point)
+    # rank identity suite at the stable point and at random points away
+    # from the known bad ones
+    sample_points = [case.stable_point] if case.stable_point else []
     while len(sample_points) < 4:
         cand = tuple(rng.uniform(0.4, 1.3) for _ in range(fam.nparams))
-        if away_from_known_bad(cand):
+        if not any(all(abs(a - b) < 0.05 for a, b in zip(cand, bad))
+                   for bad in known_bad):
             sample_points.append(cand)
+    censuses = {}
     for pt in sample_points:
+        a = fam.at(pt)
         try:
-            a = fam.at(pt)
-            census = jordan_census(a, rel_tol=rel_tol)
-            report = verify_rank_identities(a, census, rel_tol)
-            lines.append((f"{label}: rank identities at {pt}", report.passed))
+            censuses[pt] = jordan_census(a, rel_tol=rel_tol)
         except CensusInconsistencyError as err:
-            lines.append((f"{label}: census at {pt} ({err})", False))
+            yield f"{label}: census at {pt} ({err})", False
+            continue
+        report = verify_rank_identities(a, censuses[pt], rel_tol)
+        yield f"{label}: rank identities at {pt}", report.passed
 
     # expected census at the designated stable point
-    if case and case.stable_point and case.stable_census:
-        census = jordan_census(fam.at(case.stable_point), rel_tol=rel_tol)
-        lines.append(
-            (
-                f"{label}: census at {case.stable_point} = {case.stable_census}",
-                census.aggregate == case.stable_census,
-            )
-        )
+    if case.stable_point and case.stable_census:
+        census = censuses.get(case.stable_point)
+        yield (f"{label}: census at {case.stable_point} = {case.stable_census}",
+               census is not None and census.aggregate == case.stable_census)
 
     # direct product vs square-free route at rational points
     jst = jst_defining_functions(fam, seed=seed)
-    generic_m = jst.squarefree.distinct_degree
     check = f"{label}: square-free product cross-check"
-    ok = True
-    compared = 0
+    ok, compared = True, 0
     for _ in range(CROSS_CHECK_DRAWS):
         pt_exact = [
             GaussianRational(Fraction(rng.randint(1, 24), rng.randint(1, 4)))
             for _ in range(fam.nparams)
         ]
-        pt = [complex(x) for x in pt_exact]
-        a = fam.at(pt)
+        a = fam.at([complex(x) for x in pt_exact])
         clusters = distinct_eigenvalues(a, rel_tol)
-        if len(clusters) != generic_m:
+        if len(clusters) != jst.squarefree.distinct_degree:
             continue  # point fell on the splitting set; resample
         sq = theta_from_squarefree(fam.at_exact(pt_exact)).astype(complex)
         direct = theta_product(a, [lam for lam, _ in clusters])
@@ -537,57 +535,45 @@ def _verify_family(fam: MatrixFamily, case, rel_tol: float, seed: int, lines):
     else:
         check += f": only {compared} of 5 points compared in {CROSS_CHECK_DRAWS} draws"
         ok = False
-    lines.append((check, ok))
+    yield check, ok
 
-    # splitting amounts at the known split point
-    if case and case.split_point and case.splitting_amounts:
+    # splitting amounts at the known split point, at two probe radii
+    if case.split_point and case.splitting_amounts:
         try:
-            sa = splitting_amounts(fam, case.split_point, probe_radius=1e-2,
-                                   rel_tol=rel_tol)
-            sa_half = splitting_amounts(fam, case.split_point, probe_radius=5e-3,
-                                        rel_tol=rel_tol)
-            lines.append(
-                (
-                    f"{label}: splitting amounts at {case.split_point}",
-                    sa.amounts == case.splitting_amounts
-                    and sa_half.amounts == case.splitting_amounts,
-                )
-            )
-        except Exception as err:  # noqa: BLE001 - report, don't crash the battery
-            lines.append((f"{label}: splitting amounts ({err})", False))
+            amounts = {splitting_amounts(fam, case.split_point, probe_radius=radius,
+                                         rel_tol=rel_tol).amounts
+                       for radius in (1e-2, 5e-3)}
+            yield (f"{label}: splitting amounts at {case.split_point}",
+                   amounts == {case.splitting_amounts})
+        except ProbeDisagreementError as err:
+            yield f"{label}: splitting amounts ({err})", False
 
-    # classification of the known non-stable points
-    if case:
-        for point, kind in case.non_stable:
-            pc = classify_points(fam, [point], probe_radius=1e-2, rel_tol=rel_tol)[0]
-            lines.append(
-                (f"{label}: {point} classified {kind}", pc.kind.value == kind)
-            )
+    # classification of the known non-stable points, as one run
+    if non_stable:
+        classes = classify_points(fam, non_stable, probe_radius=1e-2, rel_tol=rel_tol)
+        for (point, kind), pc in zip(case.non_stable, classes):
+            yield f"{label}: {point} classified {kind}", pc.kind.value == kind
 
     # norm bounds
     pts = unit_polydisk_samples(fam.nparams, 200, seed)
     coeff = check_coeff_bound(jst.split_functions, fam.char_poly_family(), pts)
-    lines.append((f"{label}: coefficient bound on split minors", coeff.passed))
+    yield f"{label}: coefficient bound on split minors", coeff.passed
     split = check_split_bound(fam, jst.split_functions, pts)
-    lines.append((f"{label}: norm bound on split functions", split.passed))
+    yield f"{label}: norm bound on split functions", split.passed
     bound = check_jst_bound(fam, jst, pts)
     if bound.applicable:
-        lines.append((f"{label}: norm bound on non-stable-set functions",
-                      bound.passed))
+        yield f"{label}: norm bound on non-stable-set functions", bound.passed
     else:
-        lines.append((f"{label}: non-stable-set bound NOT APPLICABLE "
-                      f"({bound.note})", True))
+        yield f"{label}: non-stable-set bound {bound.note}", True
 
 
 def cmd_verify(args, rel_tol) -> int:
-    lines = []
     if args.builtin_corpus:
-        raw = b"builtin-corpus"
-        for case in builtin_cases():
-            _verify_family(case.family, case, rel_tol, args.seed, lines)
+        raw, cases = b"builtin-corpus", builtin_cases()
     else:
         fam, raw = resolve_family(args)
-        _verify_family(fam, None, rel_tol, args.seed, lines)
+        cases = [CorpusCase(fam.label or "family", fam)]
+    lines = [line for case in cases for line in _verify_case(case, rel_tol, args.seed)]
     failures = [label for label, ok in lines if not ok]
     for label, ok in lines:
         sys.stdout.write(f"{'PASS' if ok else 'FAIL'}  {label}\n")
@@ -695,20 +681,9 @@ def main(argv=None) -> int:
                 emit({"schema": "v1", "kind": args.command,
                       "manifest": manifest(args.argv, raw, rel_tol, args.seed),
                       "family_label": fam.label, **body}, args.out)
-    except InputError as err:
-        sys.stderr.write(f"input error: {err}\n")
-        return EXIT_INPUT
-    except EntrySyntaxError as err:
-        sys.stderr.write(f"entry parse error: {err}\n")
-        return EXIT_INPUT
-    except MinorSizeError as err:
-        sys.stderr.write(
-            f"input error: {err}; symbolic commands build the (2n-1) x (2n-1) "
-            f"splitting matrix, so they take n <= {(MINOR_DIMENSION_CAP + 1) // 2}\n"
-        )
-        return EXIT_INPUT
-    except NonFiniteError as err:
-        sys.stderr.write(f"input error: {err}; values leave the float64 range\n")
+    except (InputError, MinorSizeError, NonFiniteError) as err:
+        suffix = INPUT_ERROR_SUFFIXES.get(type(err), "")
+        sys.stderr.write(f"input error: {err}{suffix}\n")
         return EXIT_INPUT
     except Exception as err:  # noqa: BLE001 - no input ends in a traceback
         message = " ".join(str(err).split())

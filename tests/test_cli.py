@@ -6,6 +6,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from jordanscope import cli, scanner
@@ -137,6 +138,25 @@ def test_jst_set_constant_family_empty_marker(family_file, capsys):
     assert doc["empty"] is True
 
 
+def test_jst_set_capped_product_list(capsys, monkeypatch):
+    # the moving Jordan cell has 25 products g * f; a cap of 1 leaves the
+    # factor lists only, and the bound on the products does not apply
+    monkeypatch.setattr(scanner, "MAX_PRODUCT_FUNCTIONS", 1)
+    code, out = run_cli(["jst-set", "--builtin", "jordan-cell", "--samples", "20"],
+                        capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["functions"] is None and doc["capped"] is True
+    assert doc["notes"][-1] == (
+        "product count 25 exceeds cap 1; factor lists emitted instead")
+    assert doc["bound_check"]["applicable"] is False
+    code, out = run_cli(["verify", "--builtin", "jordan-cell"], capsys)
+    assert code == 0
+    assert ("PASS  moving Jordan cell: non-stable-set bound NOT APPLICABLE: "
+            "product list capped; factors emitted instead\n") in out
+    assert out.count("NOT APPLICABLE") == 1
+
+
 # ---------------------------------------------------------------------------
 # scan
 
@@ -169,6 +189,27 @@ def test_scan_deterministic_and_jobs_invariant(family_file, tmp_path, capsys):
         outs.append(out_path.read_bytes())
     assert outs[0] == outs[1]
     assert outs[0] == outs[2]
+
+
+def test_scan_probe_ring_disagreement_is_a_note(tmp_path, capsys):
+    # at probe radius 10 the probes' eigenvalues +-10 e^(i t) of the shear
+    # family leave the isolation disk of the double eigenvalue at z = 0:
+    # the node still splits, with no extended product, at any --jobs
+    outs = []
+    for jobs in ("1", "2"):
+        out_path = tmp_path / f"scan_{jobs}.json"
+        code, _ = run_cli(["scan", "--builtin", "shear", "--box=-1:1", "--res", "3",
+                           "--probe-radius", "10", "--jobs", jobs,
+                           "--out", str(out_path)], capsys)
+        assert code == 0
+        outs.append(out_path.read_bytes())
+    assert outs[0] == outs[1]
+    doc = json.loads(outs[0])
+    assert doc["summary"] == {"Jump": 0, "Split": 1, "StableCandidate": 2}
+    (origin,) = [p for p in doc["points"] if p["point"] == [[0.0, 0.0]]]
+    assert origin["kind"] == "Split"
+    assert origin["note"].startswith(
+        "extended product unavailable: probe ring disagrees")
 
 
 class RecordingPool:
@@ -417,6 +458,39 @@ def test_verify_detects_corruption(family_file, capsys, monkeypatch):
     code, out = run_cli(["verify", path], capsys)
     assert code == 1
     assert "FAIL" in out
+
+
+def test_verify_internal_error_exits_3(capsys, monkeypatch):
+    # only a probe disagreement is a FAIL line; any other error is a crash
+    def broken(*args, **kwargs):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(cli, "splitting_amounts", broken)
+    code = cli.main(["verify", "--builtin-corpus"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: RuntimeError: injected\n"
+    assert "FAIL" not in captured.out
+
+
+def test_verify_census_inconsistency_at_stable_point_fails(capsys, monkeypatch):
+    # an inconsistent census at the designated stable point fails both the
+    # identity check and the expected-census check, and the battery goes on
+    from jordanscope.jordan import CensusInconsistencyError
+
+    real = cli.jordan_census
+
+    def inconsistent_at_shear_stable_point(a, **kwargs):
+        if np.array_equal(a, [[1, 1], [0, -1]]):  # shear at z = 1
+            raise CensusInconsistencyError("injected")
+        return real(a, **kwargs)
+
+    monkeypatch.setattr(cli, "jordan_census", inconsistent_at_shear_stable_point)
+    code, out = run_cli(["verify", "--builtin-corpus"], capsys)
+    assert code == 1
+    failures = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert failures == ["FAIL  shear: census at (1.0,) (injected)",
+                        "FAIL  shear: census at (1.0,) = {1: 2}"]
 
 
 def test_verify_ends_when_no_draw_has_the_generic_count(family_file):

@@ -20,6 +20,7 @@ from jordanscope.tracker import (
     ROUCHE_BOUNDARY_SAMPLES,
     BranchState,
     ContourError,
+    ProbeDisagreementError,
     _horner,
     _quotient,
     _rouche_values,
@@ -477,6 +478,13 @@ def test_splitting_amounts_radius_stability():
     for radius in (1e-2, 5e-3):
         sa = splitting_amounts(FAM_SQRT(), [0.0], probe_radius=radius)
         assert sa.amounts == (2,)
+
+
+def test_splitting_amounts_probe_ring_outside_the_disks():
+    # the probes' eigenvalues +-10 e^(i t) and +-5 e^(i t) lie outside the
+    # isolation disk of the double eigenvalue 0 on both rings
+    with pytest.raises(ProbeDisagreementError, match="probe ring disagrees"):
+        splitting_amounts(FAM_SHEAR(), (0.0,), probe_radius=10)
 
 
 # ---------------------------------------------------------------------------
