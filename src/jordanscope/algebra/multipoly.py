@@ -27,6 +27,15 @@ class NonFiniteError(ValueError):
         super().__init__(message)  # one argument, so that pickling works
 
 
+def _add_term(terms: dict, expo, c):
+    """Add the nonzero c at expo; a zero sum removes the term (a later one is inserted last)."""
+    s = c if (old := terms.get(expo)) is None else old + c
+    if s.is_zero():
+        del terms[expo]
+    else:
+        terms[expo] = s
+
+
 def _grade_key(expo):
     return (sum(expo), expo)
 
@@ -114,11 +123,7 @@ class MultiPoly:
         self._check(other)
         terms = dict(self.terms)
         for expo, c in other.terms.items():
-            s = terms.get(expo, GR_ZERO) + c
-            if s.is_zero():
-                terms.pop(expo, None)
-            else:
-                terms[expo] = s
+            _add_term(terms, expo, c)
         out = MultiPoly.__new__(MultiPoly)
         out.nvars = self.nvars
         out.terms = terms
@@ -141,15 +146,14 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(expo, GR_ZERO) + c1 * c2
-                if s.is_zero():
-                    terms.pop(expo, None)
-                else:
-                    terms[expo] = s
+        pairs = ((tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+                 for e1, c1 in self.terms.items() for e2, c2 in other.terms.items())
+        if len(self.terms) == 1 or len(other.terms) == 1:
+            terms = dict(pairs)  # no exponent repeats, and no product is zero
+        else:
+            terms = {}
+            for expo, c in pairs:
+                _add_term(terms, expo, c)
         out = MultiPoly.__new__(MultiPoly)
         out.nvars = self.nvars
         out.terms = terms
@@ -358,7 +362,10 @@ def complex_modulus(re, im):
     """abs of every value, and where Python's abs would raise
     OverflowError instead: a finite value whose modulus overflows."""
     size = np.hypot(re, im)
-    return size, np.isinf(size) & np.isfinite(re) & np.isfinite(im)
+    overflow = np.isinf(size)
+    if np.count_nonzero(overflow):
+        overflow &= np.isfinite(re) & np.isfinite(im)
+    return size, overflow
 
 
 def _render_term(coeff: GaussianRational, mono: str) -> str:

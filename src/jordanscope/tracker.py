@@ -213,48 +213,64 @@ def _circle_points(centers, radius: float, q: int, start: int, stop: int):
     return cr + wr, ci + wi, cr, ci
 
 
+def _horners(coeff_lists, zr, zi):
+    """UniPoly.eval of each coefficient list at every z, one (re, im) pair
+    per list, from one Horner pass over their rows stacked. A list joins at
+    its leading coefficient: a padded zero would make a -0.0 part +0.0."""
+    m, count = len(zr), len(coeff_lists)
+    d = max(1, *map(len, coeff_lists))
+    c = np.array([list(cs) + [0j] * (d - len(cs)) for cs in coeff_lists], complex)
+    # coefficient k at every row and node: a plane adds faster than a column
+    cr, ci = np.repeat(c.view(float).reshape(count, d, 2).T[..., None], zr.size,
+                       axis=-1).reshape(2, d, count * m, *zr.shape[1:])
+    zr, zi = np.concatenate([zr] * count), np.concatenate([zi] * count)
+    blocks = [slice(j * m, (j + 1) * m) for j in range(count)]
+    ar, ai = cr[d - 1], ci[d - 1]  # the longest lists start at their leading coefficient
+    for k in reversed(range(d - 1)):
+        re, im = ar * zr, ar * zi
+        re -= ai * zi
+        im += ai * zr
+        ar, ai = np.add(re, cr[k], out=re), np.add(im, ci[k], out=im)
+        for rows, cs in zip(blocks, coeff_lists):
+            if len(cs) == k + 1:
+                ar[rows], ai[rows] = cs[k].real, cs[k].imag
+    for rows, cs in zip(blocks, coeff_lists):
+        if not cs:  # the zero polynomial evaluates to 0 * z
+            ar[rows], ai[rows] = 0.0 * zr[rows] - 0.0 * zi[rows], 0.0 * zi[rows] + 0.0 * zr[rows]
+    return [(ar[rows], ai[rows]) for rows in blocks]
+
+
 def _horner(coeffs, zr, zi):
     """UniPoly.eval at every z: Horner's rule on complex coefficients."""
-    if not coeffs:  # the zero polynomial evaluates to 0 * z
-        return 0.0 * zr - 0.0 * zi, 0.0 * zi + 0.0 * zr
-    ar = np.full(zr.shape, coeffs[-1].real)
-    ai = np.full(zr.shape, coeffs[-1].imag)
-    for c in reversed(coeffs[:-1]):
-        ar, ai = ar * zr - ai * zi + c.real, ar * zi + ai * zr + c.imag
-    return ar, ai
+    return _horners([coeffs], zr, zi)[0]
 
 
 def _quotient(ar, ai, br, bi):
-    """a / b with the two branches of CPython's complex division; NaN
+    """a / b by CPython's complex division: the larger part of b (the real
+    one on a tie) divides the other, both branches in one formula; NaN
     where a part of b is NaN. b must not be 0."""
     by_real = np.abs(br) >= np.abs(bi)
-    by_imag = ~by_real & (np.abs(bi) >= np.abs(br))
-    ratio = bi / br
-    denom = br + bi * ratio
-    re1, im1 = (ar + ai * ratio) / denom, (ai - ar * ratio) / denom
-    ratio = br / bi
-    denom = br * ratio + bi
-    re2, im2 = (ar * ratio + ai) / denom, (ai * ratio - ar) / denom
-    return (np.where(by_real, re1, np.where(by_imag, re2, np.nan)),
-            np.where(by_real, im1, np.where(by_imag, im2, np.nan)))
+    big, small = np.where(by_real, br, bi), np.where(by_real, bi, br)
+    ratio = small / big
+    denom = big + small * ratio
+    pr, pi = ar * ratio, ai * ratio
+    return (np.where(by_real, ar + pi, pr + ai) / denom,
+            np.where(by_real, ai - pr, pi - ar) / denom)
 
 
-def _coefficients(p: UniPoly):
-    return [complex(c) for c in p.coeffs]
-
-
-def _circle_values(coeffs, dcoeffs, centers, radius: float, q: int,
-                   start: int, stop: int):
-    """The nodes [start, stop) of every circle, its center, and p and p'
-    there: (zr, zi, cr, ci, pr, pi, dr, di), one row per circle."""
-    zr, zi, cr, ci = _circle_points(centers, radius, q, start, stop)
-    return (zr, zi, cr, ci, *_horner(coeffs, zr, zi), *_horner(dcoeffs, zr, zi))
+def _coefficients(p):
+    """The complex coefficients of p and of p'; ``track_path`` keeps this
+    pair for each point it visits, and passes it for p."""
+    if not isinstance(p, UniPoly):
+        return p
+    return [complex(c) for c in p.coeffs], [complex(c) for c in derivative(p).coeffs]
 
 
 def _terms(zr, zi, cr, ci, pr, pi, dr, di):
-    """The integrand z p'(z)/p(z) (z - center) at the nodes of
-    ``_circle_values``, and two masks: where the node loop stops (|p|
-    vanishes or abs(p) overflows) and where abs(p) overflows."""
+    """The integrand z p'(z)/p(z) (z - c) from z, c, p(z) and p'(z) at the
+    nodes of circles about centers c, one row per circle, and two masks:
+    where the node loop stops (|p| vanishes or abs(p) overflows) and where
+    abs(p) overflows."""
     size, overflow = complex_modulus(pr, pi)
     tr, ti = _quotient(*complex_product(zr, zi, dr, di), pr, pi)
     # dz/dtheta = i*(z - center)
@@ -262,26 +278,44 @@ def _terms(zr, zi, cr, ci, pr, pi, dr, di):
     return tr, ti, overflow | (size < 1e-300), overflow
 
 
+def _first_errors(errors, bad, overflow):
+    """Each row's error at its first bad node of a ``_terms`` block, if it has none yet."""
+    for row in np.flatnonzero(bad.any(axis=1)) if np.count_nonzero(bad) else ():
+        if errors[row] is None:
+            errors[row] = (OverflowError("absolute value too large")
+                           if overflow[row, bad[row].argmax()]
+                           else ContourError("|p| vanishes on the contour"))
+    return errors
+
+
 def _node_sums(blocks, count: int):
     """Per circle, the sum of the integrand over the nodes, in node order
     from 0j, from the blocks of ``_terms`` that cover a level, and the
     error the node loop raises first (None if none): ContourError where
     |p| vanishes, OverflowError where abs(p) overflows."""
-    acc_r = np.zeros((count, 1))
-    acc_i = np.zeros((count, 1))
+    acc = np.zeros((2 * count, 1))  # real parts, then imaginary parts
     errors = [None] * count
     for tr, ti, bad, overflow in blocks:
-        for row in np.flatnonzero(bad.any(axis=1)):
-            if errors[row] is None:
-                errors[row] = (
-                    OverflowError("absolute value too large")
-                    if overflow[row, bad[row].argmax()]
-                    else ContourError("|p| vanishes on the contour")
-                )
-        acc_r = np.add.accumulate(np.hstack([acc_r, tr]), axis=1)[:, -1:]
-        acc_i = np.add.accumulate(np.hstack([acc_i, ti]), axis=1)[:, -1:]
-    sums = [complex(r, i) for r, i in zip(acc_r[:, 0].tolist(), acc_i[:, 0].tolist())]
-    return sums, errors
+        _first_errors(errors, bad, overflow)
+        acc = np.add.accumulate(np.hstack([acc, np.vstack([tr, ti])]), axis=1)[:, -1:]
+    return [complex(r, i) for r, i in zip(*acc.reshape(2, count).tolist())], errors
+
+
+def _known_sums(q_known: int, values):
+    """``_node_sums`` of every circle at each level of q_known / 2^j >=
+    FIRST_QUADRATURE_NODES nodes, from the ``_terms`` arguments at q_known
+    nodes: one integrand pass, then one accumulate over the levels stacked
+    and right-padded with +0.0, exact for a running sum from 0j."""
+    tr, ti, bad, overflow = _terms(*values)
+    count = len(tr)
+    strides = [2**j for j in range((q_known // FIRST_QUADRATURE_NODES).bit_length())]
+    table = np.zeros((len(strides), 2, count, 1 + q_known))
+    for k, s in enumerate(strides):
+        table[k, :, :, 1:1 + q_known // s] = tr[:, ::s], ti[:, ::s]
+    acc = np.add.accumulate(table, axis=-1)[..., -1].tolist()
+    return {q_known // s: ([complex(r, i) for r, i in zip(*acc[k])],
+                           _first_errors([None] * count, bad[:, ::s], overflow[:, ::s]))
+            for k, s in enumerate(strides)}
 
 
 @np.errstate(all="ignore")
@@ -301,30 +335,27 @@ def contour_roots(
     relative. The circles that have not converged share the node count
     and are evaluated in one array pass per level. When several circles
     fail, the error raised is that of the first of them in order.
-    ``known`` is a pair (Q, values of ``_circle_values`` at all Q nodes of
-    every circle) already computed for this p. The integrand is computed
-    once at those Q nodes, and each level whose nodes are among them sums
-    its strided columns; the coefficients of p and p' are built only for
-    a level beyond them.
+    ``known`` is a pair (Q, the arguments of ``_terms`` at all Q nodes of
+    every circle) already computed for this p. Every level whose nodes
+    are among them is summed from one integrand pass (``_known_sums``);
+    the coefficients of p and p' are built only for a level beyond them.
+    p may also be given as its ``_coefficients``.
     """
     centers = [complex(c) for c in centers]
     radius = float(radius)
     roots = [None] * len(centers)
     prev = [None] * len(centers)  # each circle's value at the last level
-    known_terms = None if known is None else _terms(*known[1])
+    known_sums = {} if known is None else _known_sums(*known)
     coeffs = []  # of p and p', once a level needs them
 
     def level(rows, q):
-        if known is not None and known[0] % q == 0:
-            pick = rows if len(rows) < len(centers) else slice(None)
-            yield tuple(a[pick, :: known[0] // q] for a in known_terms)
-            return
         if not coeffs:
-            coeffs.extend((_coefficients(p), _coefficients(derivative(p))))
+            coeffs.extend(_coefficients(p))
         for start in range(0, q, QUADRATURE_BLOCK):
-            yield _terms(*_circle_values(
-                *coeffs, [centers[i] for i in rows], radius, q, start,
-                min(q, start + QUADRATURE_BLOCK)))
+            zr, zi, cr, ci = _circle_points([centers[i] for i in rows], radius, q,
+                                            start, min(q, start + QUADRATURE_BLOCK))
+            (pr, pi), (dr, di) = _horners(coeffs, zr, zi)
+            yield _terms(zr, zi, cr, ci, pr, pi, dr, di)
 
     # the first failing circle so far: no later circle can decide the error
     failed, failure = len(centers), None
@@ -335,7 +366,8 @@ def contour_roots(
     rows = list(range(failed))
     q = FIRST_QUADRATURE_NODES
     while rows:
-        sums, errors = _node_sums(level(rows, q), len(rows))
+        sums, errors = (([part[i] for i in rows] for part in known_sums[q]) if q in known_sums
+                        else _node_sums(level(rows, q), len(rows)))
         for i, total, err in zip(rows, sums, errors):
             if err is None:
                 try:
@@ -366,24 +398,23 @@ def contour_root(p: UniPoly, center: complex, radius: float, multiplicity: int) 
     return contour_roots(p, [center], radius, [multiplicity])[0]
 
 
-def _rouche_values(p_old: UniPoly, p_new: UniPoly, state: BranchState):
+def _rouche_values(p_old, p_new, state: BranchState):
     """The dominance inequality |p_new - p_old| < |p_old| at
     ROUCHE_BOUNDARY_SAMPLES nodes of every circle of the state. None when
     it fails at some node; else the ``known`` values of p_new and p_new'
     at those nodes, for ``contour_roots``."""
     q = ROUCHE_BOUNDARY_SAMPLES
+    (old, _), (new, dnew) = _coefficients(p_old), _coefficients(p_new)
     with np.errstate(all="ignore"):
-        values = _circle_values(
-            _coefficients(p_new), _coefficients(derivative(p_new)),
-            [complex(c) for c in state.centers], float(state.radius), q, 0, q)
-        zr, zi, _, _, new_r, new_i, _, _ = values
-        old_r, old_i = _horner(_coefficients(p_old), zr, zi)
+        zr, zi, cr, ci = _circle_points([complex(c) for c in state.centers],
+                                        float(state.radius), q, 0, q)
+        (new_r, new_i), (old_r, old_i), (dr, di) = _horners([new, old, dnew], zr, zi)
         change, change_overflow = complex_modulus(new_r - old_r, new_i - old_i)
         size, size_overflow = complex_modulus(old_r, old_i)
         stop = (change_overflow | size_overflow | (change >= size)).ravel()
-    if not stop.any():
-        return q, values
     first = stop.argmax()
+    if not stop[first]:
+        return q, (zr, zi, cr, ci, new_r, new_i, dr, di)
     if change_overflow.flat[first] or size_overflow.flat[first]:
         raise OverflowError("absolute value too large")
     return None
@@ -461,11 +492,11 @@ def track_path(
 
     # A rejected trial point is tried again from a later t, and a re-seed
     # may land on one, so each point's polynomial is kept for the path.
-    polys = {}  # t -> characteristic polynomial at zeta(t)
+    polys = {}  # t -> _coefficients of the characteristic polynomial at zeta(t)
 
     def char_poly(t_at, point):
         if t_at not in polys:
-            polys[t_at] = family.char_poly_at(point)
+            polys[t_at] = _coefficients(family.char_poly_at(point))
         return polys[t_at]
 
     def seed(t_at):
@@ -488,7 +519,8 @@ def track_path(
         t_at = min(t_at + base_h, 1.0)
         grid.append(t_at)
     try:
-        polys.update(zip(grid, family.char_poly_at_many([zeta(g) for g in grid])))
+        polys.update(zip(grid, map(_coefficients, family.char_poly_at_many(
+            [zeta(g) for g in grid]))))
     except NonFiniteError:
         pass
     samples = [TrackSample(t, here, state.centers, state.multiplicities)]

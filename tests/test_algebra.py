@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jordanscope.algebra import (
     EntrySyntaxError,
@@ -19,6 +21,7 @@ from jordanscope.algebra import (
     subresultant_prs,
 )
 from jordanscope.algebra.matrices import as_matrix
+from jordanscope.algebra.scalars import GR_ZERO
 from jordanscope.algebra.unipoly import divmod_field, pseudo_divmod
 
 GR = GaussianRational
@@ -183,6 +186,42 @@ def test_multipoly_no_stored_zero_coefficients():
     p = MultiPoly(2, {(1, 0): gr(1)}) - MultiPoly(2, {(1, 0): gr(1)})
     assert p.terms == {}
     assert p.is_zero()
+
+
+def loop_terms(pairs, terms=None):
+    """The terms of a sum of (exponent, coefficient) pairs, each added to
+    the stored value or to zero, and removed where the sum is zero."""
+    terms = {} if terms is None else dict(terms)
+    for expo, c in pairs:
+        s = terms.get(expo, GR_ZERO) + c
+        if s.is_zero():
+            terms.pop(expo, None)
+        else:
+            terms[expo] = s
+    return terms
+
+
+SPARSE = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 1)),
+    st.builds(gr, st.integers(-2, 2), st.integers(-1, 1)),
+    max_size=5,
+).map(lambda terms: MultiPoly(2, terms))
+
+
+@settings(max_examples=300, deadline=None)
+@given(SPARSE, SPARSE)
+# (z - z^2 + 1)(-z^2 - 1 - z): the z^2 term cancels, then comes back last
+@example(MultiPoly(2, {(1, 0): gr(1), (2, 0): gr(-1), (0, 0): gr(1)}),
+         MultiPoly(2, {(2, 0): gr(-1), (0, 0): gr(-1), (1, 0): gr(-1)}))
+def test_multipoly_sum_and_product_keep_the_term_loop(a, b):
+    # the values and the insertion order of a loop of adds to zero, which
+    # the stacked evaluators' bits depend on
+    product = loop_terms((tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
+                         for e1, c1 in a.terms.items() for e2, c2 in b.terms.items())
+    assert list((a * b).terms.items()) == list(product.items())
+    assert list((a + b).terms.items()) == list(loop_terms(b.terms.items(), a.terms).items())
+    assert list((a - b).terms.items()) == list(
+        loop_terms((-b).terms.items(), a.terms).items())
 
 
 def test_multipoly_exact_div():

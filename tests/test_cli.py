@@ -13,6 +13,8 @@ from jordanscope import cli, scanner
 from jordanscope.algebra import parse_entry
 from jordanscope.family import MAX_PARAMS, MatrixFamily
 
+DATA = Path(__file__).parent / "data"
+
 NILPOTENT = {
     "n": 2,
     "params": ["z", "w"],
@@ -321,35 +323,31 @@ FREE_5X5 = {
     ],
     "label": "free 5x5",
 }
-# at n = 6 the term order of the symbolic characteristic polynomial, which
-# the exact scalar arithmetic must keep, reaches the report's last bits
-FREE_6X6 = {
-    "n": 6,
-    "params": ["z", "w"],
-    "entries": [
-        ["z + 1", "2*w", "0", "1 - i*z", "0", "w^2"],
-        ["w", "4 - z", "i*w", "0", "2", "0"],
-        ["0", "1 + z*w", "8 + i*z", "w", "0", "z"],
-        ["3*z", "0", "-w", "12 + w", "i", "1"],
-        ["0", "z - w", "0", "1", "16 - i*w", "2*i*z"],
-        ["1 + i", "0", "z*w", "0", "w - z", "20 + z^2"],
-    ],
-    "label": "free 6x6",
-}
 PINNED_TRACKS = [
     (None, "[[1.0],[-1.0]]",
      "b1cc6d32fa1847beb449f7079fa270542a8b8e0b7f6fbbcb07e79cad2e8e4a67"),
     (FREE_5X5, "[[[-0.6,0.3],[0.2,-0.5]],[[0.7,-0.4],[-0.3,0.8]]]",
      "7d5cd5665d4fb342e353e37cacfcd415eade8ec57cc1b544e43986f6186e0f0b"),
-    (FREE_6X6, "[[[-0.6,0.3],[0.2,-0.5]],[[0.7,-0.4],[-0.3,0.8]]]",
+    # at n = 6 the term order of the symbolic characteristic polynomial,
+    # which the exact scalar arithmetic must keep, reaches the report's last
+    # bits
+    (DATA / "free6x6.json", "[[[-0.6,0.3],[0.2,-0.5]],[[0.7,-0.4],[-0.3,0.8]]]",
      "55bb2cb90d20f3f921d9c29bd0426967984a7f21894dd617b0010ca9a560b291"),
+    # eigenvalues z, 0 and -z, which collide at z = 0 where the path crosses:
+    # 104 rejected trial steps, 125 quadrature levels beyond the 64 Rouche
+    # nodes, and one split event
+    (DATA / "cross3.json",
+     "[[[-0.3427594851912155,0.2073339183180593]],"
+     "[[0.7339970901425316,-0.44399206822360193]]]",
+     "fa26b4da515bffb65f4afece9c6c5bff6f5abf79bc7ce8f2ef013da72d675c40"),
 ]
 
 
 @pytest.mark.parametrize("spec,path,digest", PINNED_TRACKS,
-                         ids=["shear", "free-5x5", "free-6x6"])
+                         ids=["shear", "free-5x5", "free-6x6", "cross-3x3"])
 def test_track_report_is_pinned(family_file, capsys, spec, path, digest):
-    family = ["--builtin", "shear"] if spec is None else [family_file(spec)]
+    family = (["--builtin", "shear"] if spec is None
+              else [str(spec)] if isinstance(spec, Path) else [family_file(spec)])
     code, out = run_cli(["track", *family, "--path", path, "--steps", "100"],
                         capsys)
     assert code == 0

@@ -3,6 +3,7 @@ import math
 import random
 import re
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from jordanscope.tracker import (
     ContourError,
     ProbeDisagreementError,
     _horner,
+    _horners,
     _quotient,
     _rouche_values,
     cluster_stack,
@@ -288,6 +290,39 @@ def test_horner_equals_unipoly_eval():
         assert [complex(r, i) for r, i in zip(re, im)] == [p.eval(z) for z in zs]
 
 
+def scalar_horner(coeffs, z):
+    """Horner's rule in Python complex arithmetic, from the leading
+    coefficient; the empty list is the zero polynomial, 0 * z."""
+    if not coeffs:
+        return 0 * z
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * z + c
+    return acc
+
+
+SIGNED_PARTS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-4, 4))
+SIGNED = st.builds(complex, SIGNED_PARTS, SIGNED_PARTS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(SIGNED, max_size=6), min_size=1, max_size=4),
+       st.integers(1, 3), st.integers(1, 4), st.data())
+def test_stacked_horner_rows_equal_their_own_horner(coeff_lists, m, q, data):
+    # lists of unequal length, the empty list, -0.0 parts and nodes at +-0:
+    # every row keeps the bits of its own Horner loop, the sign of zero too
+    zs = data.draw(st.lists(SIGNED, min_size=m * q, max_size=m * q))
+    zr = np.array([z.real for z in zs]).reshape(m, q)
+    zi = np.array([z.imag for z in zs]).reshape(m, q)
+    for coeffs, (re, im) in zip(coeff_lists, _horners(coeff_lists, zr, zi)):
+        alone = _horner(coeffs, zr, zi)
+        assert re.tobytes() == alone[0].tobytes() and im.tobytes() == alone[1].tobytes()
+        want = [scalar_horner(coeffs, z) for z in zs]
+        assert np.array_equal(np.signbit(re).ravel(), [np.signbit(w.real) for w in want])
+        assert np.array_equal(np.signbit(im).ravel(), [np.signbit(w.imag) for w in want])
+        assert [complex(r, i) for r, i in zip(re.ravel(), im.ravel())] == want
+
+
 # x^2 - 100 vanishes exactly at the first node z = 10 of the circle around 9;
 # its root -10 lies 1e-9 inside the circle around -9 + 1e-9, where the
 # quadrature cannot converge
@@ -415,15 +450,27 @@ def test_track_without_the_stacked_grid_gives_the_same_result(monkeypatch, famil
     assert refused == [100]
 
 
+class CountingAdd:
+    """np.add, counting its accumulate calls."""
+
+    accumulates = 0
+
+    def __call__(self, *args, **kwargs):
+        return np.add(*args, **kwargs)
+
+    def accumulate(self, *args, **kwargs):
+        self.accumulates += 1
+        return np.add.accumulate(*args, **kwargs)
+
+
 def test_known_levels_share_one_integrand_pass(monkeypatch):
-    # both roots converge at 64 nodes: the 32- and 64-node levels are read
-    # off one integrand array, and p' is never rebuilt
+    # both roots converge at 64 nodes: p_new, p_old and p_new' come from one
+    # stacked Horner pass, the 32- and 64-node levels are summed from one
+    # integrand array by one accumulate, and p' is never rebuilt
     p_old = UniPoly([-1.0, 0.0, 1.0])
     p_new = UniPoly([-1.0 - 1e-3, 0.0, 1.0])
     state = BranchState((-1.0 + 0j, 1.0 + 0j), (1, 1), 0.5)
-    known = _rouche_values(p_old, p_new, state)
-    assert known is not None
-    calls = {"_quotient": 0, "derivative": 0}
+    calls = dict.fromkeys(["_horners", "_quotient", "derivative"], 0)
     for name in calls:
         original = getattr(tracker, name)
 
@@ -432,10 +479,18 @@ def test_known_levels_share_one_integrand_pass(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(tracker, name, counted)
+    known = _rouche_values(p_old, p_new, state)
+    assert known is not None
+    assert calls["_horners"] == 1
+    calls.update(dict.fromkeys(calls, 0))
+    counting_np = types.ModuleType("numpy")
+    counting_np.__dict__.update(np.__dict__, add=CountingAdd())
+    monkeypatch.setattr(tracker, "np", counting_np)
     roots = contour_roots(p_new, state.centers, state.radius, (1, 1), known=known)
     assert roots == outcome(lambda: tuple(
         oracle_contour_root(p_new, c, state.radius, 1) for c in state.centers))
-    assert calls == {"_quotient": 1, "derivative": 0}
+    assert calls == {"_horners": 0, "_quotient": 1, "derivative": 0}
+    assert counting_np.add.accumulates == 1
 
 
 def test_track_branch_values_satisfy_charpoly():
