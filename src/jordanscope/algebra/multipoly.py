@@ -8,6 +8,7 @@ string output and the deterministic orderings used elsewhere.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Sequence
 
@@ -16,8 +17,17 @@ import numpy as np
 from .scalars import GR_ONE, GR_ZERO, GaussianRational
 
 #: floats per working array of a stacked evaluation: points are taken in
-#: blocks of at most this many slot values, so memory stays bounded
+#: blocks of at most this many slot values, and in chunks of at most this
+#: many power-table values, so memory stays bounded
 BLOCK_CELLS = 2**15
+#: chunks of at least this many points take their powers from float64
+#: arrays (``_power_table``), and smaller ones from one ``**`` per point
+#: and exponent: at 128 points the arrays cost more than ``**`` with one
+#: or two distinct exponents, at 256 less with every count from 1 to 12
+ARRAY_POWER_POINTS = 256
+#: CPython's complex ``**`` takes an integer power up to this exponent by
+#: repeated squaring, and a larger one by its pow formula
+MAX_SQUARING_EXPONENT = 100
 
 
 class NonFiniteError(ValueError):
@@ -295,10 +305,13 @@ class StackedEvaluator:
     """A list of polynomials compiled for evaluation at a stack of points.
 
     Each value has the bits of the term loop at its point alone (README,
-    "How a scan node is classified"): powers from Python's ``**``, with
-    its OverflowError; written-out products; and per polynomial a row of
-    slots (0j, its terms in insertion order, pads of -0.0) summed in
-    order by ``np.add.accumulate``.
+    "How a scan node is classified"): powers with the bits of Python's
+    ``**`` and its OverflowError; written-out products; and per
+    polynomial a row of slots (0j, its terms in insertion order, pads of
+    -0.0) summed in order by ``np.add.accumulate``. Points are taken in
+    chunks, each with one table of every power it needs; a chunk of at
+    least ``ARRAY_POWER_POINTS`` points computes its table on float64
+    arrays, replaying CPython's repeated squaring (``_power_table``).
     """
 
     def __init__(self, polys: Sequence[MultiPoly], nvars: int):
@@ -327,6 +340,8 @@ class StackedEvaluator:
             if len(cols):
                 self.factors.append((v, cols, distinct.tolist(), index))
         self.block = max(1, BLOCK_CELLS // max(1, self.terms.size))
+        powers = sum(len(distinct) for _, _, distinct, _ in self.factors)
+        self.chunk = max(1, BLOCK_CELLS // max(1, 2 * powers))
 
     def __call__(self, points) -> np.ndarray:
         """Values at a stack of points: shape (N, len(polys))."""
@@ -335,22 +350,65 @@ class StackedEvaluator:
             raise ValueError("point dimension mismatch")
         out = np.empty((len(x), self.count), dtype=complex)
         with np.errstate(all="ignore"):
-            for start in range(0, len(x), self.block):
-                part = out[start : start + self.block]
-                part.real, part.imag = self._sums(x[start : start + self.block])
+            for first in range(0, len(x), self.chunk):
+                chunk = x[first : first + self.chunk]
+                rows = out[first : first + self.chunk]
+                tables = [_powers(chunk[:, v], distinct)
+                          for v, _, distinct, _ in self.factors]
+                for start in range(0, len(chunk), self.block):
+                    part = rows[start : start + self.block]
+                    part.real, part.imag = self._sums(
+                        len(part), [t[start : start + self.block] for t in tables])
         return out
 
-    def _sums(self, x):
-        """Real and imaginary parts of the values at the points x."""
-        slots = np.repeat(self.terms, len(x), axis=1)
-        for v, cols, distinct, index in self.factors:
-            powers = np.array(
-                [z**e for z in x[:, v].tolist() for e in distinct], dtype=complex
-            ).reshape(len(x), -1)[:, index]
+    def _sums(self, count, tables):
+        """Real and imaginary parts of the values at ``count`` points,
+        from each parameter's power table at those points."""
+        slots = np.repeat(self.terms, count, axis=1)
+        for (_, cols, _, index), table in zip(self.factors, tables):
+            powers = table[:, index]
             re, im = slots[:, :, cols]
             slots[:, :, cols] = complex_product(re, im, powers.real, powers.imag)
-        slots = slots.reshape(2, len(x), self.width, self.count)
+        slots = slots.reshape(2, count, self.width, self.count)
         return np.add.accumulate(slots, axis=2)[:, :, -1]
+
+
+def _powers(z, distinct):
+    """z ** e for every point z and every exponent e of ``distinct``:
+    shape (len(z), len(distinct))."""
+    if len(z) >= ARRAY_POWER_POINTS:
+        return _power_table(z, distinct)
+    return np.array([w**e for w in z.tolist() for e in distinct],
+                    dtype=complex).reshape(len(z), -1)
+
+
+def _power_table(z, distinct):
+    """``_powers`` on float64 arrays, with the bits of Python's ``**``.
+
+    CPython takes z ** e for 0 < e <= MAX_SQUARING_EXPONENT by repeated
+    squaring (``c_powu``): from r = 1 + 0j, r = r * z^(2^j) for each set
+    bit j of e, in increasing order, with z^(2^(j+1)) = z^(2^j) * z^(2^j)
+    by the written-out complex product. The squares are shared by every
+    exponent. A larger exponent takes Python's ``**``. A part that comes
+    out infinite raises the OverflowError of ``**``. ``distinct`` is
+    sorted.
+    """
+    table = np.empty((len(z), len(distinct)), dtype=complex)
+    re, im = table.real, table.imag
+    small = bisect_right(distinct, MAX_SQUARING_EXPONENT)
+    re[:, :small], im[:, :small] = 1.0, 0.0
+    expos = np.array(distinct[:small], dtype=np.intp)
+    sr, si = z.real, z.imag
+    for j in range(distinct[small - 1].bit_length() if small else 0):
+        cols = np.flatnonzero((expos >> j) & 1)
+        re[:, cols], im[:, cols] = complex_product(
+            re[:, cols], im[:, cols], sr[:, None], si[:, None])
+        sr, si = complex_product(sr, si, sr, si)
+    if small < len(distinct):
+        table[:, small:] = [[w**e for e in distinct[small:]] for w in z.tolist()]
+    if np.isinf(re).any() or np.isinf(im).any():
+        raise OverflowError("complex exponentiation")
+    return table
 
 
 def complex_product(ar, ai, br, bi):

@@ -31,6 +31,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -142,8 +143,51 @@ def manifest(argv, raw_input: bytes, rel_tol: float, seed: int) -> dict:
     }
 
 
+_FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)
+    return _FLOAT_NAMES.get(text, text)
+
+
+#: the text of a scalar of exactly this type, as ``json.dumps`` writes it
+_SCALARS = {
+    str: encode_basestring_ascii,
+    float: _float_text,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def json_text(doc, newline="\n") -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2)``, each level built by
+    one ``str.join``; every line break of the text is ``newline``. Any
+    other type, or a dict with a key that is not a str, takes
+    ``json.dumps`` of its subtree."""
+    scalar = _SCALARS.get
+    inner = newline + "  "
+    kind = type(doc)
+    if kind is list or kind is tuple:
+        if not doc:
+            return "[]"
+        items = [s(v) if (s := scalar(type(v))) else json_text(v, inner) for v in doc]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is dict and all(type(k) is str for k in doc):
+        if not doc:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": "
+                 + (s(v) if (s := scalar(type(v))) else json_text(v, inner))
+                 for k, v in sorted(doc.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if s := scalar(kind):
+        return s(doc)
+    return json.dumps(doc, sort_keys=True, indent=2).replace("\n", newline)
+
+
 def emit(doc: dict, out_path=None):
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    text = json_text(doc) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)

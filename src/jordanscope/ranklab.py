@@ -359,15 +359,21 @@ def generic_rank(m: Sequence[Sequence[MultiPoly]], seed: int = 0):
     """Max exact rank over a few random rational points, plus a note.
 
     Exact evaluation keeps the rank decision exact at each sample; only
-    the claim of genericity is probabilistic.
+    the claim of genericity is probabilistic. The points are drawn from
+    ``random.Random(seed)`` in order, and the first point at which the
+    rank reaches min(rows, cols) ends the loop: no later point can raise
+    the max, so the result is the max over all the points.
     """
     if len(m) == 0 or len(m[0]) == 0:
         return 0, GENERIC_RANK_NOTE
     nvars = m[0][0].nvars
+    full = min(len(m), len(m[0]))
     rng = random.Random(seed)
     best = 0
     for _ in range(GENERIC_RANK_POINTS):
         pt = random_rational_point(rng, nvars)
         value = [[entry.eval_exact(pt) for entry in row] for row in m]
         best = max(best, exact_rank(value))
+        if best == full:
+            break
     return best, GENERIC_RANK_NOTE

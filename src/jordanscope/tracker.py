@@ -240,11 +240,6 @@ def _horners(coeff_lists, zr, zi):
     return [(ar[rows], ai[rows]) for rows in blocks]
 
 
-def _horner(coeffs, zr, zi):
-    """UniPoly.eval at every z: Horner's rule on complex coefficients."""
-    return _horners([coeffs], zr, zi)[0]
-
-
 def _quotient(ar, ai, br, bi):
     """a / b by CPython's complex division: the larger part of b (the real
     one on a tie) divides the other, both branches in one formula; NaN

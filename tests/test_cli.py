@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jordanscope import cli, scanner
 from jordanscope.algebra import parse_entry
@@ -917,3 +919,33 @@ def test_console_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "0.1.0"
+
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-10**60, 10**60),
+    st.floats(),  # NaN, +-inf and +-0.0 among them
+    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf")]),
+    st.text(),
+    st.sampled_from(["", "\x00\x1f\"\\/\b\f\n\r\t\x7f", "\u00e9\u6f22\U0001f642",
+                     "\u2028\ud800"]),
+)
+JSON_DOCS = st.recursive(
+    JSON_SCALARS,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), kids, max_size=4),
+        # keys that are not strings: the subtree takes json.dumps
+        st.dictionaries(st.integers(-5, 5), kids, max_size=3),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(JSON_DOCS)
+def test_json_text_is_json_dumps(doc):
+    assert cli.json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)

@@ -3,7 +3,9 @@
 ``term_loop`` is the single-point evaluator ``MultiPoly.eval_complex``
 used before there was one evaluator for single points and stacks. Every
 value of ``StackedEvaluator`` must have its bits, signed zeros included,
-and every overflowing power must raise its OverflowError.
+and every overflowing power must raise its OverflowError, whether the
+powers come from Python's ``**`` or from the array replay of it that
+chunks of ``ARRAY_POWER_POINTS`` points or more take.
 """
 
 import math
@@ -16,8 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jordanscope.algebra import GaussianRational, MultiPoly, parse_entry
-from jordanscope.algebra.multipoly import BLOCK_CELLS, StackedEvaluator
+from jordanscope.algebra import GaussianRational, MultiPoly, multipoly, parse_entry
+from jordanscope.algebra.multipoly import (
+    ARRAY_POWER_POINTS,
+    BLOCK_CELLS,
+    StackedEvaluator,
+)
 
 
 def term_loop(poly, point):
@@ -67,9 +73,22 @@ def polynomials(nvars):
     return st.lists(term, max_size=6).map(lambda ts: MultiPoly(nvars, dict(ts)))
 
 
+#: the crossover patched to 0, so that every chunk takes the array path,
+#: and left at its value, where these small stacks take ``**``
+CROSSOVERS = pytest.mark.parametrize(
+    "crossover", [0, ARRAY_POWER_POINTS], ids=["crossover-0", "crossover-default"])
+
+
+@CROSSOVERS
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_stacked_values_have_the_bits_of_the_term_loop(data):
+def test_stacked_values_have_the_bits_of_the_term_loop(crossover, data):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(multipoly, "ARRAY_POWER_POINTS", crossover)
+        check_stacked_values(data)
+
+
+def check_stacked_values(data):
     nvars = data.draw(st.integers(1, 3))
     polys = data.draw(st.lists(polynomials(nvars), min_size=1, max_size=4))
     points = data.draw(st.lists(st.tuples(*[COORDINATE] * nvars),
@@ -85,6 +104,7 @@ def test_stacked_values_have_the_bits_of_the_term_loop(data):
         else:
             assert [bits(v) for v in evaluator([pt])[0]] == [bits(w) for w in row]
     evaluator.block = data.draw(st.integers(1, 3))
+    evaluator.chunk = data.draw(st.integers(1, 4))
     if any(errors):
         with pytest.raises(OverflowError):
             evaluator(points)
@@ -118,6 +138,8 @@ def test_blocks_bound_the_working_arrays():
     evaluator = StackedEvaluator(polys, 1)
     assert evaluator.block * evaluator.terms.size <= max(BLOCK_CELLS,
                                                          evaluator.terms.size)
+    # the power table of a chunk: real and imaginary parts of 59 powers
+    assert evaluator.chunk * 2 * 59 <= BLOCK_CELLS
     points = [(complex(k / 500, -k / 700),) for k in range(500)]
     want = [term_loop(polys[0], pt) for pt in points]
     assert [bits(v) for v in evaluator(points)[:, 0]] == [bits(w) for w in want]
@@ -164,3 +186,65 @@ def test_eval_complex_is_the_one_point_case():
 def test_empty_stack_and_empty_list():
     assert StackedEvaluator([MultiPoly.one(2)], 2)(np.empty((0, 2))).shape == (0, 1)
     assert StackedEvaluator([], 1)([(1.0,)]).shape == (1, 0)
+
+
+#: the exponents of z, on both sides of MAX_SQUARING_EXPONENT; w takes
+#: those up to 100 only, so that its overflows come from repeated squaring
+#: alone. The power table is narrow enough that a chunk of the 1,000
+#: points below holds at least ARRAY_POWER_POINTS of them.
+EXPONENTS = (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 100, 101, 120)
+SQUARING_EXPONENTS = EXPONENTS[:-2]
+
+
+def thousand_point_stack(rng):
+    """Polynomials in z and w with exponents 0-120, and 1,000 points whose
+    parts include signed zeros; no power of them overflows."""
+    polys = []
+    for _ in range(5):
+        terms = {(rng.choice((0,) + EXPONENTS), rng.choice((0,) + SQUARING_EXPONENTS)):
+                 GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+                                  rng.choice([0, Fraction(rng.randint(-9, 9), 7)]))
+                 for _ in range(8)}
+        polys.append(MultiPoly(2, terms))
+    # every power of z and of w
+    polys[0] = MultiPoly(2, {**{(e, 0): GaussianRational(1) for e in EXPONENTS},
+                             **{(0, e): GaussianRational(0, 1) for e in SQUARING_EXPONENTS}})
+
+    def part():
+        return rng.choice([0.0, -0.0, 1.0, -1.0, rng.uniform(-1.4, 1.4)])
+
+    points = [(complex(part(), part()), complex(part(), part())) for _ in range(1000)]
+    return polys, points
+
+
+@CROSSOVERS
+def test_a_thousand_point_stack_has_the_bits_of_the_term_loop(crossover, monkeypatch):
+    monkeypatch.setattr(multipoly, "ARRAY_POWER_POINTS", crossover)
+    polys, points = thousand_point_stack(random.Random(5))
+    evaluator = StackedEvaluator(polys, 2)
+    assert evaluator.chunk >= ARRAY_POWER_POINTS
+    want = [[bits(term_loop(p, pt)) for p in polys] for pt in points]
+    assert [[bits(v) for v in row] for row in evaluator(points)] == want
+    # the power table alone, whose parts include signed zeros
+    z = np.array([pt[0] for pt in points])
+    table = [[bits(v) for v in row] for row in multipoly._powers(z, list(EXPONENTS))]
+    powers = [[bits(w**e) for e in EXPONENTS] for w in z.tolist()]
+    assert table == powers
+    assert any(part == struct.pack("<d", -0.0) for row in powers for v in row for part in v)
+
+
+@CROSSOVERS
+@pytest.mark.parametrize("bad", [
+    (complex(400.0, -0.0), complex(0.5, 0.5)),  # z**120 only: the pow formula
+    (complex(1.0, 0.0), complex(-0.0, 3e3)),    # (3e3 i)**89 by repeated squaring
+    (complex(1.0, 1.0), complex(1e200, -0.0)),  # w**2 already
+])
+def test_a_thousand_point_stack_raises_the_loops_overflow(crossover, bad, monkeypatch):
+    monkeypatch.setattr(multipoly, "ARRAY_POWER_POINTS", crossover)
+    polys, points = thousand_point_stack(random.Random(6))
+    points[617] = bad
+    messages = {outcome(p, bad)[1] for p in polys if isinstance(outcome(p, bad), tuple)}
+    assert messages == {"complex exponentiation"}
+    with pytest.raises(OverflowError) as err:
+        StackedEvaluator(polys, 2)(points)
+    assert str(err.value) in messages

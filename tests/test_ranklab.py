@@ -13,9 +13,12 @@ from hypothesis import strategies as st
 
 from jordanscope.algebra import GaussianRational, MultiPoly, parse_entry
 from jordanscope.algebra.matrices import as_matrix, identity_like
+from jordanscope import ranklab
 from jordanscope.corpus import builtin_cases
 from jordanscope.family import MatrixFamily
 from jordanscope.ranklab import (
+    GENERIC_RANK_NOTE,
+    GENERIC_RANK_POINTS,
     MinorSizeError,
     NonFiniteError,
     det_multipoly,
@@ -26,6 +29,7 @@ from jordanscope.ranklab import (
     norm_scales,
     numerical_rank,
     power_ranks,
+    random_rational_point,
 )
 from jordanscope.sylv import build_split_matrix
 from jordanscope.tracker import probe_stacks, theta_power_ranks, theta_stack
@@ -337,6 +341,49 @@ def test_generic_rank_of_parameter_matrix():
     r, note = generic_rank(m, seed=0)
     assert r == 2
     assert "rational points" in note
+
+
+def poly_matrices():
+    """Small MultiPoly matrices; some rank-deficient by construction: a
+    row that is a polynomial multiple of another, or a zero row."""
+    @st.composite
+    def build(draw):
+        nvars = draw(st.integers(1, 2))
+        rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        term = st.tuples(st.tuples(*[st.integers(0, 2)] * nvars), st.integers(-3, 3))
+        entry = st.lists(term, max_size=3).map(lambda ts: MultiPoly(nvars, dict(ts)))
+        m = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+        if rows > 1 and draw(st.booleans()):
+            factor = draw(entry)
+            m[-1] = [factor * e for e in m[0]]
+        if draw(st.booleans()):
+            m[draw(st.integers(0, rows - 1))] = [MultiPoly.zero(nvars)] * cols
+        return m
+    return build()
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_matrices(), st.integers(0, 3))
+def test_generic_rank_is_the_max_over_its_seeded_points(m, seed):
+    # the oracle ranks every seeded point; generic_rank may stop early
+    rng = random.Random(seed)
+    ranks = []
+    for _ in range(GENERIC_RANK_POINTS):
+        pt = random_rational_point(rng, m[0][0].nvars)
+        ranks.append(exact_rank([[e.eval_exact(pt) for e in row] for row in m]))
+    full = min(len(m), len(m[0]))
+    calls = []
+
+    def counted(value):
+        calls.append(1)
+        return exact_rank(value)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ranklab, "exact_rank", counted)
+        assert generic_rank(m, seed=seed) == (max(ranks), GENERIC_RANK_NOTE)
+    # a matrix of full rank at the first point is ranked once
+    assert len(calls) == next((k + 1 for k, r in enumerate(ranks) if r == full),
+                              GENERIC_RANK_POINTS)
 
 
 def test_numerical_rank_agrees_with_exact_on_well_conditioned():

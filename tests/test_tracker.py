@@ -22,7 +22,6 @@ from jordanscope.tracker import (
     BranchState,
     ContourError,
     ProbeDisagreementError,
-    _horner,
     _horners,
     _quotient,
     _rouche_values,
@@ -286,7 +285,7 @@ def test_horner_equals_unipoly_eval():
         zs = [complex(rng.gauss(0, 2), rng.gauss(0, 2)) for _ in range(40)]
         zr = np.array([z.real for z in zs])
         zi = np.array([z.imag for z in zs])
-        re, im = _horner([complex(c) for c in p.coeffs], zr, zi)
+        re, im = _horners([[complex(c) for c in p.coeffs]], zr, zi)[0]
         assert [complex(r, i) for r, i in zip(re, im)] == [p.eval(z) for z in zs]
 
 
@@ -315,7 +314,7 @@ def test_stacked_horner_rows_equal_their_own_horner(coeff_lists, m, q, data):
     zr = np.array([z.real for z in zs]).reshape(m, q)
     zi = np.array([z.imag for z in zs]).reshape(m, q)
     for coeffs, (re, im) in zip(coeff_lists, _horners(coeff_lists, zr, zi)):
-        alone = _horner(coeffs, zr, zi)
+        alone = _horners([coeffs], zr, zi)[0]
         assert re.tobytes() == alone[0].tobytes() and im.tobytes() == alone[1].tobytes()
         want = [scalar_horner(coeffs, z) for z in zs]
         assert np.array_equal(np.signbit(re).ravel(), [np.signbit(w.real) for w in want])
