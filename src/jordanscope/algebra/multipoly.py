@@ -308,7 +308,7 @@ class StackedEvaluator:
     "How a scan node is classified"): powers with the bits of Python's
     ``**`` and its OverflowError; written-out products; and per
     polynomial a row of slots (0j, its terms in insertion order, pads of
-    -0.0) summed in order by ``np.add.accumulate``. Points are taken in
+    -0.0) summed in order (``_slot_sums``). Points are taken in
     chunks, each with one table of every power it needs; a chunk of at
     least ``ARRAY_POWER_POINTS`` points computes its table on float64
     arrays, replaying CPython's repeated squaring (``_power_table``).
@@ -369,8 +369,17 @@ class StackedEvaluator:
             powers = table[:, index]
             re, im = slots[:, :, cols]
             slots[:, :, cols] = complex_product(re, im, powers.real, powers.imag)
-        slots = slots.reshape(2, count, self.width, self.count)
-        return np.add.accumulate(slots, axis=2)[:, :, -1]
+        return _slot_sums(slots.reshape(2, count, self.width, self.count))
+
+
+def _slot_sums(slots):
+    """Sums over axis 2 by ``+=`` from the left: the operands, order and
+    bits (a NaN's payload aside) of ``np.add.accumulate(slots, axis=2)[:, :,
+    -1]``, at less cost."""
+    total = slots[:, :, 0].copy()
+    for k in range(1, slots.shape[2]):
+        total += slots[:, :, k]
+    return total
 
 
 def _powers(z, distinct):

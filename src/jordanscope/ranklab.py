@@ -103,7 +103,10 @@ def stacked_ranks(stack, rel_tol: float = DEFAULT_REL_TOL,
     of its ring: :func:`exact_rank` of each matrix of an object stack,
     else :func:`numerical_rank` of each from one stacked SVD, ``scales``
     being one roundoff scale per matrix (or one for all), or a (2, N)
-    pair of them, which ranks each matrix at both from its one SVD."""
+    pair of them, which ranks each matrix at both from its one SVD. A
+    matrix whose :func:`norm_bounds` bound on sigma_1 is at most its
+    floor ``1e3 * eps * scale * max(rows, cols)`` (the smaller of a pair)
+    has no singular value above the threshold: rank 0, without an SVD."""
     a = np.asarray(stack)
     if a.ndim != 3 or a.size == 0:
         raise ValueError("need a nonempty stack of 2-d matrices")
@@ -112,9 +115,14 @@ def stacked_ranks(stack, rel_tol: float = DEFAULT_REL_TOL,
     a = a.astype(complex, copy=False)
     if not np.all(np.isfinite(a)):
         raise NonFiniteError()
-    sigma = np.linalg.svd(a, compute_uv=False)
-    threshold = rank_threshold(sigma[:, 0], rel_tol,
-                               np.asarray(scales, dtype=float), a.shape[1:])
+    scales, rest = np.asarray(scales, dtype=float), slice(None)
+    if scales.any():  # a pair's smaller floor is the floor of its smaller scale
+        floor = rank_threshold(0.0, rel_tol, scales.min(axis=0) if scales.ndim == 2
+                               else scales, a.shape[1:])
+        rest = np.flatnonzero(~(norm_bounds(a)[1] <= floor))
+    sigma = np.zeros((len(a), min(a.shape[1:])))  # a certified matrix counts none
+    sigma[rest] = np.linalg.svd(a[rest], compute_uv=False)
+    threshold = rank_threshold(sigma[:, 0], rel_tol, scales, a.shape[1:])
     return np.sum(sigma > threshold[..., None], axis=-1)
 
 

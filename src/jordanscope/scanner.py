@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .algebra.matrices import as_matrix, char_poly_stack, poly_at_matrix
-from .algebra.multipoly import MultiPoly
+from .algebra.multipoly import MultiPoly, NonFiniteError
 from .algebra.unipoly import UniPoly, derivative, pseudo_divmod, subresultant_gcd
 from .family import MatrixFamily
 from .jordan import JordanCensus, jordan_censuses
@@ -29,8 +29,9 @@ from .ranklab import DEFAULT_REL_TOL, generic_rank, minors
 from .sylv import (
     BoundReport,
     bound_report,
-    distinct_zero_counts,
+    split_counts,
     split_defining_functions,
+    split_matrices,
 )
 from .tracker import (
     ProbeDisagreementError,
@@ -78,10 +79,12 @@ def classify_points(
 
     Every node and its two rings of 8 probes (at the probe radius and
     half of it) are evaluated as one stack of 17 matrices per node
-    (:func:`probe_stacks`). One splitting-matrix rank pass counts the
-    distinct roots of all 17 * N characteristic polynomials. Then one
-    Theta rank pass ranks the powers of the extended product at every
-    Split node and of the plain product at all 17 matrices of every
+    (:func:`probe_stacks`). The splitting matrices of all 17 * N
+    characteristic polynomials are built and must be finite; one rank
+    pass counts the distinct roots of the N nodes, and one more those of
+    the probes of each node with fewer than n roots (:func:`_split_nodes`).
+    Then one Theta rank pass ranks the powers of the extended product at
+    every Split node and of the plain product at all 17 matrices of every
     other node. One rank chain takes the Jordan census of every node that
     does not split (:func:`jordan_censuses`). :func:`classify_point`
     decides each node from its rows and its census. Each row and each
@@ -91,12 +94,11 @@ def classify_points(
     """
     stacks = probe_stacks(family, nodes, probe_radius, rel_tol)
     matrices = np.concatenate([stack.matrices for stack in stacks])
-    counts = distinct_zero_counts(char_poly_stack(matrices), rel_tol)
-    counts = counts.reshape(len(stacks), -1)
+    splits = _split_nodes(char_poly_stack(matrices), len(stacks), rel_tol)
     bases, factor_lists, notes, whole = [], [], [], []
-    for stack, node_counts in zip(stacks, counts):
+    for stack, split in zip(stacks, splits):
         note = ""
-        if _splits(node_counts):
+        if split:
             try:
                 factors = factors_from_stack(stack)
             except ProbeDisagreementError as err:
@@ -115,43 +117,55 @@ def classify_points(
     censuses = iter(jordan_censuses([stack.matrices[0] for stack in whole],
                                     [stack.clusters[0] for stack in whole], rel_tol))
     out, start = [], 0
-    for stack, node_counts, base, note in zip(stacks, counts, bases, notes):
+    for stack, split, base, note in zip(stacks, splits, bases, notes):
         rows = ranks[start : start + len(base)]
         start += len(base)
-        census = None if _splits(node_counts) else next(censuses)
+        census = None if split else next(censuses)
         if not isinstance(census, JordanCensus):  # inconsistent at tolerance
             census = None
-        out.append(classify_point(stack, node_counts, rows, note, census))
+        out.append(classify_point(stack, split, rows, note, census))
     return out
 
 
-def _splits(counts) -> bool:
-    """Does some probe carry more distinct roots than the node?"""
-    return bool(np.any(counts[1:] > counts[0]))
+def _split_nodes(coeffs, nodes: int, rel_tol: float) -> List[bool]:
+    """Does some probe carry more distinct roots than its node? From the
+    (nodes * 17) characteristic polynomials of a run, whose splitting
+    matrices must all be finite; a count is rank S - n + 1 of a (2n - 1)
+    square S, so only the probes of a node with fewer than n are ranked."""
+    split = split_matrices(coeffs)
+    if not np.all(np.isfinite(split)):
+        raise NonFiniteError()
+    split = split.reshape(nodes, -1, *split.shape[1:])
+    here = split_counts(split[:, 0], rel_tol)
+    (open_,) = np.nonzero(here < coeffs.shape[1] - 1)
+    splits = np.zeros(nodes, dtype=bool)
+    if len(open_):
+        probes = split_counts(split[open_, 1:].reshape(-1, *split.shape[2:]), rel_tol)
+        splits[open_] = np.any(probes.reshape(len(open_), -1) > here[open_, None], axis=1)
+    return splits.tolist()
 
 
 def classify_point(
     stack: ProbeStack,
-    counts: np.ndarray,
+    split: bool,
     ranks: List[Tuple[int, ...]],
     note: str,
     census: Optional[JordanCensus],
 ) -> PointClass:
     """The decision at one node of :func:`classify_points`.
 
-    ``counts`` holds the distinct-root counts of the 17 matrices of the
-    node's probe stack. ``ranks`` holds the Theta rank rows: one, of
-    the extended product at the node, when a probe splits; else one per
-    matrix of the stack. ``census`` is the node's Jordan census from the
-    run's rank chain, None when the node splits or its census is
-    inconsistent. Splitting is detected through the rank of the
+    ``split`` says whether a probe has more distinct roots than the
+    node. ``ranks`` holds the Theta rank rows: one, of the extended
+    product at the node, when a probe splits; else one per matrix of the
+    stack. ``census`` is the node's Jordan census from the run's rank
+    chain, None when the node splits or its census is inconsistent. Splitting is detected through the rank of the
     splitting matrix of the characteristic polynomial (more distinct
     roots at a probe than at the point). Jumps are detected through
     rank Theta^k rising at a probe. Stability can only be refuted by
     sampling, never certified.
     """
     point, rank_theta = stack.points[0], ranks[0]
-    if _splits(counts):
+    if split:
         return PointClass(point, PointKind.SPLIT, rank_theta, None, note)
     if any(pr > br for probe in ranks[1:] for pr, br in zip(probe, rank_theta)):
         return PointClass(point, PointKind.JUMP, rank_theta, census, note)

@@ -85,8 +85,14 @@ def distinct_zero_counts(coeffs, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray
     c = np.asarray(coeffs)
     if c.ndim != 2 or c.shape[1] < 2:
         raise ValueError("need a monic polynomial of degree >= 1")
-    n = c.shape[1] - 1
-    counts = stacked_ranks(split_matrices(c), rel_tol) - n + 1
+    return split_counts(split_matrices(c), rel_tol)
+
+
+def split_counts(split, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
+    """Distinct-zero counts m from a stack of :func:`split_matrices`, of
+    degree n polynomials: their ranks n + m - 1, each m in [1, n]."""
+    n = (split.shape[-1] + 1) // 2
+    counts = stacked_ranks(split, rel_tol) - n + 1
     if np.any((counts < 1) | (counts > n)):
         raise ArithmeticError("splitting-matrix rank outside the admissible band")
     return counts

@@ -9,6 +9,7 @@ circle, which guarantees the root counts inside persist.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
@@ -55,12 +56,14 @@ def _clusters(values: np.ndarray, close: np.ndarray) -> list:
     near = {}
     for r, i, j in np.argwhere(np.triu(close, 1)).tolist():
         near.setdefault(r, []).append((i, j))
-    order = np.lexsort((values.imag, values.real))
+    ordered = np.take_along_axis(values, np.lexsort((values.imag, values.real)), 1)
+    singles = (ordered + 0.0).tolist()  # the bits of sum([v]) / 1 for finite v
+    for r in np.flatnonzero(~np.isfinite(ordered).all(axis=1)).tolist():
+        singles[r] = [sum([v]) / 1 for v in ordered[r].tolist()]
     out = []
-    for r, (row, line) in enumerate(zip(values.tolist(),
-                                        np.take_along_axis(values, order, 1).tolist())):
+    for r, (row, line) in enumerate(zip(values.tolist(), singles)):
         if r not in near:  # a group of one has the center sum([v]) / 1
-            out.append([(sum([v]) / 1, 1) for v in line])
+            out.append([(c, 1) for c in line])
             continue
         group = list(range(len(row)))
         for i, j in near[r]:
@@ -569,6 +572,7 @@ class SplittingAmounts:
                 raise ValueError("splitting amount outside [1, multiplicity]")
 
 
+@functools.lru_cache(maxsize=None)
 def _probe_direction(nparams: int) -> tuple:
     # fixed generic complex direction, unit norm
     raw = [cmath.exp(1j * (0.7548776662 * (k + 1) + 0.3)) for k in range(nparams)]
@@ -576,14 +580,13 @@ def _probe_direction(nparams: int) -> tuple:
     return tuple(x / norm for x in raw)
 
 
+_RING = [cmath.exp(2j * math.pi * k / PROBE_COUNT) for k in range(PROBE_COUNT)]
+
+
 def probe_ring(point, radius: float):
     point = tuple(complex(c) for c in point)
     u = _probe_direction(len(point))
-    out = []
-    for k in range(PROBE_COUNT):
-        w = radius * cmath.exp(2j * math.pi * k / PROBE_COUNT)
-        out.append(tuple(c + w * d for c, d in zip(point, u)))
-    return out
+    return [tuple(c + radius * unit * d for c, d in zip(point, u)) for unit in _RING]
 
 
 @dataclass
@@ -737,12 +740,12 @@ def theta_stack(matrices: np.ndarray, factor_lists):
         a = a.astype(complex, copy=False)
     count, n = a.shape[0], a.shape[-1]
     width = max((len(f) for f in factor_lists), default=0)
-    used = np.zeros((count, width), dtype=bool)
+    used = np.arange(width) < np.array([len(f) for f in factor_lists], dtype=int)[:, None]
     lams = np.zeros((count, width), dtype=a.dtype)
     powers = np.ones((count, width), dtype=int)
-    for i, factors in enumerate(factor_lists):
-        for j, (lam, power) in enumerate(factors):
-            used[i, j], lams[i, j], powers[i, j] = True, lam, power
+    pairs = [pair for factors in factor_lists for pair in factors]  # row by row, as used
+    lams[used] = [lam for lam, _ in pairs]
+    powers[used] = [power for _, power in pairs]
     eye = identity_like(a)
     factor = np.broadcast_to(eye, (count, width, n, n)).copy()
     for j in range(width):  # a column at a time keeps the temporaries small

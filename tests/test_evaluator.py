@@ -248,3 +248,39 @@ def test_a_thousand_point_stack_raises_the_loops_overflow(crossover, bad, monkey
     with pytest.raises(OverflowError) as err:
         StackedEvaluator(polys, 2)(points)
     assert str(err.value) in messages
+
+
+SLOT_PART = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_slot_sums_have_the_bits_of_accumulate(data):
+    """The left-to-right ``+=`` loop over the slot axis against
+    ``np.add.accumulate`` along it: the same operands in the same order,
+    so the same bits, signed zeros included. Every NaN counts alike, as in
+    ``bits``: IEEE 754 leaves open which NaN operand's payload a sum keeps,
+    and numpy's inner loops for different strides differ in it."""
+    shape = (2, data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6)),
+             data.draw(st.integers(1, 3)))
+    cells = data.draw(st.lists(SLOT_PART, min_size=math.prod(shape),
+                               max_size=math.prod(shape)))
+    slots = np.array(cells, dtype=float).reshape(shape)
+    with np.errstate(all="ignore"):  # as in the evaluator
+        got = multipoly._slot_sums(slots)
+        want = np.add.accumulate(slots, axis=2)[:, :, -1]
+    assert got.shape == want.shape
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    got[np.isnan(got)] = want[np.isnan(want)] = math.nan
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+def test_slot_sums_of_one_slot_copy_it():
+    slots = np.array([-0.0, math.nan, math.inf, 1.5]).reshape(2, 2, 1, 1)
+    got = multipoly._slot_sums(slots)
+    assert got.view(np.uint64).tolist() == slots[:, :, 0].view(np.uint64).tolist()
+    got[0, 0, 0] = 7.0
+    assert math.copysign(1, slots[0, 0, 0, 0]) == -1.0  # a copy, not a view

@@ -17,12 +17,14 @@ import pytest
 
 from jordanscope import cli, ranklab, tracker
 from jordanscope.family import MatrixFamily
+from jordanscope.algebra.multipoly import NonFiniteError
 from jordanscope.ranklab import (
     ScaleBounds,
     norm_bounds,
     norm_scales,
     numerical_rank,
     power_ranks,
+    rank_threshold,
 )
 from jordanscope.scanner import classify_points
 from jordanscope.tracker import (
@@ -299,6 +301,117 @@ def test_scan_takes_a_svd_norm_only_between_the_bounds(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the rank-0 certificate of stacked_ranks
+
+REAL_SVD = np.linalg.svd
+
+
+def forced_svd_ranks(stack, scales, rel_tol=ranklab.DEFAULT_REL_TOL):
+    """Oracle: stacked_ranks before the certificate, an SVD of every matrix."""
+    a = np.asarray(stack, dtype=complex)
+    sigma = REAL_SVD(a, compute_uv=False)
+    threshold = rank_threshold(sigma[:, 0], rel_tol, np.asarray(scales, dtype=float),
+                               a.shape[1:])
+    return np.sum(sigma > threshold[..., None], axis=-1)
+
+
+def floor_of(scale, n):
+    """The floor term of the rank threshold of an n x n matrix."""
+    return 1e3 * np.finfo(float).eps * scale * n
+
+
+def nilpotent_cases():
+    """eps * J_4 at eps = f * floor, the zero matrix first: skipped for
+    f <= 1 / (sqrt(3) * (1 + 1e-6)) ~ 0.577, rank 3 for f > 1."""
+    rng = np.random.default_rng(27)
+    factors = [0.0, 1e-3, 0.5, 0.57, 0.6, 0.99, 1.01, 10.0]
+    scales = 10.0 ** rng.uniform(-3, 3, size=len(factors))
+    jordan = np.diag(np.ones(3), 1)
+    return np.array([f * floor_of(s, 4) * jordan for f, s in zip(factors, scales)]), scales
+
+
+def range_cases():
+    """Squared sums that underflow or overflow take the SVD; 1e150 * J_3 at
+    the scale 1e170 is certified."""
+    jordan = np.diag(np.ones(2), 1)
+    stack = np.array([1e-160 * jordan, 1e-165 * jordan, 1e160 * jordan, 1e150 * jordan])
+    return stack, np.array([1e-150, 1e-150, 1e170, 1e170])
+
+
+def dense8_theta_cases():
+    """The plain Theta products at the 17 matrices of four dense 8x8 nodes."""
+    with open(DATA / "dense8.json") as f:
+        dense8 = MatrixFamily.from_spec_dict(json.load(f))
+    stacks = tracker.probe_stacks(dense8, [(z, w) for z in (-1.0, 0.3) for w in (-0.5, 1.0)],
+                                  1e-2)
+    theta, scales = theta_stack(np.concatenate([s.matrices for s in stacks]),
+                                [[(lam, 1) for lam, _ in c] for s in stacks for c in s.clusters])
+    return theta, scales.hi
+
+
+def svd_rows(monkeypatch):
+    rows = []
+
+    def spy(a, *args, **kwargs):
+        rows.append(len(a))
+        return REAL_SVD(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return rows
+
+
+SHAPES = {
+    "scalar": lambda s: float(np.max(s)),
+    "per-matrix": lambda s: s,
+    "pair": lambda s: np.stack([s / 2, s]),
+}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("cases,svd_counts", [
+    (nilpotent_cases, {"scalar": None, "per-matrix": 4, "pair": 6}),
+    (range_cases, {"scalar": 3, "per-matrix": 3, "pair": 3}),
+    (dense8_theta_cases, {"scalar": 0, "per-matrix": 0, "pair": 0}),
+], ids=["nilpotent", "range", "dense8-theta"])
+def test_certified_rank_zero_equals_a_forced_svd(monkeypatch, shape, cases, svd_counts):
+    stack, per_matrix = cases()
+    scales = SHAPES[shape](per_matrix)
+    want = forced_svd_ranks(stack, scales)
+    rows = svd_rows(monkeypatch)
+    got = ranklab.stacked_ranks(stack, ranklab.DEFAULT_REL_TOL, scales)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    if svd_counts[shape] is not None:
+        assert rows == [svd_counts[shape]]
+
+
+def test_certified_rank_zero_cases_cover_both_sides_of_the_floor():
+    stack, scales = nilpotent_cases()
+    assert forced_svd_ranks(stack, scales).tolist() == [0] * 6 + [3, 3]
+    stack, scales = range_cases()
+    assert forced_svd_ranks(stack, scales).tolist() == [2, 0, 2, 0]
+    hi = norm_bounds(stack)[1]
+    assert hi[:3].tolist() == [np.inf] * 3 and hi[3] <= floor_of(1e170, 3)
+
+
+def test_zero_matrices_take_no_svd(monkeypatch):
+    zeros = np.zeros((5, 3, 4), dtype=complex)
+    rows = svd_rows(monkeypatch)
+    for scales in (1.0, np.arange(1.0, 6.0), np.stack([np.ones(5), np.full(5, 2.0)])):
+        assert np.array_equal(ranklab.stacked_ranks(zeros, 1e-8, scales),
+                              forced_svd_ranks(zeros, scales))
+    assert rows == [0, 0, 0]
+    # a zero floor ranks every matrix by its SVD, as the splitting ranks do
+    assert ranklab.stacked_ranks(zeros).tolist() == [0] * 5 and rows[-1] == 5
+
+
+def test_the_certificate_keeps_the_input_checks():
+    with pytest.raises(NonFiniteError):
+        ranklab.stacked_ranks(np.array([[[0.0, np.nan]]]), 1e-8, 1.0)
+    with pytest.raises(ValueError):
+        ranklab.stacked_ranks(np.zeros((2, 2, 2)), 1.5, 1.0)
+
+
+# ---------------------------------------------------------------------------
 # signs and ranges
 
 
@@ -318,6 +431,21 @@ def test_singleton_centers_are_sum_of_one_over_one():
                 for z, k in clusters] == [
             (math.copysign(1, z.real), math.copysign(1, z.imag), z, k) for z, k in want]
     assert got[0][0] == -1.5 - 2j and math.copysign(1, got[1][0].imag) == 1.0
+
+
+def test_singleton_centers_of_a_non_finite_row_keep_sum_of_one_over_one():
+    # v + 0.0 has the bits of sum([v]) / 1 only for finite v: an infinite
+    # part makes the quotient's other part NaN
+    rows = np.array([[complex(np.inf, 0.0), complex(1.0, -0.0), complex(-2.0, 3.0)],
+                     [complex(-0.0, -0.0), complex(2.0, -1.0), complex(-1.0, 0.5)]])
+    with np.errstate(invalid="ignore"):
+        got = cluster_stack(rows, norm_scales(np.eye(3)[None].repeat(2, axis=0)))
+    for row, clusters in zip(rows.tolist(), got):
+        want = sorted(((sum([v]) / 1, 1) for v in row), key=lambda c: (c[0].real, c[0].imag))
+        assert [(repr(z), math.copysign(1, z.real), math.copysign(1, z.imag), k)
+                for z, k in clusters] == [
+            (repr(z), math.copysign(1, z.real), math.copysign(1, z.imag), k) for z, k in want]
+    assert any(math.isnan(z.imag) for z, _ in got[0])
 
 
 RANGE_CASES = [

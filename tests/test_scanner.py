@@ -1,12 +1,15 @@
+import json
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from jordanscope import scanner
 from jordanscope.algebra import GaussianRational, MultiPoly, UniPoly
-from jordanscope.algebra.multipoly import StackedEvaluator
+from jordanscope.algebra.multipoly import NonFiniteError, StackedEvaluator
 from jordanscope.family import MatrixFamily
 from jordanscope.jordan import theta_product
 from jordanscope.scanner import (
@@ -19,9 +22,11 @@ from jordanscope.scanner import (
     scan_grid,
     square_free_part_family,
 )
+from jordanscope.sylv import distinct_zero_counts
 from jordanscope.tracker import distinct_eigenvalues, probe_ring
 
 GR = GaussianRational
+DATA = Path(__file__).parent / "data"
 
 
 def gr(a, b=0):
@@ -528,3 +533,108 @@ def test_zero_matrix_family_vacuous():
     # constant zero family: Theta == 0 everywhere, split set empty
     assert res.k0 == 0
     assert res.whole_space_stable
+
+
+# ---------------------------------------------------------------------------
+# splitting ranks: the node first, its probes only while it can be out-counted
+
+
+def random_triangular_family(rng):
+    """An upper triangular n x n family, n = 2..5, in one or two
+    parameters: the diagonal repeats m <= n integer linear branches, so
+    eigenvalues collide on lines through grid nodes of step 1/2."""
+    nv = rng.choice([1, 2])
+    n = rng.randint(2, 5)
+    one = MultiPoly.one(nv)
+    var = [MultiPoly.variable(nv, k) for k in range(nv)]
+    branches = []
+    for _ in range(rng.randint(1, n)):
+        lam = one.scale(rng.randint(-1, 1))
+        for x in var:
+            lam = lam + x.scale(rng.randint(-1, 1))
+        branches.append(lam)
+    entries = [[MultiPoly.zero(nv) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        entries[i][i] = rng.choice(branches)
+        for j in range(i + 1, n):
+            entries[i][j] = rng.choice([one, MultiPoly.zero(nv), var[-1]])
+    return MatrixFamily(n=n, params=["z", "w"][:nv], entries=entries)
+
+
+def split_nodes_ranking_every_probe(coeffs, nodes, rel_tol):
+    """Oracle: the splitting pass before it skipped probes, which ranked
+    all 17 matrices of every node."""
+    counts = distinct_zero_counts(coeffs, rel_tol).reshape(nodes, -1)
+    return np.any(counts[:, 1:] > counts[:, :1], axis=1).tolist()
+
+
+def test_classify_points_equal_a_reference_that_ranks_every_probe(monkeypatch):
+    rng = random.Random(27)
+    families = [random_dense_family(rng) for _ in range(8)]
+    families += [random_triangular_family(rng) for _ in range(12)]
+    kinds, open_nodes = Counter(), 0
+    for family in families:
+        res = 5 if family.nparams == 2 else 9
+        nodes = grid_nodes([(-1, 1)] * family.nparams, [res] * family.nparams)
+        got = classify_points(family, nodes, probe_radius=0.05)
+        with monkeypatch.context() as m:
+            m.setattr(scanner, "_split_nodes", split_nodes_ranking_every_probe)
+            want = classify_points(family, nodes, probe_radius=0.05)
+        assert [_class_fields(pc) for pc in got] == [_class_fields(pc) for pc in want]
+        kinds.update(pc.kind for pc in got)
+        open_nodes += sum(len(pc.census.eigenvalues) < family.n
+                          for pc in got if pc.census is not None)
+    assert set(kinds) == set(PointKind)
+    assert open_nodes > 0  # nodes on collision lines, whose probes are ranked
+
+
+def counted_split_rows(monkeypatch):
+    ranked = []
+    real = scanner.split_counts
+
+    def spy(split, rel_tol):
+        ranked.append(len(split))
+        return real(split, rel_tol)
+
+    monkeypatch.setattr(scanner, "split_counts", spy)
+    return ranked
+
+
+def dense3_family():
+    """A dense 3x3 family with 3 distinct eigenvalues at every node of the
+    3 x 3 grid on [-1, 1]^2."""
+    return MatrixFamily.from_entries(
+        [["1 + z", "w", "1"], ["z", "2 - w", "1"], ["1", "z*w", "4"]], ["z", "w"])
+
+
+def test_probes_are_ranked_only_at_nodes_with_fewer_than_n_roots(monkeypatch):
+    ranked = counted_split_rows(monkeypatch)
+    nodes = grid_nodes([(-1, 1), (-1, 1)], [3, 3])
+    points = classify_points(dense3_family(), nodes, probe_radius=0.05)
+    assert {p.kind for p in points} == {PointKind.STABLE_CANDIDATE}
+    assert ranked == [len(nodes)]  # 3 distinct roots at each node: no probe ranked
+    ranked.clear()
+    # z is a double diagonal entry of the 5x5 family: 4 roots at most, everywhere
+    with open(DATA / "tri5_double.json") as f:
+        tri5 = MatrixFamily.from_spec_dict(json.load(f))
+    classify_points(tri5, nodes, probe_radius=0.05)
+    assert ranked == [len(nodes), 16 * len(nodes)]
+
+
+def test_a_non_finite_probe_at_a_node_with_n_roots_still_raises(monkeypatch):
+    nodes = [(-1.0, -1.0), (0.0, 1.0)]
+    ranked = counted_split_rows(monkeypatch)
+    real = scanner.char_poly_stack
+
+    def poisoned(matrices):
+        coeffs = real(matrices)
+        coeffs[17 + 5, 3] = complex(np.nan, 0.0)  # a probe of the second node
+        return coeffs
+
+    monkeypatch.setattr(scanner, "char_poly_stack", poisoned)
+    with pytest.raises(NonFiniteError):
+        classify_points(dense3_family(), nodes)
+    assert ranked == []  # refused before any rank
+    monkeypatch.setattr(scanner, "char_poly_stack", real)
+    classify_points(dense3_family(), nodes)
+    assert ranked == [2]  # both nodes have 3 roots: that probe is never ranked

@@ -577,3 +577,19 @@ def test_is_split_point_sample():
     assert split.eigen_split()
     assert len(split.points) == 17 and split.matrices.shape == (17, 2, 2)
     assert not probe_stack(FAM_SHEAR(), [1.0], probe_radius=1e-2).eigen_split()
+
+
+def test_probe_ring_keeps_the_bits_of_the_per_probe_formula():
+    """The unit nodes and the direction, computed once, give each probe
+    the bits of c + (radius * exp(2 pi i k / 8)) * u_j computed per probe."""
+    def per_probe(point, radius):
+        point = tuple(complex(c) for c in point)
+        raw = [cmath.exp(1j * (0.7548776662 * (k + 1) + 0.3)) for k in range(len(point))]
+        norm = math.sqrt(sum(abs(x) ** 2 for x in raw))
+        u = [x / norm for x in raw]
+        return [tuple(c + radius * cmath.exp(2j * math.pi * k / 8) * d
+                      for c, d in zip(point, u)) for k in range(8)]
+
+    for point, radius in [((0.0,), 0.25), ((-0.0, 1.5), 1e-6), ((0.3, -0.7, 2.0), 10.0),
+                          ((-1.0, -0.5), 0.05 / 2)]:
+        assert repr(tracker.probe_ring(point, radius)) == repr(per_probe(point, radius))
