@@ -55,6 +55,16 @@ class GaussianRational:
     def im(self) -> Fraction:
         return Fraction(self._b, self._d)
 
+    @property
+    def ints(self) -> tuple:
+        """(a, b, d) with the value (a + b*i)/d, d > 0 and gcd(a, b, d) == 1."""
+        return self._a, self._b, self._d
+
+    @staticmethod
+    def from_ints(a: int, b: int, d: int) -> "GaussianRational":
+        """The value (a + b*i)/d of ints with d > 0."""
+        return _normal(a, b, d)
+
     # -- predicates ------------------------------------------------------
 
     def is_zero(self) -> bool:

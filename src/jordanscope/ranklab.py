@@ -8,12 +8,25 @@ stack. Minors of polynomial matrices come from one sweep over the rows
 that expands every order-k minor along its last row in terms of the
 order-(k-1) minors above it: sums and products only, no division, and
 each nonzero lower minor is computed once for all minors above it.
+
+The sweep multiplies ints. Each row is scaled to Gaussian integers by the
+lcm of its denominators, and each entry packed as two ints, its real and
+imaginary parts, by the Kronecker substitution x_v -> 2**(width *
+stride_v) (Kronecker 1882; Harvey, J. Symbolic Comput. 44 (2009)): a
+polynomial product is then a few int products. The slot width and the
+radixes bound every minor of the sweep (:class:`_Packing`), so a packed
+value is zero exactly when its polynomial is, and the minors are unpacked
+once at the end. Where a packed polynomial would exceed
+``PACKED_BITS_CAP`` bits, as in many parameters, the same sweep runs on
+``MultiPoly`` entries.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -35,8 +48,18 @@ NORM_BOUND_MARGIN = 1e-6
 _TINY = np.finfo(float).tiny
 
 #: minor enumeration refuses matrices larger than this: the row sweep
-#: holds up to C(9, k)**2 polynomial minors at level k (15,876 at k = 4)
+#: holds up to C(9, k)**2 minors at level k (15,876 at k = 4), each a pair
+#: of packed ints of at most PACKED_BITS_CAP bits, or past that a MultiPoly
 MINOR_DIMENSION_CAP = 9
+
+#: a packed polynomial of the minor sweep takes width * prod(radixes) bits
+#: (:class:`_Packing`); a matrix beyond this sweeps over MultiPoly entries,
+#: as any matrix in which 16 variables occur does (the width is at least 4
+#: and each radix then at least 2). Sparse polynomials in many variables
+#: fill little of their box: on families in 5 to 7 variables the packed
+#: sweep was the slower one from about 2**18 bits. A dense 5 x 5 family in
+#: 2 variables takes 2**16.6 bits and its sweep runs 4 times faster packed.
+PACKED_BITS_CAP = 2**17
 
 
 class MinorSizeError(ValueError):
@@ -119,7 +142,7 @@ def stacked_ranks(stack, rel_tol: float = DEFAULT_REL_TOL,
     if scales.any():  # a pair's smaller floor is the floor of its smaller scale
         floor = rank_threshold(0.0, rel_tol, scales.min(axis=0) if scales.ndim == 2
                                else scales, a.shape[1:])
-        rest = np.flatnonzero(~(norm_bounds(a)[1] <= floor))
+        rest = np.flatnonzero(~(_frobenius_bound(a)[2] <= floor))
     sigma = np.zeros((len(a), min(a.shape[1:])))  # a certified matrix counts none
     sigma[rest] = np.linalg.svd(a[rest], compute_uv=False)
     threshold = rank_threshold(sigma[:, 0], rel_tol, scales, a.shape[1:])
@@ -141,15 +164,23 @@ def norm_bounds(stack):
     A zero matrix gets (0, 0), and any other whose squared sum may have
     left the normal float range (0, inf)."""
     a = np.asarray(stack)
+    squares, normal, hi = _frobenius_bound(a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows, cols = squares.sum(axis=2).max(axis=1), squares.sum(axis=1).max(axis=1)
+    lo = np.sqrt(np.maximum(rows, cols)) * (1 - NORM_BOUND_MARGIN)
+    return np.where(normal, lo, 0.0), hi
+
+
+def _frobenius_bound(a: np.ndarray):
+    """(squares, normal, hi) of a stack: its squared moduli, where their sum
+    lies in the normal float range, and the upper bound of :func:`norm_bounds`."""
     with np.errstate(over="ignore", invalid="ignore"):
         squares = a.real**2 + a.imag**2
         total = squares.sum(axis=(1, 2))
-        rows, cols = squares.sum(axis=2).max(axis=1), squares.sum(axis=1).max(axis=1)
     normal = (total >= _TINY) & (total < np.inf)
-    lo = np.sqrt(np.maximum(rows, cols)) * (1 - NORM_BOUND_MARGIN)
     hi = np.sqrt(total) * (1 + NORM_BOUND_MARGIN)
     wide = np.where(a.any(axis=(1, 2)), np.inf, 0.0)
-    return np.where(normal, lo, 0.0), np.where(normal, hi, wide)
+    return squares, normal, np.where(normal, hi, wide)
 
 
 def norm_scales(stack) -> ScaleBounds:
@@ -300,6 +331,13 @@ def minors(m: Sequence[Sequence[MultiPoly]], order: int):
     polynomial product per nonzero order-(k-1) minor and nonzero entry
     of a later row outside its columns; each lower minor is formed once
     for all the minors above it.
+
+    The sweep runs on Kronecker-packed Gaussian integers (:class:`_Packing`):
+    each row scaled by the lcm of its denominators, each entry as two
+    ints, and each polynomial product as int products. Where a packed
+    polynomial would take more than ``PACKED_BITS_CAP`` bits, as in many
+    parameters, the same sweep runs on the ``MultiPoly`` entries. Both
+    give the same minors, exactly.
     """
     m = [list(row) for row in m]
     nrows = len(m)
@@ -309,10 +347,27 @@ def minors(m: Sequence[Sequence[MultiPoly]], order: int):
     if order < 1:
         raise ValueError("minor order must be >= 1")
     check_minor_size(nrows, ncols)
+    nvars = m[0][0].nvars
+    packing = _Packing.of(m, order)
+    if packing is None:
+        level = _sweep(m, order, MultiPoly.one(nvars))
+
+        def emit(d, rows):
+            return MultiPoly(nvars, dict(d.sorted_terms()))
+    else:
+        level, emit = _sweep(packing.rows, order, _Packed(1, 0)), packing.unpack
+    return [emit(d, rows) for rows in sorted(level) for _, d in sorted(level[rows].items())]
+
+
+def _sweep(m, order: int, one) -> dict:
+    """{row tuple: {column tuple: minor}} of the nonzero order-``order``
+    minors of ``m`` by the row sweep of :func:`minors`, over any ring
+    whose elements have ``+``, ``*``, unary ``-`` and ``is_zero()``."""
+    nrows = len(m)
     # per row: its nonzero entries j, as (m[i][j], -m[i][j]) indexed by sign
     signed = [[(j, (e, -e)) for j, e in enumerate(row) if not e.is_zero()]
               for row in m]
-    level = {(): {(): MultiPoly.one(m[0][0].nvars)}}
+    level = {(): {(): one}}
     for k in range(order):
         following = {}
         for rows, table in level.items():
@@ -321,18 +376,128 @@ def minors(m: Sequence[Sequence[MultiPoly]], order: int):
                 sums = {}
                 for cols, minor in table.items():
                     for j, entry in signed[i]:
-                        if j in cols:
+                        t = bisect_left(cols, j)
+                        if t < len(cols) and cols[t] == j:
                             continue
-                        t = sum(c < j for c in cols)
                         key = cols[:t] + (j,) + cols[t:]
-                        term = entry[(k + t) % 2] * minor
+                        term = entry[(k + t) & 1] * minor
                         sums[key] = sums[key] + term if key in sums else term
                 nonzero = {c: d for c, d in sums.items() if not d.is_zero()}
                 if nonzero:
                     following[rows + (i,)] = nonzero
         level = following
-    return [MultiPoly(d.nvars, dict(d.sorted_terms()))
-            for rows in sorted(level) for _, d in sorted(level[rows].items())]
+    return level
+
+
+class _Packed:
+    """A polynomial with Gaussian-integer coefficients, packed by a
+    :class:`_Packing`: the packed real parts and the packed imaginary parts."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: int, im: int):
+        self.re, self.im = re, im
+
+    def __add__(self, other):
+        return _Packed(self.re + other.re, self.im + other.im)
+
+    def __mul__(self, other):
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return _Packed(a * c - b * d, a * d + b * c)
+
+    def __neg__(self):
+        return _Packed(-self.re, -self.im)
+
+    def is_zero(self) -> bool:
+        return not (self.re or self.im)
+
+
+class _Packing:
+    """Kronecker substitution x_v -> 2**(width * stride_v) for the minors of
+    order at most ``order`` of one matrix.
+
+    Row i is scaled to Gaussian integers by the lcm s_i of its
+    denominators, so a minor on rows R is prod(s_i, i in R) times the
+    minor of the input. Its coefficients have |re| + |im| at most the
+    product of the ``order`` largest row sums of |re| + |im| (each at
+    least 1); ``width`` holds that bound and a sign bit, rounded up to
+    whole hex digits. Its degree in x_v is at most the sum of the
+    ``order`` largest row degrees in x_v, one less than the radix of
+    x_v. Both bounds hold for every lower-order minor and every partial
+    sum of the sweep, so a packed value is an exact image of its
+    polynomial: balanced base-2**width digits, one per monomial, and
+    zero iff the polynomial is.
+    """
+
+    def __init__(self, terms, width: int, radixes: list, scales: list):
+        self.nvars, self.width, self.radixes, self.scales = (
+            len(radixes), width, radixes, scales)
+        shifts = [width * math.prod(radixes[:v]) for v in range(self.nvars)]
+        self.rows = [[self._pack(entry, s, shifts) for entry in row]
+                     for row, s in zip(terms, scales)]
+
+    @classmethod
+    def of(cls, m, order: int):
+        """The packing of ``m`` for minors up to ``order``, or None where a
+        packed polynomial would exceed ``PACKED_BITS_CAP`` bits."""
+        nvars = m[0][0].nvars
+        # per entry: its terms as (exponent, a, b, d), the value (a + b*i)/d
+        terms = [[[(x, *c.ints) for x, c in e.terms.items()] for e in row] for row in m]
+        scales, bounds, degrees = [], [], []
+        for row in terms:
+            flat = [t for entry in row for t in entry]
+            s = math.lcm(*(d for _, _, _, d in flat))
+            scales.append(s)
+            bounds.append(max(1, sum((abs(a) + abs(b)) * (s // d) for _, a, b, d in flat)))
+            degrees.append([max(column) for column in zip(*(x for x, _, _, _ in flat))]
+                           if flat else [0] * nvars)
+
+        def largest(values):
+            return sorted(values, reverse=True)[:order]
+
+        width = -(-(math.prod(largest(bounds)).bit_length() + 1) // 4) * 4
+        radixes = [1 + sum(largest(column)) for column in zip(*degrees)]
+        if width * math.prod(radixes) > PACKED_BITS_CAP:
+            return None
+        return cls(terms, width, radixes, scales)
+
+    @staticmethod
+    def _pack(entry, s: int, shifts) -> _Packed:
+        re = im = 0
+        for x, a, b, d in entry:
+            scale, shift = s // d, sum(map(operator.mul, x, shifts))
+            re += a * scale << shift
+            im += b * scale << shift
+        return _Packed(re, im)
+
+    def _digits(self, value: int) -> dict:
+        """{slot: digit} of the nonzero balanced base-2**width digits."""
+        hexes = self.width // 4
+        zero = "8" + "0" * (hexes - 1)  # the digit 0 plus the offset 2**(width - 1)
+        count = abs(value).bit_length() // self.width + 2
+        text = format(value + int(zero * count, 16), "x").zfill(count * hexes)
+        half = 1 << (self.width - 1)
+        return {count - 1 - q: int(text[p:p + hexes], 16) - half
+                for q, p in enumerate(range(0, count * hexes, hexes))
+                if text[p:p + hexes] != zero}
+
+    def _exponent(self, slot: int) -> tuple:
+        out = []
+        for r in self.radixes:
+            slot, e = divmod(slot, r)
+            out.append(e)
+        return tuple(out)
+
+    def unpack(self, p: _Packed, rows) -> MultiPoly:
+        """The minor on ``rows`` of the input from its packed scaled value,
+        with its terms in ``sorted_terms()`` order."""
+        scale = math.prod(self.scales[i] for i in rows)
+        re, im = self._digits(p.re), self._digits(p.im)
+        out = MultiPoly(self.nvars, {
+            self._exponent(t): GaussianRational.from_ints(re.get(t, 0), im.get(t, 0), scale)
+            for t in re.keys() | im.keys()})
+        out.terms = dict(out.sorted_terms())
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from jordanscope.sylv import build_split_matrix
 from jordanscope.tracker import probe_stacks, theta_power_ranks, theta_stack
 
 GR = GaussianRational
+DATA = Path(__file__).parent / "data"
 
 
 def mat_mul(a, b):
@@ -275,27 +276,91 @@ def bareiss_minors(m, order):
 
 RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
 GAUSSIAN = st.builds(GR, RATIONALS, RATIONALS)
+IMAGINARY = st.builds(lambda im: GR(0, im), RATIONALS.filter(bool))
 
 
 @st.composite
 def multipoly_matrices(draw):
-    nvars = draw(st.integers(1, 2))
+    """Up to 3 parameters and exponents up to 6; negative and purely
+    imaginary coefficients; each row over its own denominator; zero rows."""
+    nvars = draw(st.integers(1, 3))
     rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    exponents = st.tuples(*[st.integers(0, 2)] * nvars)
-    entries = st.dictionaries(exponents, GAUSSIAN, max_size=3).map(
-        lambda terms: MultiPoly(nvars, terms))
-    return draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
-                         min_size=rows, max_size=rows))
+    exponents = st.tuples(*[st.integers(0, 6)] * nvars)
+    terms = st.dictionaries(exponents, st.one_of(GAUSSIAN, IMAGINARY), max_size=3)
+    m = []
+    for _ in range(rows):
+        if draw(st.integers(0, 4)) == 0:
+            m.append([MultiPoly.zero(nvars)] * cols)
+            continue
+        den = draw(st.sampled_from([1, 2, 3, 7, 12]))
+        entries = terms.map(lambda ts: MultiPoly(nvars, {e: c / den for e, c in ts.items()}))
+        m.append(draw(st.lists(entries, min_size=cols, max_size=cols)))
+    return m
 
 
+@pytest.mark.parametrize("cap", [math.inf, 0], ids=["packed", "multipoly"])
 @settings(max_examples=40, deadline=None)
-@given(multipoly_matrices())
-def test_minor_sweep_equals_per_submatrix_bareiss(m):
-    for order in range(1, min(len(m), len(m[0])) + 1):
-        got = minors(m, order)
-        assert got == bareiss_minors(m, order)
-        for h in got:
-            assert list(h.terms) == [e for e, _ in h.sorted_terms()]
+@given(m=multipoly_matrices())
+def test_minor_sweep_equals_per_submatrix_bareiss(cap, m):
+    # no size cap: every matrix packs; a cap of 0: every one sweeps over MultiPoly
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ranklab, "PACKED_BITS_CAP", cap)
+        rings = sweep_rings(patch)
+        for order in range(1, min(len(m), len(m[0])) + 1):
+            got = minors(m, order)
+            assert got == bareiss_minors(m, order)
+            for h in got:
+                assert list(h.terms) == [e for e, _ in h.sorted_terms()]
+    assert set(rings) == {"_Packed" if cap else "MultiPoly"}
+
+
+def sweep_rings(patch):
+    """The ring of each minor sweep from now on: "_Packed" or "MultiPoly"."""
+    rings, sweep = [], ranklab._sweep
+
+    def spy(m, order, one):
+        rings.append(type(one).__name__)
+        return sweep(m, order, one)
+
+    patch.setattr(ranklab, "_sweep", spy)
+    return rings
+
+
+def split_matrix_at_generic_rank(family):
+    sm = build_split_matrix(family.char_poly_family())
+    return sm, generic_rank(sm)[0]
+
+
+def test_corpus_and_tri5_minors_are_packed(monkeypatch):
+    with open(DATA / "tri5_double.json") as f:
+        tri5 = MatrixFamily.from_spec_dict(json.load(f))
+    families = [case.family for case in builtin_cases()] + [tri5]
+    cases = [split_matrix_at_generic_rank(family) for family in families]
+    rings = sweep_rings(monkeypatch)
+    found = [minors(sm, r) for sm, r in cases]
+    assert all(found) and (cases[-1][1], len(found[-1])) == (8, 81)
+    assert rings == ["_Packed"] * len(families)
+
+
+def test_minors_beyond_the_packing_size_sweep_over_multipoly(monkeypatch):
+    # every one of 16 parameters takes a radix of at least 2 in the packing
+    with open(DATA / "params16.json") as f:
+        family = MatrixFamily.from_spec_dict(json.load(f))
+    sm, r = split_matrix_at_generic_rank(family)
+    assert ranklab._Packing.of(sm.tolist(), r) is None
+    rings = sweep_rings(monkeypatch)
+    got = minors(sm, r)
+    assert rings == ["MultiPoly"] and (r, len(got)) == (4, 25)
+    assert got == bareiss_minors(sm, r)
+    for h in got:
+        assert list(h.terms) == [e for e, _ in h.sorted_terms()]
+
+
+@pytest.mark.parametrize("c", [GR(8), GR(-8), GR(-15), GR(0, 15), GR(-(2**63), 1), GR(2**31)])
+def test_a_coefficient_as_large_as_its_bound_unpacks(c):
+    # a one-term 1 x 1 matrix meets the slot width's coefficient bound exactly
+    m = [[MultiPoly(2, {(1, 3): c})]]
+    assert minors(m, 1) == [m[0][0]]
 
 
 def test_minors_form_no_quotient(monkeypatch):
