@@ -8,7 +8,6 @@ string output and the deterministic orderings used elsewhere.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 from typing import Sequence
 
@@ -156,14 +155,10 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check(other)
-        pairs = ((tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-                 for e1, c1 in self.terms.items() for e2, c2 in other.terms.items())
-        if len(self.terms) == 1 or len(other.terms) == 1:
-            terms = dict(pairs)  # no exponent repeats, and no product is zero
-        else:
-            terms = {}
-            for expo, c in pairs:
-                _add_term(terms, expo, c)
+        terms = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                _add_term(terms, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
         out = MultiPoly.__new__(MultiPoly)
         out.nvars = self.nvars
         out.terms = terms
@@ -310,8 +305,9 @@ class StackedEvaluator:
     polynomial a row of slots (0j, its terms in insertion order, pads of
     -0.0) summed in order (``_slot_sums``). Points are taken in
     chunks, each with one table of every power it needs; a chunk of at
-    least ``ARRAY_POWER_POINTS`` points computes its table on float64
-    arrays, replaying CPython's repeated squaring (``_power_table``).
+    least ``ARRAY_POWER_POINTS`` points computes a table whose exponents
+    are at most ``MAX_SQUARING_EXPONENT`` on float64 arrays, replaying
+    CPython's repeated squaring (``_power_table``).
     """
 
     def __init__(self, polys: Sequence[MultiPoly], nvars: int):
@@ -383,9 +379,12 @@ def _slot_sums(slots):
 
 
 def _powers(z, distinct):
-    """z ** e for every point z and every exponent e of ``distinct``:
-    shape (len(z), len(distinct))."""
-    if len(z) >= ARRAY_POWER_POINTS:
+    """z ** e for every point z and every exponent e of ``distinct``
+    (sorted): shape (len(z), len(distinct)). A chunk of at least
+    ARRAY_POWER_POINTS points takes its table from float64 arrays
+    (``_power_table``) unless an exponent is above MAX_SQUARING_EXPONENT:
+    such a table, and a smaller chunk's, takes ``**`` whole."""
+    if len(z) >= ARRAY_POWER_POINTS and distinct[-1] <= MAX_SQUARING_EXPONENT:
         return _power_table(z, distinct)
     return np.array([w**e for w in z.tolist() for e in distinct],
                     dtype=complex).reshape(len(z), -1)
@@ -398,23 +397,21 @@ def _power_table(z, distinct):
     squaring (``c_powu``): from r = 1 + 0j, r = r * z^(2^j) for each set
     bit j of e, in increasing order, with z^(2^(j+1)) = z^(2^j) * z^(2^j)
     by the written-out complex product. The squares are shared by every
-    exponent. A larger exponent takes Python's ``**``. A part that comes
-    out infinite raises the OverflowError of ``**``. ``distinct`` is
-    sorted.
+    exponent. A part that comes out infinite raises the OverflowError of
+    ``**``. ``distinct`` is sorted, and its largest exponent is at most
+    MAX_SQUARING_EXPONENT: ``_powers`` sends a table with a larger one to
+    ``**`` whole.
     """
     table = np.empty((len(z), len(distinct)), dtype=complex)
     re, im = table.real, table.imag
-    small = bisect_right(distinct, MAX_SQUARING_EXPONENT)
-    re[:, :small], im[:, :small] = 1.0, 0.0
-    expos = np.array(distinct[:small], dtype=np.intp)
+    re[:], im[:] = 1.0, 0.0
+    expos = np.array(distinct, dtype=np.intp)
     sr, si = z.real, z.imag
-    for j in range(distinct[small - 1].bit_length() if small else 0):
+    for j in range(distinct[-1].bit_length()):
         cols = np.flatnonzero((expos >> j) & 1)
         re[:, cols], im[:, cols] = complex_product(
             re[:, cols], im[:, cols], sr[:, None], si[:, None])
         sr, si = complex_product(sr, si, sr, si)
-    if small < len(distinct):
-        table[:, small:] = [[w**e for e in distinct[small:]] for w in z.tolist()]
     if np.isinf(re).any() or np.isinf(im).any():
         raise OverflowError("complex exponentiation")
     return table

@@ -110,7 +110,7 @@ def cplx(z) -> list:
 
 def from_wire_complex(v) -> complex:
     parts = v if isinstance(v, (list, tuple)) and len(v) == 2 else [v]
-    if not all(isinstance(x, (int, float)) for x in parts):
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts):
         raise InputError(f"cannot read complex value from {v!r}")
     try:
         return complex(*parts)
@@ -224,7 +224,8 @@ def resolve_family(args):
         raise InputError(f"cannot read family file: {err}") from err
     try:
         doc = json.loads(raw)
-    except ValueError as err:  # JSONDecodeError, or an int over the digit limit
+    # JSONDecodeError, an int over the digit limit, or nesting too deep
+    except (ValueError, RecursionError) as err:
         raise InputError(f"family file is not valid JSON: {err}") from err
     try:
         fam = MatrixFamily.from_spec_dict(doc)
@@ -286,7 +287,8 @@ def parse_resolution(text: str, nparams: int):
 def parse_path(text: str, nparams: int):
     try:
         doc = json.loads(text)
-    except ValueError as err:  # JSONDecodeError, or an int over the digit limit
+    # JSONDecodeError, an int over the digit limit, or nesting too deep
+    except (ValueError, RecursionError) as err:
         raise InputError(f"--path must be JSON: {err}") from err
     if not isinstance(doc, list) or len(doc) < 2:
         raise InputError("--path needs a JSON list of at least two vertices")

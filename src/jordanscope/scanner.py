@@ -158,11 +158,11 @@ def classify_point(
     node. ``ranks`` holds the Theta rank rows: one, of the extended
     product at the node, when a probe splits; else one per matrix of the
     stack. ``census`` is the node's Jordan census from the run's rank
-    chain, None when the node splits or its census is inconsistent. Splitting is detected through the rank of the
-    splitting matrix of the characteristic polynomial (more distinct
-    roots at a probe than at the point). Jumps are detected through
-    rank Theta^k rising at a probe. Stability can only be refuted by
-    sampling, never certified.
+    chain, None when the node splits or its census is inconsistent.
+    Splitting is detected through the rank of the splitting matrix of
+    the characteristic polynomial (more distinct roots at a probe than
+    at the point). Jumps are detected through rank Theta^k rising at a
+    probe. Stability can only be refuted by sampling, never certified.
     """
     point, rank_theta = stack.points[0], ranks[0]
     if split:
@@ -180,8 +180,6 @@ def classify_point(
 
 @dataclass
 class ScanReport:
-    family_label: Optional[str]
-    params: List[str]
     box: List[Tuple[float, float]]
     resolution: List[int]
     rel_tol: float
@@ -249,8 +247,6 @@ def scan_grid(
         max(p.rank_theta[k] for p in points) for k in range(family.n - 1)
     )
     return ScanReport(
-        family_label=family.label,
-        params=list(family.params),
         box=[(float(lo), float(hi)) for lo, hi in box],
         resolution=list(resolution),
         rel_tol=rel_tol,

@@ -66,26 +66,12 @@ def build_split_matrix(p: UniPoly) -> np.ndarray:
 
 
 def distinct_zero_count(p: UniPoly, rel_tol: float = DEFAULT_REL_TOL) -> int:
-    """Number of distinct zeros of monic p: :func:`distinct_zero_counts`
-    of a stack of one."""
+    """Number of distinct zeros of monic p: :func:`split_counts` of a
+    stack of one splitting matrix."""
     if isinstance(p.coeffs[0], MultiPoly):
         raise TypeError("evaluate the family at a point first")
-    (count,) = distinct_zero_counts(as_matrix([_require_monic(p).coeffs]), rel_tol)
+    (count,) = split_counts(build_split_matrix(p)[None], rel_tol)
     return int(count)
-
-
-def distinct_zero_counts(coeffs, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
-    """Distinct-zero counts m of a stack of monic polynomials, from the
-    ranks n + m - 1 of their splitting matrices, by the rank rule of the
-    stack's ring (:func:`ranklab.stacked_ranks`).
-
-    ``coeffs`` is an (N, n + 1) array, constant term first; the leading
-    coefficients are taken to be one, as :func:`char_poly_stack` sets them.
-    """
-    c = np.asarray(coeffs)
-    if c.ndim != 2 or c.shape[1] < 2:
-        raise ValueError("need a monic polynomial of degree >= 1")
-    return split_counts(split_matrices(c), rel_tol)
 
 
 def split_counts(split, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
@@ -104,7 +90,6 @@ class SplitSetResult:
 
     functions: List[MultiPoly]
     r_max: int
-    n: int
     generic_rank_note: str
 
 
@@ -128,12 +113,7 @@ def split_defining_functions(
     if r_max == 0:
         raise ArithmeticError("splitting matrix cannot be identically zero")
     hs = minors(sm, r_max)
-    return SplitSetResult(
-        functions=hs,
-        r_max=r_max,
-        n=family.degree,
-        generic_rank_note=note,
-    )
+    return SplitSetResult(functions=hs, r_max=r_max, generic_rank_note=note)
 
 
 @dataclass

@@ -28,7 +28,7 @@ FIRST_QUADRATURE_NODES = 32
 MAX_QUADRATURE_NODES = 2**14
 ROUCHE_BOUNDARY_SAMPLES = 64
 MAX_STEP_HALVINGS = 20
-#: probes per ring around a point (see probe_stack)
+#: probes per ring around a point (see probe_stacks)
 PROBE_COUNT = 8
 
 
@@ -564,7 +564,6 @@ class SplittingAmounts:
     eigenvalues: Tuple[complex, ...]
     multiplicities: Tuple[int, ...]
     amounts: Tuple[int, ...]
-    radius: float
 
     def __post_init__(self):
         for kappa, nj in zip(self.amounts, self.multiplicities):
@@ -642,17 +641,6 @@ def probe_stacks(
                        clusters[i : i + size]) for i in range(0, len(rows), size)]
 
 
-def probe_stack(
-    family: MatrixFamily,
-    point,
-    probe_radius: float,
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> ProbeStack:
-    """Evaluate a point and its two probe rings: :func:`probe_stacks`
-    for one point."""
-    return probe_stacks(family, [point], probe_radius, rel_tol)[0]
-
-
 def amounts_from_stack(stack: ProbeStack) -> SplittingAmounts:
     """Splitting amounts read off a probe stack: the outer ring, or the
     inner one when the outer ring disagrees."""
@@ -670,7 +658,6 @@ def amounts_from_stack(stack: ProbeStack) -> SplittingAmounts:
                 eigenvalues=state.centers,
                 multiplicities=state.multiplicities,
                 amounts=counts.pop(),
-                radius=state.radius,
             )
     raise ProbeDisagreementError(
         "probe ring disagrees on eigenvalue counts; the ring may cross the "
@@ -685,10 +672,10 @@ def splitting_amounts(
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> SplittingAmounts:
     """How many distinct eigenvalues each eigenvalue of A(xi) splits into,
-    counted at the probes of one :func:`probe_stack` evaluation: the
+    counted at the probes of one :func:`probe_stacks` evaluation: the
     outer ring if all its probes agree, else the inner ring at half the
     probe radius, else a ProbeDisagreementError (:func:`amounts_from_stack`)."""
-    return amounts_from_stack(probe_stack(family, xi, probe_radius, rel_tol))
+    return amounts_from_stack(probe_stacks(family, [xi], probe_radius, rel_tol)[0])
 
 
 def factors_from_stack(stack: ProbeStack):
@@ -716,7 +703,7 @@ def extended_theta_factors(
 
     Powers are 1 off the splitting set and the splitting amounts on it.
     """
-    return factors_from_stack(probe_stack(family, point, probe_radius, rel_tol))
+    return factors_from_stack(probe_stacks(family, [point], probe_radius, rel_tol)[0])
 
 
 def theta_stack(matrices: np.ndarray, factor_lists):

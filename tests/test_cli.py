@@ -526,10 +526,15 @@ def test_missing_file_is_input_error(capsys):
 
 
 def test_bad_json_is_input_error(tmp_path, capsys):
-    path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    code = cli.main(["census", str(path), "--point", "1.0"])
-    assert code == 2
+    # the second file is nested past the JSON decoder's recursion limit
+    for name, text in [("bad.json", "{not json"), ("deep.json", "[" * 5000 + "]" * 5000)]:
+        path = tmp_path / name
+        path.write_text(text)
+        code = cli.main(["census", str(path), "--point", "1.0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: family file is not valid JSON")
+        assert err.count("\n") == 1
 
 
 def test_bad_entry_expression_is_input_error(tmp_path, capsys):
@@ -786,11 +791,13 @@ def test_tolerance_outside_unit_interval_is_input_error(capsys, argv):
     (["track", "--path", "[[0],[1" + "0" * 400 + "]]"], "complex value beyond"),
     (["track", "--path", "[[0],[[1, 1" + "0" * 400 + "]]]"], "complex value beyond"),
     (["track", "--path", "[[0],[1" + "0" * 5000 + "]]"], "--path must be JSON"),
+    (["track", "--path", "[[0],[true]]"], "cannot read complex value"),
+    (["track", "--path", "[[0]," + "[" * 5000 + "]" * 5000 + "]"], "--path must be JSON"),
 ], ids=["radius-nan", "radius-inf", "radius-0", "box-nan", "box-inf", "box-zero-width",
         "point-nan", "point-overflow", "path-nan", "path-inf", "path-strings",
         "path-zero-length", "path-length-underflow", "path-length-overflow",
         "path-length-inf", "path-big-int", "path-big-int-pair",
-        "path-int-beyond-digit-limit"])
+        "path-int-beyond-digit-limit", "path-bool", "path-nested-too-deep"])
 def test_non_finite_or_degenerate_number_is_input_error(capsys, argv, error):
     code = cli.main([argv[0], "--builtin", "shear", *argv[1:]])
     assert code == 2

@@ -188,10 +188,12 @@ def test_empty_stack_and_empty_list():
     assert StackedEvaluator([], 1)([(1.0,)]).shape == (1, 0)
 
 
-#: the exponents of z, on both sides of MAX_SQUARING_EXPONENT; w takes
-#: those up to 100 only, so that its overflows come from repeated squaring
-#: alone. The power table is narrow enough that a chunk of the 1,000
-#: points below holds at least ARRAY_POWER_POINTS of them.
+#: the exponents of z, on both sides of MAX_SQUARING_EXPONENT, so that
+#: z's table, with an exponent above 100, takes ``**`` whole; w takes
+#: those up to 100 only, so that its table and its overflows come from
+#: repeated squaring on arrays. The power table is narrow enough that a
+#: chunk of the 1,000 points below holds at least ARRAY_POWER_POINTS of
+#: them.
 EXPONENTS = (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 100, 101, 120)
 SQUARING_EXPONENTS = EXPONENTS[:-2]
 
@@ -225,12 +227,15 @@ def test_a_thousand_point_stack_has_the_bits_of_the_term_loop(crossover, monkeyp
     assert evaluator.chunk >= ARRAY_POWER_POINTS
     want = [[bits(term_loop(p, pt)) for p in polys] for pt in points]
     assert [[bits(v) for v in row] for row in evaluator(points)] == want
-    # the power table alone, whose parts include signed zeros
+    # the power tables alone, whose parts include signed zeros: one with an
+    # exponent above 100, and one on arrays
     z = np.array([pt[0] for pt in points])
-    table = [[bits(v) for v in row] for row in multipoly._powers(z, list(EXPONENTS))]
-    powers = [[bits(w**e) for e in EXPONENTS] for w in z.tolist()]
-    assert table == powers
-    assert any(part == struct.pack("<d", -0.0) for row in powers for v in row for part in v)
+    for expos in (EXPONENTS, SQUARING_EXPONENTS):
+        table = [[bits(v) for v in row] for row in multipoly._powers(z, list(expos))]
+        powers = [[bits(w**e) for e in expos] for w in z.tolist()]
+        assert table == powers
+        assert any(part == struct.pack("<d", -0.0)
+                   for row in powers for v in row for part in v)
 
 
 @CROSSOVERS

@@ -22,7 +22,7 @@ from jordanscope.scanner import (
     scan_grid,
     square_free_part_family,
 )
-from jordanscope.sylv import distinct_zero_counts
+from jordanscope.sylv import split_counts, split_matrices
 from jordanscope.tracker import distinct_eigenvalues, probe_ring
 
 GR = GaussianRational
@@ -564,7 +564,7 @@ def random_triangular_family(rng):
 def split_nodes_ranking_every_probe(coeffs, nodes, rel_tol):
     """Oracle: the splitting pass before it skipped probes, which ranked
     all 17 matrices of every node."""
-    counts = distinct_zero_counts(coeffs, rel_tol).reshape(nodes, -1)
+    counts = split_counts(split_matrices(coeffs), rel_tol).reshape(nodes, -1)
     return np.any(counts[:, 1:] > counts[:, :1], axis=1).tolist()
 
 

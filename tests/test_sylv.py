@@ -22,8 +22,9 @@ from jordanscope.sylv import (
     build_split_matrix,
     check_coeff_bound,
     distinct_zero_count,
-    distinct_zero_counts,
+    split_counts,
     split_defining_functions,
+    split_matrices,
 )
 
 GR = GaussianRational
@@ -125,9 +126,9 @@ def test_exact_stack_counts_exactly():
     # of the same splitting matrix sees one
     close = gr(1) + GR(Fraction(1, 10**12))
     coeffs = [monic_from_roots([1, close]).coeffs, monic_from_roots([1, 1]).coeffs]
-    assert distinct_zero_counts(np.array(coeffs, dtype=object)).tolist() == [2, 1]
+    assert split_counts(split_matrices(np.array(coeffs, dtype=object))).tolist() == [2, 1]
     floating = np.array([[complex(c) for c in row] for row in coeffs])
-    assert distinct_zero_counts(floating).tolist() == [1, 1]
+    assert split_counts(split_matrices(floating)).tolist() == [1, 1]
 
 
 def test_distinct_zero_count_matches_gcd_oracle_corpus():

@@ -29,7 +29,7 @@ from jordanscope.tracker import (
     contour_root,
     contour_roots,
     isolate,
-    probe_stack,
+    probe_stacks,
     splitting_amounts,
     theta_extended,
     track_path,
@@ -573,10 +573,10 @@ def test_theta_extended_off_split_equals_product():
 
 
 def test_is_split_point_sample():
-    split = probe_stack(FAM_SHEAR(), [0.0], probe_radius=1e-2)
+    split = probe_stacks(FAM_SHEAR(), [[0.0]], probe_radius=1e-2)[0]
     assert split.eigen_split()
     assert len(split.points) == 17 and split.matrices.shape == (17, 2, 2)
-    assert not probe_stack(FAM_SHEAR(), [1.0], probe_radius=1e-2).eigen_split()
+    assert not probe_stacks(FAM_SHEAR(), [[1.0]], probe_radius=1e-2)[0].eigen_split()
 
 
 def test_probe_ring_keeps_the_bits_of_the_per_probe_formula():
