@@ -52,6 +52,7 @@ from .ranklab import (
     MINOR_DIMENSION_CAP,
     MinorSizeError,
     NonFiniteError,
+    norm_scales,
 )
 from .scanner import (
     MAX_GRID_POINTS,
@@ -604,9 +605,10 @@ def _verify_case(case: CorpusCase, rel_tol: float, seed: int):
     pts = unit_polydisk_samples(fam.nparams, 200, seed)
     coeff = check_coeff_bound(jst.split_functions, fam.char_poly_family(), pts)
     yield f"{label}: coefficient bound on split minors", coeff.passed
-    split = check_split_bound(fam, jst.split_functions, pts)
+    scales = norm_scales(fam.at_many(pts))  # one norm interval per point for both
+    split = check_split_bound(fam, jst.split_functions, pts, scales)
     yield f"{label}: norm bound on split functions", split.passed
-    bound = check_jst_bound(fam, jst, pts)
+    bound = check_jst_bound(fam, jst, pts, scales)
     if bound.applicable:
         yield f"{label}: norm bound on non-stable-set functions", bound.passed
     else:

@@ -142,8 +142,5 @@ class MatrixFamily:
         return [UniPoly(row) for row in values.tolist()]
 
     def operator_norm_at(self, point) -> float:
-        return self.operator_norms([point])[0]
-
-    def operator_norms(self, points) -> List[float]:
-        """Operator 2-norms at a stack of points, from one stacked SVD."""
-        return np.linalg.norm(self.at_many(points), 2, axis=(1, 2)).tolist()
+        """Operator 2-norm at a point, from an SVD."""
+        return float(np.linalg.norm(self.at(point), 2))

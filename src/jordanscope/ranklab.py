@@ -2,12 +2,13 @@
 
 Floating ranks use the SVD threshold rule
 ``sigma > rel_tol * sigma_max * max(rows, cols)``; exact ranks use
-fraction-free (Bareiss) elimination with full pivoting over Gaussian
-rationals; :func:`stacked_ranks` picks the rule from the ring of the
-stack. Minors of polynomial matrices come from one sweep over the rows
-that expands every order-k minor along its last row in terms of the
-order-(k-1) minors above it: sums and products only, no division, and
-each nonzero lower minor is computed once for all minors above it.
+fraction-free (Bareiss) elimination with full pivoting, over Gaussian
+integers after scaling each row by the lcm of its denominators;
+:func:`stacked_ranks` picks the rule from the ring of the stack. Minors
+of polynomial matrices come from one sweep over the rows that expands
+every order-k minor along its last row in terms of the order-(k-1)
+minors above it: sums and products only, no division, and each nonzero
+lower minor is computed once for all minors above it.
 
 The sweep multiplies ints. Each row is scaled to Gaussian integers by the
 lcm of its denominators, and each entry packed as two ints, its real and
@@ -150,7 +151,8 @@ def stacked_ranks(stack, rel_tol: float = DEFAULT_REL_TOL,
 
 
 class ScaleBounds(NamedTuple):
-    """Roundoff scales of a stack: lo[i] <= S_i <= hi[i], exact(i) = S_i."""
+    """Scales of a stack: lo[i] <= S_i <= hi[i], exact(i) = S_i. The
+    scales of :func:`norm_scales` also take an index array in ``exact``."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -183,10 +185,22 @@ def _frobenius_bound(a: np.ndarray):
     return squares, normal, np.where(normal, hi, wide)
 
 
+def svd_norms(stack) -> np.ndarray:
+    """The 2-norms of an (N, rows, cols) stack, from one stacked SVD; each
+    has the bits of the SVD norm of its matrix alone."""
+    return np.linalg.norm(stack, 2, axis=(-2, -1))
+
+
 def norm_scales(stack) -> ScaleBounds:
-    """The 2-norms of a stack: :func:`norm_bounds`, and an SVD on demand."""
+    """The 2-norms of a stack: :func:`norm_bounds`, and :func:`svd_norms` on
+    demand, of one matrix (a float) or of an index array (an array)."""
     a = np.asarray(stack)
-    return ScaleBounds(*norm_bounds(a), lambda i: float(np.linalg.norm(a[i], 2)))
+
+    def exact(i):
+        norms = svd_norms(a[i])
+        return norms if np.ndim(i) else float(norms)
+
+    return ScaleBounds(*norm_bounds(a), exact)
 
 
 def power_ranks(bases, count: int, scales, done,
@@ -256,27 +270,48 @@ def kernel_basis(m, rel_tol: float = DEFAULT_REL_TOL,
     return vh[rank:].conj().T
 
 
-def _bareiss(work) -> int:
-    """Rank by fraction-free (Bareiss) elimination with full pivoting,
-    in place, over Gaussian rationals."""
-    nrows, ncols = len(work), len(work[0])
+def _bareiss(matrix) -> int:
+    """Rank by fraction-free (Bareiss) elimination with full pivoting over
+    the Gaussian integers, of a list of rows of Gaussian rationals.
+
+    Each row is scaled by the lcm of its denominators and each entry held
+    as its (re, im) pair of ints; a step divides exactly in Z[i] by the
+    previous pivot. Every entry is then a minor of the row-scaled matrix,
+    a nonzero int multiple of the same minor over the rationals, so the
+    zero tests, the pivots and the rank are those of elimination over
+    Q(i)."""
+    rows = []
+    for row in matrix:
+        ints = [x.ints for x in row]
+        scale = math.lcm(*(d for _, _, d in ints))
+        rows.append([(a * (scale // d), b * (scale // d)) for a, b, d in ints])
+    nrows, ncols = len(rows), len(rows[0])
     prev = None
     for r in range(min(nrows, ncols)):
         # full pivot: any nonzero entry of the remaining submatrix
         pivot = next(((i, j) for i in range(r, nrows) for j in range(r, ncols)
-                      if not work[i][j].is_zero()), None)
+                      if rows[i][j] != (0, 0)), None)
         if pivot is None:
             return r
         pi, pj = pivot
-        work[r], work[pi] = work[pi], work[r]
-        for row in work:
+        rows[r], rows[pi] = rows[pi], rows[r]
+        for row in rows:
             row[r], row[pj] = row[pj], row[r]
-        p = work[r][r]
-        for i in range(r + 1, nrows):
+        top = rows[r]
+        pr, pm = top[r]
+        if prev is not None:  # (x + y i) / q = (x + y i) * conj(q) / |q|**2
+            qr, qm = prev
+            size = qr * qr + qm * qm
+        for row in rows[r + 1:]:
+            cr, cm = row[r]
             for j in range(r + 1, ncols):
-                num = p * work[i][j] - work[i][r] * work[r][j]
-                work[i][j] = num if prev is None else num / prev
-        prev = p
+                (ar, am), (br, bm) = row[j], top[j]
+                x = pr * ar - pm * am - cr * br + cm * bm
+                y = pr * am + pm * ar - cr * bm - cm * br
+                if prev is not None:
+                    x, y = (x * qr + y * qm) // size, (y * qr - x * qm) // size
+                row[j] = (x, y)
+        prev = pr, pm
     return min(nrows, ncols)
 
 

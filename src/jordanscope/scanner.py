@@ -25,7 +25,7 @@ from .algebra.multipoly import MultiPoly, NonFiniteError
 from .algebra.unipoly import UniPoly, derivative, pseudo_divmod, subresultant_gcd
 from .family import MatrixFamily
 from .jordan import JordanCensus, jordan_censuses
-from .ranklab import DEFAULT_REL_TOL, generic_rank, minors
+from .ranklab import DEFAULT_REL_TOL, ScaleBounds, generic_rank, minors, norm_scales
 from .sylv import (
     BoundReport,
     bound_report,
@@ -399,25 +399,34 @@ def check_split_bound(
     family: MatrixFamily,
     functions: Sequence[MultiPoly],
     sample_points: Sequence,
+    scales: Optional[ScaleBounds] = None,
 ) -> BoundReport:
     """|g| <= (2n)^(6n^2) * max(1, |A|)^(2n^2) for every g at the samples.
 
     The norm is floored at 1 for the same reason the coefficient max is
     in the underlying coefficient bound (constant entries from the
-    monic leading coefficient).
+    monic leading coefficient). ``scales`` are the norms at the samples,
+    ``ranklab.norm_scales`` of one stacked evaluation, built here if not
+    given; :func:`bound_report` takes an SVD norm only at a sample that can
+    decide the report.
     """
     n = family.n
+    constant = float((2 * n) ** (6 * n * n))
+    if scales is None:
+        scales = norm_scales(family.at_many(sample_points))
     return bound_report("splitting-set function", sample_points, functions,
-                        float((2 * n) ** (6 * n * n)),
-                        family.operator_norms(sample_points), 2 * n * n)
+                        constant, scales, 2 * n * n)
 
 
 def check_jst_bound(
     family: MatrixFamily,
     jst: JstResult,
     sample_points: Sequence,
+    scales: Optional[ScaleBounds] = None,
 ) -> BoundReport:
-    """|h| <= (2n)^(2n^4) * max(1, |A|)^(2n^4) at the samples.
+    """|h| <= (2n)^(2n^4) * max(1, |A|)^(2n^4) at the samples, ``scales``
+    as in :func:`check_split_bound`. The constant is formed before any
+    evaluation, so where it leaves float64 nothing is evaluated.
 
     When the product list is capped there are no h's to check, and the
     report is marked not applicable.
@@ -427,6 +436,8 @@ def check_jst_bound(
         return BoundReport(label, 0, [], 0.0, applicable=False, note=(
             "NOT APPLICABLE: product list capped; factors emitted instead"))
     n = family.n
-    return bound_report(label, sample_points, jst.functions,
-                        float((2 * n) ** (2 * n**4)),
-                        family.operator_norms(sample_points), 2 * n**4)
+    constant = float((2 * n) ** (2 * n**4))
+    if scales is None:
+        scales = norm_scales(family.at_many(sample_points))
+    return bound_report(label, sample_points, jst.functions, constant, scales,
+                        2 * n**4)

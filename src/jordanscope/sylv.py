@@ -22,6 +22,7 @@ from .algebra.multipoly import zero_like
 from .algebra.unipoly import UniPoly
 from .ranklab import (
     DEFAULT_REL_TOL,
+    ScaleBounds,
     check_minor_size,
     generic_rank,
     minors,
@@ -116,6 +117,12 @@ def split_defining_functions(
     return SplitSetResult(functions=hs, r_max=r_max, generic_rank_note=note)
 
 
+#: relative widening of the scale intervals that pick the candidate points
+#: of :func:`bound_report`, far above the rounding of the powers that bound
+#: them (a few ulps) and far below any gap that matters to a report
+CANDIDATE_SLACK = 1e-9
+
+
 @dataclass
 class BoundReport:
     label: str
@@ -131,25 +138,46 @@ class BoundReport:
 
 
 def bound_report(label: str, points: Sequence, functions: Sequence[MultiPoly],
-                 constant: float, scales: Sequence[float],
+                 constant: float, scales: ScaleBounds,
                  exponent: int) -> BoundReport:
-    """Check |f| <= constant * max(1, scale)**exponent for every function
-    f at every sample point, given one scale per point.
+    """Check |f| <= constant * max(1, S_i)**exponent for every function f
+    at every sample point i, S_i the point's scale, known as an interval
+    lo_i <= S_i <= hi_i (:class:`ranklab.ScaleBounds`).
 
-    Each point's bound is computed once, and the function list is
-    evaluated once over all points; a power beyond float64 makes the
-    bound inf, which no value violates. A value violates its bound when
-    it exceeds it by more than a relative 1e-12; each violation is kept
-    with its witness point, in point order.
+    The function list is evaluated once over all points. A value violates
+    its bound when it exceeds it by more than a relative 1e-12; each
+    violation is kept with its witness point, in point order. A power
+    beyond float64 makes the bound inf, which no value violates.
+
+    Only candidate points take the exact bound B(S_i), computed in Python
+    floats with S_i from one ``scales.exact`` call on the index array of
+    the candidates whose hi_i exceeds 1 (max(1, S_i) is 1.0 at the rest).
+    With m_i the largest value at point i and the bounds B(lo_i) and
+    B(hi_i) of the interval widened by CANDIDATE_SLACK, point i is a
+    candidate when m_i > 0 and either m_i / B(lo_i) reaches the largest
+    m_k / B(hi_k) or m_i reaches B(lo_i). Every other point's ratios lie
+    strictly below a candidate's, and none of its values violates, so the
+    report has the bits of checking every point exactly.
     """
-    bounds = [constant * _power(max(1.0, s), exponent) for s in scales]
     values = _moduli(functions, points)
-    limits = np.array(bounds)[:, None]
+    peaks = np.fmax.reduce(values, axis=1, initial=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        low = constant * np.fmax(1.0, scales.lo * (1 - CANDIDATE_SLACK)) ** exponent
+        high = constant * np.fmax(1.0, scales.hi * (1 + CANDIDATE_SLACK)) ** exponent
+        floor = np.fmax.reduce(peaks / high, initial=0.0)
+        below = (peaks / low < floor) & (peaks < low)
+    picked = np.flatnonzero((peaks > 0) & ~below)
+    exact = np.ones(len(picked))
+    wide = scales.hi[picked] > 1
+    if wide.any():
+        exact[wide] = scales.exact(picked[wide])
+    bounds = [constant * _power(max(1.0, s), exponent) for s in exact.tolist()]
+    limits, kept = np.array(bounds)[:, None], values[picked]
     with np.errstate(all="ignore"):
-        ratios = values / limits
-        bad = np.nonzero(values > limits * (1 + 1e-12))
+        ratios = kept / limits
+        bad = np.nonzero(kept > limits * (1 + 1e-12))
     violations = [
-        {"point": list(points[i]), "value": float(values[i, j]), "bound": bounds[i]}
+        {"point": list(points[picked[i]]), "value": float(kept[i, j]), "bound": bounds[i]}
         for i, j in zip(*bad)
     ]
     max_ratio = float(np.fmax.reduce(ratios, axis=None, initial=0.0))
@@ -186,9 +214,15 @@ def check_coeff_bound(
     coefficient, so the per-entry estimate that produces this bound is
     by max(1, |P_0|, ..., |P_(n-1)|). A violation indicates a bug in
     the minor construction, and is reported with its witness point.
+
+    The coefficient maxima come from one evaluation and one numpy
+    reduction, with Python's ``max`` rule that a NaN first in its row is
+    the maximum; they are exact scales (lo = hi) for :func:`bound_report`,
+    so this check takes no SVD.
     """
     n = family.degree
-    lower = _moduli(family.coeffs[:-1], sample_points).tolist()
-    largest = [max(row, default=0.0) for row in lower]
+    lower = _moduli(family.coeffs[:-1], sample_points)
+    largest = np.where(np.isnan(lower[:, 0]), np.nan, np.fmax.reduce(lower, axis=1))
     return bound_report("split-set minor", sample_points, functions,
-                        float((2 * n) ** (4 * n)), largest, 2 * n)
+                        float((2 * n) ** (4 * n)),
+                        ScaleBounds(largest, largest, largest.__getitem__), 2 * n)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jordanscope import cli, scanner
+from jordanscope import cli, ranklab, scanner
 from jordanscope.algebra import parse_entry
 from jordanscope.family import MAX_PARAMS, MatrixFamily
 
@@ -861,6 +861,62 @@ def test_jst_bound_violation_is_a_validation_failure(capsys, monkeypatch):
     assert bound["violations"]
     for violation in bound["violations"]:
         assert [[type(x) for x in c] for c in violation["point"]] == [[float, float]]
+
+
+@pytest.fixture
+def svd_count(monkeypatch):
+    """Matrices whose SVD norm a bound check asks of ``ranklab.svd_norms``."""
+    counted = []
+    real = ranklab.svd_norms
+
+    def spy(stack):
+        counted.append(1 if np.ndim(stack) == 2 else len(stack))
+        return real(stack)
+
+    monkeypatch.setattr(ranklab, "svd_norms", spy)
+    return counted
+
+
+def test_jst_bound_takes_fewer_svds_than_samples(capsys, svd_count):
+    code, out = run_cli(["jst-set", "--builtin", "double-eig", "--samples", "1000"], capsys)
+    bound = json.loads(out)["bound_check"]
+    assert code == 0 and bound["passed"] and bound["checked"] > 0
+    assert 0 < sum(svd_count) < 1000
+
+
+def test_coefficient_bound_takes_no_svd(capsys, svd_count):
+    code, out = run_cli(["split-set", "--builtin", "double-eig", "--samples", "1000"],
+                        capsys)
+    assert code == 0 and json.loads(out)["bound_check"]["passed"]
+    assert svd_count == []
+
+
+def test_jst_bound_constant_overflow_exits_3_before_any_evaluation(
+        family_file, capsys, monkeypatch, svd_count):
+    # (2n)**(2n**4) leaves float64 at n = 4 (ROADMAP item 6)
+    four = {"n": 4, "params": ["z"], "label": "four",
+            "entries": [["z", "1", "0", "0"], ["0", "1", "0", "0"],
+                        ["0", "0", "2", "0"], ["0", "0", "0", "3"]]}
+    stacks = []
+    monkeypatch.setattr(MatrixFamily, "at_many", lambda self, points: stacks.append(points))
+    assert cli.main(["jst-set", family_file(four)]) == 3
+    assert capsys.readouterr().err.startswith("error: OverflowError: ")
+    assert stacks == [] and svd_count == []
+
+
+def test_verify_builds_the_norm_intervals_once_per_case(capsys, monkeypatch):
+    built = {"cli": 0, "scanner": 0}
+
+    def counted(where, real):
+        def norm_scales(stack):
+            built[where] += 1
+            return real(stack)
+        return norm_scales
+
+    monkeypatch.setattr(cli, "norm_scales", counted("cli", cli.norm_scales))
+    monkeypatch.setattr(scanner, "norm_scales", counted("scanner", scanner.norm_scales))
+    assert cli.main(["verify", "--builtin", "double-eig"]) == 0
+    assert built == {"cli": 1, "scanner": 0}
 
 
 def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):

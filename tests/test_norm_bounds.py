@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jordanscope import cli, ranklab, tracker
 from jordanscope.family import MatrixFamily
@@ -25,6 +27,7 @@ from jordanscope.ranklab import (
     numerical_rank,
     power_ranks,
     rank_threshold,
+    svd_norms,
 )
 from jordanscope.scanner import classify_points
 from jordanscope.tracker import (
@@ -487,3 +490,20 @@ def test_range_cases_equal_forced_exact_runs(tmp_path, capsys, monkeypatch,
     assert runs[0][0] == code
     if code == 2:
         assert runs[0][2] == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_svd_norms_of_an_index_subset_have_the_bits_of_the_full_stack(data):
+    count, rows, cols = (data.draw(st.integers(1, k)) for k in (9, 5, 5))
+    entry = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+    stack = np.array(data.draw(st.lists(entry, min_size=count * rows * cols,
+                                        max_size=count * rows * cols)),
+                     dtype=complex).reshape(count, rows, cols)
+    index = np.array(data.draw(st.lists(st.integers(0, count - 1), max_size=2 * count)),
+                     dtype=int)
+    full = svd_norms(stack)[index]
+    scales = norm_scales(stack)
+    assert svd_norms(stack[index]).tobytes() == full.tobytes()
+    assert scales.exact(index).tobytes() == full.tobytes()
+    assert [scales.exact(i) for i in index.tolist()] == full.tolist()

@@ -149,6 +149,77 @@ def test_exact_rank_against_sympy(m):
     assert exact_rank(m) == to_sympy(m).rank(simplify=True)
 
 
+def bareiss_over_rationals(work) -> int:
+    """Reference: the elimination exact_rank ran before it worked in Z[i],
+    Bareiss with full pivoting on GaussianRational entries, in place."""
+    nrows, ncols = len(work), len(work[0])
+    prev = None
+    for r in range(min(nrows, ncols)):
+        pivot = next(((i, j) for i in range(r, nrows) for j in range(r, ncols)
+                      if not work[i][j].is_zero()), None)
+        if pivot is None:
+            return r
+        pi, pj = pivot
+        work[r], work[pi] = work[pi], work[r]
+        for row in work:
+            row[r], row[pj] = row[pj], row[r]
+        p = work[r][r]
+        for i in range(r + 1, nrows):
+            for j in range(r + 1, ncols):
+                num = p * work[i][j] - work[i][r] * work[r][j]
+                work[i][j] = num if prev is None else num / prev
+        prev = p
+    return min(nrows, ncols)
+
+
+#: entries with mixed denominators, purely imaginary ones among them
+MIXED = st.one_of(
+    st.builds(lambda a, b, c, d: GR(Fraction(a, c), Fraction(b, d)),
+              st.integers(-9, 9), st.integers(-9, 9), st.integers(1, 12), st.integers(1, 12)),
+    st.builds(lambda b, d: GR(0, Fraction(b, d)), st.integers(-9, 9), st.integers(1, 12)),
+    st.builds(lambda a, d: GR(Fraction(a, d)), st.integers(-10**6, 10**6),
+              st.integers(1, 10**4)),
+    st.just(GR(0)),
+)
+
+
+@st.composite
+def elimination_matrices(draw):
+    """Up to 6 x 7, half of them products through a thinner inner
+    dimension, with zero rows put in, and some all purely imaginary."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    entries = draw(st.sampled_from([MIXED, MIXED.map(lambda x: x * GR(0, 1))]))
+
+    def block(r, c):
+        return draw(st.lists(st.lists(entries, min_size=c, max_size=c),
+                             min_size=r, max_size=r))
+
+    if draw(st.booleans()):
+        inner = draw(st.integers(1, min(rows, cols)))
+        m = mat_mul(block(rows, inner), block(inner, cols))
+    else:
+        m = block(rows, cols)
+    zero = [GR(0)] * cols
+    return [zero if draw(st.integers(0, 5)) == 0 else row for row in m]
+
+
+@settings(max_examples=300, deadline=None)
+@given(elimination_matrices())
+def test_exact_rank_equals_elimination_over_rationals(m):
+    assert exact_rank(m) == bareiss_over_rationals([list(row) for row in m])
+
+
+def test_exact_rank_of_complex_products_through_three():
+    # complex pivots from the second step on: each division in Z[i] by a
+    # non-real previous pivot decides the later minors
+    rng = random.Random(8)
+    for _ in range(20):
+        a, b = ([[GR(Fraction(rng.randint(-5, 5), rng.randint(1, 6)), rng.randint(-5, 5))
+                  for _ in range(3)] for _ in range(5)] for _ in range(2))
+        m = mat_mul(a, [list(col) for col in zip(*b)])
+        assert exact_rank(m) == bareiss_over_rationals([list(row) for row in m]) == 3
+
+
 def test_kernel_basis_zero_matrix():
     k = kernel_basis(np.zeros((2, 3)))
     assert k.shape == (3, 3)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jordanscope import scanner
+from jordanscope import ranklab, scanner, sylv
 from jordanscope.algebra import GaussianRational, MultiPoly, UniPoly
 from jordanscope.algebra.multipoly import NonFiniteError, StackedEvaluator
 from jordanscope.family import MatrixFamily
@@ -480,6 +480,39 @@ def test_split_bound_takes_one_norm_per_point(monkeypatch):
     assert stacks == [pts]
     assert calls == [(fam.n**2, len(pts)), (len(functions), len(pts))]
     assert report.checked == len(pts) * len(functions)
+
+
+def test_bound_checks_under_unit_norms_take_no_svd(monkeypatch):
+    # every sample matrix has Frobenius norm below 0.8: max(1, |A|) is 1.0
+    fam = MatrixFamily.from_entries([["z", "0"], ["w", "z"]], ["z", "w"])
+    res = jst_defining_functions(fam)
+    asked = []
+    monkeypatch.setattr(ranklab, "svd_norms", lambda stack: asked.append(stack))
+    pts = [[0.3 * c for c in point] for point in polydisk(7, 300, 2)]
+    split = check_split_bound(fam, res.split_functions, pts)
+    jst = check_jst_bound(fam, res, pts)
+    assert split.passed and split.checked == 300 * len(res.split_functions) > 0
+    assert jst.passed and jst.checked == 300 * len(res.functions) > 0
+    assert asked == []
+
+
+def test_norm_bounds_refuse_non_finite_matrices_before_evaluating(monkeypatch):
+    fam = triangular_two_parameter_family()
+    res = jst_defining_functions(fam)
+
+    def non_finite(self, points):
+        raise NonFiniteError("matrix has non-finite entries")
+
+    def overflowing(polys, points):
+        raise OverflowError("absolute value too large")
+
+    monkeypatch.setattr(MatrixFamily, "at_many", non_finite)
+    monkeypatch.setattr(sylv, "_moduli", overflowing)
+    pts = polydisk(4, 5, 2)
+    with pytest.raises(NonFiniteError):
+        check_split_bound(fam, res.split_functions, pts)
+    with pytest.raises(NonFiniteError):
+        check_jst_bound(fam, res, pts)
 
 
 def bound_summary(report):

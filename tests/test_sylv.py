@@ -1,10 +1,15 @@
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jordanscope.algebra import (
     GaussianRational,
@@ -16,7 +21,9 @@ from jordanscope.algebra import (
     subresultant_prs,
 )
 from jordanscope.algebra.multipoly import StackedEvaluator
+from jordanscope import sylv
 from jordanscope.family import MatrixFamily
+from jordanscope.ranklab import ScaleBounds
 from jordanscope.sylv import (
     bound_report,
     build_split_matrix,
@@ -383,9 +390,139 @@ def test_bound_report_overflowing_power_is_an_infinite_bound():
     # 1e200 ** 2 leaves float64: that point's bound is inf and its ratio
     # 0, while the finite point keeps the exact bound 4 * 2.0 ** 2
     one = MultiPoly.one(1)
+    scales = np.array([1e200, 2.0])
     report = bound_report("test", [[0j], [1j]], [one.scale(100)], 4.0,
-                          [1e200, 2.0], 2)
+                          ScaleBounds(scales, scales, scales.__getitem__), 2)
     assert report.checked == 2
     assert [v["bound"] for v in report.violations] == [16.0]
     assert report.violations[0]["point"] == [1j]
     assert report.max_ratio == 100 / 16.0
+
+
+# ---------------------------------------------------------------------------
+# bound_report against the full evaluation
+
+
+def full_bound_report(points, values, constant, scales, exponent):
+    """Reference: the bound check before it took scale intervals. Every
+    point's bound from its exact scale in Python floats, every ratio, and
+    the violations in point order; (checked, violations, max_ratio)."""
+    bounds = [constant * sylv._power(max(1.0, s), exponent) for s in scales]
+    limits = np.array(bounds)[:, None]
+    with np.errstate(all="ignore"):
+        ratios = values / limits
+        bad = np.nonzero(values > limits * (1 + 1e-12))
+    violations = [
+        {"point": list(points[i]), "value": float(values[i, j]), "bound": bounds[i]}
+        for i, j in zip(*bad)
+    ]
+    return values.size, violations, float(np.fmax.reduce(ratios, axis=None, initial=0.0))
+
+
+def hexed(checked, violations, max_ratio):
+    return checked, [(v["point"], v["value"].hex(), v["bound"].hex())
+                     for v in violations], max_ratio.hex()
+
+
+ONE_UP, ONE_DOWN = np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)
+#: scales at and around 1 (within the candidate slack of it too), tiny, huge
+SPECIAL_SCALES = [0.0, 0.25, ONE_DOWN, 1.0, ONE_UP, 1 - 1e-10, 1 + 1e-10,
+                  1 + 1e-7, 2.0, 1e-300, 1e150, 1e200, math.inf, math.nan]
+#: value factors of a point's exact bound: ties, and either side of a violation
+FACTORS = [0.0, 0.5, ONE_DOWN, 1.0, ONE_UP, 1 + 1e-12, 1 + 2e-12, 2.0, math.inf,
+           math.nan]
+
+
+@st.composite
+def scale_intervals(draw, count):
+    """(exact scales, ScaleBounds) for ``count`` points: each interval is
+    the exact point, a certified interval around it, or (0, inf)."""
+    scales = draw(st.lists(st.one_of(st.sampled_from(SPECIAL_SCALES),
+                                     st.floats(0, 1e6)), min_size=count, max_size=count))
+    lo, hi = [], []
+    for s in scales:
+        kind = 0 if math.isnan(s) else draw(st.integers(0, 2))
+        widths = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 0.5]))
+        lo.append([s, s * (1 - widths), 0.0][kind])
+        hi.append([s, s * (1 + widths), math.inf][kind])
+    array = np.array(scales)
+    return scales, ScaleBounds(np.array(lo), np.array(hi), array.__getitem__)
+
+
+@st.composite
+def bound_cases(draw):
+    count = draw(st.integers(1, 8))
+    width = draw(st.integers(0, 3))
+    scales, bounds = draw(scale_intervals(count))
+    constant = draw(st.one_of(st.sampled_from([1.0, 4.0, 1e-300, 1e-20, 1e300]),
+                              st.floats(1e-300, 1e300)))
+    exponent = draw(st.sampled_from([1, 2, 4, 18, 162, 512]))
+    exact = [constant * sylv._power(max(1.0, s), exponent) for s in scales]
+    tied = draw(st.booleans())  # every value at its point's bound
+    values = np.array([
+        [b if tied else draw(st.one_of(
+            st.sampled_from(FACTORS).map(lambda f, b=b: b * f),
+            st.sampled_from([0.0, math.nan, math.inf]),
+            st.floats(0, 1e300)))
+         for _ in range(width)] for b in exact], dtype=float).reshape(count, width)
+    points = [[complex(k, 0)] for k in range(count)]
+    return points, values, constant, scales, bounds, exponent
+
+
+#: a point whose interval (0, inf) leaves its ratio anywhere up to 5e11,
+#: while its exact ratio 0.5 is below the other point's
+WIDE_BELOW = ([[0j], [1j]], np.array([[ONE_DOWN], [5e11]]), 1.0, [1.0, 1e6],
+              ScaleBounds(np.array([1.0, 0.0]), np.array([1.0, math.inf]),
+                          np.array([1.0, 1e6]).__getitem__), 2)
+
+
+@settings(max_examples=400, deadline=None)
+@given(bound_cases())
+@example(WIDE_BELOW)
+def test_bound_report_has_the_bits_of_the_full_evaluation(case):
+    points, values, constant, scales, bounds, exponent = case
+    with mock.patch.object(sylv, "_moduli", lambda polys, pts: values):
+        report = bound_report("test", points, [], constant, bounds, exponent)
+    assert hexed(report.checked, report.violations, report.max_ratio) == hexed(
+        *full_bound_report(points, values, constant, scales, exponent))
+
+
+def test_bound_report_takes_exact_scales_only_where_they_decide():
+    asked = []
+    scales = np.array([0.5, 3.0, 4.0, 2.0])
+
+    def exact(index):
+        asked.append(index.tolist())
+        return scales[index]
+
+    values = np.array([[2.0], [4.0], [17.0], [0.0]])
+    bounds = ScaleBounds(scales * (1 - 1e-6), scales * (1 + 1e-6), exact)
+    with mock.patch.object(sylv, "_moduli", lambda polys, pts: values):
+        report = bound_report("test", [[0j]] * 4, [], 1.0, bounds, 2)
+    # point 0 violates its bound 1.0 (hi <= 1: no SVD) with the largest
+    # ratio; point 2 violates 16.0; point 1 is far below both its bound
+    # and ratio 2.0, and point 3 is zero
+    assert asked == [[2]]
+    assert report.max_ratio == 2.0
+    assert [v["bound"] for v in report.violations] == [1.0, 16.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_coeff_bound_row_maxima_keep_the_rule_of_python_max(data):
+    count, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
+    entry = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 3.0, math.nan, math.inf]),
+                      st.floats(0, 1e3))
+    lower = np.array(data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                        min_size=count, max_size=count)))
+    values = np.array(data.draw(st.lists(
+        st.lists(st.one_of(entry, st.floats(0, 1e40)), min_size=2, max_size=2),
+        min_size=count, max_size=count)))
+    family = UniPoly([MultiPoly.one(1)] * (n + 1))
+    points = [[complex(k, 0)] for k in range(count)]
+    tables = iter([lower, values])
+    with mock.patch.object(sylv, "_moduli", lambda polys, pts: next(tables)):
+        report = check_coeff_bound([], family, points)
+    largest = [max(row, default=0.0) for row in lower.tolist()]
+    want = full_bound_report(points, values, float((2 * n) ** (4 * n)), largest, 2 * n)
+    assert hexed(report.checked, report.violations, report.max_ratio) == hexed(*want)
