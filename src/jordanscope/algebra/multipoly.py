@@ -36,13 +36,17 @@ class NonFiniteError(ValueError):
         super().__init__(message)  # one argument, so that pickling works
 
 
-def _add_term(terms: dict, expo, c):
-    """Add the nonzero c at expo; a zero sum removes the term (a later one is inserted last)."""
-    s = c if (old := terms.get(expo)) is None else old + c
-    if s.is_zero():
-        del terms[expo]
-    else:
-        terms[expo] = s
+def _sum_terms(terms: dict, pairs) -> dict:
+    """``terms`` plus each (key, nonzero value) pair in turn: a sum reaching
+    zero deletes its key (a later one is inserted last)."""
+    for key, c in pairs:
+        if (s := terms.get(key)) is None:
+            terms[key] = c
+        elif s := s + c:
+            terms[key] = s
+        else:
+            del terms[key]
+    return terms
 
 
 def _grade_key(expo):
@@ -130,12 +134,9 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check(other)
-        terms = dict(self.terms)
-        for expo, c in other.terms.items():
-            _add_term(terms, expo, c)
         out = MultiPoly.__new__(MultiPoly)
         out.nvars = self.nvars
-        out.terms = terms
+        out.terms = _sum_terms(dict(self.terms), other.terms.items())
         return out
 
     def __sub__(self, other):
@@ -155,13 +156,11 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                _add_term(terms, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
         out = MultiPoly.__new__(MultiPoly)
         out.nvars = self.nvars
-        out.terms = terms
+        out.terms = _sum_terms({}, ((tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+                                    for e1, c1 in self.terms.items()
+                                    for e2, c2 in other.terms.items()))
         return out
 
     def __rmul__(self, other):

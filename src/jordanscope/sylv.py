@@ -121,6 +121,8 @@ def split_defining_functions(
 #: of :func:`bound_report`, far above the rounding of the powers that bound
 #: them (a few ulps) and far below any gap that matters to a report
 CANDIDATE_SLACK = 1e-9
+#: beyond this many candidates, the exact ratios of this many raise the floor
+FEW_CANDIDATES = 16
 
 
 @dataclass
@@ -150,28 +152,40 @@ def bound_report(label: str, points: Sequence, functions: Sequence[MultiPoly],
     beyond float64 makes the bound inf, which no value violates.
 
     Only candidate points take the exact bound B(S_i), computed in Python
-    floats with S_i from one ``scales.exact`` call on the index array of
-    the candidates whose hi_i exceeds 1 (max(1, S_i) is 1.0 at the rest).
+    floats with S_i from ``scales.exact`` on index arrays of candidates
+    whose hi_i exceeds 1 (max(1, S_i) is 1.0 at the rest), once a point.
     With m_i the largest value at point i and the bounds B(lo_i) and
     B(hi_i) of the interval widened by CANDIDATE_SLACK, point i is a
-    candidate when m_i > 0 and either m_i / B(lo_i) reaches the largest
-    m_k / B(hi_k) or m_i reaches B(lo_i). Every other point's ratios lie
-    strictly below a candidate's, and none of its values violates, so the
-    report has the bits of checking every point exactly.
+    candidate when m_i > 0 and either m_i / B(lo_i) reaches the floor (the
+    largest m_k / B(hi_k)) or m_i reaches B(lo_i). Beyond FEW_CANDIDATES
+    candidates, the floor first rises to the largest exact ratio of the
+    FEW_CANDIDATES with the largest m_i / B(lo_i), a ratio the report
+    takes: B(lo_i) <= B(S_i) keeps its point. Every other point's ratios
+    lie strictly below a candidate's, and none of its values violates, so
+    the report has the bits of checking every point exactly.
     """
     values = _moduli(functions, points)
     peaks = np.fmax.reduce(values, axis=1, initial=0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         low = constant * np.fmax(1.0, scales.lo * (1 - CANDIDATE_SLACK)) ** exponent
         high = constant * np.fmax(1.0, scales.hi * (1 + CANDIDATE_SLACK)) ** exponent
+        upper = peaks / low
         floor = np.fmax.reduce(peaks / high, initial=0.0)
-        below = (peaks / low < floor) & (peaks < low)
-    picked = np.flatnonzero((peaks > 0) & ~below)
-    exact = np.ones(len(picked))
-    wide = scales.hi[picked] > 1
-    if wide.any():
-        exact[wide] = scales.exact(picked[wide])
-    bounds = [constant * _power(max(1.0, s), exponent) for s in exact.tolist()]
+    picked = np.flatnonzero((peaks > 0) & ~((upper < floor) & (peaks < low)))
+    exact, known = np.ones(len(peaks)), ~(scales.hi > 1)  # max(1, S_i) = 1 where hi_i <= 1
+
+    def bounds_at(index):
+        if len(ask := index[~known[index]]):
+            exact[ask], known[ask] = scales.exact(ask), True
+        return [constant * _power(max(1.0, s), exponent) for s in exact[index].tolist()]
+
+    if len(picked) > FEW_CANDIDATES:
+        top = picked[np.argsort(-upper[picked], kind="stable")[:FEW_CANDIDATES]]
+        with np.errstate(all="ignore"):
+            tops = values[top] / np.array(bounds_at(top))[:, None]
+        floor = max(floor, np.fmax.reduce(tops, axis=None, initial=0.0))
+        picked = picked[~((upper[picked] < floor) & (peaks[picked] < low[picked]))]
+    bounds = bounds_at(picked)
     limits, kept = np.array(bounds)[:, None], values[picked]
     with np.errstate(all="ignore"):
         ratios = kept / limits

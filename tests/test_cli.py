@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jordanscope import cli, ranklab, scanner
+from jordanscope import cli, ranklab, scanner, sylv
 from jordanscope.algebra import parse_entry
 from jordanscope.family import MAX_PARAMS, MatrixFamily
 
@@ -882,6 +882,28 @@ def test_jst_bound_takes_fewer_svds_than_samples(capsys, svd_count):
     bound = json.loads(out)["bound_check"]
     assert code == 0 and bound["passed"] and bound["checked"] > 0
     assert 0 < sum(svd_count) < 1000
+
+
+def test_jst_bound_takes_exact_norms_at_a_few_top_candidates(capsys, svd_count, monkeypatch):
+    checks = []
+    real = scanner.bound_report
+
+    def spy(*args):
+        checks.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(scanner, "bound_report", spy)
+    code, out = run_cli(["jst-set", "--builtin", "double-eig", "--samples", "2000"], capsys)
+    bound = json.loads(out)["bound_check"]
+    assert code == 0 and bound["passed"] and len(checks) == 1
+    assert 0 < sum(svd_count) <= 32  # 932 where every candidate took its norm
+    # the ratio of taking the exact bound at every sample
+    _, points, functions, constant, scales, exponent = checks[0]
+    limits = [constant * sylv._power(max(1.0, s), exponent)
+              for s in scales.exact(np.arange(len(points))).tolist()]
+    with np.errstate(all="ignore"):
+        ratios = sylv._moduli(functions, points) / np.array(limits)[:, None]
+    assert bound["max_ratio"] == float(np.fmax.reduce(ratios, axis=None, initial=0.0))
 
 
 def test_coefficient_bound_takes_no_svd(capsys, svd_count):

@@ -8,8 +8,10 @@ floating evaluation sums the terms in that order, so it fixes the last
 bits of ``track`` roots and of bound-check ratios.
 """
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,9 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jordanscope.algebra import GaussianRational, MultiPoly, char_poly
-from jordanscope.algebra.matrices import as_matrix, char_poly_stack, poly_at_matrix
+from jordanscope.algebra.matrices import _keyed, as_matrix, char_poly_stack, poly_at_matrix
 from jordanscope.algebra.multipoly import one_like, zero_like
+from jordanscope.family import MatrixFamily
 from jordanscope.sylv import split_matrices
+
+DATA = Path(__file__).parent / "data"
 
 
 def list_mat_mul(a, b):
@@ -106,7 +111,9 @@ def test_char_poly_of_a_family_has_the_list_terms_in_their_order(rows):
 
 def test_char_poly_of_random_families_has_the_list_terms_in_their_order():
     """Dense integer families; many of them tell a diagonal update
-    c + m_ii from m_ii + c by the term order of the result."""
+    c + m_ii from m_ii + c by the term order of the result. Then dense
+    5 x 5 and 6 x 6 families in two parameters, with the benchmark's
+    integer and Gaussian-integer coefficients and zero entries."""
     rng = random.Random(5)
     for _ in range(80):
         nvars, n = rng.randint(1, 2), rng.randint(2, 4)
@@ -118,6 +125,48 @@ def test_char_poly_of_random_families_has_the_list_terms_in_their_order():
 
         rows = [[entry() for _ in range(n)] for _ in range(n)]
         same_polys(char_poly(rows).coeffs, list_char_poly(rows))
+    for n in (5, 6, 5, 6):
+        def dense_entry():
+            if rng.random() > 0.7:
+                return MultiPoly.zero(2)
+            return MultiPoly(2, {
+                (rng.randint(0, 1), rng.randint(0, 1)):
+                    GaussianRational(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((-1, 0, 1)))
+                for _ in range(rng.randint(1, 2))})
+
+        rows = [[dense_entry() for _ in range(n)] for _ in range(n)]
+        same_polys(char_poly(rows).coeffs, list_char_poly(rows))
+
+
+def test_char_poly_takes_float_scalars_only_below_the_exactness_bound():
+    """A 3 x 3 family over denominator 3 whose first row sum alpha of
+    |re| + |im| puts B = n * 2**n * alpha**n just below 2**53, and one
+    just above: the first runs on Python complex, the second on
+    GaussianRational, and both give the list recursion's terms."""
+    below = round((2**53 / 24) ** (1 / 3))
+    while 24 * below**3 >= 2**53:
+        below -= 1
+    while 24 * (below + 1) ** 3 < 2**53:
+        below += 1
+    z, w = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    one = MultiPoly.one(2)
+    for alpha, scalar in ((below, complex), (below + 1, GaussianRational)):
+        top = GaussianRational(alpha - 9, -6)  # |re| + |im| = alpha - 3
+        rows = [[z * top + one, w * 2, MultiPoly.zero(2)],
+                [one, z * GaussianRational(0, 1), w + one],
+                [z * 5, one * 7, z + w * 2]]
+        rows = [[x * Fraction(1, 3) for x in row] for row in rows]
+        keyed, _, d = _keyed(as_matrix(rows))
+        assert d == 3
+        assert {type(v) for x in keyed.flat for v in x.terms.values()} == {scalar}
+        same_polys(char_poly(rows).coeffs, list_char_poly(rows))
+
+
+def test_char_poly_beyond_the_float_bound_keeps_the_list_terms():
+    family = MatrixFamily.from_spec_dict(json.loads((DATA / "dense8.json").read_text()))
+    keyed, _, _ = _keyed(as_matrix(family.entries))
+    assert {type(v) for x in keyed.flat for v in x.terms.values()} == {GaussianRational}
+    same_polys(char_poly(family.entries).coeffs, list_char_poly(family.entries))
 
 
 @settings(max_examples=40, deadline=None)

@@ -487,6 +487,42 @@ def test_bound_report_has_the_bits_of_the_full_evaluation(case):
         *full_bound_report(points, values, constant, scales, exponent))
 
 
+#: two tight points at the largest ratio 0.5, tied, and a wide one whose
+#: upper ratio 1 puts it first: the raised floor must keep the tied pair
+TIED_BELOW_WIDE = ([[0j], [1j], [2j]], np.array([[2.0], [2.0], [1.0]]), 1.0, [2.0, 2.0, 1e6],
+                   ScaleBounds(np.array([2.0, 2.0, 0.0]), np.array([2.0, 2.0, math.inf]),
+                               np.array([2.0, 2.0, 1e6]).__getitem__), 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bound_cases(), st.integers(0, 3))
+@example(TIED_BELOW_WIDE, 2)
+def test_bound_report_raising_its_floor_keeps_the_bits(case, few):
+    """With at most ``few`` candidates before the floor rises: the bits of
+    the full evaluation, each scale asked once, only at a point of the
+    candidate rule without the raised floor."""
+    points, values, constant, scales, bounds, exponent = case
+    asked = []
+
+    def exact(index):
+        asked.extend(index.tolist())
+        return bounds.exact(index)
+
+    with mock.patch.object(sylv, "_moduli", lambda polys, pts: values), \
+            mock.patch.object(sylv, "FEW_CANDIDATES", few):
+        report = bound_report("test", points, [], constant, bounds._replace(exact=exact),
+                              exponent)
+    assert hexed(report.checked, report.violations, report.max_ratio) == hexed(
+        *full_bound_report(points, values, constant, scales, exponent))
+    peaks = np.fmax.reduce(values, axis=1, initial=0.0)
+    with np.errstate(all="ignore"):
+        low = constant * np.fmax(1.0, bounds.lo * (1 - sylv.CANDIDATE_SLACK)) ** exponent
+        high = constant * np.fmax(1.0, bounds.hi * (1 + sylv.CANDIDATE_SLACK)) ** exponent
+        floor = np.fmax.reduce(peaks / high, initial=0.0)
+        rule = (peaks > 0) & ~((peaks / low < floor) & (peaks < low)) & (bounds.hi > 1)
+    assert len(set(asked)) == len(asked) and set(asked) <= set(np.flatnonzero(rule).tolist())
+
+
 def test_bound_report_takes_exact_scales_only_where_they_decide():
     asked = []
     scales = np.array([0.5, 3.0, 4.0, 2.0])
