@@ -65,7 +65,7 @@ from .scanner import (
     jst_defining_functions,
     scan_grid,
 )
-from .sylv import check_coeff_bound, split_defining_functions
+from .sylv import RankBandError, check_coeff_bound, split_defining_functions
 from .tracker import (
     ProbeDisagreementError,
     distinct_eigenvalues,
@@ -93,6 +93,7 @@ INPUT_ERROR_SUFFIXES = {
     MinorSizeError: "; symbolic commands build the (2n-1) x (2n-1) splitting "
                     f"matrix, so they take n <= {(MINOR_DIMENSION_CAP + 1) // 2}",
     NonFiniteError: "; values leave the float64 range",
+    RankBandError: "; the tolerance is too loose for this family",
 }
 
 
@@ -187,20 +188,26 @@ def json_text(doc, newline="\n") -> str:
     return json.dumps(doc, sort_keys=True, indent=2).replace("\n", newline)
 
 
+def write_text(path: str, text: str):
+    """Write ``text`` to ``path``; a path that cannot be written is an input error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise InputError(f"cannot write output file: {err}") from err
+
+
 def emit(doc: dict, out_path=None):
     text = json_text(doc) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_text(out_path, text)
     else:
         sys.stdout.write(text)
 
 
 def write_csv(path: str, header, rows):
     """One comma-separated line for the header and each row, fields by ``str``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in [header, *rows]:
-            fh.write(",".join(map(str, row)) + "\n")
+    write_text(path, "".join(",".join(map(str, row)) + "\n" for row in [header, *rows]))
 
 
 def resolve_family(args):
@@ -729,7 +736,7 @@ def main(argv=None) -> int:
                 emit({"schema": "v1", "kind": args.command,
                       "manifest": manifest(args.argv, raw, rel_tol, args.seed),
                       "family_label": fam.label, **body}, args.out)
-    except (InputError, MinorSizeError, NonFiniteError) as err:
+    except (InputError, MinorSizeError, NonFiniteError, RankBandError) as err:
         suffix = INPUT_ERROR_SUFFIXES.get(type(err), "")
         sys.stderr.write(f"input error: {err}{suffix}\n")
         return EXIT_INPUT

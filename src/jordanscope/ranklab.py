@@ -8,24 +8,14 @@ integers after scaling each row by the lcm of its denominators;
 of polynomial matrices come from one sweep over the rows that expands
 every order-k minor along its last row in terms of the order-(k-1)
 minors above it: sums and products only, no division, and each nonzero
-lower minor is computed once for all minors above it.
-
-The sweep multiplies ints. Each row is scaled to Gaussian integers by the
-lcm of its denominators, and each entry packed as two ints, its real and
-imaginary parts, by the Kronecker substitution x_v -> 2**(width *
-stride_v) (Kronecker 1882; Harvey, J. Symbolic Comput. 44 (2009)): a
-polynomial product is then a few int products. The slot width and the
-radixes bound every minor of the sweep (:class:`_Packing`), so a packed
-value is zero exactly when its polynomial is, and the minors are unpacked
-once at the end. Where a packed polynomial would exceed
-``PACKED_BITS_CAP`` bits, as in many parameters, the same sweep runs on
-``MultiPoly`` entries.
+lower minor is computed once for all minors above it, on the packed
+Gaussian-integer image of ``algebra.matrices`` (its module docstring) or,
+past ``matrices.PACKED_BITS_CAP`` bits, on the ``MultiPoly`` entries.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -34,7 +24,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .algebra.matrices import as_matrix
+from .algebra import matrices
 from .algebra.multipoly import MultiPoly, NonFiniteError
 from .algebra.scalars import GaussianRational
 
@@ -50,17 +40,8 @@ _TINY = np.finfo(float).tiny
 
 #: minor enumeration refuses matrices larger than this: the row sweep
 #: holds up to C(9, k)**2 minors at level k (15,876 at k = 4), each a pair
-#: of packed ints of at most PACKED_BITS_CAP bits, or past that a MultiPoly
+#: of packed ints of at most matrices.PACKED_BITS_CAP bits, or a MultiPoly
 MINOR_DIMENSION_CAP = 9
-
-#: a packed polynomial of the minor sweep takes width * prod(radixes) bits
-#: (:class:`_Packing`); a matrix beyond this sweeps over MultiPoly entries,
-#: as any matrix in which 16 variables occur does (the width is at least 4
-#: and each radix then at least 2). Sparse polynomials in many variables
-#: fill little of their box: on families in 5 to 7 variables the packed
-#: sweep was the slower one from about 2**18 bits. A dense 5 x 5 family in
-#: 2 variables takes 2**16.6 bits and its sweep runs 4 times faster packed.
-PACKED_BITS_CAP = 2**17
 
 
 class MinorSizeError(ValueError):
@@ -318,7 +299,7 @@ def _bareiss(matrix) -> int:
 def exact_rank(m) -> int:
     """True rank over QQ(i) by Bareiss elimination with full pivoting,
     of a matrix whose entries :func:`as_matrix` reads as exact."""
-    a = as_matrix(m)
+    a = matrices.as_matrix(m)
     if a.dtype != object:
         raise TypeError("exact rank needs exact entries")
     return _bareiss(a.tolist())
@@ -367,12 +348,8 @@ def minors(m: Sequence[Sequence[MultiPoly]], order: int):
     of a later row outside its columns; each lower minor is formed once
     for all the minors above it.
 
-    The sweep runs on Kronecker-packed Gaussian integers (:class:`_Packing`):
-    each row scaled by the lcm of its denominators, each entry as two
-    ints, and each polynomial product as int products. Where a packed
-    polynomial would take more than ``PACKED_BITS_CAP`` bits, as in many
-    parameters, the same sweep runs on the ``MultiPoly`` entries. Both
-    give the same minors, exactly.
+    The sweep runs on ``matrices._Packing`` ints, or on the ``MultiPoly``
+    entries past ``matrices.PACKED_BITS_CAP`` bits; the minors are the same.
     """
     m = [list(row) for row in m]
     nrows = len(m)
@@ -383,14 +360,14 @@ def minors(m: Sequence[Sequence[MultiPoly]], order: int):
         raise ValueError("minor order must be >= 1")
     check_minor_size(nrows, ncols)
     nvars = m[0][0].nvars
-    packing = _Packing.of(m, order)
+    packing = matrices._Packing.of(m, order)
     if packing is None:
         level = _sweep(m, order, MultiPoly.one(nvars))
 
         def emit(d, rows):
             return MultiPoly(nvars, dict(d.sorted_terms()))
     else:
-        level, emit = _sweep(packing.rows, order, _Packed(1, 0)), packing.unpack
+        level, emit = _sweep(packing.rows, order, matrices._Packed(1, 0)), packing.unpack
     return [emit(d, rows) for rows in sorted(level) for _, d in sorted(level[rows].items())]
 
 
@@ -422,117 +399,6 @@ def _sweep(m, order: int, one) -> dict:
                     following[rows + (i,)] = nonzero
         level = following
     return level
-
-
-class _Packed:
-    """A polynomial with Gaussian-integer coefficients, packed by a
-    :class:`_Packing`: the packed real parts and the packed imaginary parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: int, im: int):
-        self.re, self.im = re, im
-
-    def __add__(self, other):
-        return _Packed(self.re + other.re, self.im + other.im)
-
-    def __mul__(self, other):
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return _Packed(a * c - b * d, a * d + b * c)
-
-    def __neg__(self):
-        return _Packed(-self.re, -self.im)
-
-    def is_zero(self) -> bool:
-        return not (self.re or self.im)
-
-
-class _Packing:
-    """Kronecker substitution x_v -> 2**(width * stride_v) for the minors of
-    order at most ``order`` of one matrix.
-
-    Row i is scaled to Gaussian integers by the lcm s_i of its
-    denominators, so a minor on rows R is prod(s_i, i in R) times the
-    minor of the input. Its coefficients have |re| + |im| at most the
-    product of the ``order`` largest row sums of |re| + |im| (each at
-    least 1); ``width`` holds that bound and a sign bit, rounded up to
-    whole hex digits. Its degree in x_v is at most the sum of the
-    ``order`` largest row degrees in x_v, one less than the radix of
-    x_v. Both bounds hold for every lower-order minor and every partial
-    sum of the sweep, so a packed value is an exact image of its
-    polynomial: balanced base-2**width digits, one per monomial, and
-    zero iff the polynomial is.
-    """
-
-    def __init__(self, terms, width: int, radixes: list, scales: list):
-        self.nvars, self.width, self.radixes, self.scales = (
-            len(radixes), width, radixes, scales)
-        shifts = [width * math.prod(radixes[:v]) for v in range(self.nvars)]
-        self.rows = [[self._pack(entry, s, shifts) for entry in row]
-                     for row, s in zip(terms, scales)]
-
-    @classmethod
-    def of(cls, m, order: int):
-        """The packing of ``m`` for minors up to ``order``, or None where a
-        packed polynomial would exceed ``PACKED_BITS_CAP`` bits."""
-        nvars = m[0][0].nvars
-        # per entry: its terms as (exponent, a, b, d), the value (a + b*i)/d
-        terms = [[[(x, *c.ints) for x, c in e.terms.items()] for e in row] for row in m]
-        scales, bounds, degrees = [], [], []
-        for row in terms:
-            flat = [t for entry in row for t in entry]
-            s = math.lcm(*(d for _, _, _, d in flat))
-            scales.append(s)
-            bounds.append(max(1, sum((abs(a) + abs(b)) * (s // d) for _, a, b, d in flat)))
-            degrees.append([max(column) for column in zip(*(x for x, _, _, _ in flat))]
-                           if flat else [0] * nvars)
-
-        def largest(values):
-            return sorted(values, reverse=True)[:order]
-
-        width = -(-(math.prod(largest(bounds)).bit_length() + 1) // 4) * 4
-        radixes = [1 + sum(largest(column)) for column in zip(*degrees)]
-        if width * math.prod(radixes) > PACKED_BITS_CAP:
-            return None
-        return cls(terms, width, radixes, scales)
-
-    @staticmethod
-    def _pack(entry, s: int, shifts) -> _Packed:
-        re = im = 0
-        for x, a, b, d in entry:
-            scale, shift = s // d, sum(map(operator.mul, x, shifts))
-            re += a * scale << shift
-            im += b * scale << shift
-        return _Packed(re, im)
-
-    def _digits(self, value: int) -> dict:
-        """{slot: digit} of the nonzero balanced base-2**width digits."""
-        hexes = self.width // 4
-        zero = "8" + "0" * (hexes - 1)  # the digit 0 plus the offset 2**(width - 1)
-        count = abs(value).bit_length() // self.width + 2
-        text = format(value + int(zero * count, 16), "x").zfill(count * hexes)
-        half = 1 << (self.width - 1)
-        return {count - 1 - q: int(text[p:p + hexes], 16) - half
-                for q, p in enumerate(range(0, count * hexes, hexes))
-                if text[p:p + hexes] != zero}
-
-    def _exponent(self, slot: int) -> tuple:
-        out = []
-        for r in self.radixes:
-            slot, e = divmod(slot, r)
-            out.append(e)
-        return tuple(out)
-
-    def unpack(self, p: _Packed, rows) -> MultiPoly:
-        """The minor on ``rows`` of the input from its packed scaled value,
-        with its terms in ``sorted_terms()`` order."""
-        scale = math.prod(self.scales[i] for i in rows)
-        re, im = self._digits(p.re), self._digits(p.im)
-        out = MultiPoly(self.nvars, {
-            self._exponent(t): GaussianRational.from_ints(re.get(t, 0), im.get(t, 0), scale)
-            for t in re.keys() | im.keys()})
-        out.terms = dict(out.sorted_terms())
-        return out
 
 
 # ---------------------------------------------------------------------------

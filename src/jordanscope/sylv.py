@@ -30,6 +30,10 @@ from .ranklab import (
 )
 
 
+class RankBandError(ValueError):
+    """A splitting-matrix rank outside n..2n-1: a tolerance too loose for the family."""
+
+
 def _require_monic(p: UniPoly) -> UniPoly:
     if p.is_zero() or p.degree < 1:
         raise ValueError("need a monic polynomial of degree >= 1")
@@ -81,7 +85,7 @@ def split_counts(split, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
     n = (split.shape[-1] + 1) // 2
     counts = stacked_ranks(split, rel_tol) - n + 1
     if np.any((counts < 1) | (counts > n)):
-        raise ArithmeticError("splitting-matrix rank outside the admissible band")
+        raise RankBandError("splitting-matrix rank outside the admissible band")
     return counts
 
 

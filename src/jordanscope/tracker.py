@@ -686,7 +686,7 @@ def factors_from_stack(stack: ProbeStack):
     # classify_point uses, decides the split here. Both agree on every
     # scan node measured, but on [[z, 1, 0], [0, z, 0], [0, 0, 1]] at
     # z = 1 with probe radius 1e-3 the rank misses the 1e-3 root gap,
-    # and theta_extended would then jump at the split point.
+    # and the extended product would then jump at the split point.
     if not stack.eigen_split():
         return [(lam, 1) for lam, _ in stack.clusters[0]]
     sa = amounts_from_stack(stack)
@@ -787,20 +787,3 @@ def theta_power_ranks(theta: np.ndarray, scales, rel_tol: float = DEFAULT_REL_TO
     rows = power_ranks(theta, n - 1, scales, lambda ranks: ranks[1] == 0, rel_tol)
     return [tuple(row[1:] + [0] * (n - len(row))) for row in rows]
 
-
-def theta_extended(
-    family: MatrixFamily,
-    point,
-    rel_tol: float = DEFAULT_REL_TOL,
-    probe_radius: float = 1e-2,
-) -> np.ndarray:
-    """The nilpotent product, extended continuously across split points.
-
-    Off the splitting set this is the plain product over distinct
-    eigenvalues; at a split point each factor is raised to that
-    eigenvalue's splitting amount, which is what the nearby products
-    converge to.
-    """
-    factors = extended_theta_factors(family, point, rel_tol, probe_radius)
-    theta, _ = theta_stack(family.at(point)[None], [factors])
-    return theta[0]

@@ -36,7 +36,7 @@ from jordanscope.scanner import (
     scan_grid,
 )
 from jordanscope.sylv import build_split_matrix, check_coeff_bound
-from jordanscope.tracker import splitting_amounts, theta_extended, track_path
+from jordanscope.tracker import splitting_amounts, track_path
 
 from test_jordan import (
     block_diag_exact,
@@ -45,6 +45,7 @@ from test_jordan import (
     random_jordan_structure,
     random_unimodular,
 )
+from test_tracker import extended_theta
 
 GR = GaussianRational
 
@@ -290,12 +291,12 @@ def test_criterion_8_extended_theta_continuity():
     import cmath
 
     sqrt_family = MatrixFamily.from_entries([["0", "1"], ["z", "0"]], ["z"])
-    theta0 = theta_extended(sqrt_family, [0.0])
+    theta0 = extended_theta(sqrt_family, [0.0])
     worst = 0.0
     for radius in (1e-4, 1e-5):
         for k in range(8):
             z = radius * cmath.exp(2j * math.pi * k / 8)
-            delta = np.linalg.norm(theta_extended(sqrt_family, [z]) - theta0, 2)
+            delta = np.linalg.norm(extended_theta(sqrt_family, [z]) - theta0, 2)
             worst = max(worst, float(delta))
     assert worst <= 1e-8
 
@@ -303,11 +304,11 @@ def test_criterion_8_extended_theta_continuity():
     cell = MatrixFamily.from_entries(
         [["z", "1", "0"], ["0", "z", "0"], ["0", "0", "1"]], ["z"]
     )
-    theta1 = theta_extended(cell, [1.0], probe_radius=1e-3)
+    theta1 = extended_theta(cell, [1.0], probe_radius=1e-3)
     worst_cell = 0.0
     for k in range(8):
         z = 1.0 + 1e-9 * cmath.exp(2j * math.pi * k / 8)
-        theta = theta_extended(cell, [z], probe_radius=1e-3)
+        theta = extended_theta(cell, [z], probe_radius=1e-3)
         assert np.linalg.norm(theta, 2) > 0  # nonzero off the split point
         worst_cell = max(worst_cell, float(np.linalg.norm(theta - theta1, 2)))
     assert worst_cell <= 1e-8

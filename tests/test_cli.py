@@ -991,6 +991,34 @@ def test_family_beyond_documented_size_is_input_error(family_file, capsys, argv)
     assert code == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["scan", "--builtin", "shear", "--box=-1:1", "--res", "3", "--tol", "0.3"],
+    ["scan", "--builtin", "double-eig", "--box=-1:1", "--res", "3", "--tol", "0.05"],
+    ["verify", "--builtin-corpus", "--tol", "0.1"],
+], ids=["scan-shear", "scan-double-eig", "verify-corpus"])
+def test_tolerance_too_loose_for_the_family_is_input_error(capsys, argv):
+    # the SVD threshold drops a splitting-matrix rank below n: no distinct zero
+    code = cli.main(argv)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "input error: splitting-matrix rank outside the admissible band; "
+        "the tolerance is too loose for this family\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--builtin", "shear", "--box=-1:1", "--res", "3", "--out", "{file}"],
+    ["scan", "--builtin", "shear", "--box=-1:1", "--res", "3", "--csv", "{file}"],
+    ["track", "--builtin", "shear", "--path", "[[1],[2]]", "--csv", "{file}"],
+    ["verify", "--builtin-corpus", "--out", "{file}"],
+], ids=["scan-out", "scan-csv", "track-csv", "verify-out"])
+def test_unwritable_output_is_input_error(tmp_path, capsys, argv):
+    missing = tmp_path / "no-such-dir" / "output"
+    code = cli.main([str(missing) if a == "{file}" else a for a in argv])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: cannot write output file:") and err.count("\n") == 1
+
+
 def test_builtin_family_listing_error(capsys):
     code = cli.main(["census", "--builtin", "no-such", "--point", "1.0"])
     assert code == 2

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jordanscope.algebra import GaussianRational, MultiPoly, parse_entry
+from jordanscope.algebra import matrices
 from jordanscope.algebra.matrices import as_matrix, identity_like
 from jordanscope import ranklab
 from jordanscope.corpus import builtin_cases
@@ -375,7 +376,7 @@ def multipoly_matrices(draw):
 def test_minor_sweep_equals_per_submatrix_bareiss(cap, m):
     # no size cap: every matrix packs; a cap of 0: every one sweeps over MultiPoly
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ranklab, "PACKED_BITS_CAP", cap)
+        patch.setattr(matrices, "PACKED_BITS_CAP", cap)
         rings = sweep_rings(patch)
         for order in range(1, min(len(m), len(m[0])) + 1):
             got = minors(m, order)
@@ -418,7 +419,7 @@ def test_minors_beyond_the_packing_size_sweep_over_multipoly(monkeypatch):
     with open(DATA / "params16.json") as f:
         family = MatrixFamily.from_spec_dict(json.load(f))
     sm, r = split_matrix_at_generic_rank(family)
-    assert ranklab._Packing.of(sm.tolist(), r) is None
+    assert matrices._Packing.of(sm.tolist(), r) is None
     rings = sweep_rings(monkeypatch)
     got = minors(sm, r)
     assert rings == ["MultiPoly"] and (r, len(got)) == (4, 25)

@@ -28,10 +28,11 @@ from jordanscope.tracker import (
     cluster_stack,
     contour_root,
     contour_roots,
+    extended_theta_factors,
     isolate,
     probe_stacks,
     splitting_amounts,
-    theta_extended,
+    theta_stack,
     track_path,
 )
 
@@ -542,21 +543,28 @@ def test_splitting_amounts_probe_ring_outside_the_disks():
 
 
 # ---------------------------------------------------------------------------
-# theta_extended
+# theta_extended: the product with each factor to its splitting amount
+
+
+def extended_theta(family, point, probe_radius=1e-2):
+    """The nilpotent product at ``point``, each factor raised to its
+    splitting amount there."""
+    factors = extended_theta_factors(family, point, probe_radius=probe_radius)
+    return theta_stack(family.at(point)[None], [factors])[0][0]
 
 
 def test_theta_extended_at_split_point_is_power_product():
     f = FAM_SQRT()
-    theta0 = theta_extended(f, [0.0])
+    theta0 = extended_theta(f, [0.0])
     assert np.linalg.norm(theta0) < 1e-12  # A(0)^2 = 0
 
 
 def test_theta_extended_continuity_near_split():
     f = FAM_SQRT()
-    theta0 = theta_extended(f, [0.0])
+    theta0 = extended_theta(f, [0.0])
     for k in range(8):
         z = 1e-4 * cmath.exp(2j * math.pi * k / 8)
-        theta = theta_extended(f, [z])
+        theta = extended_theta(f, [z])
         assert np.linalg.norm(theta - theta0) <= 1e-8
 
 
@@ -568,7 +576,7 @@ def test_theta_extended_off_split_equals_product():
     a = f.at([2.0])
     clusters = distinct_eigenvalues(a)
     direct = theta_product(a, [lam for lam, _ in clusters])
-    ext = theta_extended(f, [2.0])
+    ext = extended_theta(f, [2.0])
     assert np.linalg.norm(direct - ext) < 1e-10
 
 
