@@ -188,6 +188,16 @@ def json_text(doc, newline="\n") -> str:
     return json.dumps(doc, sort_keys=True, indent=2).replace("\n", newline)
 
 
+def check_output_path(path: str):
+    """Refuse, before any work, an output path in a missing directory or
+    naming a directory: an input error. :func:`write_text` still turns an
+    ``OSError`` of the write itself into one."""
+    if os.path.isdir(path):
+        raise InputError(f"cannot write output file: {path!r} is a directory")
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise InputError(f"cannot write output file: no directory for {path!r}")
+
+
 def write_text(path: str, text: str):
     """Write ``text`` to ``path``; a path that cannot be written is an input error."""
     try:
@@ -723,6 +733,9 @@ def main(argv=None) -> int:
     args.argv = argv
     started = time.monotonic()
     try:
+        for path in (args.out, getattr(args, "csv", None)):
+            if path:
+                check_output_path(path)
         if args.command == "verify":  # its report has no family label
             code = cmd_verify(args, effective_tol(args))
         else:

@@ -271,7 +271,9 @@ class SquareFreeResult:
 
     ``theta`` holds the MultiPoly entries of Theta, the product of
     (lam_j - A) over the distinct eigenvalue branches; wherever no
-    eigenvalues collide, it evaluates to Theta(point).
+    eigenvalues collide, it evaluates to Theta(point). Where the
+    characteristic polynomial is generically square-free, Theta is the
+    zero matrix and ``distinct_degree`` is n.
     """
 
     theta: np.ndarray  # n x n, MultiPoly entries
@@ -286,7 +288,10 @@ def square_free_part_family(family: MatrixFamily) -> SquareFreeResult:
     division by its gcd g. P is monic, so by Gauss's lemma the primitive
     part of g is monic up to a unit and g's content is its leading
     coefficient: g divided by it is monic, and so is q0, whose
-    coefficients are polynomials. Theta = (-1)^m q0(A).
+    coefficients are polynomials. Theta = (-1)^m q0(A). For a square-free
+    P, g is constant, q0 = P and Theta = -+P(A) = 0 (Cayley-Hamilton):
+    :func:`jst_defining_functions` builds that zero matrix itself and
+    calls this only for a P with a repeated factor.
     """
     p = family.char_poly_family()
     g = subresultant_gcd(p, derivative(p))
@@ -345,11 +350,20 @@ def jst_defining_functions(family: MatrixFamily, seed: int = 0) -> JstResult:
     characteristic polynomial; for each power k up to the last with
     positive generic rank, the f's are the nonvanishing minors of order
     r_k of Theta^k; the h's are all products g * f^(1) * ... * f^(k0).
+
+    A splitting matrix of full rank 2n - 1 (its determinant is nonzero)
+    proves P square-free, so Theta is the zero matrix: it takes no
+    :func:`square_free_part_family`, and ranks 0 at k = 1.
     """
     notes: List[str] = []
-    gs = split_defining_functions(family.char_poly_family(), seed=seed).functions
-    sf = square_free_part_family(family)
     n = family.n
+    split = split_defining_functions(family.char_poly_family(), seed=seed)
+    gs = split.functions
+    if split.r_max == 2 * n - 1:  # P square-free: Theta = +-P(A) = 0
+        zero = np.full((n, n), MultiPoly.zero(family.nparams), dtype=object)
+        sf = SquareFreeResult(theta=zero, distinct_degree=n)
+    else:
+        sf = square_free_part_family(family)
     rank_values: Dict[int, int] = {}
     minor_functions: Dict[int, List[MultiPoly]] = {}
     power = sf.theta

@@ -22,8 +22,8 @@ from .algebra.multipoly import zero_like
 from .algebra.unipoly import UniPoly
 from .ranklab import (
     DEFAULT_REL_TOL,
+    GENERIC_RANK_NOTE,
     ScaleBounds,
-    check_minor_size,
     generic_rank,
     minors,
     stacked_ranks,
@@ -109,11 +109,20 @@ def split_defining_functions(
     r_max is the generic rank; their common zero set is exactly the set
     of parameter points where the distinct-zero count drops below its
     generic value.
+
+    The determinant is swept first: the (2n-1)-square matrix has rank
+    2n - 1 - deg gcd(p, p'), so a nonzero determinant proves r_max =
+    2n - 1 (p generically square-free) and is the one h, with no random
+    point. Only a zero determinant asks :func:`ranklab.generic_rank`.
+    Either way the report carries its ``GENERIC_RANK_NOTE``, schema-v1
+    text.
     """
     if not all(isinstance(c, MultiPoly) for c in family.coeffs):
         raise TypeError("family coefficients must be MultiPoly")
     sm = build_split_matrix(family)
-    check_minor_size(*sm.shape)  # before the costly generic rank
+    if det := minors(sm, len(sm)):
+        return SplitSetResult(functions=det, r_max=len(sm),
+                              generic_rank_note=GENERIC_RANK_NOTE)
     r_max, note = generic_rank(sm, seed=seed)
     if r_max == 0:
         raise ArithmeticError("splitting matrix cannot be identically zero")

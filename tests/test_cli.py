@@ -400,6 +400,60 @@ def test_split_set_report_is_pinned(family_file, capsys, spec, r_max, count,
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+TRI3_DOUBLE = {
+    "n": 3,
+    "params": ["z", "w"],
+    "entries": [["z", "1", "w"], ["0", "z", "1 + w"], ["0", "0", "w"]],
+    "label": "3x3 triangular, double eigenvalue",
+}
+# recorded before jst-set stopped building the square-free part of a
+# square-free characteristic polynomial (dense3) and kept for the other
+PINNED_JST_SETS = [
+    (DENSE3, {"1": 0}, 0, 1,
+     "69e5de0826f71f24cf2707bb2cc0c21a2f795667126d30e557ebcfa66c2879d2"),
+    (TRI3_DOUBLE, {"1": 1, "2": 0}, 1, 50,
+     "03a0086957820dc60cdfbb328249cc62a9439e080dffebc6ae1a52be3b7bc172"),
+]
+
+
+@pytest.mark.parametrize("spec,rank_values,k0,count,digest", PINNED_JST_SETS,
+                         ids=["dense3", "tri3-double"])
+def test_jst_set_report_is_pinned(family_file, capsys, spec, rank_values, k0, count,
+                                  digest):
+    code, out = run_cli(["jst-set", family_file(spec)], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["rank_values"], doc["k0"], len(doc["functions"])) == (rank_values, k0, count)
+    del doc["manifest"]
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("builtin,square_free", [("shear", True), ("double-eig", False)])
+def test_jst_set_decides_square_freeness_from_the_determinant(capsys, monkeypatch,
+                                                               builtin, square_free):
+    # shear's characteristic polynomial is square-free, double-eig's is not
+    parts, shapes = [], []
+    real_part, real_rank = scanner.square_free_part_family, ranklab.generic_rank
+
+    def part(family):
+        parts.append(family)
+        return real_part(family)
+
+    def rank(m, seed=0):
+        shapes.append(np.shape(m))
+        return real_rank(m, seed)
+
+    monkeypatch.setattr(scanner, "square_free_part_family", part)
+    monkeypatch.setattr(scanner, "generic_rank", rank)
+    monkeypatch.setattr(sylv, "generic_rank", rank)
+    code, _ = run_cli(["jst-set", "--builtin", builtin, "--samples", "20"], capsys)
+    assert code == 0
+    n = cli.builtin_families()[builtin].n
+    assert len(parts) == (0 if square_free else 1)
+    assert shapes.count((2 * n - 1, 2 * n - 1)) == (0 if square_free else 1)
+
+
 # the sha256 of every byte a command writes, manifest included: stdout, then
 # the file named by "{file}"; recorded before the commands shared one runner
 PINNED_OUTPUTS = [
@@ -1005,15 +1059,31 @@ def test_tolerance_too_loose_for_the_family_is_input_error(capsys, argv):
         "the tolerance is too loose for this family\n")
 
 
-@pytest.mark.parametrize("argv", [
+UNWRITABLE_OUTPUTS = pytest.mark.parametrize("argv", [
     ["scan", "--builtin", "shear", "--box=-1:1", "--res", "3", "--out", "{file}"],
     ["scan", "--builtin", "shear", "--box=-1:1", "--res", "3", "--csv", "{file}"],
     ["track", "--builtin", "shear", "--path", "[[1],[2]]", "--csv", "{file}"],
     ["verify", "--builtin-corpus", "--out", "{file}"],
 ], ids=["scan-out", "scan-csv", "track-csv", "verify-out"])
+
+
+@UNWRITABLE_OUTPUTS
 def test_unwritable_output_is_input_error(tmp_path, capsys, argv):
     missing = tmp_path / "no-such-dir" / "output"
     code = cli.main([str(missing) if a == "{file}" else a for a in argv])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: cannot write output file:") and err.count("\n") == 1
+
+
+@UNWRITABLE_OUTPUTS
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_output_fails_before_the_computation(tmp_path, capsys, monkeypatch,
+                                                        argv, target):
+    monkeypatch.setattr(cli, "resolve_family", refuse)
+    monkeypatch.setattr(cli, "_verify_case", refuse)
+    path = tmp_path / "no-such-dir" / "output" if target == "missing-dir" else tmp_path
+    code = cli.main([str(path) if a == "{file}" else a for a in argv])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: cannot write output file:") and err.count("\n") == 1

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from jordanscope import ranklab, scanner, sylv
 from jordanscope.algebra import GaussianRational, MultiPoly, UniPoly
@@ -24,6 +25,7 @@ from jordanscope.scanner import (
 )
 from jordanscope.sylv import split_counts, split_matrices
 from jordanscope.tracker import distinct_eigenvalues, probe_ring
+from test_sylv import small_families
 
 GR = GaussianRational
 DATA = Path(__file__).parent / "data"
@@ -317,6 +319,16 @@ def test_squarefree_evaluation_identity_at_rational_points():
             assert np.linalg.norm(sym - direct) <= 1e-6 * (
                 1 + np.linalg.norm(direct)
             )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(small_families())
+def test_jst_squarefree_equals_square_free_part_family(family):
+    # a full-rank splitting matrix stands in for the remainder sequence
+    got, want = jst_defining_functions(family).squarefree, square_free_part_family(family)
+    assert got.distinct_degree == want.distinct_degree
+    assert [[list(e.terms.items()) for e in row] for row in got.theta] == [
+        [list(e.terms.items()) for e in row] for row in want.theta]
 
 
 def random_jordan_family(rng):

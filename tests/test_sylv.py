@@ -23,7 +23,7 @@ from jordanscope.algebra import (
 from jordanscope.algebra.multipoly import StackedEvaluator
 from jordanscope import sylv
 from jordanscope.family import MatrixFamily
-from jordanscope.ranklab import ScaleBounds
+from jordanscope.ranklab import ScaleBounds, generic_rank, minors
 from jordanscope.sylv import (
     bound_report,
     build_split_matrix,
@@ -227,6 +227,46 @@ def test_split_zero_set_matches_distinct_count_drop():
         m = distinct_zero_count(fam_at)
         all_zero = all(h.eval_exact(pt).is_zero() for h in res.functions)
         assert all_zero == (m < 2)
+
+
+GAUSSIAN_INTS = st.builds(gr, st.integers(-2, 2), st.integers(-2, 2))
+
+
+@st.composite
+def small_families(draw):
+    """Families with n <= 3 in one or two parameters, entries affine in the
+    parameters with small Gaussian-integer coefficients: dense ones, and
+    upper-triangular ones with a repeated diagonal entry, whose
+    characteristic polynomial has a repeated factor."""
+    nv, n = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    units = [tuple(int(k == v) for k in range(nv)) for v in range(nv)]
+
+    def entry():
+        return MultiPoly(nv, {e: draw(GAUSSIAN_INTS) for e in [(0,) * nv] + units})
+
+    if draw(st.booleans()):
+        entries = [[entry() for _ in range(n)] for _ in range(n)]
+    else:
+        n = max(n, 2)
+        values = [entry() for _ in range(n - 1)]
+        diagonal = draw(st.permutations(values + [draw(st.sampled_from(values))]))
+        entries = [[diagonal[i] if i == j else entry() if j > i else MultiPoly.zero(nv)
+                    for j in range(n)] for i in range(n)]
+    return MatrixFamily(n=n, params=["z", "w"][:nv], entries=entries)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(small_families(), st.integers(0, 3))
+def test_split_defining_functions_equal_generic_rank_minors(family, seed):
+    # a nonzero determinant is the order-(2n - 1) minor list at the generic
+    # rank 2n - 1, with the note of the random-point rank
+    p = family.char_poly_family()
+    res = split_defining_functions(p, seed=seed)
+    sm = build_split_matrix(p)
+    r, note = generic_rank(sm, seed=seed)
+    assert (res.r_max, res.generic_rank_note) == (r, note)
+    assert [list(h.terms.items()) for h in res.functions] == [
+        list(h.terms.items()) for h in minors(sm, r)]
 
 
 def principal_subresultant(p, d):
