@@ -49,6 +49,7 @@ from .jordan import (
 from .corpus import CorpusCase, builtin_cases, builtin_families
 from .ranklab import (
     DEFAULT_REL_TOL,
+    GENERIC_RANK_NOTE,
     MINOR_DIMENSION_CAP,
     MinorSizeError,
     NonFiniteError,
@@ -446,7 +447,7 @@ def cmd_split_set(args, fam, rel_tol):
         "r_max": res.r_max,
         "functions": [h.to_string(fam.params) for h in res.functions],
         "empty": empty,
-        "generic_rank_note": res.generic_rank_note,
+        "generic_rank_note": GENERIC_RANK_NOTE,
         "bound_check": {
             "samples": args.samples,
             "passed": bound.passed,

@@ -15,6 +15,7 @@ past ``matrices.PACKED_BITS_CAP`` bits, on the ``MultiPoly`` entries.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from bisect import bisect_left
@@ -429,25 +430,26 @@ def random_rational_point(rng: random.Random, nvars: int):
     return pt
 
 
-def generic_rank(m: Sequence[Sequence[MultiPoly]], seed: int = 0):
-    """Max exact rank over a few random rational points, plus a note.
-
-    Exact evaluation keeps the rank decision exact at each sample; only
-    the claim of genericity is probabilistic. The points are drawn from
-    ``random.Random(seed)`` in order, and the first point at which the
-    rank reaches min(rows, cols) ends the loop: no later point can raise
-    the max, so the result is the max over all the points.
-    """
-    if len(m) == 0 or len(m[0]) == 0:
-        return 0, GENERIC_RANK_NOTE
-    nvars = m[0][0].nvars
-    full = min(len(m), len(m[0]))
+def generic_points(nvars: int, seed: int = 0) -> list:
+    """The GENERIC_RANK_POINTS random rational points of a generic rank,
+    drawn in order from ``random.Random(seed)``."""
     rng = random.Random(seed)
-    best = 0
-    for _ in range(GENERIC_RANK_POINTS):
-        pt = random_rational_point(rng, nvars)
-        value = [[entry.eval_exact(pt) for entry in row] for row in m]
-        best = max(best, exact_rank(value))
-        if best == full:
-            break
-    return best, GENERIC_RANK_NOTE
+    return [random_rational_point(rng, nvars) for _ in range(GENERIC_RANK_POINTS)]
+
+
+def generic_rank(m: Sequence[Sequence[MultiPoly]], seed: int = 0,
+                 powers: int = 1) -> list:
+    """[rank m^k for k = 1..powers] of a polynomial matrix (square if
+    powers > 1), each the max exact rank at the :func:`generic_points`;
+    the list ends after its first 0.
+
+    m is evaluated once at each point, and one exact :func:`power_ranks`
+    chain ranks the powers of the values: evaluation at a point is a
+    ring map, so m(pt)^k is m^k at pt. A point leaves the chain at its
+    first rank 0. The rank decisions are exact; only the claim of
+    genericity is probabilistic (``GENERIC_RANK_NOTE``).
+    """
+    values = np.array([[[e.eval_exact(pt) for e in row] for row in m]
+                       for pt in generic_points(m[0][0].nvars, seed)], dtype=object)
+    chains = power_ranks(values, powers, None, lambda ranks: ranks[-1] == 0)
+    return [max(ranks) for ranks in itertools.zip_longest(*chains, fillvalue=0)][1:]

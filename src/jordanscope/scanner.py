@@ -25,7 +25,8 @@ from .algebra.multipoly import MultiPoly, NonFiniteError
 from .algebra.unipoly import UniPoly, derivative, pseudo_divmod, subresultant_gcd
 from .family import MatrixFamily
 from .jordan import JordanCensus, jordan_censuses
-from .ranklab import DEFAULT_REL_TOL, ScaleBounds, generic_rank, minors, norm_scales
+from .ranklab import (DEFAULT_REL_TOL, GENERIC_RANK_NOTE, ScaleBounds, generic_rank,
+                      minors, norm_scales)
 from .sylv import (
     BoundReport,
     bound_report,
@@ -353,32 +354,25 @@ def jst_defining_functions(family: MatrixFamily, seed: int = 0) -> JstResult:
 
     A splitting matrix of full rank 2n - 1 (its determinant is nonzero)
     proves P square-free, so Theta is the zero matrix: it takes no
-    :func:`square_free_part_family`, and ranks 0 at k = 1.
+    :func:`square_free_part_family` and no evaluation, and ranks 0 at
+    k = 1. Otherwise one ``ranklab.generic_rank`` chain ranks the powers
+    of Theta, and Theta^k is formed only for k <= k0, for its minors.
     """
-    notes: List[str] = []
     n = family.n
     split = split_defining_functions(family.char_poly_family(), seed=seed)
     gs = split.functions
     if split.r_max == 2 * n - 1:  # P square-free: Theta = +-P(A) = 0
         zero = np.full((n, n), MultiPoly.zero(family.nparams), dtype=object)
         sf = SquareFreeResult(theta=zero, distinct_degree=n)
+        ranks = [0] if n > 1 else []
     else:
         sf = square_free_part_family(family)
-    rank_values: Dict[int, int] = {}
-    minor_functions: Dict[int, List[MultiPoly]] = {}
-    power = sf.theta
-    k0 = 0
-    for k in range(1, n):
-        if k > 1:
-            power = power @ sf.theta
-        r_k, note = generic_rank(power, seed=seed)
-        rank_values[k] = r_k
-        if k == 1:
-            notes.append(note)
-        if r_k == 0:
-            break
-        minor_functions[k] = minors(power, r_k)
-        k0 = k
+        ranks = generic_rank(sf.theta, seed=seed, powers=n - 1)
+    notes = [GENERIC_RANK_NOTE] if ranks else []  # no rank is taken at n = 1
+    rank_values = dict(enumerate(ranks, start=1))
+    k0 = sum(r > 0 for r in ranks)
+    powers = itertools.accumulate([sf.theta] * k0, operator.matmul)  # Theta^k, k <= k0
+    minor_functions = {k: minors(p, r) for k, (p, r) in enumerate(zip(powers, ranks), 1)}
     total = len(gs)
     for k in sorted(minor_functions):
         total *= len(minor_functions[k])

@@ -22,9 +22,8 @@ from .algebra.multipoly import zero_like
 from .algebra.unipoly import UniPoly
 from .ranklab import (
     DEFAULT_REL_TOL,
-    GENERIC_RANK_NOTE,
     ScaleBounds,
-    generic_rank,
+    generic_points,
     minors,
     stacked_ranks,
 )
@@ -91,11 +90,11 @@ def split_counts(split, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
 
 @dataclass
 class SplitSetResult:
-    """Defining polynomials of the set of splitting points."""
+    """Defining polynomials of the set of splitting points; the report
+    adds ``ranklab.GENERIC_RANK_NOTE`` to them."""
 
     functions: List[MultiPoly]
     r_max: int
-    generic_rank_note: str
 
 
 def split_defining_functions(
@@ -113,28 +112,27 @@ def split_defining_functions(
     The determinant is swept first: the (2n-1)-square matrix has rank
     2n - 1 - deg gcd(p, p'), so a nonzero determinant proves r_max =
     2n - 1 (p generically square-free) and is the one h, with no random
-    point. Only a zero determinant asks :func:`ranklab.generic_rank`.
-    Either way the report carries its ``GENERIC_RANK_NOTE``, schema-v1
-    text.
+    point. Only a zero determinant takes the coefficients of p at the
+    ``ranklab.generic_points``: r_max = n - 1 plus the largest
+    :func:`split_counts` of their splitting matrices, each the splitting
+    matrix at its point.
     """
     if not all(isinstance(c, MultiPoly) for c in family.coeffs):
         raise TypeError("family coefficients must be MultiPoly")
     sm = build_split_matrix(family)
     if det := minors(sm, len(sm)):
-        return SplitSetResult(functions=det, r_max=len(sm),
-                              generic_rank_note=GENERIC_RANK_NOTE)
-    r_max, note = generic_rank(sm, seed=seed)
-    if r_max == 0:
-        raise ArithmeticError("splitting matrix cannot be identically zero")
-    hs = minors(sm, r_max)
-    return SplitSetResult(functions=hs, r_max=r_max, generic_rank_note=note)
+        return SplitSetResult(functions=det, r_max=len(sm))
+    values = as_matrix([[c.eval_exact(pt) for c in family.coeffs]
+                        for pt in generic_points(family.coeffs[0].nvars, seed)])
+    r_max = family.degree - 1 + int(split_counts(split_matrices(values)).max())
+    return SplitSetResult(functions=minors(sm, r_max), r_max=r_max)
 
 
 #: relative widening of the scale intervals that pick the candidate points
 #: of :func:`bound_report`, far above the rounding of the powers that bound
 #: them (a few ulps) and far below any gap that matters to a report
 CANDIDATE_SLACK = 1e-9
-#: beyond this many candidates, the exact ratios of this many raise the floor
+#: the exact ratios of this many top candidates raise the floor
 FEW_CANDIDATES = 16
 
 
@@ -170,12 +168,12 @@ def bound_report(label: str, points: Sequence, functions: Sequence[MultiPoly],
     With m_i the largest value at point i and the bounds B(lo_i) and
     B(hi_i) of the interval widened by CANDIDATE_SLACK, point i is a
     candidate when m_i > 0 and either m_i / B(lo_i) reaches the floor (the
-    largest m_k / B(hi_k)) or m_i reaches B(lo_i). Beyond FEW_CANDIDATES
-    candidates, the floor first rises to the largest exact ratio of the
-    FEW_CANDIDATES with the largest m_i / B(lo_i), a ratio the report
-    takes: B(lo_i) <= B(S_i) keeps its point. Every other point's ratios
-    lie strictly below a candidate's, and none of its values violates, so
-    the report has the bits of checking every point exactly.
+    largest m_k / B(hi_k)) or m_i reaches B(lo_i). The floor then rises to
+    the largest exact ratio of the (at most) FEW_CANDIDATES candidates with
+    the largest m_i / B(lo_i), which the report takes, and the candidates
+    are picked again: B(lo_i) <= B(S_i) keeps those. Every other point's
+    ratios lie strictly below a candidate's, and none of its values
+    violates, so the report has the bits of checking every point exactly.
     """
     values = _moduli(functions, points)
     peaks = np.fmax.reduce(values, axis=1, initial=0.0)
@@ -192,12 +190,11 @@ def bound_report(label: str, points: Sequence, functions: Sequence[MultiPoly],
             exact[ask], known[ask] = scales.exact(ask), True
         return [constant * _power(max(1.0, s), exponent) for s in exact[index].tolist()]
 
-    if len(picked) > FEW_CANDIDATES:
-        top = picked[np.argsort(-upper[picked], kind="stable")[:FEW_CANDIDATES]]
-        with np.errstate(all="ignore"):
-            tops = values[top] / np.array(bounds_at(top))[:, None]
-        floor = max(floor, np.fmax.reduce(tops, axis=None, initial=0.0))
-        picked = picked[~((upper[picked] < floor) & (peaks[picked] < low[picked]))]
+    top = picked[np.argsort(-upper[picked], kind="stable")[:FEW_CANDIDATES]]
+    with np.errstate(all="ignore"):
+        tops = values[top] / np.array(bounds_at(top))[:, None]
+    floor = max(floor, np.fmax.reduce(tops, axis=None, initial=0.0))
+    picked = picked[~((upper[picked] < floor) & (peaks[picked] < low[picked]))]
     bounds = bounds_at(picked)
     limits, kept = np.array(bounds)[:, None], values[picked]
     with np.errstate(all="ignore"):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jordanscope import cli, ranklab, scanner, sylv
-from jordanscope.algebra import parse_entry
+from jordanscope.algebra import MultiPoly, parse_entry
 from jordanscope.family import MAX_PARAMS, MatrixFamily
 
 DATA = Path(__file__).parent / "data"
@@ -429,29 +430,80 @@ def test_jst_set_report_is_pinned(family_file, capsys, spec, rank_values, k0, co
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("builtin,square_free", [("shear", True), ("double-eig", False)])
+class CountedPowers(np.ndarray):
+    """Theta as a spied square_free_part_family returns it: each product
+    formed from it is counted in ``self.products``, a list shared by its
+    views."""
+
+    def __array_finalize__(self, obj):
+        self.products = getattr(obj, "products", None)
+
+    def __matmul__(self, other):
+        self.products.append(1)
+        return np.asarray(self) @ np.asarray(other)
+
+    def __rmatmul__(self, other):
+        self.products.append(1)
+        return np.asarray(other) @ np.asarray(self)
+
+
+@pytest.mark.parametrize("builtin,square_free", [
+    ("shear", True), ("double-eig", False), ("tri3-double", False), ("jordan3", False)])
 def test_jst_set_decides_square_freeness_from_the_determinant(capsys, monkeypatch,
-                                                               builtin, square_free):
-    # shear's characteristic polynomial is square-free, double-eig's is not
-    parts, shapes = [], []
+                                                               family_file, builtin,
+                                                               square_free):
+    # shear's characteristic polynomial is square-free, the others' are not;
+    # Theta^2 = 0 on tri3-double (k0 = 1 < n - 1), not on jordan3 (k0 = 2)
+    parts, ranked, counted, chains, evaluations, products = [], [], [], [], [], []
     real_part, real_rank = scanner.square_free_part_family, ranklab.generic_rank
+    real_count, real_chain = sylv.split_counts, ranklab.power_ranks
+    real_eval = MultiPoly.eval_exact
 
     def part(family):
         parts.append(family)
-        return real_part(family)
+        sf = real_part(family)
+        theta = sf.theta.view(CountedPowers)
+        theta.products = products
+        return dataclasses.replace(sf, theta=theta)
 
-    def rank(m, seed=0):
-        shapes.append(np.shape(m))
-        return real_rank(m, seed)
+    def rank(m, seed=0, powers=1):
+        ranked.append((np.shape(m), powers))
+        return real_rank(m, seed, powers)
+
+    def count(split, *args):
+        counted.append(np.shape(split))
+        return real_count(split, *args)
+
+    def chain(bases, *args):
+        chains.append(np.asarray(bases).dtype)
+        return real_chain(bases, *args)
+
+    def evaluate(poly, point):
+        evaluations.append(1)
+        return real_eval(poly, point)
 
     monkeypatch.setattr(scanner, "square_free_part_family", part)
     monkeypatch.setattr(scanner, "generic_rank", rank)
-    monkeypatch.setattr(sylv, "generic_rank", rank)
-    code, _ = run_cli(["jst-set", "--builtin", builtin, "--samples", "20"], capsys)
+    monkeypatch.setattr(sylv, "split_counts", count)
+    monkeypatch.setattr(ranklab, "power_ranks", chain)
+    monkeypatch.setattr(MultiPoly, "eval_exact", evaluate)
+    source = (["--builtin", builtin] if builtin in cli.builtin_families()
+              else [family_file(TRI3_DOUBLE)] if builtin == "tri3-double"
+              else [str(DATA / f"{builtin}.json")])
+    code, out = run_cli(["jst-set", *source, "--samples", "20"], capsys)
     assert code == 0
-    n = cli.builtin_families()[builtin].n
-    assert len(parts) == (0 if square_free else 1)
-    assert shapes.count((2 * n - 1, 2 * n - 1)) == (0 if square_free else 1)
+    if square_free:  # no Theta is built, evaluated or ranked
+        assert parts == ranked == counted == chains == evaluations == []
+        return
+    # one seeded count, one chain for every power of Theta, each value
+    # taken once a point; Theta^k is formed only for k <= k0
+    (family,) = parts
+    n, k0 = family.n, json.loads(out)["k0"]
+    assert ranked == [((n, n), n - 1)]
+    assert counted == [(ranklab.GENERIC_RANK_POINTS, 2 * n - 1, 2 * n - 1)]
+    assert chains == [np.dtype(object)]
+    assert len(evaluations) == ranklab.GENERIC_RANK_POINTS * (n + 1 + n * n)
+    assert len(products) == max(k0 - 1, 0)
 
 
 # the sha256 of every byte a command writes, manifest included: stdout, then

@@ -1,18 +1,27 @@
-"""Contract of the CLI text parsers: every input ends in a value or an
-InputError, never in another exception.
+"""Contract of the CLI: every input to a text parser ends in a value or
+an InputError, never in another exception, and every drawn family spec
+ends ``split-set`` and ``jst-set`` in a report (exit 0 or 1) or a
+one-line input error (exit 2), with the same bytes on a rerun.
 
 The inputs are hostile on purpose: huge ints, NaN and Infinity, bools,
-null, strings, pairs, ints past the digit limit, and JSON nested past the
-decoder's recursion limit.
+null, strings, pairs, ints past the digit limit, JSON nested past the
+decoder's recursion limit, and entries with constants and exponents at
+and past the parser's limits.
 """
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jordanscope.algebra.exprparse import MAX_EXPONENT
 from jordanscope.cli import (
     InputError,
+    main,
     parse_box,
     parse_path,
     parse_point,
@@ -88,3 +97,64 @@ def test_parse_path_returns_or_raises_input_error(text, nparams):
        parse=st.sampled_from([parse_point, parse_box, parse_resolution]))
 def test_text_parsers_return_or_raise_input_error(text, nparams, parse):
     holds_contract(parse, text, nparams)
+
+
+# ---------------------------------------------------------------------------
+# whole commands: split-set and jst-set on drawn family specs
+
+def entry_texts(params):
+    """Entries in exprparse's grammar: parameters, i, small ints and
+    d*10^k constants (k up to 300, as a power or as digits), joined by
+    +, - and *, with exponents up to MAX_EXPONENT + 1, parentheses and
+    unary minus."""
+    digit = st.integers(1, 9)
+    constant = st.one_of(
+        st.builds("{}*10^{}".format, digit, st.integers(0, 300)),
+        st.builds(lambda d, k: f"{d}{'0' * k}", digit, st.integers(0, 300)),
+    )
+    name = st.sampled_from(params + ["i", "0", "1", "2"])
+    exponent = st.one_of(st.integers(0, 3), st.integers(0, MAX_EXPONENT + 1))
+    power = st.builds("{}^{}".format, st.one_of(name, constant.map("({})".format)), exponent)
+    return st.recursive(st.one_of(name, constant, power), lambda inner: st.one_of(
+        st.builds("{} {} {}".format, inner, st.sampled_from("+-*"), inner),
+        st.builds("({})".format, inner),
+        st.builds("-{}".format, inner),
+    ), max_leaves=4)
+
+
+PARAM_LISTS = [["z"], ["z", "w"]]
+ENTRY_TEXTS = [entry_texts(params) for params in PARAM_LISTS]
+
+
+@st.composite
+def family_specs(draw):
+    """A family of n <= 3 in one or two parameters, its entries drawn by
+    :func:`entry_texts`."""
+    n, k = draw(st.integers(1, 3)), draw(st.integers(0, 1))
+    entries = [[draw(ENTRY_TEXTS[k]) for _ in range(n)] for _ in range(n)]
+    return {"n": n, "params": PARAM_LISTS[k], "entries": entries}
+
+
+def run_command(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(spec=family_specs(), command=st.sampled_from(["split-set", "jst-set"]),
+       samples=st.integers(1, 50), seed=st.integers(0, 3))
+def test_symbolic_commands_keep_the_exit_contract(spec, command, samples, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "family.json")
+        with open(path, "w") as f:
+            json.dump(spec, f)
+        argv = [command, path, "--samples", str(samples), "--seed", str(seed)]
+        code, out, err = run_command(argv)
+        assert code in (0, 1, 2), err
+        if code == 2:
+            assert not out and err.count("\n") == 1 and err.startswith("input error:"), err
+        else:
+            assert json.loads(out)["kind"] == command
+        assert run_command(argv)[:2] == (code, out)

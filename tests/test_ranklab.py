@@ -18,7 +18,6 @@ from jordanscope import ranklab
 from jordanscope.corpus import builtin_cases
 from jordanscope.family import MatrixFamily
 from jordanscope.ranklab import (
-    GENERIC_RANK_NOTE,
     GENERIC_RANK_POINTS,
     MinorSizeError,
     NonFiniteError,
@@ -475,9 +474,7 @@ def test_generic_rank_of_parameter_matrix():
     one = MultiPoly.one(1)
     zero = MultiPoly.zero(1)
     m = [[z, one], [zero, -z]]
-    r, note = generic_rank(m, seed=0)
-    assert r == 2
-    assert "rational points" in note
+    assert generic_rank(m, seed=0) == [2]
 
 
 def poly_matrices():
@@ -502,25 +499,56 @@ def poly_matrices():
 @settings(max_examples=60, deadline=None)
 @given(poly_matrices(), st.integers(0, 3))
 def test_generic_rank_is_the_max_over_its_seeded_points(m, seed):
-    # the oracle ranks every seeded point; generic_rank may stop early
+    # the oracle ranks every seeded point
     rng = random.Random(seed)
     ranks = []
     for _ in range(GENERIC_RANK_POINTS):
         pt = random_rational_point(rng, m[0][0].nvars)
         ranks.append(exact_rank([[e.eval_exact(pt) for e in row] for row in m]))
-    full = min(len(m), len(m[0]))
-    calls = []
+    assert generic_rank(m, seed=seed) == [max(ranks)]
 
-    def counted(value):
-        calls.append(1)
-        return exact_rank(value)
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ranklab, "exact_rank", counted)
-        assert generic_rank(m, seed=seed) == (max(ranks), GENERIC_RANK_NOTE)
-    # a matrix of full rank at the first point is ranked once
-    assert len(calls) == next((k + 1 for k, r in enumerate(ranks) if r == full),
-                              GENERIC_RANK_POINTS)
+@st.composite
+def square_poly_matrices(draw):
+    """(m, seed, powers): square MultiPoly matrices with n <= 4 in one or
+    two variables, dense or nilpotent by construction (strictly upper
+    triangular, each superdiagonal entry 1 + x_0 * e, so the generic chain
+    runs to k = n), some of the latter with a superdiagonal entry that
+    vanishes at one seeded point, whose chain reaches 0 sooner."""
+    nvars, n, seed = draw(st.integers(1, 2)), draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    term = st.tuples(st.tuples(*[st.integers(0, 2)] * nvars), st.integers(-3, 3))
+    entry = st.lists(term, max_size=3).map(lambda ts: MultiPoly(nvars, dict(ts)))
+    m = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    kind = draw(st.sampled_from(["dense", "nilpotent", "vanishing"]))
+    x0, zero, one = MultiPoly.variable(nvars, 0), MultiPoly.zero(nvars), MultiPoly.one(nvars)
+    if kind != "dense":
+        m = [[one + x0 * e if j == i + 1 else e if j > i else zero
+              for j, e in enumerate(row)] for i, row in enumerate(m)]
+    if kind == "vanishing" and n > 1:
+        points = ranklab.generic_points(nvars, seed)
+        at = draw(st.sampled_from(points))[0]
+        i = draw(st.integers(0, n - 2))
+        m[i][i + 1] = m[i][i + 1] * (x0 - MultiPoly(nvars, {(0,) * nvars: at}))
+    return m, seed, draw(st.integers(1, n + 1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(square_poly_matrices())
+def test_generic_rank_chain_equals_symbolic_powers(case):
+    # the oracle forms m^k with @ and ranks its values at the seeded points
+    m, seed, powers = case
+    rng = random.Random(seed)
+    points = [random_rational_point(rng, m[0][0].nvars) for _ in range(GENERIC_RANK_POINTS)]
+    a = as_matrix(m)
+    power, want = a, []
+    for k in range(1, powers + 1):
+        if k > 1:
+            power = power @ a
+        want.append(max(exact_rank([[e.eval_exact(pt) for e in row] for row in power])
+                        for pt in points))
+        if want[-1] == 0:
+            break
+    assert generic_rank(m, seed=seed, powers=powers) == want
 
 
 def test_numerical_rank_agrees_with_exact_on_well_conditioned():

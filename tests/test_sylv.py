@@ -23,7 +23,7 @@ from jordanscope.algebra import (
 from jordanscope.algebra.multipoly import StackedEvaluator
 from jordanscope import sylv
 from jordanscope.family import MatrixFamily
-from jordanscope.ranklab import ScaleBounds, generic_rank, minors
+from jordanscope.ranklab import ScaleBounds, exact_rank, generic_points, minors
 from jordanscope.sylv import (
     bound_report,
     build_split_matrix,
@@ -258,15 +258,34 @@ def small_families(draw):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(small_families(), st.integers(0, 3))
 def test_split_defining_functions_equal_generic_rank_minors(family, seed):
-    # a nonzero determinant is the order-(2n - 1) minor list at the generic
-    # rank 2n - 1, with the note of the random-point rank
+    # r_max is the largest exact rank of the splitting matrix's values at
+    # the seeded points, and the h's are its minors of that order
     p = family.char_poly_family()
     res = split_defining_functions(p, seed=seed)
     sm = build_split_matrix(p)
-    r, note = generic_rank(sm, seed=seed)
-    assert (res.r_max, res.generic_rank_note) == (r, note)
+    r = max(exact_rank([[e.eval_exact(pt) for e in row] for row in sm])
+            for pt in generic_points(family.nparams, seed))
+    assert res.r_max == r
     assert [list(h.terms.items()) for h in res.functions] == [
         list(h.terms.items()) for h in minors(sm, r)]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("hits", ["0", "1", "2", "01", "02", "12", "012"])
+def test_split_count_is_the_max_at_the_seeded_points(seed, hits):
+    # diag(0, 0, q) plus a strictly upper part: 0 is a double eigenvalue,
+    # and all three eigenvalues meet where q vanishes, at the seeded points
+    # numbered in ``hits``; the splitting rank is 4 elsewhere and 3 there
+    nv = seed + 1
+    points = generic_points(nv, seed)
+    z, q, zero = MultiPoly.variable(nv, 0), MultiPoly.one(nv), MultiPoly.zero(nv)
+    for i in map(int, hits):
+        q = q * (z - MultiPoly(nv, {(0,) * nv: points[i][0]}))
+    u = z + MultiPoly.one(nv)
+    family = MatrixFamily(n=3, params=["z", "w"][:nv],
+                          entries=[[zero, u, u], [zero, zero, u], [zero, zero, q]])
+    res = split_defining_functions(family.char_poly_family(), seed=seed)
+    assert res.r_max == (3 if len(hits) == len(points) else 4)
 
 
 def principal_subresultant(p, d):
