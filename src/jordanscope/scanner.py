@@ -50,8 +50,20 @@ MAX_MATRIX_SIZE = 8
 #: caps of the bound-check sample count and of the path step count
 MAX_SAMPLES = 10**5
 MAX_STEPS = 10**5
-#: most grid nodes classified as one stack; bounds the stack memory
-STACK_NODES = 16
+#: most grid nodes in one run (one classify_points call). A run pays a
+#: fixed cost of about a millisecond; past 64 nodes larger runs save nothing
+RUN_NODES = 64
+#: most matrix entries per probe point of one run: nodes * n * n stays
+#: within the 16 nodes of n = 8, so no run stacks more than 17 * 16 * 8**2
+#: entries and an n = 8 scan keeps its peak memory
+RUN_ENTRIES = 16 * 8**2
+
+
+def run_nodes(n: int) -> int:
+    """Most grid nodes in one run of an n x n scan: RUN_NODES, or fewer
+    where their matrices would hold over RUN_ENTRIES entries per point
+    (64 for n <= 4, then 40, 28, 20 and 16 for n = 5 to 8)."""
+    return max(1, min(RUN_NODES, RUN_ENTRIES // (n * n)))
 
 
 class PointKind(enum.Enum):
@@ -165,7 +177,7 @@ def classify_point(
     at the point). Jumps are detected through rank Theta^k rising at a
     probe. Stability can only be refuted by sampling, never certified.
     """
-    point, rank_theta = stack.points[0], ranks[0]
+    point, rank_theta = tuple(stack.points[0].tolist()), ranks[0]
     if split:
         return PointClass(point, PointKind.SPLIT, rank_theta, None, note)
     if any(pr > br for probe in ranks[1:] for pr, br in zip(probe, rank_theta)):
@@ -220,11 +232,13 @@ def scan_grid(
     ``box`` gives one real interval per parameter (the grid lives on
     the real slice; probes still explore complex directions). The nodes
     are cut into runs of consecutive nodes, ``chunks`` runs or more so
-    that none holds over STACK_NODES nodes, and ``chunk_map`` (``map``,
-    or a process pool's ``map``) classifies each run with one
+    that none holds over :func:`run_nodes` nodes, and ``chunk_map``
+    (``map``, or a process pool's ``map``) classifies each run with one
     :func:`classify_points` call, which makes one ``classify_point``
     call per node. Output is deterministic given tolerances, whatever
-    the chunking.
+    the chunking. The default probe radius is a quarter of the smallest
+    grid spacing, |hi - lo| / (res - 1), which is positive whichever
+    way an interval is written.
     """
     if len(box) != family.nparams:
         raise ValueError("need one interval per parameter")
@@ -233,10 +247,10 @@ def scan_grid(
     nodes = grid_nodes(box, resolution)
     if probe_radius is None:
         spacing = min(
-            (hi - lo) / (res - 1) for (lo, hi), res in zip(box, resolution)
+            abs(hi - lo) / (res - 1) for (lo, hi), res in zip(box, resolution)
         )
         probe_radius = spacing / 4.0
-    size = min(-(-len(nodes) // max(1, chunks)), STACK_NODES)
+    size = min(-(-len(nodes) // max(1, chunks)), run_nodes(family.n))
     work = functools.partial(classify_points, family,
                              probe_radius=probe_radius, rel_tol=rel_tol)
     results = chunk_map(work, [nodes[i : i + size] for i in range(0, len(nodes), size)])

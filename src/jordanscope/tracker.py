@@ -50,30 +50,49 @@ def cluster_tolerance(norm: float, rel_tol: float = DEFAULT_REL_TOL) -> float:
 
 def _clusters(values: np.ndarray, close: np.ndarray) -> list:
     """The cluster lists of the rows of an (N, k) array of values,
-    ``close[r, i, j]`` marking the pairs of row r within tolerance. A row
-    without a close pair is a list of singletons, sorted at once; in the
-    others each close pair joins its two groups."""
-    near = {}
-    for r, i, j in np.argwhere(np.triu(close, 1)).tolist():
-        near.setdefault(r, []).append((i, j))
+    ``close[r, i, j]`` marking the pairs of row r within tolerance: the
+    connected components of the close pairs, each centered at Python's
+    ``sum(g) / len(g)`` of its values in row order, ordered by (re, im)
+    and on ties by first member. A row without a close pair is a list of
+    singletons, sorted at once. In the others the components come from
+    one transitive closure. Where every sum is finite they are summed in
+    row order over arrays: a sum starts at +0.0, so no partial sum is
+    -0.0 and a non-member's 0.0 leaves it as it is. The other rows are
+    summed and sorted value by value."""
+    k = values.shape[1]
     ordered = np.take_along_axis(values, np.lexsort((values.imag, values.real)), 1)
     singles = (ordered + 0.0).tolist()  # the bits of sum([v]) / 1 for finite v
     for r in np.flatnonzero(~np.isfinite(ordered).all(axis=1)).tolist():
         singles[r] = [sum([v]) / 1 for v in ordered[r].tolist()]
-    out = []
-    for r, (row, line) in enumerate(zip(values.tolist(), singles)):
-        if r not in near:  # a group of one has the center sum([v]) / 1
-            out.append([(c, 1) for c in line])
-            continue
-        group = list(range(len(row)))
-        for i, j in near[r]:
-            group = [group[j] if g == group[i] else g for g in group]
+    out = [[(c, 1) for c in line] for line in singles]
+    (joined,) = np.nonzero(np.triu(close, 1).any(axis=(1, 2)))
+    if not len(joined):
+        return out
+    reach = close[joined] | np.eye(k, dtype=bool)
+    for m in range(k):
+        reach |= reach[:, :, m, None] & reach[:, None, m, :]
+    label = reach.argmax(axis=2)  # each value's least fellow member
+    member = label[:, None, :] == np.arange(k)[:, None]  # [row, component, value]
+    sums = np.zeros((len(joined), k), dtype=complex)
+    with np.errstate(all="ignore"):
+        for c in range(k):
+            sums += np.where(member[:, :, c], values[joined, None, c], 0.0)
+        sizes = member.sum(axis=2)
+        centers = np.empty_like(sums)
+        centers.real, centers.imag = sums.real / sizes, sums.imag / sizes
+    plain = np.isfinite(sums).all(axis=1)
+    order = np.lexsort((centers.imag, centers.real, sizes == 0), axis=-1)
+    rows = zip(joined[plain].tolist(), (sizes[plain] > 0).sum(axis=1).tolist(),
+               np.take_along_axis(centers, order, 1)[plain].tolist(),
+               np.take_along_axis(sizes, order, 1)[plain].tolist())
+    for r, used, line, size in rows:
+        out[r] = list(zip(line[:used], size[:used]))
+    for r, group in zip(joined[~plain].tolist(), label[~plain].tolist()):
         groups = {}
-        for g, v in zip(group, row):
+        for g, v in zip(group, values[r].tolist()):
             groups.setdefault(g, []).append(v)
-        clusters = [(sum(g) / len(g), len(g)) for g in groups.values()]
-        clusters.sort(key=lambda c: (c[0].real, c[0].imag))
-        out.append(clusters)
+        out[r] = sorted(((sum(g) / len(g), len(g)) for g in groups.values()),
+                        key=lambda c: (c[0].real, c[0].imag))
     return out
 
 
@@ -582,23 +601,32 @@ def _probe_direction(nparams: int) -> tuple:
 _RING = [cmath.exp(2j * math.pi * k / PROBE_COUNT) for k in range(PROBE_COUNT)]
 
 
+def _ring_offsets(radius: float, nparams: int) -> list:
+    """The PROBE_COUNT offsets ``radius * unit * d`` of a probe ring, one
+    tuple of ``nparams`` Python complex numbers per unit node; a probe is
+    the point plus its offset, coordinate by coordinate."""
+    u = _probe_direction(nparams)
+    return [tuple(radius * unit * d for d in u) for unit in _RING]
+
+
 def probe_ring(point, radius: float):
     point = tuple(complex(c) for c in point)
-    u = _probe_direction(len(point))
-    return [tuple(c + radius * unit * d for c, d in zip(point, u)) for unit in _RING]
+    return [tuple(c + o for c, o in zip(point, offset))
+            for offset in _ring_offsets(radius, len(point))]
 
 
 @dataclass
 class ProbeStack:
     """A point and two rings of probes around it, evaluated as one stack.
 
-    ``points[0]`` is the point; then come PROBE_COUNT probes at the probe
-    radius and PROBE_COUNT at half of it. ``matrices`` holds the family
-    at every point and ``clusters`` their distinct eigenvalues, from one
-    stacked eigensolve and one stacked norm.
+    ``points`` is a (17, nparams) complex array: row 0 is the point, then
+    come PROBE_COUNT probes at the probe radius and PROBE_COUNT at half
+    of it. ``matrices`` holds the family at every point and ``clusters``
+    their distinct eigenvalues, from one stacked eigensolve and one
+    stacked norm.
     """
 
-    points: List[tuple]
+    points: np.ndarray
     matrices: np.ndarray
     clusters: list
 
@@ -623,22 +651,26 @@ def probe_stacks(
 ) -> List[ProbeStack]:
     """One :class:`ProbeStack` per point, all evaluated as one stack.
 
-    The 17 points of every stack go through one ``at_many`` call, one
-    ``eigvals`` call and one :func:`cluster_stack`, which takes an SVD
-    norm only where the norm bounds leave a cluster open; each row
-    depends only on its own matrix, so a stack has the bits it has alone.
+    The 2 * PROBE_COUNT ring offsets are formed once
+    (:func:`_ring_offsets`), and every probe is its point plus its offset
+    in one complex addition over an (N, 17, nparams) array. That addition
+    is componentwise, so each probe has the bits of :func:`probe_ring`.
+    The 17 * N points go through one ``at_many`` call, one ``eigvals``
+    call and one :func:`cluster_stack`, which takes an SVD norm only
+    where the norm bounds leave a cluster open; each row depends only on
+    its own matrix, so a stack has the bits it has alone.
     """
-    rows = []
-    for point in points:
-        point = tuple(complex(c) for c in point)
-        rows.append(point)
-        for radius in (probe_radius, probe_radius / 2):
-            rows.extend(probe_ring(point, radius))
-    matrices = family.at_many(rows)
+    nparams = family.nparams
+    nodes = np.array([[complex(c) for c in point] for point in points],
+                     dtype=complex).reshape(len(points), nparams)
+    ring = np.array(_ring_offsets(probe_radius, nparams)
+                    + _ring_offsets(probe_radius / 2, nparams), dtype=complex)
+    rows = np.concatenate([nodes[:, None], nodes[:, None] + ring], axis=1)
+    matrices = family.at_many(rows.reshape(-1, nparams))
     clusters = cluster_stack(np.linalg.eigvals(matrices), norm_scales(matrices), rel_tol)
     size = 1 + 2 * PROBE_COUNT
-    return [ProbeStack(rows[i : i + size], matrices[i : i + size],
-                       clusters[i : i + size]) for i in range(0, len(rows), size)]
+    return [ProbeStack(rows[i], matrices[i * size : (i + 1) * size],
+                       clusters[i * size : (i + 1) * size]) for i in range(len(rows))]
 
 
 def amounts_from_stack(stack: ProbeStack) -> SplittingAmounts:

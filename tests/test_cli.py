@@ -217,6 +217,39 @@ def test_scan_probe_ring_disagreement_is_a_note(tmp_path, capsys):
         "extended product unavailable: probe ring disagrees")
 
 
+TRIANGULAR = {
+    "n": 3,
+    "params": ["x", "y"],
+    "entries": [["x", "y", "0"], ["0", "x", "0"], ["0", "0", "y"]],
+    "label": "triangular, x and y collide on x = y",
+}
+
+
+@pytest.mark.parametrize("run", [1, 7, 16])
+def test_scan_report_bytes_hold_at_any_run_size(family_file, capsys, monkeypatch, run):
+    argv = ["scan", family_file(TRIANGULAR), "--box=-1:1,-1:1", "--res", "5"]
+    code, default = run_cli(argv, capsys)
+    assert code == 0
+    assert json.loads(default)["summary"] == {"Jump": 4, "Split": 5, "StableCandidate": 16}
+    monkeypatch.setattr(scanner, "RUN_NODES", run)
+    assert run_cli(argv, capsys) == (0, default)
+
+
+def test_scan_reversed_box_axis_keeps_the_probe_radius(capsys):
+    docs = []
+    for box in ("--box=-1:1,-0.1:0.1", "--box=1:-1,-0.1:0.1"):
+        code, out = run_cli(["scan", "--builtin", "nilpotent", box, "--res", "3"], capsys)
+        assert code == 0
+        docs.append(json.loads(out))
+    forward, reverse = docs
+    assert forward["probe_radius"] == reverse["probe_radius"] == 0.025
+    kinds = [{str(p["point"]): (p["kind"], p["rank_theta"]) for p in doc["points"]}
+             for doc in docs]
+    assert kinds[0] == kinds[1]
+    assert forward["summary"] == reverse["summary"] == {
+        "Jump": 1, "Split": 0, "StableCandidate": 8}
+
+
 class RecordingPool:
     """Stands in for multiprocessing.Pool: records the worker count and
     maps in-process, so no worker is started."""
@@ -723,10 +756,10 @@ BEYOND_FLOAT64 = [
     (corner("10^200*z^2"), ["census", "--point", "0.5"]),
     (corner("(2*z+3)^256"), ["scan", "--box=-1:1", "--res", "3"]),
     (corner("(2*z+3)^256"), ["census", "--point", "0.5"]),
-    # products that overflow only past z = 10: in the second run of
-    # STACK_NODES nodes and later ones
-    (corner("10^150*z^4"), ["scan", "--box=0:20", "--res", "40"]),
-    (corner("10^150*z^4"), ["scan", "--box=0:20", "--res", "40", "--jobs", "2"]),
+    # products that overflow only past z = 10: from node 80 of 160, in the
+    # second run of scanner.run_nodes(2) = 64 nodes and later ones
+    (corner("10^150*z^4"), ["scan", "--box=0:20", "--res", "160"]),
+    (corner("10^150*z^4"), ["scan", "--box=0:20", "--res", "160", "--jobs", "2"]),
     # infinite entries, which eigvals and the SVDs refuse
     (BIG, ["census", "--point", "1e60"]),
     (BIG, ["scan", "--box=-1e60:1e60", "--res", "3"]),

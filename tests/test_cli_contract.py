@@ -1,7 +1,8 @@
 """Contract of the CLI: every input to a text parser ends in a value or
 an InputError, never in another exception, and every drawn family spec
-ends ``split-set`` and ``jst-set`` in a report (exit 0 or 1) or a
-one-line input error (exit 2), with the same bytes on a rerun.
+ends ``split-set``, ``jst-set`` and ``scan`` in a report (exit 0 or 1)
+or a one-line input error (exit 2), with the same bytes on a rerun; a
+scan has them also in runs of one node.
 
 The inputs are hostile on purpose: huge ints, NaN and Infinity, bools,
 null, strings, pairs, ints past the digit limit, JSON nested past the
@@ -14,10 +15,12 @@ import io
 import json
 import os
 import tempfile
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jordanscope import scanner
 from jordanscope.algebra.exprparse import MAX_EXPONENT
 from jordanscope.cli import (
     InputError,
@@ -100,7 +103,7 @@ def test_text_parsers_return_or_raise_input_error(text, nparams, parse):
 
 
 # ---------------------------------------------------------------------------
-# whole commands: split-set and jst-set on drawn family specs
+# whole commands: split-set, jst-set and scan on drawn family specs
 
 def entry_texts(params):
     """Entries in exprparse's grammar: parameters, i, small ints and
@@ -142,19 +145,45 @@ def run_command(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def spec_file(tmp, spec):
+    path = os.path.join(tmp, "family.json")
+    with open(path, "w") as f:
+        json.dump(spec, f)
+    return path
+
+
+def assert_exit_contract(argv, command):
+    """Exit 0 or 1 with a report of kind ``command``, or 2 with one
+    input-error line, and the same outcome and bytes on a rerun."""
+    code, out, err = run_command(argv)
+    assert code in (0, 1, 2), err
+    if code == 2:
+        assert not out and err.count("\n") == 1 and err.startswith("input error:"), err
+    else:
+        assert json.loads(out)["kind"] == command
+    assert run_command(argv)[:2] == (code, out)
+    return code, out
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(spec=family_specs(), command=st.sampled_from(["split-set", "jst-set"]),
        samples=st.integers(1, 50), seed=st.integers(0, 3))
 def test_symbolic_commands_keep_the_exit_contract(spec, command, samples, seed):
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "family.json")
-        with open(path, "w") as f:
-            json.dump(spec, f)
-        argv = [command, path, "--samples", str(samples), "--seed", str(seed)]
-        code, out, err = run_command(argv)
-        assert code in (0, 1, 2), err
-        if code == 2:
-            assert not out and err.count("\n") == 1 and err.startswith("input error:"), err
-        else:
-            assert json.loads(out)["kind"] == command
-        assert run_command(argv)[:2] == (code, out)
+        argv = [command, spec_file(tmp, spec), "--samples", str(samples),
+                "--seed", str(seed)]
+        assert_exit_contract(argv, command)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(spec=family_specs(), res=st.integers(2, 4),
+       radius=st.sampled_from([None, "1e-3", "0.5", "10"]))
+def test_scan_keeps_the_exit_contract_at_any_run_size(spec, res, radius):
+    with tempfile.TemporaryDirectory() as tmp:
+        box = ",".join(["-1:1"] * len(spec["params"]))
+        argv = ["scan", spec_file(tmp, spec), f"--box={box}", "--res", str(res)]
+        if radius is not None:
+            argv += ["--probe-radius", radius]
+        code, out = assert_exit_contract(argv, "scan")
+        with mock.patch.object(scanner, "RUN_NODES", 1):
+            assert run_command(argv)[:2] == (code, out)

@@ -451,6 +451,32 @@ def test_singleton_centers_of_a_non_finite_row_keep_sum_of_one_over_one():
     assert any(math.isnan(z.imag) for z, _ in got[0])
 
 
+def test_grouped_clusters_keep_the_bits_of_the_loop():
+    # rows with close pairs, grouped over arrays where every sum is finite
+    # and value by value where not: signed zeros, groups whose members are
+    # not adjacent, a sum that overflows (its other part then NaN) and
+    # infinite values
+    rows = [
+        ([complex(-0.0, -0.0), complex(1.0, -0.0), complex(0.0, -0.0), complex(1.0, 0.0)], 0.5),
+        ([complex(3.0, 1.0), complex(-0.0, -0.0), complex(3.0, 1.0), complex(-0.0, 0.0)], 0.0),
+        ([complex(1e308, 1.0), complex(1.5e308, 1.0), complex(-0.0, 2.0), complex(0.0, 2.0)], 6e307),
+        ([complex(np.inf, 0.0), complex(np.inf, 0.0), complex(-1.0, 0.5), complex(-1.0, 0.5)], 1.0),
+        ([complex(2.0, 0.1), complex(-1.0, 0.0), complex(2.0, -0.1), complex(-1.0, 1e-9)], 0.25),
+        ([complex(-0.0, -0.0)] * 4, 0.0),  # one group, no non-member to add 0.0
+    ]
+    values = np.array([row for row, _ in rows])
+    close = np.array([[[abs(a - b) <= tol for b in row] for a in row] for row, tol in rows])
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = tracker._clusters(values, close)
+    assert [len(c) for c in got] == [2, 2, 2, 3, 2, 1]
+    assert math.isnan(got[2][1][0].imag)
+    for (row, tol), clusters in zip(rows, got):
+        want = loop_clusters(row, tol)
+        assert [(repr(z), math.copysign(1, z.real), math.copysign(1, z.imag), k)
+                for z, k in clusters] == [
+            (repr(z), math.copysign(1, z.real), math.copysign(1, z.imag), k) for z, k in want]
+
+
 RANGE_CASES = [
     # squared sums that underflow (entries near 1e-160) or overflow (1e160)
     ([["z", "z", "0"], ["0", "z", "z"], ["0", "0", "2*z"]],

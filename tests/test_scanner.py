@@ -164,23 +164,39 @@ def test_scan_evaluates_each_node_once_and_builds_no_symbolic_char_poly(monkeypa
     at_many = MatrixFamily.at_many
 
     def counting_at_many(self, points):
-        evaluated.append(list(points))
+        evaluated.append([tuple(p) for p in np.asarray(points).tolist()])
         return at_many(self, points)
 
     monkeypatch.setattr(MatrixFamily, "char_poly_family", refuse)
     monkeypatch.setattr(MatrixFamily, "at_many", counting_at_many)
     report = scan_grid(family, [(-1, 1), (-1, 1)], 5)
-    # one evaluation per run of at most STACK_NODES = 16 nodes
-    assert [len(points) for points in evaluated] == [17 * 16, 17 * 9]
-    # every node's 17 points, each evaluated exactly once
+    # the 25 nodes are one run (scanner.run_nodes(3) == 64): one evaluation
+    assert [len(points) for points in evaluated] == [17 * 25]
+    # every node's 17 points, each evaluated exactly once, with the bits
+    # of the per-probe ring formula
     r = report.probe_radius
     nodes = [tuple(complex(c) for c in node)
              for node in grid_nodes([(-1, 1), (-1, 1)], [5, 5])]
-    assert [p for run in evaluated for p in run] == [
+    assert repr([p for run in evaluated for p in run]) == repr([
         p for node in nodes
         for p in [node] + probe_ring(node, r) + probe_ring(node, r / 2)
-    ]
+    ])
     assert report.summary == {"Split": 5, "Jump": 4, "StableCandidate": 16}
+
+
+@pytest.mark.parametrize("n,size", [(2, 64), (4, 64), (5, 40), (6, 28), (7, 20), (8, 16)])
+def test_scan_runs_hold_at_most_64_nodes_and_the_n8_entry_budget(monkeypatch, n, size):
+    runs = []
+
+    def spy(family, nodes, probe_radius, rel_tol):
+        runs.append(len(nodes))
+        return [scanner.PointClass(node, PointKind.STABLE_CANDIDATE, (0,) * (n - 1))
+                for node in nodes]
+
+    monkeypatch.setattr(scanner, "classify_points", spy)
+    diagonal = [["z" if i == j else "0" for j in range(n)] for i in range(n)]
+    scan_grid(MatrixFamily.from_entries(diagonal, ["z"]), [(-1, 1)], 100)
+    assert runs == [min(size, 100 - first) for first in range(0, 100, size)]
 
 
 def test_scan_chunk_map_hook_matches_plain_map():
