@@ -7,6 +7,7 @@ No root finding happens at all: multiplicity structure comes out of
 exact rational elimination.
 """
 
+import math
 from fractions import Fraction
 
 from jordanscope.algebra import (
@@ -33,7 +34,7 @@ cases = [
     ("(lam-2)^2(lam+2)^2", [2, 2, -2, -2]),
 ]
 for label, roots in cases:
-    p = UniPoly.from_roots([gr(r) for r in roots], one=GR_ONE)
+    p = math.prod((UniPoly([-gr(r), GR_ONE]) for r in roots), start=UniPoly([GR_ONE]))
     n = p.degree
     sm = build_split_matrix(p)
     rank = exact_rank(sm)

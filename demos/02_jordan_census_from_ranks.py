@@ -11,12 +11,7 @@ import random
 
 import numpy as np
 
-from jordanscope.jordan import (
-    jordan_census,
-    rank_profile,
-    theta_product,
-    verify_rank_identities,
-)
+from jordanscope.jordan import jordan_census, theta_product, verify_rank_identities
 
 rng = np.random.default_rng(7)
 
@@ -34,12 +29,13 @@ J = np.array(
 T = rng.integers(-2, 3, size=(5, 5)).astype(complex) + np.eye(5) * 3
 Phi = T @ J @ np.linalg.inv(T)
 
+census = jordan_census(Phi, [(2.0, 3), (-1.0, 2)])
+profiles = {prof.eigenvalue: prof for prof in census.profiles}
+
 print("=== rank profiles ===\n")
 for lam in (2.0, -1.0):
-    prof = rank_profile(Phi, lam)
-    print(f"lam = {lam:+.0f}: rank (lam - Phi)^k for k = 0..n+1 ->", prof.ranks)
+    print(f"lam = {lam:+.0f}: rank (lam - Phi)^k for k = 0..n+1 ->", profiles[lam].ranks)
 
-census = jordan_census(Phi, [(2.0, 3), (-1.0, 2)])
 print("\n=== census (second differences) ===\n")
 for lam, mult, blocks in zip(
     census.eigenvalues, census.multiplicities, census.blocks

@@ -24,7 +24,7 @@ for kind, count in report.summary.items():
 print("max rank Theta^k over the grid:", report.rank_theta_maxima)
 
 print("\n=== flagged points ===\n")
-for pc in report.non_stable_points:
+for pc in (p for p in report.points if p.kind is not PointKind.STABLE_CANDIDATE):
     pt = tuple(round(c.real, 3) for c in pc.point)
     print(f"  {pt}  ->  {pc.kind.value}")
     print(f"     rank Theta at the point: {pc.rank_theta}")

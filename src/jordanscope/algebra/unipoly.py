@@ -42,16 +42,6 @@ class UniPoly:
     def zero(cls):
         return cls([])
 
-    @classmethod
-    def from_roots(cls, roots, one=None):
-        """Monic product of (x - r) over the given roots (with repeats)."""
-        roots = list(roots)
-        one = one if one is not None else (one_like(roots[0]) if roots else 1.0)
-        p = cls([one])
-        for r in roots:
-            p = p * cls([-_coerce(r), one])
-        return p
-
     # -- structure ------------------------------------------------------
 
     @property

@@ -87,26 +87,14 @@ class RankProfile:
     ranks: Tuple[int, ...]
 
 
-def rank_profile(phi, lam, rel_tol: float = DEFAULT_REL_TOL) -> RankProfile:
-    """Ranks of the powers (lam - Phi)^k, k = 0..n+1, by the rank rule
-    of the ring of Phi's entries (:func:`ranklab.power_ranks`).
-
-    Once two consecutive ranks agree the kernel chain has stabilized
-    and all later ranks equal them exactly, so no later power is formed
-    and the tail repeats that rank; this also keeps deep powers of badly
-    scaled matrices from polluting the profile with roundoff. A lam that
-    is not an eigenvalue gives the constant profile n, a valid
-    degenerate case.
-    """
-    return _rank_profiles(as_matrix(phi)[None], [[lam]], rel_tol)[0][0]
-
-
 def _rank_profiles(phis: np.ndarray, lam_lists, rel_tol: float):
-    """:func:`rank_profile` of each matrix of an (N, n, n) stack at each
-    of its eigenvalues, as one list per matrix: one
+    """The :class:`RankProfile` of each matrix Phi of an (N, n, n) stack at
+    each of its eigenvalues lam, as one list per matrix: one
     :func:`ranklab.power_ranks` chain over the bases lam - Phi of all of
     them, floored at ||lam - Phi||^k (:func:`ranklab.norm_scales`) and
-    leaving the chain once two consecutive ranks agree. Only a power that
+    leaving the chain once two consecutive ranks agree. The kernel chain
+    has then stabilized, so the tail repeats that rank exactly; a lam that
+    is not an eigenvalue gives the constant profile n. Only a power that
     a profile still needs is formed, so only such a power or floor can
     raise NonFiniteError, and a profile is the same in any stack.
     """
@@ -269,9 +257,6 @@ class IdentityReport:
     @property
     def passed(self) -> bool:
         return all(c.ok for c in self.checks)
-
-    def failures(self):
-        return [c for c in self.checks if not c.ok]
 
 
 def verify_rank_identities(

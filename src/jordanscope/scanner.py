@@ -201,10 +201,6 @@ class ScanReport:
     summary: Dict[str, int]
     rank_theta_maxima: Tuple[int, ...]
 
-    @property
-    def non_stable_points(self):
-        return [p for p in self.points if p.kind is not PointKind.STABLE_CANDIDATE]
-
 
 def grid_nodes(box, resolution):
     axes = []

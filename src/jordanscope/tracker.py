@@ -209,19 +209,19 @@ def disk_means(eigenvalues, state: BranchState):
 #: is evaluated block by block, so memory stays bounded
 QUADRATURE_BLOCK = 1024
 
-_UNIT_NODES = {}  # q -> unit circle nodes, for q <= QUADRATURE_BLOCK
+#: the finest level so far: levels are powers of two, and node k of level q
+#: is node k * (Q // q) of level Q >= q bit for bit (the angle scales exactly)
+_UNIT_NODES = np.ones(1, dtype=complex)
 
 
 def _unit_nodes(q: int, start: int, stop: int):
     """Real and imaginary parts of cmath.exp(2j*pi*k/q), k in [start, stop)."""
-    if q in _UNIT_NODES:
-        re, im = _UNIT_NODES[q]
-        return re[start:stop], im[start:stop]
-    e = np.array([cmath.exp(2j * math.pi * k / q) for k in range(start, stop)])
-    parts = (e.real.copy(), e.imag.copy())
-    if q <= QUADRATURE_BLOCK and (start, stop) == (0, q):
-        _UNIT_NODES[q] = parts
-    return parts
+    global _UNIT_NODES
+    if len(_UNIT_NODES) < q:
+        _UNIT_NODES = np.fromiter((cmath.exp(2j * math.pi * k / q) for k in range(q)),
+                                  complex, q)
+    e = _UNIT_NODES[:: len(_UNIT_NODES) // q][start:stop]
+    return e.real, e.imag
 
 
 def _circle_points(centers, radius: float, q: int, start: int, stop: int):
@@ -483,7 +483,6 @@ def _polyline(vertices):
                 u = 0.0 if seg == 0 else (s - offsets[k]) / seg
                 u = min(max(u, 0.0), 1.0)
                 return tuple(x + (y - x) * u for x, y in zip(a, b))
-        return verts[-1]
 
     return at
 
@@ -609,12 +608,6 @@ def _ring_offsets(radius: float, nparams: int) -> list:
     return [tuple(radius * unit * d for d in u) for unit in _RING]
 
 
-def probe_ring(point, radius: float):
-    point = tuple(complex(c) for c in point)
-    return [tuple(c + o for c, o in zip(point, offset))
-            for offset in _ring_offsets(radius, len(point))]
-
-
 @dataclass
 class ProbeStack:
     """A point and two rings of probes around it, evaluated as one stack.
@@ -654,7 +647,8 @@ def probe_stacks(
     The 2 * PROBE_COUNT ring offsets are formed once
     (:func:`_ring_offsets`), and every probe is its point plus its offset
     in one complex addition over an (N, 17, nparams) array. That addition
-    is componentwise, so each probe has the bits of :func:`probe_ring`.
+    is componentwise, so each probe has the bits of the same addition
+    made probe by probe.
     The 17 * N points go through one ``at_many`` call, one ``eigvals``
     call and one :func:`cluster_stack`, which takes an SVD norm only
     where the norm bounds leave a cluster open; each row depends only on

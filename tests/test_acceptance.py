@@ -17,7 +17,6 @@ from jordanscope import cli
 from jordanscope.algebra import (
     GaussianRational,
     GR_ONE,
-    UniPoly,
     gcd_squarefree_oracle,
 )
 from jordanscope.family import MatrixFamily
@@ -38,6 +37,7 @@ from jordanscope.scanner import (
 from jordanscope.sylv import build_split_matrix, check_coeff_bound
 from jordanscope.tracker import splitting_amounts, track_path
 
+from test_algebra import poly_from_roots
 from test_jordan import (
     block_diag_exact,
     jordan_block_exact,
@@ -102,7 +102,7 @@ def test_criterion_1_split_matrix_rank_law():
                 ]
                 for root, mult in zip(distinct, part):
                     roots.extend([root] * mult)
-                p = UniPoly.from_roots(roots, one=GR_ONE)
+                p = poly_from_roots(roots, GR_ONE)
                 m_oracle, _ = gcd_squarefree_oracle(p)
                 assert m_oracle == len(part)
                 rank = exact_rank(build_split_matrix(p))
@@ -173,7 +173,7 @@ def test_criterion_4_nilpotent_family_scan():
         [["z*w", "-z^2"], ["w^2", "-z*w"]], ["z", "w"]
     )
     report = scan_grid(family, [(-1, 1), (-1, 1)], 21)
-    flagged = report.non_stable_points
+    flagged = [p for p in report.points if p.kind is not PointKind.STABLE_CANDIDATE]
     assert len(flagged) == 1
     assert flagged[0].point == (0.0, 0.0)
     assert flagged[0].kind is PointKind.JUMP

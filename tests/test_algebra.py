@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -33,6 +34,12 @@ def mat_mul(a, b):
 
 def gr(a, b=0):
     return GR(Fraction(a), Fraction(b))
+
+
+def poly_from_roots(roots, one):
+    """The monic product of the factors (x - r) over the roots, with
+    repeats, multiplied in the order of the roots."""
+    return math.prod((UniPoly([-r, one]) for r in roots), start=UniPoly([one]))
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +128,10 @@ def test_oracle_distinct_roots():
 
 def test_oracle_mixed_multiplicities():
     # (lam-1)^2 (lam+2) expanded; square-free part (lam-1)(lam+2)
-    p = UniPoly(UniPoly.from_roots([gr(1), gr(1), gr(-2)], one=GR_ONE).coeffs)
+    p = UniPoly(poly_from_roots([gr(1), gr(1), gr(-2)], GR_ONE).coeffs)
     m, q0 = gcd_squarefree_oracle(p)
     assert m == 2
-    expect = UniPoly.from_roots([gr(1), gr(-2)], one=GR_ONE)
+    expect = poly_from_roots([gr(1), gr(-2)], GR_ONE)
     assert q0 == expect
 
 
@@ -149,7 +156,7 @@ def test_oracle_degree_law_on_random_factored_polys():
         mults = {r: rng.randint(1, 3) for r in used}
         for r, k in mults.items():
             roots.extend([gr(r)] * k)
-        p = UniPoly(UniPoly.from_roots(roots, one=GR_ONE).coeffs)
+        p = UniPoly(poly_from_roots(roots, GR_ONE).coeffs)
         m, q0 = gcd_squarefree_oracle(p)
         assert m == n_distinct
         g = gcd_monic(p, derivative(p))

@@ -24,8 +24,9 @@ from jordanscope.scanner import (
     square_free_part_family,
 )
 from jordanscope.sylv import split_counts, split_matrices
-from jordanscope.tracker import distinct_eigenvalues, probe_ring
+from jordanscope.tracker import distinct_eigenvalues
 from test_sylv import small_families
+from test_tracker import per_probe
 
 GR = GaussianRational
 DATA = Path(__file__).parent / "data"
@@ -91,7 +92,7 @@ def test_grid_nodes_deterministic_order():
 
 def test_scan_nilpotent_family_only_origin_flagged():
     report = scan_grid(nilpotent_family(), [(-1, 1), (-1, 1)], 21)
-    flagged = report.non_stable_points
+    flagged = [p for p in report.points if p.kind is not PointKind.STABLE_CANDIDATE]
     assert len(flagged) == 1
     assert flagged[0].point == (0.0, 0.0)
     assert flagged[0].kind is PointKind.JUMP
@@ -109,12 +110,12 @@ def test_scan_constant_family_all_stable():
     f = MatrixFamily.from_entries([["1", "1"], ["0", "2"]], ["z"])
     report = scan_grid(f, [(-1, 1)], 11)
     assert report.summary["StableCandidate"] == 11
-    assert report.non_stable_points == []
+    assert [p for p in report.points if p.kind is not PointKind.STABLE_CANDIDATE] == []
 
 
 def test_scan_shear_family_flags_origin_as_split():
     report = scan_grid(shear_family(), [(-1, 1)], 21)
-    flagged = report.non_stable_points
+    flagged = [p for p in report.points if p.kind is not PointKind.STABLE_CANDIDATE]
     assert len(flagged) == 1
     assert flagged[0].point == (0.0,)
     assert flagged[0].kind is PointKind.SPLIT
@@ -179,7 +180,7 @@ def test_scan_evaluates_each_node_once_and_builds_no_symbolic_char_poly(monkeypa
              for node in grid_nodes([(-1, 1), (-1, 1)], [5, 5])]
     assert repr([p for run in evaluated for p in run]) == repr([
         p for node in nodes
-        for p in [node] + probe_ring(node, r) + probe_ring(node, r / 2)
+        for p in [node] + per_probe(node, r) + per_probe(node, r / 2)
     ])
     assert report.summary == {"Split": 5, "Jump": 4, "StableCandidate": 16}
 

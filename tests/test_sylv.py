@@ -34,6 +34,8 @@ from jordanscope.sylv import (
     split_matrices,
 )
 
+from test_algebra import poly_from_roots
+
 GR = GaussianRational
 
 
@@ -42,8 +44,7 @@ def gr(a, b=0):
 
 
 def monic_from_roots(roots):
-    return UniPoly.from_roots([gr(r) if not isinstance(r, GR) else r for r in roots],
-                              one=GR_ONE)
+    return poly_from_roots([gr(r) if not isinstance(r, GR) else r for r in roots], GR_ONE)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +386,7 @@ def test_coeff_bound_constant_family_constant_ratio():
 def _double_root_cubic():
     # (lam - z)^2 (lam - w): 25 nonzero order-4 split minors
     z, w = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
-    return UniPoly.from_roots([z, z, w], one=MultiPoly.one(2))
+    return poly_from_roots([z, z, w], MultiPoly.one(2))
 
 
 def _polydisk(seed, count, nparams):

@@ -36,6 +36,8 @@ from jordanscope.tracker import (
     track_path,
 )
 
+from test_algebra import poly_from_roots
+
 
 def fam(entries, params):
     return MatrixFamily.from_entries(entries, params)
@@ -82,7 +84,7 @@ def test_branch_state_disjointness_enforced():
 
 
 def test_contour_root_triple_root():
-    p = UniPoly.from_roots([2.0, 2.0, 2.0], one=1.0)
+    p = poly_from_roots([2.0, 2.0, 2.0], 1.0)
     root = contour_root(p, center=2.0 + 0j, radius=1.0, multiplicity=3)
     assert abs(root - 2.0) < 1e-12
 
@@ -108,7 +110,7 @@ def test_contour_root_random_quadratics_and_cubics():
             cand = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             if all(abs(cand - r) > 0.4 for r in roots):
                 roots.append(cand)
-        p = UniPoly.from_roots(roots, one=1.0)
+        p = poly_from_roots(roots, 1.0)
         sep = min(
             abs(a - b) for i, a in enumerate(roots) for b in roots[i + 1 :]
         )
@@ -195,7 +197,7 @@ def polynomials(draw):
         coeffs = draw(st.lists(COMPLEX, min_size=degree, max_size=degree))
         return UniPoly(coeffs + [draw(LEADING)]), []
     roots = draw(st.lists(COMPLEX, min_size=degree, max_size=degree))
-    return UniPoly.from_roots(roots, one=1.0) * UniPoly([draw(LEADING)]), roots
+    return poly_from_roots(roots, 1.0) * UniPoly([draw(LEADING)]), roots
 
 
 @st.composite
@@ -349,6 +351,15 @@ def test_multiplicity_error_after_an_earlier_circle_fails():
         contour_roots(P_EXACT_ZERO, [VANISHES[0], 0j], 1.0, [1, 0])
     with pytest.raises(ValueError, match="multiplicity"):
         contour_roots(P_EXACT_ZERO, [0j, VANISHES[0]], 1.0, [0, 1])
+
+
+def test_unit_nodes_sliced_from_a_finer_level_keep_the_bits_of_cmath_exp():
+    q_max = 2 * MAX_QUADRATURE_NODES  # the finest level a contour reaches
+    tracker._unit_nodes(q_max, 0, 1)
+    for q, start, stop in [(32, 0, 32), (64, 0, 64), (2048, 1024, 2048), (q_max, 0, q_max)]:
+        re, im = tracker._unit_nodes(q, start, stop)
+        got = [complex(r, i) for r, i in zip(re.tolist(), im.tolist())]
+        assert repr(got) == repr([cmath.exp(2j * math.pi * k / q) for k in range(start, stop)])
 
 
 def test_non_converging_contour_memory_is_bounded():
@@ -587,17 +598,23 @@ def test_is_split_point_sample():
     assert not probe_stacks(FAM_SHEAR(), [[1.0]], probe_radius=1e-2)[0].eigen_split()
 
 
+def per_probe(point, radius):
+    """The probe ring of radius ``radius`` around ``point``, each probe
+    computed alone: c + (radius * exp(2 pi i k / 8)) * u_j."""
+    point = tuple(complex(c) for c in point)
+    raw = [cmath.exp(1j * (0.7548776662 * (k + 1) + 0.3)) for k in range(len(point))]
+    norm = math.sqrt(sum(abs(x) ** 2 for x in raw))
+    u = [x / norm for x in raw]
+    return [tuple(c + radius * cmath.exp(2j * math.pi * k / 8) * d
+                  for c, d in zip(point, u)) for k in range(8)]
+
+
 def test_probe_ring_keeps_the_bits_of_the_per_probe_formula():
     """The unit nodes and the direction, computed once, give each probe
-    the bits of c + (radius * exp(2 pi i k / 8)) * u_j computed per probe."""
-    def per_probe(point, radius):
-        point = tuple(complex(c) for c in point)
-        raw = [cmath.exp(1j * (0.7548776662 * (k + 1) + 0.3)) for k in range(len(point))]
-        norm = math.sqrt(sum(abs(x) ** 2 for x in raw))
-        u = [x / norm for x in raw]
-        return [tuple(c + radius * cmath.exp(2j * math.pi * k / 8) * d
-                      for c, d in zip(point, u)) for k in range(8)]
-
+    of both rings the bits of the per-probe formula, signed zeros too."""
     for point, radius in [((0.0,), 0.25), ((-0.0, 1.5), 1e-6), ((0.3, -0.7, 2.0), 10.0),
                           ((-1.0, -0.5), 0.05 / 2)]:
-        assert repr(tracker.probe_ring(point, radius)) == repr(per_probe(point, radius))
+        names = [f"z{j}" for j in range(len(point))]
+        points = probe_stacks(fam([["+".join(names)]], names), [point], radius)[0].points
+        rings = [tuple(p) for p in points[1:].tolist()]
+        assert repr(rings) == repr(per_probe(point, radius) + per_probe(point, radius / 2))
