@@ -15,7 +15,7 @@ from jordanscope.algebra import (
     GR_ONE,
     MultiPoly,
     UniPoly,
-    gcd_squarefree_oracle,
+    square_free_part,
 )
 from jordanscope.ranklab import det_multipoly, exact_rank
 from jordanscope.sylv import build_split_matrix, distinct_zero_count
@@ -39,7 +39,7 @@ for label, roots in cases:
     sm = build_split_matrix(p)
     rank = exact_rank(sm)
     m_rank = distinct_zero_count(p)
-    m_gcd, q0 = gcd_squarefree_oracle(p)
+    m_gcd = square_free_part(p).degree
     print(f"{label:28s} n={n}  rank={rank}  ->  m={m_rank}  (gcd oracle: {m_gcd})")
     assert m_rank == m_gcd == rank - n + 1
 

@@ -7,8 +7,6 @@ and recovers it from ranks alone, then verifies the rank identities
 tying the census to the nilpotent product over the eigenvalues.
 """
 
-import random
-
 import numpy as np
 
 from jordanscope.jordan import jordan_census, theta_product, verify_rank_identities

@@ -7,9 +7,8 @@ from .scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational
 from .unipoly import (
     UniPoly,
     derivative,
-    gcd_monic,
-    gcd_squarefree_oracle,
     pseudo_divmod,
+    square_free_part,
     subresultant_gcd,
     subresultant_prs,
 )
@@ -24,12 +23,11 @@ __all__ = [
     "UniPoly",
     "char_poly",
     "derivative",
-    "gcd_monic",
-    "gcd_squarefree_oracle",
     "mp_content",
     "mp_gcd",
     "parse_entry",
     "pseudo_divmod",
+    "square_free_part",
     "subresultant_gcd",
     "subresultant_prs",
 ]

@@ -96,28 +96,11 @@ class GaussianRational:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if other.__class__ is not GaussianRational:
-            other = _coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        d = self._d
-        if d == other._d:
-            a = self._a - other._a
-            b = self._b - other._b
-            if d == 1:
-                return _raw(a, b, 1)
-        else:
-            od = other._d
-            a = self._a * od - other._a * d
-            b = self._b * od - other._b * d
-            d *= od
-        return _normal(a, b, d)
+        other = other if other.__class__ is GaussianRational else _coerce(other)
+        return NotImplemented if other is NotImplemented else self + -other
 
     def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
+        return (-self).__add__(other)
 
     def __neg__(self):
         return _raw(-self._a, -self._b, self._d)

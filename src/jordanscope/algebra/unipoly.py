@@ -1,10 +1,10 @@
 """Univariate polynomials with exchangeable coefficient rings.
 
 Coefficients may be complex floats, GaussianRationals, or MultiPolys
-(for families of polynomials depending on parameters). Exact-field
-algorithms (Euclidean gcd, the square-free oracle) require exact
-scalars; the subresultant remainder sequence works over the MultiPoly
-ring without introducing fractions.
+(for families of polynomials depending on parameters). Pseudo-division
+and the subresultant remainder sequence work over any exact ring
+without introducing fractions, and give the square-free part of a
+monic polynomial over GaussianRational and MultiPoly alike.
 """
 
 from __future__ import annotations
@@ -103,13 +103,6 @@ class UniPoly:
     def scale(self, c):
         return UniPoly([a * c for a in self.coeffs])
 
-    def shift(self, k: int):
-        """Multiply by x**k."""
-        if self.is_zero() or k == 0:
-            return self
-        zero = zero_like(self.coeffs[0])
-        return UniPoly([zero] * k + self.coeffs)
-
     def __eq__(self, other):
         if not isinstance(other, UniPoly):
             return NotImplemented
@@ -138,60 +131,6 @@ def derivative(p: UniPoly) -> UniPoly:
     if p.degree < 1:
         return UniPoly.zero()
     return UniPoly([p.coeffs[k] * k for k in range(1, len(p.coeffs))])
-
-
-def divmod_field(a: UniPoly, b: UniPoly):
-    """Quotient and remainder over a field (exact or floating scalars)."""
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    if a.degree < b.degree:
-        return UniPoly.zero(), a
-    lead = b.leading
-    q = {}
-    rem = UniPoly(list(a.coeffs))
-    while not rem.is_zero() and rem.degree >= b.degree:
-        k = rem.degree - b.degree
-        c = rem.leading / lead
-        q[k] = c
-        rem = rem - b.scale(c).shift(k)
-    zero = zero_like(a.coeffs[0])
-    qc = [zero] * (max(q) + 1 if q else 0)
-    for k, c in q.items():
-        qc[k] = c
-    return UniPoly(qc), rem
-
-
-def gcd_monic(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Euclidean gcd over an exact field, normalized monic."""
-    r0, r1 = a, b
-    while not r1.is_zero():
-        _, r = divmod_field(r0, r1)
-        r0, r1 = r1, r
-    if r0.is_zero():
-        return r0
-    lead = r0.leading
-    return r0.scale(one_like(lead) / lead)
-
-
-def gcd_squarefree_oracle(p: UniPoly):
-    """Distinct-zero count and square-free part of an exact monic polynomial.
-
-    Returns ``(m, q0)`` where ``q0 = p / gcd(p, p')`` is monic with the
-    same zero set as ``p`` but all zeros simple, and ``m = deg q0`` is
-    the number of distinct zeros. This is the independent oracle the
-    rank-based counting is tested against.
-    """
-    if p.is_zero() or p.degree < 1:
-        raise ValueError("need a polynomial of degree >= 1")
-    if not all(isinstance(c, GaussianRational) for c in p.coeffs):
-        raise ValueError("oracle requires exact coefficients")
-    if not p.is_monic():
-        raise ValueError("oracle requires a monic polynomial")
-    g = gcd_monic(p, derivative(p))
-    q0, rem = divmod_field(p, g)
-    if not rem.is_zero():
-        raise ArithmeticError("gcd does not divide p")  # cannot happen
-    return q0.degree, q0
 
 
 def pseudo_divmod(a: UniPoly, b: UniPoly):
@@ -259,3 +198,25 @@ def subresultant_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     if g.is_zero():
         return f
     return subresultant_prs(f, g)[-1]
+
+
+def square_free_part(p: UniPoly) -> UniPoly:
+    """The square-free part q0 = p / gcd(p, p') of a monic p of degree >= 1
+    over an exact ring: monic, with the zeros of p, each simple.
+
+    The gcd g comes from a subresultant remainder sequence. p is monic, so
+    by Gauss's lemma the primitive part of g is monic up to a unit and g's
+    content is its leading coefficient: g divided by it (``/``, which is
+    ``exact_div`` on MultiPoly) is monic, and the pseudo-division of p by
+    it is exact, with multiplier one.
+    """
+    g = subresultant_gcd(p, derivative(p))
+    lead = g.leading
+    g = UniPoly([c / lead for c in g.coeffs])
+    q0, remainder = pseudo_divmod(p, g)
+    if not remainder.is_zero():
+        raise ArithmeticError(
+            "gcd of the remainder sequence does not divide the polynomial "
+            "(non-generic content)"
+        )
+    return q0

@@ -15,7 +15,7 @@ import numpy as np
 
 from .algebra.matrices import as_matrix, char_poly, identity_like, poly_at_matrix
 from .algebra.scalars import GaussianRational
-from .algebra.unipoly import gcd_squarefree_oracle
+from .algebra.unipoly import square_free_part
 from .family import MatrixFamily
 from .ranklab import (
     DEFAULT_REL_TOL,
@@ -66,13 +66,16 @@ def theta_product(phi, eigenvalues):
     return theta[0]
 
 
-def theta_from_squarefree(phi):
-    """Exact cross-check route: (-1)^m q0(Phi) with q0 the square-free
-    part of the characteristic polynomial."""
+def theta_from_squarefree(phi, q0=None):
+    """Theta = (-1)^m q0(Phi), m = deg q0, with q0 the square-free part of
+    the characteristic polynomial of Phi (:func:`square_free_part`, taken
+    here when not given). The exact cross-check route against
+    :func:`theta_product`, and the symbolic Theta of a family."""
     phi = as_matrix(phi)
-    m, q0 = gcd_squarefree_oracle(char_poly(phi))
+    if q0 is None:
+        q0 = square_free_part(char_poly(phi))
     value = poly_at_matrix(q0.coeffs, phi)
-    return -value if m % 2 == 1 else value
+    return -value if q0.degree % 2 == 1 else value
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra.matrices import as_matrix, char_poly_stack, poly_at_matrix
+from .algebra.matrices import char_poly_stack
 from .algebra.multipoly import MultiPoly, NonFiniteError
-from .algebra.unipoly import UniPoly, derivative, pseudo_divmod, subresultant_gcd
+from .algebra.unipoly import square_free_part
 from .family import MatrixFamily
-from .jordan import JordanCensus, jordan_censuses
+from .jordan import JordanCensus, jordan_censuses, theta_from_squarefree
 from .ranklab import (DEFAULT_REL_TOL, GENERIC_RANK_NOTE, ScaleBounds, generic_rank,
                       minors, norm_scales)
 from .sylv import (
@@ -272,10 +272,6 @@ def scan_grid(
 # symbolic square-free evaluation of the family
 
 
-class GcdDegenerationError(RuntimeError):
-    pass
-
-
 @dataclass
 class SquareFreeResult:
     """Square-free evaluation of the family.
@@ -292,35 +288,16 @@ class SquareFreeResult:
 
 
 def square_free_part_family(family: MatrixFamily) -> SquareFreeResult:
-    """Symbolic Theta for a polynomial family.
-
-    The square-free part q0 = P / gcd(P, P') of the characteristic
-    polynomial P comes from a subresultant remainder sequence and one
-    division by its gcd g. P is monic, so by Gauss's lemma the primitive
-    part of g is monic up to a unit and g's content is its leading
-    coefficient: g divided by it is monic, and so is q0, whose
-    coefficients are polynomials. Theta = (-1)^m q0(A). For a square-free
-    P, g is constant, q0 = P and Theta = -+P(A) = 0 (Cayley-Hamilton):
-    :func:`jst_defining_functions` builds that zero matrix itself and
-    calls this only for a P with a repeated factor.
+    """Symbolic Theta for a polynomial family: Theta = (-1)^m q0(A) with
+    q0 the square-free part of the characteristic polynomial P
+    (:func:`algebra.unipoly.square_free_part`), whose coefficients are
+    polynomials. For a square-free P, q0 = P and Theta = -+P(A) = 0
+    (Cayley-Hamilton): :func:`jst_defining_functions` builds that zero
+    matrix itself and calls this only for a P with a repeated factor.
     """
-    p = family.char_poly_family()
-    g = subresultant_gcd(p, derivative(p))
-    if g.is_zero():
-        raise GcdDegenerationError("vanishing remainder sequence")
-    q = p  # a constant gcd: the family is generically square-free
-    if g.degree >= 1:
-        g = UniPoly([c.exact_div(g.leading) for c in g.coeffs])
-        q, remainder = pseudo_divmod(p, g)
-        if not remainder.is_zero():
-            raise GcdDegenerationError(
-                "gcd of the remainder sequence does not divide the "
-                "characteristic polynomial (non-generic content)"
-            )
-    theta = poly_at_matrix(q.coeffs, as_matrix(family.entries))
-    if q.degree % 2 == 1:
-        theta = -theta
-    return SquareFreeResult(theta=theta, distinct_degree=q.degree)
+    q0 = square_free_part(family.char_poly_family())
+    theta = theta_from_squarefree(family.entries, q0)
+    return SquareFreeResult(theta=theta, distinct_degree=q0.degree)
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-import pytest
+import sympy
 
 from jordanscope import cli
-from jordanscope.algebra import (
-    GaussianRational,
-    GR_ONE,
-    gcd_squarefree_oracle,
-)
+from jordanscope.algebra import GaussianRational, GR_ONE
 from jordanscope.family import MatrixFamily
 from jordanscope.jordan import (
     jordan_census,
@@ -37,10 +33,8 @@ from jordanscope.scanner import (
 from jordanscope.sylv import build_split_matrix, check_coeff_bound
 from jordanscope.tracker import splitting_amounts, track_path
 
-from test_algebra import poly_from_roots
+from test_algebra import poly_from_roots, sympy_poly
 from test_jordan import (
-    block_diag_exact,
-    jordan_block_exact,
     mat_mul,
     random_jordan_structure,
     random_unimodular,
@@ -103,7 +97,7 @@ def test_criterion_1_split_matrix_rank_law():
                 for root, mult in zip(distinct, part):
                     roots.extend([root] * mult)
                 p = poly_from_roots(roots, GR_ONE)
-                m_oracle, _ = gcd_squarefree_oracle(p)
+                m_oracle = sympy.sqf_part(sympy_poly(p)).degree()
                 assert m_oracle == len(part)
                 rank = exact_rank(build_split_matrix(p))
                 if rank != n + m_oracle - 1:

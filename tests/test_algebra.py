@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -15,15 +16,14 @@ from jordanscope.algebra import (
     UniPoly,
     char_poly,
     derivative,
-    gcd_monic,
-    gcd_squarefree_oracle,
     mp_gcd,
     parse_entry,
+    pseudo_divmod,
+    square_free_part,
     subresultant_prs,
 )
 from jordanscope.algebra.matrices import as_matrix
 from jordanscope.algebra.scalars import GR_ZERO
-from jordanscope.algebra.unipoly import divmod_field, pseudo_divmod
 
 GR = GaussianRational
 
@@ -40,6 +40,16 @@ def poly_from_roots(roots, one):
     """The monic product of the factors (x - r) over the roots, with
     repeats, multiplied in the order of the roots."""
     return math.prod((UniPoly([-r, one]) for r in roots), start=UniPoly([one]))
+
+
+X = sympy.Symbol("x")
+
+
+def sympy_poly(p):
+    """A UniPoly over GaussianRational as a sympy Poly over QQ(i)."""
+    return sympy.Poly([sympy.Rational(c.re.numerator, c.re.denominator)
+                       + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator)
+                       for c in reversed(p.coeffs)], X, domain="QQ_I")
 
 
 # ---------------------------------------------------------------------------
@@ -96,54 +106,43 @@ def test_derivative_drops_degree_by_one():
         assert derivative(p).degree == p.degree - 1
 
 
-def test_divmod_field_roundtrip():
+def test_pseudo_divmod_roundtrip_gaussian():
+    # lc(b)**(deg a - deg b + 1) * a = q*b + r with deg r < deg b
     rng = random.Random(3)
     for _ in range(30):
         a = UniPoly([gr(rng.randint(-9, 9)) for _ in range(rng.randint(1, 7))])
         b = UniPoly([gr(rng.randint(-9, 9)) for _ in range(rng.randint(1, 5))])
-        if b.is_zero():
+        if a.is_zero() or b.is_zero():
             continue
-        q, r = divmod_field(a, b)
-        assert q * b + r == a
+        q, r = pseudo_divmod(a, b)
+        scale = b.leading ** max(a.degree - b.degree + 1, 0)
+        assert a.scale(scale) == q * b + r
         assert r.is_zero() or r.degree < b.degree
 
 
 # ---------------------------------------------------------------------------
-# gcd_squarefree_oracle
+# square_free_part
 
 
 def test_oracle_single_root():
     p = UniPoly([gr(0), gr(0), gr(1)])  # lam^2
-    m, q0 = gcd_squarefree_oracle(p)
-    assert m == 1
-    assert q0 == UniPoly([gr(0), gr(1)])
+    assert square_free_part(p) == UniPoly([gr(0), gr(1)])
 
 
 def test_oracle_distinct_roots():
     p = UniPoly([gr(-1), gr(0), gr(1)])  # lam^2 - 1
-    m, q0 = gcd_squarefree_oracle(p)
-    assert m == 2
-    assert q0 == p
+    assert square_free_part(p) == p
 
 
 def test_oracle_mixed_multiplicities():
     # (lam-1)^2 (lam+2) expanded; square-free part (lam-1)(lam+2)
     p = UniPoly(poly_from_roots([gr(1), gr(1), gr(-2)], GR_ONE).coeffs)
-    m, q0 = gcd_squarefree_oracle(p)
-    assert m == 2
-    expect = poly_from_roots([gr(1), gr(-2)], GR_ONE)
-    assert q0 == expect
-
-
-def test_oracle_rejects_non_monic_and_constant():
-    with pytest.raises(ValueError):
-        gcd_squarefree_oracle(UniPoly([gr(1), gr(2)]))  # lc 2
-    with pytest.raises(ValueError):
-        gcd_squarefree_oracle(UniPoly([gr(5)]))  # degree 0
+    assert square_free_part(p) == poly_from_roots([gr(1), gr(-2)], GR_ONE)
 
 
 def test_oracle_degree_law_on_random_factored_polys():
-    # deg gcd(p, p') + m = deg p, m counted from the construction
+    # deg gcd(p, p') + m = deg p, m counted from the construction and the
+    # gcd taken by sympy
     rng = random.Random(11)
     for _ in range(50):
         n_distinct = rng.randint(1, 4)
@@ -157,13 +156,28 @@ def test_oracle_degree_law_on_random_factored_polys():
         for r, k in mults.items():
             roots.extend([gr(r)] * k)
         p = UniPoly(poly_from_roots(roots, GR_ONE).coeffs)
-        m, q0 = gcd_squarefree_oracle(p)
-        assert m == n_distinct
-        g = gcd_monic(p, derivative(p))
-        assert g.degree + m == p.degree
+        q0 = square_free_part(p)
+        assert q0.degree == n_distinct
+        sp = sympy_poly(p)
+        assert sympy.gcd(sp, sp.diff(X)).degree() + q0.degree == p.degree
         # q0 divides p exactly
-        q, r = divmod_field(p, q0)
+        _, r = pseudo_divmod(p, q0)
         assert r.is_zero()
+
+
+def gaussian_roots():
+    part = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    return st.builds(GR, part, part)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(gaussian_roots(), st.integers(1, 3)), min_size=1, max_size=4)
+       .filter(lambda pairs: any(k > 1 for _, k in pairs)))
+def test_square_free_part_matches_sympy(pairs):
+    # monic Gaussian-rational polynomials with a repeated root
+    p = poly_from_roots([r for r, k in pairs for _ in range(k)], GR_ONE)
+    expect = sympy.sqf_part(sympy_poly(p)).monic()
+    assert sympy_poly(square_free_part(p)) == expect
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +319,12 @@ def test_subresultant_prs_agrees_with_field_gcd():
         f0, g0, s0 = rand_up(d1), rand_up(d2), rand_up(shared)
         f = f0 * s0
         g = g0 * s0
-        expect = gcd_monic(f, g)
+        expect = sympy.gcd(sympy_poly(f), sympy_poly(g))
         fz = UniPoly([MultiPoly.constant(1, c) for c in f.coeffs])
         gz = UniPoly([MultiPoly.constant(1, c) for c in g.coeffs])
         prs = subresultant_prs(fz, gz)
         last = prs[-1]
-        assert last.degree == expect.degree
+        assert last.degree == expect.degree()
 
 
 def test_pseudo_divmod_identity():

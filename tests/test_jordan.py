@@ -14,7 +14,6 @@ from jordanscope.corpus import builtin_cases
 from jordanscope.family import MatrixFamily
 from jordanscope.jordan import (
     CensusInconsistencyError,
-    TransformReport,
     jordan_census,
     jordan_censuses,
     local_jordan_transform,

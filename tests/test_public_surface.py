@@ -15,6 +15,10 @@ files.
 
 ``python tests/test_public_surface.py`` prints the names that only a
 benchmark pin keeps alive.
+
+No module in ``src/``, ``tests/`` or ``demos/`` keeps a module-level
+import that it never uses, outside ``__future__`` imports, names listed
+in ``__all__`` and lines marked ``# noqa``.
 """
 
 import ast
@@ -98,6 +102,36 @@ def test_every_public_name_has_a_caller_a_benchmark_pin_or_a_reason():
     pins = benchmark_pins()
     only_tests = [name for name in unreferenced if name not in pins and name not in KEPT]
     assert only_tests == [], f"public names that only tests or demos reach: {only_tests}"
+
+
+def unused_imports(path) -> list:
+    """``file:line name`` of each module-level import in ``path`` that no
+    ``Name`` or ``Attribute`` chain in the module uses."""
+    source = path.read_text()
+    tree = ast.parse(source, filename=str(path))
+    lines = source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used |= set(ast.literal_eval(node.value))
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used and "# noqa" not in lines[alias.lineno - 1]:
+                out.append(f"{path.relative_to(ROOT)}:{alias.lineno} {name}")
+    return out
+
+
+def test_no_unused_module_imports():
+    paths = [path for folder in ("src", "tests", "demos")
+             for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert [item for path in paths for item in unused_imports(path)] == []
 
 
 if __name__ == "__main__":

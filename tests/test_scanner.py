@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from jordanscope import ranklab, scanner, sylv
-from jordanscope.algebra import GaussianRational, MultiPoly, UniPoly
+from jordanscope.algebra import GaussianRational, MultiPoly
 from jordanscope.algebra.multipoly import NonFiniteError, StackedEvaluator
 from jordanscope.family import MatrixFamily
 from jordanscope.jordan import theta_product
