@@ -9,7 +9,8 @@ tying the census to the nilpotent product over the eigenvalues.
 
 import numpy as np
 
-from jordanscope.jordan import jordan_census, theta_product, verify_rank_identities
+from jordanscope.jordan import jordan_census, verify_rank_identities
+from jordanscope.tracker import theta_stack
 
 rng = np.random.default_rng(7)
 
@@ -51,6 +52,8 @@ for name, oks in by_name.items():
     print(f"{name:28s} {sum(oks)}/{len(oks)} hold")
 assert report.passed
 
-theta = theta_product(Phi, census.eigenvalues)
+# Theta = prod (lam - Phi) over the distinct eigenvalues, a stack of one
+thetas, _ = theta_stack(Phi[None], [[(lam, 1) for lam in census.eigenvalues]])
+theta = thetas[0]
 print("\nnilpotent product at exponent n: |Theta^5| =",
       f"{np.linalg.norm(np.linalg.matrix_power(theta, 5), 2):.2e}")

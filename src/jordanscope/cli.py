@@ -42,8 +42,6 @@ from .family import MatrixFamily
 from .jordan import (
     CensusInconsistencyError,
     jordan_census,
-    theta_from_squarefree,
-    theta_product,
     verify_rank_identities,
 )
 from .corpus import CorpusCase, builtin_cases, builtin_families
@@ -71,6 +69,7 @@ from .tracker import (
     ProbeDisagreementError,
     distinct_eigenvalues,
     splitting_amounts,
+    theta_stack,
     track_path,
 )
 
@@ -577,7 +576,8 @@ def _verify_case(case: CorpusCase, rel_tol: float, seed: int):
         yield (f"{label}: census at {case.stable_point} = {case.stable_census}",
                census is not None and census.aggregate == case.stable_census)
 
-    # direct product vs square-free route at rational points
+    # the family's symbolic Theta, exact at rational points, against the
+    # floating product over the eigenvalue clusters there
     jst = jst_defining_functions(fam, seed=seed)
     check = f"{label}: square-free product cross-check"
     ok, compared = True, 0
@@ -588,10 +588,10 @@ def _verify_case(case: CorpusCase, rel_tol: float, seed: int):
         ]
         a = fam.at([complex(x) for x in pt_exact])
         clusters = distinct_eigenvalues(a, rel_tol)
-        if len(clusters) != jst.squarefree.distinct_degree:
+        if len(clusters) != jst.distinct_degree:
             continue  # point fell on the splitting set; resample
-        sq = theta_from_squarefree(fam.at_exact(pt_exact)).astype(complex)
-        direct = theta_product(a, [lam for lam, _ in clusters])
+        sq = np.array([[complex(e.eval_exact(pt_exact)) for e in row] for row in jst.theta])
+        direct = theta_stack(a[None], [[(lam, 1) for lam, _ in clusters]])[0][0]
         if np.linalg.norm(sq - direct, 2) > 1e-6 * (1 + np.linalg.norm(direct, 2)):
             ok = False
         compared += 1

@@ -13,9 +13,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra.matrices import as_matrix, char_poly, identity_like, poly_at_matrix
+from .algebra.matrices import as_matrix, identity_like, poly_at_matrix
 from .algebra.scalars import GaussianRational
-from .algebra.unipoly import square_free_part
 from .family import MatrixFamily
 from .ranklab import (
     DEFAULT_REL_TOL,
@@ -50,31 +49,12 @@ class CensusInconsistencyError(RuntimeError):
 # the nilpotent product over distinct eigenvalues
 
 
-def theta_product(phi, eigenvalues):
-    """Product of (lam_j - Phi) over the distinct eigenvalues, in the
-    ring of Phi's entries (:func:`as_matrix`), by :func:`theta_stack`.
-
-    The factors commute, so the order does not matter. Repeated
-    eigenvalues are rejected.
-    """
-    eigenvalues = list(eigenvalues)
-    for i, a in enumerate(eigenvalues):
-        for b in eigenvalues[i + 1 :]:
-            if a == b:
-                raise ValueError("eigenvalue list must be distinct")
-    theta, _ = theta_stack(as_matrix(phi)[None], [[(lam, 1) for lam in eigenvalues]])
-    return theta[0]
-
-
-def theta_from_squarefree(phi, q0=None):
+def theta_from_squarefree(phi, q0):
     """Theta = (-1)^m q0(Phi), m = deg q0, with q0 the square-free part of
-    the characteristic polynomial of Phi (:func:`square_free_part`, taken
-    here when not given). The exact cross-check route against
-    :func:`theta_product`, and the symbolic Theta of a family."""
-    phi = as_matrix(phi)
-    if q0 is None:
-        q0 = square_free_part(char_poly(phi))
-    value = poly_at_matrix(q0.coeffs, phi)
+    the characteristic polynomial of Phi (``unipoly.square_free_part``):
+    the symbolic Theta of a family, the product of (lam_j - A) over the
+    distinct eigenvalue branches wherever none collide."""
+    value = poly_at_matrix(q0.coeffs, as_matrix(phi))
     return -value if q0.degree % 2 == 1 else value
 
 

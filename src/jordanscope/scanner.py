@@ -272,32 +272,17 @@ def scan_grid(
 # symbolic square-free evaluation of the family
 
 
-@dataclass
-class SquareFreeResult:
-    """Square-free evaluation of the family.
-
-    ``theta`` holds the MultiPoly entries of Theta, the product of
-    (lam_j - A) over the distinct eigenvalue branches; wherever no
-    eigenvalues collide, it evaluates to Theta(point). Where the
-    characteristic polynomial is generically square-free, Theta is the
-    zero matrix and ``distinct_degree`` is n.
-    """
-
-    theta: np.ndarray  # n x n, MultiPoly entries
-    distinct_degree: int  # generic number of distinct eigenvalues
-
-
-def square_free_part_family(family: MatrixFamily) -> SquareFreeResult:
-    """Symbolic Theta for a polynomial family: Theta = (-1)^m q0(A) with
-    q0 the square-free part of the characteristic polynomial P
-    (:func:`algebra.unipoly.square_free_part`), whose coefficients are
-    polynomials. For a square-free P, q0 = P and Theta = -+P(A) = 0
-    (Cayley-Hamilton): :func:`jst_defining_functions` builds that zero
+def square_free_part_family(family: MatrixFamily) -> Tuple[np.ndarray, int]:
+    """(Theta, m) for a polynomial family: the MultiPoly matrix Theta =
+    (-1)^m q0(A) with q0 the square-free part of the characteristic
+    polynomial P (:func:`algebra.unipoly.square_free_part`), whose
+    coefficients are polynomials, and m = deg q0, the generic number of
+    distinct eigenvalues. For a square-free P, q0 = P and Theta = -+P(A)
+    = 0 (Cayley-Hamilton): :func:`jst_defining_functions` builds that zero
     matrix itself and calls this only for a P with a repeated factor.
     """
     q0 = square_free_part(family.char_poly_family())
-    theta = theta_from_squarefree(family.entries, q0)
-    return SquareFreeResult(theta=theta, distinct_degree=q0.degree)
+    return theta_from_squarefree(family.entries, q0), q0.degree
 
 
 # ---------------------------------------------------------------------------
@@ -306,14 +291,16 @@ def square_free_part_family(family: MatrixFamily) -> SquareFreeResult:
 
 @dataclass
 class JstResult:
-    """Defining polynomials of the set of non-Jordan-stable points."""
+    """Defining polynomials of the set of non-Jordan-stable points, and
+    the family's symbolic Theta (:func:`square_free_part_family`)."""
 
     functions: Optional[List[MultiPoly]]
     split_functions: List[MultiPoly]
     rank_minor_functions: Dict[int, List[MultiPoly]]
     rank_values: Dict[int, int]
     k0: int
-    squarefree: SquareFreeResult
+    theta: np.ndarray  # n x n, MultiPoly entries; zero for a square-free P
+    distinct_degree: int  # generic number of distinct eigenvalues
     capped: bool = False
     notes: List[str] = field(default_factory=list)
 
@@ -349,16 +336,15 @@ def jst_defining_functions(family: MatrixFamily, seed: int = 0) -> JstResult:
     split = split_defining_functions(family.char_poly_family(), seed=seed)
     gs = split.functions
     if split.r_max == 2 * n - 1:  # P square-free: Theta = +-P(A) = 0
-        zero = np.full((n, n), MultiPoly.zero(family.nparams), dtype=object)
-        sf = SquareFreeResult(theta=zero, distinct_degree=n)
+        theta, degree = np.full((n, n), MultiPoly.zero(family.nparams), dtype=object), n
         ranks = [0] if n > 1 else []
     else:
-        sf = square_free_part_family(family)
-        ranks = generic_rank(sf.theta, seed=seed, powers=n - 1)
+        theta, degree = square_free_part_family(family)
+        ranks = generic_rank(theta, seed=seed, powers=n - 1)
     notes = [GENERIC_RANK_NOTE] if ranks else []  # no rank is taken at n = 1
     rank_values = dict(enumerate(ranks, start=1))
     k0 = sum(r > 0 for r in ranks)
-    powers = itertools.accumulate([sf.theta] * k0, operator.matmul)  # Theta^k, k <= k0
+    powers = itertools.accumulate([theta] * k0, operator.matmul)  # Theta^k, k <= k0
     minor_functions = {k: minors(p, r) for k, (p, r) in enumerate(zip(powers, ranks), 1)}
     total = len(gs)
     for k in sorted(minor_functions):
@@ -380,7 +366,8 @@ def jst_defining_functions(family: MatrixFamily, seed: int = 0) -> JstResult:
         rank_minor_functions=minor_functions,
         rank_values=rank_values,
         k0=k0,
-        squarefree=sf,
+        theta=theta,
+        distinct_degree=degree,
         capped=capped,
         notes=notes,
     )

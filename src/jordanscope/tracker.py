@@ -55,10 +55,8 @@ def _clusters(values: np.ndarray, close: np.ndarray) -> list:
     ``sum(g) / len(g)`` of its values in row order, ordered by (re, im)
     and on ties by first member. A row without a close pair is a list of
     singletons, sorted at once. In the others the components come from
-    one transitive closure. Where every sum is finite they are summed in
-    row order over arrays: a sum starts at +0.0, so no partial sum is
-    -0.0 and a non-member's 0.0 leaves it as it is. The other rows are
-    summed and sorted value by value."""
+    one transitive closure, and each row is summed and sorted value by
+    value."""
     k = values.shape[1]
     ordered = np.take_along_axis(values, np.lexsort((values.imag, values.real)), 1)
     singles = (ordered + 0.0).tolist()  # the bits of sum([v]) / 1 for finite v
@@ -72,22 +70,7 @@ def _clusters(values: np.ndarray, close: np.ndarray) -> list:
     for m in range(k):
         reach |= reach[:, :, m, None] & reach[:, None, m, :]
     label = reach.argmax(axis=2)  # each value's least fellow member
-    member = label[:, None, :] == np.arange(k)[:, None]  # [row, component, value]
-    sums = np.zeros((len(joined), k), dtype=complex)
-    with np.errstate(all="ignore"):
-        for c in range(k):
-            sums += np.where(member[:, :, c], values[joined, None, c], 0.0)
-        sizes = member.sum(axis=2)
-        centers = np.empty_like(sums)
-        centers.real, centers.imag = sums.real / sizes, sums.imag / sizes
-    plain = np.isfinite(sums).all(axis=1)
-    order = np.lexsort((centers.imag, centers.real, sizes == 0), axis=-1)
-    rows = zip(joined[plain].tolist(), (sizes[plain] > 0).sum(axis=1).tolist(),
-               np.take_along_axis(centers, order, 1)[plain].tolist(),
-               np.take_along_axis(sizes, order, 1)[plain].tolist())
-    for r, used, line, size in rows:
-        out[r] = list(zip(line[:used], size[:used]))
-    for r, group in zip(joined[~plain].tolist(), label[~plain].tolist()):
+    for r, group in zip(joined.tolist(), label.tolist()):
         groups = {}
         for g, v in zip(group, values[r].tolist()):
             groups.setdefault(g, []).append(v)

@@ -2,7 +2,9 @@
 an InputError, never in another exception, and every drawn family spec
 ends ``split-set``, ``jst-set`` and ``scan`` in a report (exit 0 or 1)
 or a one-line input error (exit 2), with the same bytes on a rerun; a
-scan has them also in runs of one node.
+scan has them also in runs of one node. ``census`` at a drawn point
+ends in a report (exit 0), one census-inconsistency line and no report
+(exit 1), or a one-line input error.
 
 The inputs are hostile on purpose: huge ints, NaN and Infinity, bools,
 null, strings, pairs, ints past the digit limit, JSON nested past the
@@ -103,7 +105,7 @@ def test_text_parsers_return_or_raise_input_error(text, nparams, parse):
 
 
 # ---------------------------------------------------------------------------
-# whole commands: split-set, jst-set and scan on drawn family specs
+# whole commands: split-set, jst-set, scan and census on drawn family specs
 
 def entry_texts(params):
     """Entries in exprparse's grammar: parameters, i, small ints and
@@ -154,11 +156,14 @@ def spec_file(tmp, spec):
 
 def assert_exit_contract(argv, command):
     """Exit 0 or 1 with a report of kind ``command``, or 2 with one
-    input-error line, and the same outcome and bytes on a rerun."""
+    input-error line, and the same outcome and bytes on a rerun. A census
+    exits 1 with one line saying why and no report."""
     code, out, err = run_command(argv)
     assert code in (0, 1, 2), err
     if code == 2:
         assert not out and err.count("\n") == 1 and err.startswith("input error:"), err
+    elif code == 1 and command == "census":
+        assert not out and err.count("census inconsistency:") == 1, err
     else:
         assert json.loads(out)["kind"] == command
     assert run_command(argv)[:2] == (code, out)
@@ -187,3 +192,19 @@ def test_scan_keeps_the_exit_contract_at_any_run_size(spec, res, radius):
         code, out = assert_exit_contract(argv, "scan")
         with mock.patch.object(scanner, "RUN_NODES", 1):
             assert run_command(argv)[:2] == (code, out)
+
+
+# coordinates at 0, at the edges of the float range a census meets, and
+# complex values, as parse_point reads them
+COORDINATES = st.one_of(
+    st.sampled_from(["0", "1e-160", "-1e-160", "1e150", "-1e150", "1+2i", "-0.5i"]),
+    st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False).map(str),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(spec=family_specs(), coordinates=st.lists(COORDINATES, min_size=2, max_size=2))
+def test_census_keeps_the_exit_contract(spec, coordinates):
+    with tempfile.TemporaryDirectory() as tmp:
+        point = ",".join(coordinates[:len(spec["params"])])
+        assert_exit_contract(["census", spec_file(tmp, spec), f"--point={point}"], "census")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from jordanscope import jordan, ranklab, tracker
 from jordanscope.algebra import GaussianRational
 from jordanscope.algebra.matrices import as_matrix, char_poly, identity_like
+from jordanscope.algebra.unipoly import square_free_part
 from jordanscope.corpus import builtin_cases
 from jordanscope.family import MatrixFamily
 from jordanscope.jordan import (
@@ -18,12 +19,13 @@ from jordanscope.jordan import (
     jordan_censuses,
     local_jordan_transform,
     theta_from_squarefree,
-    theta_product,
     verify_rank_identities,
 )
 from jordanscope.ranklab import NonFiniteError, exact_rank, power_ranks
 from jordanscope.scanner import PointKind, classify_points
 from jordanscope.sylv import distinct_zero_count
+
+from test_tracker import theta_product
 
 GR = GaussianRational
 
@@ -102,7 +104,7 @@ def random_jordan_structure(rng, n_max=6):
 
 
 # ---------------------------------------------------------------------------
-# theta_product
+# the nilpotent product over distinct eigenvalues (a theta_stack of one)
 
 
 def test_theta_identity_matrix():
@@ -124,11 +126,6 @@ def test_theta_companion_at_nonzero_parameter():
     phi = [[gr(0), gr(1)], [gr(4), gr(0)]]
     theta = theta_product(phi, [gr(2), gr(-2)])
     assert all(x.is_zero() for row in theta for x in row)
-
-
-def test_theta_rejects_repeats():
-    with pytest.raises(ValueError):
-        theta_product(np.eye(2), [1.0, 1.0])
 
 
 def theta_by_loop(phi, eigenvalues):
@@ -168,7 +165,7 @@ def test_theta_cross_check_squarefree_route():
         t, tinv = random_unimodular(rng, len(j))
         phi = mat_mul(t, mat_mul(j, tinv))
         direct = theta_product(phi, [lam for lam, _ in pairs])
-        via_gcd = theta_from_squarefree(phi)
+        via_gcd = theta_from_squarefree(phi, square_free_part(char_poly(phi)))
         assert direct.tolist() == via_gcd.tolist()
 
 

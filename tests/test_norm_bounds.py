@@ -452,10 +452,9 @@ def test_singleton_centers_of_a_non_finite_row_keep_sum_of_one_over_one():
 
 
 def test_grouped_clusters_keep_the_bits_of_the_loop():
-    # rows with close pairs, grouped over arrays where every sum is finite
-    # and value by value where not: signed zeros, groups whose members are
-    # not adjacent, a sum that overflows (its other part then NaN) and
-    # infinite values
+    # rows with close pairs, each summed value by value: signed zeros,
+    # groups whose members are not adjacent, a sum that overflows (its
+    # other part then NaN) and infinite values
     rows = [
         ([complex(-0.0, -0.0), complex(1.0, -0.0), complex(0.0, -0.0), complex(1.0, 0.0)], 0.5),
         ([complex(3.0, 1.0), complex(-0.0, -0.0), complex(3.0, 1.0), complex(-0.0, 0.0)], 0.0),

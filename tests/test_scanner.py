@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from collections import Counter
@@ -10,9 +11,12 @@ from hypothesis import given, settings
 
 from jordanscope import ranklab, scanner, sylv
 from jordanscope.algebra import GaussianRational, MultiPoly
+from jordanscope.algebra.matrices import char_poly
 from jordanscope.algebra.multipoly import NonFiniteError, StackedEvaluator
+from jordanscope.algebra.unipoly import square_free_part
+from jordanscope.corpus import builtin_families
 from jordanscope.family import MatrixFamily
-from jordanscope.jordan import theta_product
+from jordanscope.jordan import theta_from_squarefree
 from jordanscope.scanner import (
     PointKind,
     check_jst_bound,
@@ -23,10 +27,10 @@ from jordanscope.scanner import (
     scan_grid,
     square_free_part_family,
 )
-from jordanscope.sylv import split_counts, split_matrices
+from jordanscope.sylv import split_counts, split_defining_functions, split_matrices
 from jordanscope.tracker import distinct_eigenvalues
 from test_sylv import small_families
-from test_tracker import per_probe
+from test_tracker import per_probe, theta_product
 
 GR = GaussianRational
 DATA = Path(__file__).parent / "data"
@@ -277,26 +281,26 @@ def test_scan_size_cap():
 
 
 def test_squarefree_nilpotent_family():
-    sf = square_free_part_family(nilpotent_family())
-    assert sf.distinct_degree == 1
+    theta, degree = square_free_part_family(nilpotent_family())
+    assert degree == 1
     # Theta = -A
     f = nilpotent_family()
     for i in range(2):
         for j in range(2):
-            assert sf.theta[i][j] == -f.entries[i][j]
+            assert theta[i][j] == -f.entries[i][j]
 
 
 def test_squarefree_shear_family_is_cayley_hamilton_zero():
-    sf = square_free_part_family(shear_family())
-    assert sf.distinct_degree == 2
-    assert all(e.is_zero() for row in sf.theta for e in row)
+    theta, degree = square_free_part_family(shear_family())
+    assert degree == 2
+    assert all(e.is_zero() for row in theta for e in row)
 
 
 def test_squarefree_double_eigenvalue_family():
-    sf = square_free_part_family(double_eig_family())
-    assert sf.distinct_degree == 2
+    theta, degree = square_free_part_family(double_eig_family())
+    assert degree == 2
     # A diagonalizable with exactly the eigenvalues {z, 1}: Theta = 0
-    assert all(e.is_zero() for row in sf.theta for e in row)
+    assert all(e.is_zero() for row in theta for e in row)
 
 
 def test_squarefree_jordan_cell_family():
@@ -304,34 +308,34 @@ def test_squarefree_jordan_cell_family():
     f = MatrixFamily.from_entries(
         [["z", "1", "0"], ["0", "z", "0"], ["0", "0", "1"]], ["z"]
     )
-    sf = square_free_part_family(f)
-    assert sf.distinct_degree == 2
+    theta, degree = square_free_part_family(f)
+    assert degree == 2
     z = MultiPoly.variable(1, 0)
     one = MultiPoly.one(1)
     # Theta = (z - A)(1 - A): single nonzero entry (z - 1) at (0, 1)
-    assert sf.theta[0][1] == z - one
+    assert theta[0][1] == z - one
     zero_positions = [(i, j) for i in range(3) for j in range(3) if (i, j) != (0, 1)]
     for i, j in zero_positions:
-        assert sf.theta[i][j].is_zero()
+        assert theta[i][j].is_zero()
 
 
 def test_squarefree_evaluation_identity_at_rational_points():
     # Theta(pt) == theta_product(A(pt)) at random points
     rng = random.Random(71)
     for fam in (nilpotent_family(), double_eig_family()):
-        sf = square_free_part_family(fam)
+        theta, degree = square_free_part_family(fam)
         for _ in range(25):
             pt = [
                 complex(Fraction(rng.randint(-9, 9), rng.randint(1, 7)))
                 for _ in range(fam.nparams)
             ]
             sym = np.array(
-                [[complex(e.eval_complex(pt)) for e in row] for row in sf.theta]
+                [[complex(e.eval_complex(pt)) for e in row] for row in theta]
             )
             a = fam.at(pt)
             clusters = distinct_eigenvalues(a)
             direct = theta_product(a, [lam for lam, _ in clusters])
-            if len(clusters) != sf.distinct_degree:
+            if len(clusters) != degree:
                 continue  # point accidentally on the splitting set
             assert np.linalg.norm(sym - direct) <= 1e-6 * (
                 1 + np.linalg.norm(direct)
@@ -342,10 +346,10 @@ def test_squarefree_evaluation_identity_at_rational_points():
 @given(small_families())
 def test_jst_squarefree_equals_square_free_part_family(family):
     # a full-rank splitting matrix stands in for the remainder sequence
-    got, want = jst_defining_functions(family).squarefree, square_free_part_family(family)
-    assert got.distinct_degree == want.distinct_degree
+    got, (theta, degree) = jst_defining_functions(family), square_free_part_family(family)
+    assert got.distinct_degree == degree
     assert [[list(e.terms.items()) for e in row] for row in got.theta] == [
-        [list(e.terms.items()) for e in row] for row in want.theta]
+        [list(e.terms.items()) for e in row] for row in theta]
 
 
 def random_jordan_family(rng):
@@ -396,18 +400,90 @@ def test_squarefree_random_families_give_monic_theta():
     nonzero = 0
     for _ in range(40):
         fam, branches = random_jordan_family(rng)
-        sf = square_free_part_family(fam)
-        assert sf.distinct_degree == len(branches)
+        theta, degree = square_free_part_family(fam)
+        assert degree == len(branches)
         for _ in range(3):
             pt = [gr(rng.randint(-5, 5), rng.randint(-2, 2)) for _ in fam.params]
             values = list(dict.fromkeys(b.eval_exact(pt) for b in branches))
             if len(values) < len(branches):
                 continue  # the point lies on the splitting set
             direct = theta_product(fam.at_exact(pt), values)
-            sym = [[e.eval_exact(pt) for e in row] for row in sf.theta]
+            sym = [[e.eval_exact(pt) for e in row] for row in theta]
             assert sym == direct.tolist()
             nonzero += any(x for row in sym for x in row)
     assert nonzero >= 20
+
+
+def rational(rng):
+    """A seeded Gaussian rational with small numerators and denominators."""
+    return GR(Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+              Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+
+
+ORACLE_FAMILIES = {**builtin_families(), **{
+    name: MatrixFamily.from_spec_dict(json.loads((DATA / f"{name}.json").read_text()))
+    for name in ("cross3", "jordan3", "params16")}}
+
+
+@pytest.mark.parametrize("name", ORACLE_FAMILIES)
+def test_family_theta_is_the_square_free_product_at_generic_points(name):
+    """At a Gaussian-rational point where P has its generic number of
+    distinct roots, the family's Theta takes exactly the value of the
+    square-free route at A(point), and that value is the product of
+    (lam_j - A) over the floating clusters there: the identity that
+    verify's cross-check rests on."""
+    fam = ORACLE_FAMILIES[name]
+    jst = jst_defining_functions(fam)
+    rng = random.Random(39)
+    compared = 0
+    for _ in range(40):
+        pt = [rational(rng) for _ in fam.params]
+        a = fam.at_exact(pt)
+        q0 = square_free_part(char_poly(a))
+        if q0.degree != jst.distinct_degree:
+            continue  # the point lies on the splitting set
+        theta = [[e.eval_exact(pt) for e in row] for row in jst.theta]
+        assert theta == theta_from_squarefree(a, q0).tolist()
+        clusters = distinct_eigenvalues(a.astype(complex))
+        assert len(clusters) == q0.degree
+        direct = theta_product(a.astype(complex), [lam for lam, _ in clusters])
+        gap = np.linalg.norm(np.array(theta, dtype=complex) - direct, 2)
+        assert gap <= 1e-6 * (1 + np.linalg.norm(direct, 2))
+        compared += 1
+        if compared == 4:
+            break
+    assert compared == 4
+
+
+def test_split_functions_vanish_exactly_at_the_collisions():
+    """Conjugated triangular families whose eigenvalue branches are
+    affine (:func:`random_jordan_family`): every splitting-set function
+    vanishes at a point where two branches meet, and not all of them
+    vanish at a point where the branches take distinct values."""
+    rng = random.Random(8)
+    met = 0
+    for _ in range(12):
+        fam, branches = random_jordan_family(rng)
+        gs = split_defining_functions(fam.char_poly_family()).functions
+        while True:
+            pt = [rational(rng) for _ in fam.params]
+            if len({b.eval_exact(pt) for b in branches}) == len(branches):
+                break
+        assert not all(g.eval_exact(pt).is_zero() for g in gs)
+        for i, j in itertools.combinations(range(len(branches)), 2):
+            diff = branches[i] - branches[j]  # c0 + sum c_k x_k
+            slopes = [diff.terms.get(tuple(int(m == k) for m in range(fam.nparams)))
+                      for k in range(fam.nparams)]
+            if not any(slopes):
+                continue  # the branches never meet
+            k = next(k for k, c in enumerate(slopes) if c)
+            pt = [rational(rng) for _ in fam.params]
+            pt[k] = GR(0)
+            pt[k] = -diff.eval_exact(pt) / slopes[k]  # on the line diff = 0
+            assert branches[i].eval_exact(pt) == branches[j].eval_exact(pt)
+            assert all(g.eval_exact(pt).is_zero() for g in gs)
+            met += 1
+    assert met >= 10
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jordanscope.algebra import UniPoly
+from jordanscope.algebra.matrices import as_matrix
 from jordanscope.algebra.multipoly import complex_modulus, complex_product
 from jordanscope.algebra.unipoly import derivative
 from jordanscope import tracker
@@ -560,6 +561,12 @@ def test_splitting_amounts_probe_ring_outside_the_disks():
 # theta_extended: the product with each factor to its splitting amount
 
 
+def theta_product(phi, eigenvalues):
+    """The product of (lam - Phi) over ``eigenvalues`` in the ring of Phi's
+    entries: a theta_stack of one."""
+    return theta_stack(as_matrix(phi)[None], [[(lam, 1) for lam in eigenvalues]])[0][0]
+
+
 def extended_theta(family, point, probe_radius=1e-2):
     """The nilpotent product at ``point``, each factor raised to its
     splitting amount there."""
@@ -583,7 +590,6 @@ def test_theta_extended_continuity_near_split():
 
 
 def test_theta_extended_off_split_equals_product():
-    from jordanscope.jordan import theta_product
     from jordanscope.tracker import distinct_eigenvalues
 
     f = FAM_SHEAR()
