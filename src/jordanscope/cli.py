@@ -64,7 +64,7 @@ from .scanner import (
     jst_defining_functions,
     scan_grid,
 )
-from .sylv import RankBandError, check_coeff_bound, split_defining_functions
+from .sylv import RankBandError, certifies_empty, check_coeff_bound, split_defining_functions
 from .tracker import (
     ProbeDisagreementError,
     distinct_eigenvalues,
@@ -436,16 +436,12 @@ def cmd_census(args, fam, rel_tol):
 
 def cmd_split_set(args, fam, rel_tol):
     pts = unit_polydisk_samples(fam.nparams, args.samples, args.seed)
-    res = split_defining_functions(fam.char_poly_family(), seed=args.seed)
-    bound = check_coeff_bound(res.functions, fam.char_poly_family(), pts)
-    empty = any(
-        h.is_constant() and not h.constant_value().is_zero()
-        for h in res.functions
-    )
+    functions, r_max = split_defining_functions(fam.char_poly_family(), seed=args.seed)
+    bound = check_coeff_bound(functions, fam.char_poly_family(), pts)
     return EXIT_OK if bound.passed else EXIT_VALIDATION, {
-        "r_max": res.r_max,
-        "functions": [h.to_string(fam.params) for h in res.functions],
-        "empty": empty,
+        "r_max": r_max,
+        "functions": [h.to_string(fam.params) for h in functions],
+        "empty": certifies_empty(functions),
         "generic_rank_note": GENERIC_RANK_NOTE,
         "bound_check": {
             "samples": args.samples,
@@ -459,8 +455,7 @@ def cmd_jst_set(args, fam, rel_tol):
     pts = unit_polydisk_samples(fam.nparams, args.samples, args.seed)
     res = jst_defining_functions(fam, seed=args.seed)
     bound = check_jst_bound(fam, res, pts)
-    ok = bound.passed or not bound.applicable
-    return EXIT_OK if ok else EXIT_VALIDATION, {
+    return EXIT_OK if bound.passed else EXIT_VALIDATION, {
         "rank_values": {str(k): v for k, v in res.rank_values.items()},
         "k0": res.k0,
         # schema-v1 constants: Theta has polynomial entries (Gauss's lemma)
@@ -476,7 +471,7 @@ def cmd_jst_set(args, fam, rel_tol):
             if res.functions is not None
             else None
         ),
-        "capped": res.capped,
+        "capped": res.functions is None,
         "empty": res.whole_space_stable,
         "notes": res.notes,
         "bound_check": bound_doc(bound),

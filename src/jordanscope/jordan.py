@@ -18,10 +18,12 @@ from .algebra.scalars import GaussianRational
 from .family import MatrixFamily
 from .ranklab import (
     DEFAULT_REL_TOL,
+    NonFiniteError,
     kernel_basis,
     norm_scales,
     power_ranks,
 )
+from .sylv import _power
 from .tracker import (
     disk_means,
     distinct_eigenvalues,
@@ -254,7 +256,8 @@ def verify_rank_identities(
       * rank Theta^k = n - sum_(l<=k) l*theta_l - k * sum_(l>k) theta_l
     plus the power stabilization rank (lam_j - Phi)^k = n - n_j for
     k >= n_j, and nilpotency Theta^n = 0 (exact zero on the exact path;
-    norm below NILPOTENCY_SCALE * (1 + |Phi|)^(n m) on the floating path).
+    norm below NILPOTENCY_SCALE * (1 + |Phi|)^(n m), inf past float64, on
+    the floating path, where a Theta^n beyond float64 raises NonFiniteError).
     """
     n = census.n
     m = len(census.eigenvalues)
@@ -265,14 +268,17 @@ def verify_rank_identities(
     thetas, scales = theta_stack(phi[None], [[(lam, 1) for lam in census.eigenvalues]])
     (theta_ranks,) = theta_power_ranks(thetas, scales, rel_tol)
     power = thetas[0]
-    for _ in range(n - 1):
-        power = power @ thetas[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n - 1):
+            power = power @ thetas[0]
     if phi.dtype == object:
         nilpotent = IdentityCheck("theta-nilpotent", f"Theta^{n} = 0 exactly",
                                   all(x.is_zero() for x in power.flat))
+    elif not np.all(np.isfinite(power)):
+        raise NonFiniteError()
     else:
         norm = float(np.linalg.norm(power, 2))
-        bound = NILPOTENCY_SCALE * (1.0 + float(np.linalg.norm(phi, 2))) ** (n * m)
+        bound = NILPOTENCY_SCALE * _power(1.0 + float(np.linalg.norm(phi, 2)), n * m)
         nilpotent = IdentityCheck("theta-nilpotent", f"|Theta^{n}| = {norm:.3e}",
                                   norm <= bound, norm, bound)
 

@@ -15,7 +15,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,6 +30,7 @@ from .ranklab import (DEFAULT_REL_TOL, GENERIC_RANK_NOTE, ScaleBounds, generic_r
 from .sylv import (
     BoundReport,
     bound_report,
+    certifies_empty,
     split_counts,
     split_defining_functions,
     split_matrices,
@@ -294,28 +295,17 @@ class JstResult:
     """Defining polynomials of the set of non-Jordan-stable points, and
     the family's symbolic Theta (:func:`square_free_part_family`)."""
 
-    functions: Optional[List[MultiPoly]]
+    functions: Optional[List[MultiPoly]]  # None: the product list is capped
     split_functions: List[MultiPoly]
     rank_minor_functions: Dict[int, List[MultiPoly]]
     rank_values: Dict[int, int]
     k0: int
     theta: np.ndarray  # n x n, MultiPoly entries; zero for a square-free P
     distinct_degree: int  # generic number of distinct eigenvalues
-    capped: bool = False
-    notes: List[str] = field(default_factory=list)
-
-    @property
-    def whole_space_stable(self) -> bool:
-        """True when some product h is a nonzero constant (every factor
-        pool contains one), which makes the common zero set empty. A
-        sufficient certificate, not a decision procedure."""
-        pools = [self.split_functions] + [
-            self.rank_minor_functions[k] for k in sorted(self.rank_minor_functions)
-        ]
-        return all(
-            any(f.is_constant() and not f.constant_value().is_zero() for f in pool)
-            for pool in pools
-        )
+    # every factor pool certifies_empty, so some product h is a nonzero
+    # constant and the common zero set is empty
+    whole_space_stable: bool
+    notes: List[str]
 
 
 def jst_defining_functions(family: MatrixFamily, seed: int = 0) -> JstResult:
@@ -324,7 +314,10 @@ def jst_defining_functions(family: MatrixFamily, seed: int = 0) -> JstResult:
     Splitting-set functions g_j come from the splitting matrix of the
     characteristic polynomial; for each power k up to the last with
     positive generic rank, the f's are the nonvanishing minors of order
-    r_k of Theta^k; the h's are all products g * f^(1) * ... * f^(k0).
+    r_k of Theta^k; the h's are all products g * f^(1) * ... * f^(k0),
+    one factor from each pool [g], [f^(1)], ..., [f^(k0)]. Past
+    MAX_PRODUCT_FUNCTIONS products the list is capped: ``functions`` is
+    None and the report keeps the pools.
 
     A splitting matrix of full rank 2n - 1 (its determinant is nonzero)
     proves P square-free, so Theta is the zero matrix: it takes no
@@ -333,26 +326,21 @@ def jst_defining_functions(family: MatrixFamily, seed: int = 0) -> JstResult:
     of Theta, and Theta^k is formed only for k <= k0, for its minors.
     """
     n = family.n
-    split = split_defining_functions(family.char_poly_family(), seed=seed)
-    gs = split.functions
-    if split.r_max == 2 * n - 1:  # P square-free: Theta = +-P(A) = 0
+    gs, r_max = split_defining_functions(family.char_poly_family(), seed=seed)
+    if r_max == 2 * n - 1:  # P square-free: Theta = +-P(A) = 0
         theta, degree = np.full((n, n), MultiPoly.zero(family.nparams), dtype=object), n
         ranks = [0] if n > 1 else []
     else:
         theta, degree = square_free_part_family(family)
         ranks = generic_rank(theta, seed=seed, powers=n - 1)
     notes = [GENERIC_RANK_NOTE] if ranks else []  # no rank is taken at n = 1
-    rank_values = dict(enumerate(ranks, start=1))
     k0 = sum(r > 0 for r in ranks)
     powers = itertools.accumulate([theta] * k0, operator.matmul)  # Theta^k, k <= k0
     minor_functions = {k: minors(p, r) for k, (p, r) in enumerate(zip(powers, ranks), 1)}
-    total = len(gs)
-    for k in sorted(minor_functions):
-        total *= len(minor_functions[k])
-    capped = total > MAX_PRODUCT_FUNCTIONS
+    pools = [gs, *minor_functions.values()]  # [g], [f^(1)], ..., [f^(k0)]
+    total = math.prod(map(len, pools))
     functions: Optional[List[MultiPoly]] = None
-    if not capped:
-        pools = [gs] + [minor_functions[k] for k in sorted(minor_functions)]
+    if total <= MAX_PRODUCT_FUNCTIONS:
         functions = [functools.reduce(operator.mul, combo)
                      for combo in itertools.product(*pools)]
     else:
@@ -364,11 +352,11 @@ def jst_defining_functions(family: MatrixFamily, seed: int = 0) -> JstResult:
         functions=functions,
         split_functions=gs,
         rank_minor_functions=minor_functions,
-        rank_values=rank_values,
+        rank_values=dict(enumerate(ranks, start=1)),
         k0=k0,
         theta=theta,
         distinct_degree=degree,
-        capped=capped,
+        whole_space_stable=all(map(certifies_empty, pools)),
         notes=notes,
     )
 

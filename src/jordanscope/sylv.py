@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -88,26 +88,16 @@ def split_counts(split, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
     return counts
 
 
-@dataclass
-class SplitSetResult:
-    """Defining polynomials of the set of splitting points; the report
-    adds ``ranklab.GENERIC_RANK_NOTE`` to them."""
-
-    functions: List[MultiPoly]
-    r_max: int
-
-
-def split_defining_functions(
-    family: UniPoly, seed: int = 0
-) -> SplitSetResult:
-    """Symbolic defining functions h_1..h_l of the splitting set.
+def split_defining_functions(family: UniPoly, seed: int = 0) -> Tuple[List[MultiPoly], int]:
+    """(functions, r_max): symbolic defining functions h_1..h_l of the
+    splitting set, and the generic rank r_max of the splitting matrix;
+    the report adds ``ranklab.GENERIC_RANK_NOTE`` to them.
 
     ``family`` is a monic polynomial whose coefficients are MultiPolys
     in the parameters. The h's are the order-r_max minors of the
-    symbolic splitting matrix that are not identically zero, where
-    r_max is the generic rank; their common zero set is exactly the set
-    of parameter points where the distinct-zero count drops below its
-    generic value.
+    symbolic splitting matrix that are not identically zero; their
+    common zero set is exactly the set of parameter points where the
+    distinct-zero count drops below its generic value.
 
     The determinant is swept first: the (2n-1)-square matrix has rank
     2n - 1 - deg gcd(p, p'), so a nonzero determinant proves r_max =
@@ -121,11 +111,17 @@ def split_defining_functions(
         raise TypeError("family coefficients must be MultiPoly")
     sm = build_split_matrix(family)
     if det := minors(sm, len(sm)):
-        return SplitSetResult(functions=det, r_max=len(sm))
+        return det, len(sm)
     values = as_matrix([[c.eval_exact(pt) for c in family.coeffs]
                         for pt in generic_points(family.coeffs[0].nvars, seed)])
     r_max = family.degree - 1 + int(split_counts(split_matrices(values)).max())
-    return SplitSetResult(functions=minors(sm, r_max), r_max=r_max)
+    return minors(sm, r_max), r_max
+
+
+def certifies_empty(pool: Sequence[MultiPoly]) -> bool:
+    """Does the pool hold a nonzero constant? Then its functions have no
+    common zero: a sufficient certificate, not a decision procedure."""
+    return any(f and f.is_constant() for f in pool)
 
 
 #: relative widening of the scale intervals that pick the candidate points

@@ -837,6 +837,40 @@ def test_bound_beyond_float64_is_met(family_file, capsys, entries, command):
     assert check["passed"] and check["max_ratio"] == 0.0
 
 
+# verify's nilpotency check on the floating path. |A| near 1e150: the bound
+# 1e-8 * (1 + |A|)^4 leaves float64 and is inf, which |Theta^2| meets, but
+# at seed 0 a sample point's Theta^2 leaves float64 too. Entries up to
+# 1.8e114: Theta^3 leaves float64 at every seed. A Theta^n beyond float64
+# is an input error.
+NILPOTENCY_BEYOND_FLOAT64 = [
+    ([["10^150*z", "1"], ["0", "-10^150*z"]], seed, seed == 0) for seed in range(4)
+] + [
+    ([["18*10^113", "i", "-i"], ["4*10^66+10^11", "3*10^82", "0"], ["1", "i", "-i"]],
+     seed, True) for seed in range(4)
+]
+
+
+@pytest.mark.parametrize("entries,seed,theta_overflows", NILPOTENCY_BEYOND_FLOAT64,
+                         ids=[f"bound-seed{s}" for s in range(4)]
+                         + [f"theta-seed{s}" for s in range(4)])
+def test_verify_nilpotency_check_beyond_float64(family_file, capsys, entries, seed,
+                                                theta_overflows):
+    doc = {"n": len(entries), "params": ["z"], "entries": entries}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["verify", family_file(doc), "--seed", str(seed)])
+    captured = capsys.readouterr()
+    assert not caught
+    if theta_overflows:
+        assert code == 2 and not captured.out
+        assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
+    else:
+        assert code in (0, 1)
+        lines = captured.out.splitlines()
+        identities = [line for line in lines if ": rank identities at " in line]
+        assert len(identities) == 4 and all(line.startswith("PASS") for line in identities)
+
+
 def jordan_chain(n):
     """n x n: z on the diagonal (z + 1 in the corner), ones above it."""
     entries = [["z" if i == j else "1" if j == i + 1 else "0" for j in range(n)]

@@ -4,7 +4,9 @@ ends ``split-set``, ``jst-set`` and ``scan`` in a report (exit 0 or 1)
 or a one-line input error (exit 2), with the same bytes on a rerun; a
 scan has them also in runs of one node. ``census`` at a drawn point
 ends in a report (exit 0), one census-inconsistency line and no report
-(exit 1), or a one-line input error.
+(exit 1), or a one-line input error. ``verify`` ends in PASS/FAIL lines
+and an ``--out`` report that passed exactly when it exits 0 (exit 0 or
+1), or a one-line input error.
 
 The inputs are hostile on purpose: huge ints, NaN and Infinity, bools,
 null, strings, pairs, ints past the digit limit, JSON nested past the
@@ -208,3 +210,34 @@ def test_census_keeps_the_exit_contract(spec, coordinates):
     with tempfile.TemporaryDirectory() as tmp:
         point = ",".join(coordinates[:len(spec["params"])])
         assert_exit_contract(["census", spec_file(tmp, spec), f"--point={point}"], "census")
+
+
+def verify_outcome(argv, path):
+    """(exit code, stdout, stderr, the --out file's text or None) of a
+    ``verify`` run, with no --out file before it."""
+    if os.path.exists(path):
+        os.remove(path)
+    code, out, err = run_command(argv)
+    if not os.path.exists(path):
+        return code, out, err, None
+    with open(path) as f:
+        return code, out, err, f.read()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(spec=family_specs(), seed=st.integers(0, 3))
+def test_verify_keeps_the_exit_contract(spec, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "verify.json")
+        argv = ["verify", spec_file(tmp, spec), "--seed", str(seed), "--out", path]
+        code, out, err, report = verify_outcome(argv, path)
+        assert code in (0, 1, 2), err
+        if code == 2:
+            assert not out and err.count("\n") == 1 and err.startswith("input error:"), err
+        else:
+            assert out and all(line.startswith(("PASS  ", "FAIL  "))
+                               for line in out.splitlines())
+            doc = json.loads(report)
+            assert doc["kind"] == "verify" and doc["passed"] == (code == 0)
+        again = verify_outcome(argv, path)
+        assert (again[0], again[1], again[3]) == (code, out, report)

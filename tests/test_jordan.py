@@ -598,6 +598,19 @@ def test_floating_identities_build_theta_once(monkeypatch):
         assert len(calls) == 1
 
 
+def test_floating_nilpotency_check_beyond_float64():
+    # |Phi| near 1e150: the bound 1e-8 * (1 + |Phi|)^4 leaves float64, so it
+    # is inf, which |Theta^2| meets
+    phi = np.array([[1e150, 1.0], [0.0, -1e150]])
+    checks = verify_rank_identities(phi, jordan_census(phi)).checks
+    (nilpotent,) = [c for c in checks if c.name == "theta-nilpotent"]
+    assert nilpotent.ok and nilpotent.rhs == float("inf")
+    # entries up to 1.8e114: Theta^3 leaves float64, an input error
+    phi = np.array([[18e113, 1j, -1j], [4e66 + 1e11, 3e82, 0], [1, 1j, -1j]])
+    with pytest.raises(NonFiniteError):
+        verify_rank_identities(phi, jordan_census(phi))
+
+
 def test_identities_detect_corruption():
     phi = block_diag_exact([jordan_block_exact(0, 2), jordan_block_exact(1, 1)])
     census = jordan_census(phi, [(gr(0), 2), (gr(1), 1)])

@@ -1,5 +1,8 @@
+import functools
 import itertools
 import json
+import math
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
@@ -11,12 +14,12 @@ from hypothesis import given, settings
 
 from jordanscope import ranklab, scanner, sylv
 from jordanscope.algebra import GaussianRational, MultiPoly
-from jordanscope.algebra.matrices import char_poly
+from jordanscope.algebra.matrices import char_poly, identity_like
 from jordanscope.algebra.multipoly import NonFiniteError, StackedEvaluator
 from jordanscope.algebra.unipoly import square_free_part
 from jordanscope.corpus import builtin_families
 from jordanscope.family import MatrixFamily
-from jordanscope.jordan import theta_from_squarefree
+from jordanscope.jordan import jordan_census, theta_from_squarefree
 from jordanscope.scanner import (
     PointKind,
     check_jst_bound,
@@ -464,7 +467,7 @@ def test_split_functions_vanish_exactly_at_the_collisions():
     met = 0
     for _ in range(12):
         fam, branches = random_jordan_family(rng)
-        gs = split_defining_functions(fam.char_poly_family()).functions
+        gs, _ = split_defining_functions(fam.char_poly_family())
         while True:
             pt = [rational(rng) for _ in fam.params]
             if len({b.eval_exact(pt) for b in branches}) == len(branches):
@@ -484,6 +487,118 @@ def test_split_functions_vanish_exactly_at_the_collisions():
             assert all(g.eval_exact(pt).is_zero() for g in gs)
             met += 1
     assert met >= 10
+
+
+# the first 12 seeds whose random_jordan_family has n <= 3
+JORDAN_SCAN_SEEDS = [0, 2, 4, 6, 7, 8, 10, 12, 13, 15, 16, 17]
+
+
+@functools.cache
+def jordan_scans():
+    """(seed, family, branches, report) for each of JORDAN_SCAN_SEEDS: a
+    scan on [-2, 2] per parameter at spacing 1/2, so every node is an
+    exact dyadic rational, and the default probe radius 1/8."""
+    out = []
+    for seed in JORDAN_SCAN_SEEDS:
+        fam, branches = random_jordan_family(random.Random(seed))
+        assert fam.n <= 3
+        out.append((seed, fam, branches, scan_grid(fam, [(-2, 2)] * fam.nparams, 9)))
+    return out
+
+
+def exact_node(point):
+    """A node's float coordinates as the Gaussian rationals they are."""
+    return [GR(Fraction(c.real), Fraction(c.imag)) for c in point]
+
+
+def distance_to_bad_lines(fam, branches, node):
+    """The least distance from a real node to a line the construction of
+    :func:`random_jordan_family` knows can be bad: where two distinct
+    branches meet, and where the last parameter, which it may put on the
+    superdiagonal between equal branches, is 0. Each is an affine f with
+    real integer coefficients; the nearest complex point of f = 0 lies
+    |f(node)| / |grad f| away."""
+    nv = fam.nparams
+    units = [tuple(int(m == k) for m in range(nv)) for k in range(nv)]
+    lines = [bi - bj for bi, bj in itertools.combinations(branches, 2)]
+    distances = []
+    for f in lines + [MultiPoly.variable(nv, nv - 1)]:
+        grad = math.hypot(*(float(f.terms.get(u, gr(0)).re) for u in units))
+        if grad:  # else the branches never meet
+            distances.append(abs(complex(f.eval_exact(node))) / grad)
+    return min(distances)
+
+
+# scan_grid calls this node of seed 13 StableCandidate although it lies where
+# two branches meet, so the splitting pool vanishes there (CHANGES.md, FOUND):
+# the probes' eigenvalue gap, about 0.065 at |lambda| near 6, leaves the
+# splitting matrix's last singular value below its rank threshold
+MISSED_SPLITS = [(13, (-2.0, -2.0))]
+
+
+def test_scan_flags_the_nodes_where_a_factor_pool_vanishes():
+    """ROADMAP item 8(b): a node is Split or Jump exactly when every
+    function of some factor pool [g], [f^(1)], ..., [f^(k0)] of
+    jst_defining_functions vanishes there, and so, where the product list
+    is not capped, every product. Checked at every node on a bad line and
+    every node at least 2 probe radii from all of them, whose probes then
+    stay a probe radius away from every bad line."""
+    checked, disagreements = 0, []
+    for seed, fam, branches, report in jordan_scans():
+        jst = jst_defining_functions(fam)
+        pools = [jst.split_functions, *jst.rank_minor_functions.values()]
+        for pc in report.points:
+            node = exact_node(pc.point)
+            if 0 < distance_to_bad_lines(fam, branches, node) < 2 * report.probe_radius:
+                continue  # near a bad line, where a probe ring may reach it
+            vanishes = any(all(f.eval_exact(node).is_zero() for f in pool)
+                           for pool in pools)
+            if jst.functions is not None:
+                assert vanishes == all(h.eval_exact(node).is_zero() for h in jst.functions)
+            if vanishes != (pc.kind in (PointKind.SPLIT, PointKind.JUMP)):
+                disagreements.append((seed, tuple(c.real for c in pc.point)))
+            checked += 1
+    assert disagreements == MISSED_SPLITS
+    assert checked >= 400
+
+
+@pytest.mark.xfail(strict=True, reason="the splitting rank misses a probe gap of "
+                   "0.065 at |lambda| near 6 (CHANGES.md, FOUND)")
+def test_scan_splits_where_two_branches_meet_at_a_small_probe_gap():
+    ((seed, point),) = MISSED_SPLITS
+    fam, _ = random_jordan_family(random.Random(seed))
+    assert classify_points(fam, [point], probe_radius=0.125)[0].kind is PointKind.SPLIT
+
+
+def test_stable_candidate_censuses_are_the_exact_censuses():
+    """ROADMAP item 8(c): at every StableCandidate node of those scans,
+    the scan's census has the multiplicities and block counts of the
+    exact census of A(node) from its exact eigenvalues, the distinct
+    branch values there, each of multiplicity n - rank (A - v)^n, and
+    eigenvalues within 1e-9 (1 + |lambda|) of them."""
+    compared = 0
+    for _, fam, branches, report in jordan_scans():
+        n = fam.n
+        for pc in report.points:
+            if pc.kind is not PointKind.STABLE_CANDIDATE:
+                continue
+            node = exact_node(pc.point)
+            a = fam.at_exact(node)
+            pairs = []
+            for v in {b.eval_exact(node) for b in branches}:
+                shifted = a - identity_like(a) * v
+                power = functools.reduce(operator.matmul, [shifted] * n)
+                pairs.append((v, n - ranklab.exact_rank(power)))
+            assert sum(m for _, m in pairs) == n
+            exact = jordan_census(a, pairs)
+            census = pc.census
+            assert census is not None, pc.note
+            assert (census.multiplicities, census.blocks) == (
+                exact.multiplicities, exact.blocks)
+            for lam, value in zip(census.eigenvalues, exact.eigenvalues):
+                assert abs(lam - complex(value)) <= 1e-9 * (1 + abs(complex(value)))
+            compared += 1
+    assert compared >= 400
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +775,6 @@ def test_jst_bound_nilpotent_family():
 def test_jst_bound_marked_not_applicable_when_capped():
     res = jst_defining_functions(nilpotent_family())
     object.__setattr__(res, "functions", None)
-    object.__setattr__(res, "capped", True)
     rep = check_jst_bound(nilpotent_family(), res, [[0.1, 0.1]])
     assert not rep.applicable
 

@@ -26,6 +26,7 @@ from jordanscope.ranklab import ScaleBounds, exact_rank, generic_points, minors
 from jordanscope.sylv import (
     bound_report,
     build_split_matrix,
+    certifies_empty,
     check_coeff_bound,
     distinct_zero_count,
     split_counts,
@@ -184,10 +185,10 @@ def _family_lambda2_minus_zeta2():
 
 
 def test_split_defining_functions_zeta_squared():
-    res = split_defining_functions(_family_lambda2_minus_zeta2())
-    assert res.r_max == 3
-    assert len(res.functions) == 1
-    h = res.functions[0]
+    functions, r_max = split_defining_functions(_family_lambda2_minus_zeta2())
+    assert r_max == 3
+    assert len(functions) == 1
+    h = functions[0]
     z = MultiPoly.variable(1, 0)
     assert h in ((z * z).scale(4), (z * z).scale(-4))
 
@@ -197,10 +198,10 @@ def test_split_defining_functions_non_splitting_family():
     z = MultiPoly.variable(1, 0)
     one = MultiPoly.one(1)
     fam = UniPoly([z * z, z.scale(-2), one])
-    res = split_defining_functions(fam)
-    assert res.r_max == 2
+    functions, r_max = split_defining_functions(fam)
+    assert r_max == 2
     # common zero set must be empty: some minor is a nonzero constant
-    assert any(h.is_constant() for h in res.functions)
+    assert any(h.is_constant() for h in functions)
 
 
 def test_split_defining_functions_constant_distinct():
@@ -208,15 +209,23 @@ def test_split_defining_functions_constant_distinct():
     one = MultiPoly.one(1)
     zero = MultiPoly.zero(1)
     fam = UniPoly([-one, zero, one])
-    res = split_defining_functions(fam)
-    assert res.r_max == 3
-    assert all(h.is_constant() for h in res.functions)
-    assert all(not h.constant_value().is_zero() for h in res.functions)
+    functions, r_max = split_defining_functions(fam)
+    assert r_max == 3
+    assert all(h.is_constant() for h in functions)
+    assert all(not h.constant_value().is_zero() for h in functions)
+
+
+def test_a_pool_certifies_empty_when_it_holds_a_nonzero_constant():
+    z, one, zero = MultiPoly.variable(1, 0), MultiPoly.one(1), MultiPoly.zero(1)
+    assert certifies_empty([z, one.scale(-3)])
+    assert not certifies_empty([z, zero])  # the zero constant vanishes everywhere
+    assert not certifies_empty([z * z, z + one])
+    assert not certifies_empty([])
 
 
 def test_split_zero_set_matches_distinct_count_drop():
     # sampled agreement between {all h = 0} and m < generic m
-    res = split_defining_functions(_family_lambda2_minus_zeta2())
+    functions, _ = split_defining_functions(_family_lambda2_minus_zeta2())
     rng = random.Random(5)
     pts = [[gr(0)]] + [[gr(rng.randint(-6, 6), rng.randint(-6, 6))] for _ in range(30)]
     for pt in pts:
@@ -224,7 +233,7 @@ def test_split_zero_set_matches_distinct_count_drop():
             [c.eval_exact(pt) for c in _family_lambda2_minus_zeta2().coeffs]
         )
         m = distinct_zero_count(fam_at)
-        all_zero = all(h.eval_exact(pt).is_zero() for h in res.functions)
+        all_zero = all(h.eval_exact(pt).is_zero() for h in functions)
         assert all_zero == (m < 2)
 
 
@@ -260,12 +269,12 @@ def test_split_defining_functions_equal_generic_rank_minors(family, seed):
     # r_max is the largest exact rank of the splitting matrix's values at
     # the seeded points, and the h's are its minors of that order
     p = family.char_poly_family()
-    res = split_defining_functions(p, seed=seed)
+    functions, r_max = split_defining_functions(p, seed=seed)
     sm = build_split_matrix(p)
     r = max(exact_rank([[e.eval_exact(pt) for e in row] for row in sm])
             for pt in generic_points(family.nparams, seed))
-    assert res.r_max == r
-    assert [list(h.terms.items()) for h in res.functions] == [
+    assert r_max == r
+    assert [list(h.terms.items()) for h in functions] == [
         list(h.terms.items()) for h in minors(sm, r)]
 
 
@@ -283,8 +292,8 @@ def test_split_count_is_the_max_at_the_seeded_points(seed, hits):
     u = z + MultiPoly.one(nv)
     family = MatrixFamily(n=3, params=["z", "w"][:nv],
                           entries=[[zero, u, u], [zero, zero, u], [zero, zero, q]])
-    res = split_defining_functions(family.char_poly_family(), seed=seed)
-    assert res.r_max == (3 if len(hits) == len(points) else 4)
+    functions, r_max = split_defining_functions(family.char_poly_family(), seed=seed)
+    assert r_max == (3 if len(hits) == len(points) else 4)
 
 
 def principal_subresultant(p, d):
@@ -323,19 +332,19 @@ def test_split_minors_vanish_with_the_principal_subresultant(entries, d0, lines)
     # psc_d(p, p') != 0, so the order-r_max minors and psc_d0, d0 the
     # generic gcd degree, vanish at the same points
     p = MatrixFamily.from_entries(entries, ["z", "w"]).char_poly_family()
-    res = split_defining_functions(p)
-    assert res.r_max == 2 * p.degree - 1 - d0
+    functions, r_max = split_defining_functions(p)
+    assert r_max == 2 * p.degree - 1 - d0
     psc = principal_subresultant(p, d0)
-    rng = random.Random(res.r_max)
+    rng = random.Random(r_max)
     for line in lines:
         for _ in range(3):
             pt = line(_gaussian(rng))
             assert psc.eval_exact(pt).is_zero()
-            assert all(h.eval_exact(pt).is_zero() for h in res.functions)
+            assert all(h.eval_exact(pt).is_zero() for h in functions)
     for _ in range(5):
         pt = (_gaussian(rng), _gaussian(rng))
         assert not psc.eval_exact(pt).is_zero()
-        assert not all(h.eval_exact(pt).is_zero() for h in res.functions)
+        assert not all(h.eval_exact(pt).is_zero() for h in functions)
 
 
 def test_no_minor_references_leading_coefficient():
@@ -371,8 +380,8 @@ def test_coeff_bound_constant_family_constant_ratio():
     one = MultiPoly.one(1)
     zero = MultiPoly.zero(1)
     fam = UniPoly([-one, zero, one])
-    res = split_defining_functions(fam)
-    h = res.functions[0]
+    functions, _ = split_defining_functions(fam)
+    h = functions[0]
     pts = [[0.3 + 0.1j], [2.0 + 0j], [-5.0 + 1j]]
     ratios = []
     for pt in pts:
@@ -395,7 +404,7 @@ def _polydisk(seed, count, nparams):
 
 def test_coeff_bound_evaluates_each_coefficient_once_per_point(monkeypatch):
     fam = _double_root_cubic()
-    functions = split_defining_functions(fam).functions
+    functions, _ = split_defining_functions(fam)
     pts = _polydisk(3, 7, 2)
     calls = []
     evaluate = StackedEvaluator.__call__
@@ -420,7 +429,7 @@ def bound_summary(report):
 
 def test_coeff_bound_list_equals_merged_single_function_reports():
     fam = _double_root_cubic()
-    functions = split_defining_functions(fam).functions
+    functions, _ = split_defining_functions(fam)
     # the minors stay below 1e-8 of their bound; this copy breaks it at
     # 17 of the 40 sample points
     functions = functions + [functions[0].scale(4 * 10**10)]
@@ -436,11 +445,11 @@ def test_coeff_bound_list_equals_merged_single_function_reports():
 def test_coeff_bound_sampled_under_unit_polydisk():
     rng = random.Random(17)
     fam = _family_lambda2_minus_zeta2()
-    res = split_defining_functions(fam)
+    functions, _ = split_defining_functions(fam)
     pts = [
         [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))] for _ in range(2000)
     ]
-    rep = check_coeff_bound(res.functions, fam, pts)
+    rep = check_coeff_bound(functions, fam, pts)
     assert rep.passed, rep.violations[:1]
 
 
