@@ -16,16 +16,12 @@ import numpy as np
 from .scalars import GR_ONE, GR_ZERO, GaussianRational
 
 #: floats per working array of a stacked evaluation: points are taken in
-#: blocks of at most this many slot values, and in chunks of at most this
-#: many power-table values, so memory stays bounded
+#: blocks whose slot rows and power tables each hold at most this many
+#: floats, so memory stays bounded
 BLOCK_CELLS = 2**15
-#: chunks of at least this many points take their powers from float64
-#: arrays (``_power_table``), and smaller ones from one ``**`` per point
-#: and exponent: at 128 points the arrays cost more than ``**`` with one
-#: or two distinct exponents, at 256 less with every count from 1 to 12
-ARRAY_POWER_POINTS = 256
 #: CPython's complex ``**`` takes an integer power up to this exponent by
-#: repeated squaring, and a larger one by its pow formula
+#: repeated squaring, and a larger one by its pow formula; numpy's complex
+#: power takes one below it by the same squaring
 MAX_SQUARING_EXPONENT = 100
 
 
@@ -300,13 +296,10 @@ class StackedEvaluator:
 
     Each value has the bits of the term loop at its point alone (README,
     "How a scan node is classified"): powers with the bits of Python's
-    ``**`` and its OverflowError; written-out products; and per
-    polynomial a row of slots (0j, its terms in insertion order, pads of
-    -0.0) summed in order (``_slot_sums``). Points are taken in
-    chunks, each with one table of every power it needs; a chunk of at
-    least ``ARRAY_POWER_POINTS`` points computes a table whose exponents
-    are at most ``MAX_SQUARING_EXPONENT`` on float64 arrays, replaying
-    CPython's repeated squaring (``_power_table``).
+    ``**`` and its OverflowError (``_powers``); written-out products; and
+    per polynomial a row of slots (0j, its terms in insertion order, pads
+    of -0.0) summed in order (``_slot_sums``). Points are taken in blocks,
+    each with one table of every power it needs.
     """
 
     def __init__(self, polys: Sequence[MultiPoly], nvars: int):
@@ -334,9 +327,8 @@ class StackedEvaluator:
             distinct, index = np.unique(expos[cols, v], return_inverse=True)
             if len(cols):
                 self.factors.append((v, cols, distinct.tolist(), index))
-        self.block = max(1, BLOCK_CELLS // max(1, self.terms.size))
         powers = sum(len(distinct) for _, _, distinct, _ in self.factors)
-        self.chunk = max(1, BLOCK_CELLS // max(1, 2 * powers))
+        self.block = max(1, BLOCK_CELLS // max(1, self.terms.size, 2 * powers))
 
     def __call__(self, points) -> np.ndarray:
         """Values at a stack of points: shape (N, len(polys))."""
@@ -345,26 +337,19 @@ class StackedEvaluator:
             raise ValueError("point dimension mismatch")
         out = np.empty((len(x), self.count), dtype=complex)
         with np.errstate(all="ignore"):
-            for first in range(0, len(x), self.chunk):
-                chunk = x[first : first + self.chunk]
-                rows = out[first : first + self.chunk]
-                tables = [_powers(chunk[:, v], distinct)
-                          for v, _, distinct, _ in self.factors]
-                for start in range(0, len(chunk), self.block):
-                    part = rows[start : start + self.block]
-                    part.real, part.imag = self._sums(
-                        len(part), [t[start : start + self.block] for t in tables])
+            for start in range(0, len(x), self.block):
+                part = out[start : start + self.block]
+                part.real, part.imag = self._sums(x[start : start + self.block])
         return out
 
-    def _sums(self, count, tables):
-        """Real and imaginary parts of the values at ``count`` points,
-        from each parameter's power table at those points."""
-        slots = np.repeat(self.terms, count, axis=1)
-        for (_, cols, _, index), table in zip(self.factors, tables):
-            powers = table[:, index]
+    def _sums(self, x):
+        """Real and imaginary parts of the values at the points ``x``."""
+        slots = np.repeat(self.terms, len(x), axis=1)
+        for v, cols, distinct, index in self.factors:
+            powers = _powers(x[:, v], distinct)[:, index]
             re, im = slots[:, :, cols]
             slots[:, :, cols] = complex_product(re, im, powers.real, powers.imag)
-        return _slot_sums(slots.reshape(2, count, self.width, self.count))
+        return _slot_sums(slots.reshape(2, len(x), self.width, self.count))
 
 
 def _slot_sums(slots):
@@ -378,41 +363,35 @@ def _slot_sums(slots):
 
 
 def _powers(z, distinct):
-    """z ** e for every point z and every exponent e of ``distinct``
-    (sorted): shape (len(z), len(distinct)). A chunk of at least
-    ARRAY_POWER_POINTS points takes its table from float64 arrays
-    (``_power_table``) unless an exponent is above MAX_SQUARING_EXPONENT:
-    such a table, and a smaller chunk's, takes ``**`` whole."""
-    if len(z) >= ARRAY_POWER_POINTS and distinct[-1] <= MAX_SQUARING_EXPONENT:
-        return _power_table(z, distinct)
-    return np.array([w**e for w in z.tolist() for e in distinct],
-                    dtype=complex).reshape(len(z), -1)
+    """z ** e for every point z and every exponent e > 0 of ``distinct``
+    (sorted): shape (len(z), len(distinct)), with the bits of Python's
+    ``**`` and its OverflowError.
 
-
-def _power_table(z, distinct):
-    """``_powers`` on float64 arrays, with the bits of Python's ``**``.
-
-    CPython takes z ** e for 0 < e <= MAX_SQUARING_EXPONENT by repeated
-    squaring (``c_powu``): from r = 1 + 0j, r = r * z^(2^j) for each set
-    bit j of e, in increasing order, with z^(2^(j+1)) = z^(2^j) * z^(2^j)
-    by the written-out complex product. The squares are shared by every
-    exponent. A part that comes out infinite raises the OverflowError of
-    ``**``. ``distinct`` is sorted, and its largest exponent is at most
-    MAX_SQUARING_EXPONENT: ``_powers`` sends a table with a larger one to
-    ``**`` whole.
+    Below MAX_SQUARING_EXPONENT numpy's complex power runs CPython's
+    repeated squaring (``c_powu``) product for product, but for its
+    shortcuts (e = 1, 2, 3 and a zero base), which skip CPython's first
+    product, by 1 + 0j. That product can change only the sign of a zero
+    part, or a part that is inf or NaN, so a row holding one takes ``**``;
+    at a real point x + 0j (+0.0), where every product of CPython's keeps
+    the imaginary part +0.0, only a zero or non-finite real part does. A
+    table with an exponent of MAX_SQUARING_EXPONENT or more takes ``**``
+    whole: numpy takes such a power by its pow formula.
     """
-    table = np.empty((len(z), len(distinct)), dtype=complex)
-    re, im = table.real, table.imag
-    re[:], im[:] = 1.0, 0.0
-    expos = np.array(distinct, dtype=np.intp)
-    sr, si = z.real, z.imag
-    for j in range(distinct[-1].bit_length()):
-        cols = np.flatnonzero((expos >> j) & 1)
-        re[:, cols], im[:, cols] = complex_product(
-            re[:, cols], im[:, cols], sr[:, None], si[:, None])
-        sr, si = complex_product(sr, si, sr, si)
-    if np.isinf(re).any() or np.isinf(im).any():
-        raise OverflowError("complex exponentiation")
+    if distinct[-1] < MAX_SQUARING_EXPONENT:
+        with np.errstate(all="ignore"):
+            table = np.power(z[:, None], distinct)
+        parts = table.view(float)
+        kept = np.isfinite(parts) & (parts != 0)
+        real = z.imag.view(np.uint64) == 0  # the bits of +0.0
+        if real.any():
+            table.imag[real] = 0.0
+            kept[real, 1::2] = True
+        redo = np.flatnonzero(~kept.all(axis=1))
+    else:
+        table, redo = np.empty((len(z), len(distinct)), dtype=complex), np.arange(len(z))
+    if len(redo):
+        table[redo] = np.array([w**e for w in z[redo].tolist() for e in distinct],
+                               dtype=complex).reshape(len(redo), -1)
     return table
 
 

@@ -17,7 +17,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .algebra.matrices import as_matrix
-from .algebra.multipoly import MultiPoly, StackedEvaluator, complex_modulus
+from .algebra.multipoly import MultiPoly, NonFiniteError, StackedEvaluator
 from .algebra.multipoly import zero_like
 from .algebra.unipoly import UniPoly
 from .ranklab import (
@@ -212,12 +212,13 @@ def _power(base: float, exponent: int) -> float:
 
 
 def _moduli(polys: Sequence[MultiPoly], points) -> np.ndarray:
-    """|p| of every polynomial (columns) at every point (rows), with
-    Python's OverflowError where abs would raise one."""
+    """|p| of every polynomial (columns) at every point (rows); a value or
+    modulus beyond float64 raises NonFiniteError."""
     values = StackedEvaluator(polys, len(points[0]))(points)
-    sizes, overflow = complex_modulus(values.real, values.imag)
-    if overflow.any():
-        raise OverflowError("absolute value too large")
+    with np.errstate(all="ignore"):
+        sizes = np.hypot(values.real, values.imag)
+    if not np.isfinite(sizes).all():
+        raise NonFiniteError("sampled value beyond float64")
     return sizes
 
 
@@ -236,13 +237,11 @@ def check_coeff_bound(
     the minor construction, and is reported with its witness point.
 
     The coefficient maxima come from one evaluation and one numpy
-    reduction, with Python's ``max`` rule that a NaN first in its row is
-    the maximum; they are exact scales (lo = hi) for :func:`bound_report`,
+    reduction; they are exact scales (lo = hi) for :func:`bound_report`,
     so this check takes no SVD.
     """
     n = family.degree
-    lower = _moduli(family.coeffs[:-1], sample_points)
-    largest = np.where(np.isnan(lower[:, 0]), np.nan, np.fmax.reduce(lower, axis=1))
+    largest = _moduli(family.coeffs[:-1], sample_points).max(axis=1)
     return bound_report("split-set minor", sample_points, functions,
                         float((2 * n) ** (4 * n)),
                         ScaleBounds(largest, largest, largest.__getitem__), 2 * n)

@@ -776,6 +776,11 @@ BEYOND_FLOAT64 = [
     ([["10^200*z", "1"], ["0", "10^200*z+1"]], ["split-set", "--samples", "5"]),
     # a finite point at which lam - A overflows
     ([["z", "1"], ["0", "-z"]], ["census", "--point", "1e308+1e308i"]),
+    # characteristic-polynomial coefficients within float64 whose modulus at
+    # a sample is beyond it, and one whose value there is
+    ([["10^154*10^154*(1+i)*z"]], ["split-set"]),
+    ([["10^154*z", "10^154"], ["10^154", "-10^154*z"]], ["split-set"]),
+    ([["10^154*10^154*z^2"]], ["split-set"]),
 ]
 
 
@@ -785,6 +790,7 @@ BEYOND_FLOAT64 = [
     "census-power", "scan-late-run", "scan-late-run-jobs2", "census-inf-entry", "scan-inf-entry", "track-inf-entry",
     "census-entry-power", "track-entry-power", "census-roundoff-scale", "scan-char-poly",
     "track-char-poly", "split-set-char-poly", "census-extreme-point",
+    "split-set-modulus", "split-set-modulus-2x2", "split-set-sampled-value",
 ])
 def test_values_beyond_float64_are_input_errors(family_file, capsys, entries, argv):
     doc = {"n": len(entries), "params": ["z"], "entries": entries}

@@ -111,13 +111,15 @@ def test_text_parsers_return_or_raise_input_error(text, nparams, parse):
 
 def entry_texts(params):
     """Entries in exprparse's grammar: parameters, i, small ints and
-    d*10^k constants (k up to 300, as a power or as digits), joined by
+    d*10^k constants (k up to 300 as a power, and up to 308 as digits, so
+    that a coefficient can fit float64 while its values at the samples
+    leave it), joined by
     +, - and *, with exponents up to MAX_EXPONENT + 1, parentheses and
     unary minus."""
     digit = st.integers(1, 9)
     constant = st.one_of(
         st.builds("{}*10^{}".format, digit, st.integers(0, 300)),
-        st.builds(lambda d, k: f"{d}{'0' * k}", digit, st.integers(0, 300)),
+        st.builds(lambda d, k: f"{d}{'0' * k}", digit, st.integers(0, 308)),
     )
     name = st.sampled_from(params + ["i", "0", "1", "2"])
     exponent = st.one_of(st.integers(0, 3), st.integers(0, MAX_EXPONENT + 1))

@@ -4,8 +4,7 @@
 used before there was one evaluator for single points and stacks. Every
 value of ``StackedEvaluator`` must have its bits, signed zeros included,
 and every overflowing power must raise its OverflowError, whether the
-powers come from Python's ``**`` or from the array replay of it that
-chunks of ``ARRAY_POWER_POINTS`` points or more take.
+powers come from Python's ``**`` or from numpy's complex power.
 """
 
 import math
@@ -20,8 +19,8 @@ from hypothesis import strategies as st
 
 from jordanscope.algebra import GaussianRational, MultiPoly, multipoly, parse_entry
 from jordanscope.algebra.multipoly import (
-    ARRAY_POWER_POINTS,
     BLOCK_CELLS,
+    MAX_SQUARING_EXPONENT,
     StackedEvaluator,
 )
 
@@ -73,10 +72,11 @@ def polynomials(nvars):
     return st.lists(term, max_size=6).map(lambda ts: MultiPoly(nvars, dict(ts)))
 
 
-#: the crossover patched to 0, so that every chunk takes the array path,
-#: and left at its value, where these small stacks take ``**``
+#: the crossover below which power tables come from numpy's complex power,
+#: patched to 0, so that every table takes ``**`` whole, and left at its
+#: value, where tables of exponents below it take numpy's power
 CROSSOVERS = pytest.mark.parametrize(
-    "crossover", [0, ARRAY_POWER_POINTS], ids=["crossover-0", "crossover-default"])
+    "crossover", [0, MAX_SQUARING_EXPONENT], ids=["crossover-0", "crossover-default"])
 
 
 @CROSSOVERS
@@ -84,7 +84,7 @@ CROSSOVERS = pytest.mark.parametrize(
 @given(data=st.data())
 def test_stacked_values_have_the_bits_of_the_term_loop(crossover, data):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(multipoly, "ARRAY_POWER_POINTS", crossover)
+        patch.setattr(multipoly, "MAX_SQUARING_EXPONENT", crossover)
         check_stacked_values(data)
 
 
@@ -104,7 +104,6 @@ def check_stacked_values(data):
         else:
             assert [bits(v) for v in evaluator([pt])[0]] == [bits(w) for w in row]
     evaluator.block = data.draw(st.integers(1, 3))
-    evaluator.chunk = data.draw(st.integers(1, 4))
     if any(errors):
         with pytest.raises(OverflowError):
             evaluator(points)
@@ -138,8 +137,8 @@ def test_blocks_bound_the_working_arrays():
     evaluator = StackedEvaluator(polys, 1)
     assert evaluator.block * evaluator.terms.size <= max(BLOCK_CELLS,
                                                          evaluator.terms.size)
-    # the power table of a chunk: real and imaginary parts of 59 powers
-    assert evaluator.chunk * 2 * 59 <= BLOCK_CELLS
+    # the power table of a block: real and imaginary parts of 59 powers
+    assert evaluator.block * 2 * 59 <= BLOCK_CELLS
     points = [(complex(k / 500, -k / 700),) for k in range(500)]
     want = [term_loop(polys[0], pt) for pt in points]
     assert [bits(v) for v in evaluator(points)[:, 0]] == [bits(w) for w in want]
@@ -189,13 +188,11 @@ def test_empty_stack_and_empty_list():
 
 
 #: the exponents of z, on both sides of MAX_SQUARING_EXPONENT, so that
-#: z's table, with an exponent above 100, takes ``**`` whole; w takes
-#: those up to 100 only, so that its table and its overflows come from
-#: repeated squaring on arrays. The power table is narrow enough that a
-#: chunk of the 1,000 points below holds at least ARRAY_POWER_POINTS of
-#: them.
+#: z's table, with an exponent of 100 or more, takes ``**`` whole; w takes
+#: those below 100 only, so that its table comes from numpy's complex
+#: power on every row where that cannot differ from ``**``.
 EXPONENTS = (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 100, 101, 120)
-SQUARING_EXPONENTS = EXPONENTS[:-2]
+SQUARING_EXPONENTS = EXPONENTS[:-3]
 
 
 def thousand_point_stack(rng):
@@ -221,14 +218,14 @@ def thousand_point_stack(rng):
 
 @CROSSOVERS
 def test_a_thousand_point_stack_has_the_bits_of_the_term_loop(crossover, monkeypatch):
-    monkeypatch.setattr(multipoly, "ARRAY_POWER_POINTS", crossover)
+    monkeypatch.setattr(multipoly, "MAX_SQUARING_EXPONENT", crossover)
     polys, points = thousand_point_stack(random.Random(5))
     evaluator = StackedEvaluator(polys, 2)
-    assert evaluator.chunk >= ARRAY_POWER_POINTS
     want = [[bits(term_loop(p, pt)) for p in polys] for pt in points]
     assert [[bits(v) for v in row] for row in evaluator(points)] == want
     # the power tables alone, whose parts include signed zeros: one with an
-    # exponent above 100, and one on arrays
+    # exponent of 100 or more, and one from numpy's power at the default
+    # crossover
     z = np.array([pt[0] for pt in points])
     for expos in (EXPONENTS, SQUARING_EXPONENTS):
         table = [[bits(v) for v in row] for row in multipoly._powers(z, list(expos))]
@@ -245,7 +242,7 @@ def test_a_thousand_point_stack_has_the_bits_of_the_term_loop(crossover, monkeyp
     (complex(1.0, 1.0), complex(1e200, -0.0)),  # w**2 already
 ])
 def test_a_thousand_point_stack_raises_the_loops_overflow(crossover, bad, monkeypatch):
-    monkeypatch.setattr(multipoly, "ARRAY_POWER_POINTS", crossover)
+    monkeypatch.setattr(multipoly, "MAX_SQUARING_EXPONENT", crossover)
     polys, points = thousand_point_stack(random.Random(6))
     points[617] = bad
     messages = {outcome(p, bad)[1] for p in polys if isinstance(outcome(p, bad), tuple)}
@@ -253,6 +250,41 @@ def test_a_thousand_point_stack_raises_the_loops_overflow(crossover, bad, monkey
     with pytest.raises(OverflowError) as err:
         StackedEvaluator(polys, 2)(points)
     assert str(err.value) in messages
+
+
+#: parts of edge points: signed zeros, the least subnormal, parts whose
+#: powers underflow or overflow (to inf, or through it to NaN), and plain
+#: values of either sign
+EDGE_PARTS = (0.0, -0.0, 5e-324, -5e-324, 1e-200, -1e-170, 1e4, 1e100, 1e200, -1e160,
+              1.5, -2.5)
+#: on both sides of numpy's shortcuts (1, 2, 3) and of MAX_SQUARING_EXPONENT
+EDGE_EXPONENTS = (1, 2, 3, 4, 99, 100, 101)
+
+
+@pytest.mark.parametrize("expos", [(e,) for e in EDGE_EXPONENTS]
+                         + [EDGE_EXPONENTS[:5], EDGE_EXPONENTS])
+def test_powers_have_the_bits_and_errors_of_python_pow(expos):
+    """Every edge point, real negative points and zero bases among them:
+    alone, ``_powers`` raises where ``**`` does, with its message, and
+    otherwise gives its bits; the points whose powers do not overflow give
+    them in one stack too. A bare call warns of nothing (pytest turns a
+    RuntimeWarning into an error)."""
+    points = [complex(re, im) for re in EDGE_PARTS for im in EDGE_PARTS]
+    clean, want = [], []
+    for w in points:
+        try:
+            row = [bits(w**e) for e in expos]
+        except OverflowError as err:
+            with pytest.raises(OverflowError) as got:
+                multipoly._powers(np.array([w]), list(expos))
+            assert str(got.value) == str(err)
+            continue
+        assert [bits(v) for v in multipoly._powers(np.array([w]), list(expos))[0]] == row
+        clean.append(w)
+        want.append(row)
+    table = multipoly._powers(np.array(clean), list(expos))
+    assert [[bits(v) for v in row] for row in table] == want
+    assert len(clean) < len(points) or expos == (1,)  # some powers overflow
 
 
 SLOT_PART = st.one_of(

@@ -16,7 +16,7 @@ files.
 ``python tests/test_public_surface.py`` prints the names that only a
 benchmark pin keeps alive.
 
-No module in ``src/``, ``tests/`` or ``demos/`` keeps a module-level
+No module in ``src/``, ``tests/``, ``demos/`` or ``tools/`` keeps a module-level
 import that it never uses, outside ``__future__`` imports, names listed
 in ``__all__`` and lines marked ``# noqa``.
 """
@@ -129,7 +129,7 @@ def unused_imports(path) -> list:
 
 
 def test_no_unused_module_imports():
-    paths = [path for folder in ("src", "tests", "demos")
+    paths = [path for folder in ("src", "tests", "demos", "tools")
              for path in sorted((ROOT / folder).rglob("*.py"))]
     assert [item for path in paths for item in unused_imports(path)] == []
 
