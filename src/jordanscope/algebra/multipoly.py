@@ -19,10 +19,6 @@ from .scalars import GR_ONE, GR_ZERO, GaussianRational
 #: blocks whose slot rows and power tables each hold at most this many
 #: floats, so memory stays bounded
 BLOCK_CELLS = 2**15
-#: CPython's complex ``**`` takes an integer power up to this exponent by
-#: repeated squaring, and a larger one by its pow formula; numpy's complex
-#: power takes one below it by the same squaring
-MAX_SQUARING_EXPONENT = 100
 
 
 class NonFiniteError(ValueError):
@@ -226,7 +222,9 @@ class MultiPoly:
     # -- evaluation ------------------------------------------------------------
 
     def eval_complex(self, point) -> complex:
-        """Evaluate at a point with complex (floating) coordinates."""
+        """Evaluate at a complex point as a stack of one: the term loop's
+        bits in every nonzero part below exponent 100, its value to
+        roundoff above, and a non-finite value beyond float64."""
         return complex(StackedEvaluator([self], self.nvars)([point])[0, 0])
 
     def eval_exact(self, point) -> GaussianRational:
@@ -294,12 +292,15 @@ class MultiPoly:
 class StackedEvaluator:
     """A list of polynomials compiled for evaluation at a stack of points.
 
-    Each value has the bits of the term loop at its point alone (README,
-    "How a scan node is classified"): powers with the bits of Python's
-    ``**`` and its OverflowError (``_powers``); written-out products; and
-    per polynomial a row of slots (0j, its terms in insertion order, pads
-    of -0.0) summed in order (``_slot_sums``). Points are taken in blocks,
-    each with one table of every power it needs.
+    Each value is the term loop's at its point alone (README, "How a scan
+    node is classified"): numpy's complex powers, written-out products,
+    and per polynomial a row of slots (0j, its terms in insertion order,
+    pads of -0.0) summed in order (``_slot_sums``). Below exponent 100
+    numpy's power runs CPython's squaring (``c_powu``), its shortcuts
+    moving only the signs of zeros, so every nonzero part keeps the loop's
+    bits; at 100 and above its pow formula agrees to roundoff. A power
+    beyond float64 gives a non-finite value, not an OverflowError. Points
+    are taken in blocks, each with one table of every power it needs.
     """
 
     def __init__(self, polys: Sequence[MultiPoly], nvars: int):
@@ -326,7 +327,7 @@ class StackedEvaluator:
             cols = np.flatnonzero(expos[:, v])
             distinct, index = np.unique(expos[cols, v], return_inverse=True)
             if len(cols):
-                self.factors.append((v, cols, distinct.tolist(), index))
+                self.factors.append((v, cols, distinct, index))
         powers = sum(len(distinct) for _, _, distinct, _ in self.factors)
         self.block = max(1, BLOCK_CELLS // max(1, self.terms.size, 2 * powers))
 
@@ -346,7 +347,7 @@ class StackedEvaluator:
         """Real and imaginary parts of the values at the points ``x``."""
         slots = np.repeat(self.terms, len(x), axis=1)
         for v, cols, distinct, index in self.factors:
-            powers = _powers(x[:, v], distinct)[:, index]
+            powers = np.power(x[:, v, None], distinct)[:, index]
             re, im = slots[:, :, cols]
             slots[:, :, cols] = complex_product(re, im, powers.real, powers.imag)
         return _slot_sums(slots.reshape(2, len(x), self.width, self.count))
@@ -360,39 +361,6 @@ def _slot_sums(slots):
     for k in range(1, slots.shape[2]):
         total += slots[:, :, k]
     return total
-
-
-def _powers(z, distinct):
-    """z ** e for every point z and every exponent e > 0 of ``distinct``
-    (sorted): shape (len(z), len(distinct)), with the bits of Python's
-    ``**`` and its OverflowError.
-
-    Below MAX_SQUARING_EXPONENT numpy's complex power runs CPython's
-    repeated squaring (``c_powu``) product for product, but for its
-    shortcuts (e = 1, 2, 3 and a zero base), which skip CPython's first
-    product, by 1 + 0j. That product can change only the sign of a zero
-    part, or a part that is inf or NaN, so a row holding one takes ``**``;
-    at a real point x + 0j (+0.0), where every product of CPython's keeps
-    the imaginary part +0.0, only a zero or non-finite real part does. A
-    table with an exponent of MAX_SQUARING_EXPONENT or more takes ``**``
-    whole: numpy takes such a power by its pow formula.
-    """
-    if distinct[-1] < MAX_SQUARING_EXPONENT:
-        with np.errstate(all="ignore"):
-            table = np.power(z[:, None], distinct)
-        parts = table.view(float)
-        kept = np.isfinite(parts) & (parts != 0)
-        real = z.imag.view(np.uint64) == 0  # the bits of +0.0
-        if real.any():
-            table.imag[real] = 0.0
-            kept[real, 1::2] = True
-        redo = np.flatnonzero(~kept.all(axis=1))
-    else:
-        table, redo = np.empty((len(z), len(distinct)), dtype=complex), np.arange(len(z))
-    if len(redo):
-        table[redo] = np.array([w**e for w in z[redo].tolist() for e in distinct],
-                               dtype=complex).reshape(len(redo), -1)
-    return table
 
 
 def complex_product(ar, ai, br, bi):

@@ -25,10 +25,7 @@ def _strings(value) -> bool:
 def _finite(evaluator: StackedEvaluator, points, message: str) -> np.ndarray:
     """The evaluator's values at the points; a value beyond the float64
     range raises NonFiniteError with ``message``."""
-    try:
-        values = evaluator(points)
-    except OverflowError:  # a power beyond float64
-        raise NonFiniteError(message) from None
+    values = evaluator(points)
     if not np.all(np.isfinite(values)):
         raise NonFiniteError(message)
     return values

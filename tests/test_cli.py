@@ -742,6 +742,8 @@ def corner(entry):
 
 
 BIG = [["10^200*z^2", "0"], ["0", "1"]]
+SAMPLED_POWER = [["z^256*z^256*z^256*z^256*z^256*z^256*z^256*z^256*z^256", "1"],
+                 ["0", "-z"]]
 BEYOND_FLOAT64 = [
     # a coefficient above 1.8e308 fails every command at load time
     (corner("99999999999999999999^20*z"), ["scan", "--box=-1:1", "--res", "3"]),
@@ -781,6 +783,10 @@ BEYOND_FLOAT64 = [
     ([["10^154*10^154*(1+i)*z"]], ["split-set"]),
     ([["10^154*z", "10^154"], ["10^154", "-10^154*z"]], ["split-set"]),
     ([["10^154*10^154*z^2"]], ["split-set"]),
+    # a power beyond float64 at a bound-check sample: z^2304 leaves float64
+    # where |z| > 1.36, which samples from the square [-1, 1]^2 reach
+    (SAMPLED_POWER, ["split-set"]),
+    (SAMPLED_POWER, ["jst-set", "--samples", "50"]),
 ]
 
 
@@ -791,6 +797,7 @@ BEYOND_FLOAT64 = [
     "census-entry-power", "track-entry-power", "census-roundoff-scale", "scan-char-poly",
     "track-char-poly", "split-set-char-poly", "census-extreme-point",
     "split-set-modulus", "split-set-modulus-2x2", "split-set-sampled-value",
+    "split-set-sampled-power", "jst-set-sampled-power",
 ])
 def test_values_beyond_float64_are_input_errors(family_file, capsys, entries, argv):
     doc = {"n": len(entries), "params": ["z"], "entries": entries}

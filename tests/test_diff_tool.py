@@ -1,8 +1,9 @@
 """``tools/diff.py`` on a short command list: this tree against itself,
 against a copy whose ``__version__`` differs (every report names it in
 its manifest, and ``--version`` prints it), and against a tree with no
-sources."""
+sources; and its field-by-field comparison on reports held in memory."""
 
+import json
 import shutil
 import sys
 
@@ -32,8 +33,8 @@ def test_a_changed_version_names_the_commands_it_changes(tmp_path, capsys):
     assert diff.report(tmp_path, COMMANDS) == 1
     assert capsys.readouterr().out.splitlines() == [
         "version: stdout differs (ok)",
-        "split-set shear: stdout differs (ok)",
-        "census sqrt: stdout differs (ok)",
+        "split-set shear: stdout differs at $.manifest.tool_version (ok)",
+        "census sqrt: stdout differs at $.manifest.tool_version (ok)",
         f"3 of 4 commands differ from {tmp_path}",
     ]
 
@@ -41,3 +42,29 @@ def test_a_changed_version_names_the_commands_it_changes(tmp_path, capsys):
 def test_a_tree_without_sources_cannot_be_compared(tmp_path, capsys):
     assert diff.report(tmp_path, COMMANDS) == 2
     assert capsys.readouterr().err.startswith("diff cannot run: no jordanscope sources")
+
+
+REPORT = {"summary": {"Split": 1}, "points": [{"point": [[0.5, -0.25]], "eig": [1.2345678901]}]}
+
+
+def report_text(**changes):
+    doc = json.loads(json.dumps(REPORT))
+    doc["points"][0].update(changes)
+    return json.dumps(doc, indent=2)
+
+
+def test_identical_reports_give_nothing():
+    assert diff.compare(report_text(), report_text()) is None
+
+
+def test_a_float_moved_in_its_tenth_digit_is_within_tolerance():
+    assert diff.compare(report_text(), report_text(eig=[1.2345678902])) == (
+        False, "within tolerance, worst float difference 1e-10 at $.points[0].eig[0]")
+    # moved in its eighth digit, it goes beyond the tolerance
+    assert diff.compare(report_text(), report_text(eig=[1.2345679901])) == (
+        True, "stdout differs at $.points[0].eig[0]")
+
+
+def test_a_list_of_another_length_is_reported_with_its_path():
+    assert diff.compare(report_text(), report_text(point=[[0.5, -0.25], [1.0, 0.0]])) == (
+        True, "stdout differs at $.points[0].point")

@@ -2,11 +2,14 @@
 
 ``term_loop`` is the single-point evaluator ``MultiPoly.eval_complex``
 used before there was one evaluator for single points and stacks. Every
-value of ``StackedEvaluator`` must have its bits, signed zeros included,
-and every overflowing power must raise its OverflowError, whether the
-powers come from Python's ``**`` or from numpy's complex power.
+power comes from numpy's complex power. Where every exponent is below 100
+each value keeps the loop's bits in every nonzero part (``loop_bits``: a
+zero compares equal whatever its sign); with larger exponents it agrees
+to roundoff, and with the exact value at Gaussian-rational points. Where
+the loop's power overflows, the value is not finite.
 """
 
+import cmath
 import math
 import random
 import struct
@@ -18,11 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jordanscope.algebra import GaussianRational, MultiPoly, multipoly, parse_entry
-from jordanscope.algebra.multipoly import (
-    BLOCK_CELLS,
-    MAX_SQUARING_EXPONENT,
-    StackedEvaluator,
-)
+from jordanscope.algebra.multipoly import BLOCK_CELLS, NonFiniteError, StackedEvaluator
+from jordanscope.family import MatrixFamily
 
 
 def term_loop(poly, point):
@@ -39,17 +39,44 @@ def term_loop(poly, point):
 
 
 def outcome(poly, point):
-    """The loop's value, or the type and message of its error."""
+    """The loop's value, or None where one of its powers overflows."""
     try:
         return term_loop(poly, point)
-    except OverflowError as err:
-        return OverflowError, str(err)
+    except OverflowError:
+        return None
 
 
 def bits(z):
     """Real and imaginary parts as bit patterns; every NaN alike."""
     return tuple("nan" if math.isnan(x) else struct.pack("<d", x)
                  for x in (z.real, z.imag))
+
+
+def loop_bits(z):
+    """``bits``, with every zero alike: numpy's power shortcuts (e = 1, 2,
+    3 and a zero base) skip CPython's first product by 1 + 0j, which moves
+    only the sign of a zero part."""
+    return tuple("0" if x == 0 else part for x, part in zip((z.real, z.imag), bits(z)))
+
+
+def term_scale(poly, point):
+    """The sum of the loop's term moduli: the scale of its roundoff."""
+    return sum(abs(complex(c) * math.prod(complex(x) ** e for x, e in zip(point, expo)))
+               for expo, c in poly.terms.items())
+
+
+def agrees(poly, point, got):
+    """``got`` against the term loop at ``point``: not finite where a power
+    of the loop overflows; the loop's bits in every nonzero part where every
+    exponent is below 100; within roundoff of it otherwise."""
+    want = outcome(poly, point)
+    if want is None:
+        return not cmath.isfinite(got)
+    if max((max(e) for e in poly.terms), default=0) < 100:
+        return loop_bits(got) == loop_bits(want)
+    if not cmath.isfinite(want):
+        return not cmath.isfinite(got)
+    return abs(got - want) <= 1e-12 * term_scale(poly, point)
 
 
 RATIONALS = st.builds(Fraction, st.integers(-100, 100), st.integers(1, 20))
@@ -72,19 +99,22 @@ def polynomials(nvars):
     return st.lists(term, max_size=6).map(lambda ts: MultiPoly(nvars, dict(ts)))
 
 
-#: the crossover below which power tables come from numpy's complex power,
-#: patched to 0, so that every table takes ``**`` whole, and left at its
-#: value, where tables of exponents below it take numpy's power
+#: BLOCK_CELLS, the cells a block of points may fill before the stack
+#: crosses over to the next block: patched to 0, so that every point is a
+#: block of its own, and left at its value, where a short stack is one block
 CROSSOVERS = pytest.mark.parametrize(
-    "crossover", [0, MAX_SQUARING_EXPONENT], ids=["crossover-0", "crossover-default"])
+    "crossover", [0, BLOCK_CELLS], ids=["crossover-0", "crossover-default"])
 
 
 @CROSSOVERS
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_stacked_values_have_the_bits_of_the_term_loop(crossover, data):
+    """Each point alone against the loop (``agrees``), and every stack, in
+    the evaluator's own blocks and in blocks of 1-3 points, with the bits of
+    the points alone."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(multipoly, "MAX_SQUARING_EXPONENT", crossover)
+        patch.setattr(multipoly, "BLOCK_CELLS", crossover)
         check_stacked_values(data)
 
 
@@ -94,25 +124,36 @@ def check_stacked_values(data):
     points = data.draw(st.lists(st.tuples(*[COORDINATE] * nvars),
                                 min_size=1, max_size=6))
     evaluator = StackedEvaluator(polys, nvars)
-    want = [[outcome(p, pt) for p in polys] for pt in points]
-    errors = [{w[1] for w in row if isinstance(w, tuple)} for row in want]
-    for pt, row, messages in zip(points, want, errors):
-        if messages:
-            with pytest.raises(OverflowError) as err:
-                evaluator([pt])
-            assert str(err.value) in messages
-        else:
-            assert [bits(v) for v in evaluator([pt])[0]] == [bits(w) for w in row]
+    alone = [evaluator([pt])[0] for pt in points]
+    for pt, row in zip(points, alone):
+        assert all(agrees(p, pt, v) for p, v in zip(polys, row.tolist()))
+    want = [[bits(v) for v in row] for row in alone]
+    assert [[bits(v) for v in row] for row in evaluator(points)] == want
     evaluator.block = data.draw(st.integers(1, 3))
-    if any(errors):
-        with pytest.raises(OverflowError):
-            evaluator(points)
-    clean = [(pt, row) for pt, row, messages in zip(points, want, errors)
-             if not messages]
-    if clean:
-        stacked = evaluator([pt for pt, _ in clean])
-        assert [[bits(v) for v in vals] for vals in stacked] == [
-            [bits(w) for w in row] for _, row in clean]
+    assert [[bits(v) for v in row] for row in evaluator(points)] == want
+
+
+#: Gaussian-rational coordinates of modulus at most 8 * sqrt(2): a power
+#: up to 120 of each of two stays far inside float64
+SMALL_GAUSSIAN = st.builds(GaussianRational,
+                           *[st.builds(Fraction, st.integers(-8, 8), st.integers(1, 8))] * 2)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_values_are_within_roundoff_of_the_exact_value(data):
+    """An oracle independent of the loop, for the exponents of 100 and more
+    too: at Gaussian-rational points each value lies within 1e-12 times the
+    sum of the term moduli, sum |c * x^e|, of the exact value (``eval_exact``)."""
+    nvars = data.draw(st.integers(1, 2))
+    polys = data.draw(st.lists(polynomials(nvars), min_size=1, max_size=3))
+    exact = data.draw(st.lists(st.tuples(*[SMALL_GAUSSIAN] * nvars),
+                               min_size=1, max_size=4))
+    points = [[complex(x) for x in pt] for pt in exact]
+    values = StackedEvaluator(polys, nvars)(points)
+    for pt, point, row in zip(exact, points, values.tolist()):
+        for p, got in zip(polys, row):
+            assert abs(got - complex(p.eval_exact(pt))) <= 1e-12 * term_scale(p, point)
 
 
 def test_a_point_has_the_same_bits_alone_in_a_stack_and_across_blocks():
@@ -127,9 +168,12 @@ def test_a_point_has_the_same_bits_alone_in_a_stack_and_across_blocks():
     whole = evaluator(points)
     evaluator.block = 3
     blocked = evaluator(points)
-    want = [[bits(term_loop(p, pt)) for p in polys] for pt in points]
-    for values in (alone, whole, blocked):
-        assert [[bits(v) for v in row] for row in values] == want
+    assert [[bits(v) for v in row] for row in whole] == [
+        [bits(v) for v in row] for row in alone]
+    assert [[bits(v) for v in row] for row in blocked] == [
+        [bits(v) for v in row] for row in alone]
+    assert [[loop_bits(v) for v in row] for row in alone] == [
+        [loop_bits(term_loop(p, pt)) for p in polys] for pt in points]
 
 
 def test_blocks_bound_the_working_arrays():
@@ -141,23 +185,27 @@ def test_blocks_bound_the_working_arrays():
     assert evaluator.block * 2 * 59 <= BLOCK_CELLS
     points = [(complex(k / 500, -k / 700),) for k in range(500)]
     want = [term_loop(polys[0], pt) for pt in points]
-    assert [bits(v) for v in evaluator(points)[:, 0]] == [bits(w) for w in want]
+    assert [loop_bits(v) for v in evaluator(points)[:, 0]] == [loop_bits(w) for w in want]
 
 
 @pytest.mark.parametrize("text,point", [
-    ("z^120", (1e3, 0.0)),       # Python's pow formula, beyond exponent 100
+    ("z^120", (1e3, 0.0)),       # beyond exponent 100: numpy's pow formula
     ("z^50*w", (1e10, 1.0)),     # repeated squaring
     ("w + 2*z^3", (1e200, 1.0)),
 ])
-def test_overflowing_power_raises_the_loops_error(text, point):
+def test_a_power_beyond_float64_is_a_non_finite_value(text, point):
+    """Where the loop's power overflows, the value is not finite, and the
+    family's matrices and characteristic polynomials there are refused."""
     poly = parse_entry(text, ["z", "w"])
-    with pytest.raises(OverflowError) as want:
-        term_loop(poly, point)
-    with pytest.raises(OverflowError) as got:
-        StackedEvaluator([poly], 2)([point])
-    assert str(got.value) == str(want.value)
     with pytest.raises(OverflowError):
-        poly.eval_complex(point)
+        term_loop(poly, point)
+    assert not cmath.isfinite(StackedEvaluator([poly], 2)([point])[0, 0])
+    assert not cmath.isfinite(poly.eval_complex(point))
+    family = MatrixFamily(n=1, params=["z", "w"], entries=[[poly]])
+    with pytest.raises(NonFiniteError):
+        family.at_many([point])
+    with pytest.raises(NonFiniteError):
+        family.char_poly_at_many([point])
 
 
 @pytest.mark.parametrize("text,point", [
@@ -168,7 +216,7 @@ def test_overflowing_power_raises_the_loops_error(text, point):
 ])
 def test_overflowing_product_is_a_value_not_an_error(text, point):
     poly = parse_entry(text, ["z", "w"])
-    assert bits(poly.eval_complex(point)) == bits(term_loop(poly, point))
+    assert loop_bits(poly.eval_complex(point)) == loop_bits(term_loop(poly, point))
 
 
 def test_eval_complex_is_the_one_point_case():
@@ -176,7 +224,7 @@ def test_eval_complex_is_the_one_point_case():
                          (0, 0): GaussianRational(0, -1),
                          (1, 3): GaussianRational(-5)})
     point = (complex(-0.0, 1.5), complex(0.25, -0.0))
-    assert bits(poly.eval_complex(point)) == bits(term_loop(poly, point))
+    assert loop_bits(poly.eval_complex(point)) == loop_bits(term_loop(poly, point))
     assert type(poly.eval_complex(point)) is complex
     with pytest.raises(ValueError):
         poly.eval_complex((1.0,))
@@ -187,10 +235,8 @@ def test_empty_stack_and_empty_list():
     assert StackedEvaluator([], 1)([(1.0,)]).shape == (1, 0)
 
 
-#: the exponents of z, on both sides of MAX_SQUARING_EXPONENT, so that
-#: z's table, with an exponent of 100 or more, takes ``**`` whole; w takes
-#: those below 100 only, so that its table comes from numpy's complex
-#: power on every row where that cannot differ from ``**``.
+#: the exponents of z, on both sides of 100, where numpy's power turns from
+#: CPython's repeated squaring to its pow formula; w takes those below 100
 EXPONENTS = (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 100, 101, 120)
 SQUARING_EXPONENTS = EXPONENTS[:-3]
 
@@ -208,6 +254,8 @@ def thousand_point_stack(rng):
     # every power of z and of w
     polys[0] = MultiPoly(2, {**{(e, 0): GaussianRational(1) for e in EXPONENTS},
                              **{(0, e): GaussianRational(0, 1) for e in SQUARING_EXPONENTS}})
+    # the powers of w alone, all below 100
+    polys.append(MultiPoly(2, {(0, e): GaussianRational(1) for e in SQUARING_EXPONENTS}))
 
     def part():
         return rng.choice([0.0, -0.0, 1.0, -1.0, rng.uniform(-1.4, 1.4)])
@@ -218,21 +266,13 @@ def thousand_point_stack(rng):
 
 @CROSSOVERS
 def test_a_thousand_point_stack_has_the_bits_of_the_term_loop(crossover, monkeypatch):
-    monkeypatch.setattr(multipoly, "MAX_SQUARING_EXPONENT", crossover)
+    monkeypatch.setattr(multipoly, "BLOCK_CELLS", crossover)
     polys, points = thousand_point_stack(random.Random(5))
     evaluator = StackedEvaluator(polys, 2)
-    want = [[bits(term_loop(p, pt)) for p in polys] for pt in points]
-    assert [[bits(v) for v in row] for row in evaluator(points)] == want
-    # the power tables alone, whose parts include signed zeros: one with an
-    # exponent of 100 or more, and one from numpy's power at the default
-    # crossover
-    z = np.array([pt[0] for pt in points])
-    for expos in (EXPONENTS, SQUARING_EXPONENTS):
-        table = [[bits(v) for v in row] for row in multipoly._powers(z, list(expos))]
-        powers = [[bits(w**e) for e in expos] for w in z.tolist()]
-        assert table == powers
-        assert any(part == struct.pack("<d", -0.0)
-                   for row in powers for v in row for part in v)
+    assert (evaluator.block == 1) == (crossover == 0) and evaluator.block < len(points)
+    values = evaluator(points)
+    assert all(agrees(p, pt, v) for pt, row in zip(points, values.tolist())
+               for p, v in zip(polys, row))
 
 
 @CROSSOVERS
@@ -242,49 +282,23 @@ def test_a_thousand_point_stack_has_the_bits_of_the_term_loop(crossover, monkeyp
     (complex(1.0, 1.0), complex(1e200, -0.0)),  # w**2 already
 ])
 def test_a_thousand_point_stack_raises_the_loops_overflow(crossover, bad, monkeypatch):
-    monkeypatch.setattr(multipoly, "MAX_SQUARING_EXPONENT", crossover)
+    """The family's matrices raise NonFiniteError where the loop's powers
+    overflow at the bad point; the evaluator's values there are not finite,
+    and every other point keeps its values."""
+    monkeypatch.setattr(multipoly, "BLOCK_CELLS", crossover)
     polys, points = thousand_point_stack(random.Random(6))
+    evaluator = StackedEvaluator(polys, 2)
+    clean = evaluator(points)
     points[617] = bad
-    messages = {outcome(p, bad)[1] for p in polys if isinstance(outcome(p, bad), tuple)}
-    assert messages == {"complex exponentiation"}
-    with pytest.raises(OverflowError) as err:
-        StackedEvaluator(polys, 2)(points)
-    assert str(err.value) in messages
-
-
-#: parts of edge points: signed zeros, the least subnormal, parts whose
-#: powers underflow or overflow (to inf, or through it to NaN), and plain
-#: values of either sign
-EDGE_PARTS = (0.0, -0.0, 5e-324, -5e-324, 1e-200, -1e-170, 1e4, 1e100, 1e200, -1e160,
-              1.5, -2.5)
-#: on both sides of numpy's shortcuts (1, 2, 3) and of MAX_SQUARING_EXPONENT
-EDGE_EXPONENTS = (1, 2, 3, 4, 99, 100, 101)
-
-
-@pytest.mark.parametrize("expos", [(e,) for e in EDGE_EXPONENTS]
-                         + [EDGE_EXPONENTS[:5], EDGE_EXPONENTS])
-def test_powers_have_the_bits_and_errors_of_python_pow(expos):
-    """Every edge point, real negative points and zero bases among them:
-    alone, ``_powers`` raises where ``**`` does, with its message, and
-    otherwise gives its bits; the points whose powers do not overflow give
-    them in one stack too. A bare call warns of nothing (pytest turns a
-    RuntimeWarning into an error)."""
-    points = [complex(re, im) for re in EDGE_PARTS for im in EDGE_PARTS]
-    clean, want = [], []
-    for w in points:
-        try:
-            row = [bits(w**e) for e in expos]
-        except OverflowError as err:
-            with pytest.raises(OverflowError) as got:
-                multipoly._powers(np.array([w]), list(expos))
-            assert str(got.value) == str(err)
-            continue
-        assert [bits(v) for v in multipoly._powers(np.array([w]), list(expos))[0]] == row
-        clean.append(w)
-        want.append(row)
-    table = multipoly._powers(np.array(clean), list(expos))
-    assert [[bits(v) for v in row] for row in table] == want
-    assert len(clean) < len(points) or expos == (1,)  # some powers overflow
+    values = evaluator(points)
+    assert any(outcome(p, bad) is None for p in polys)
+    assert all(agrees(p, bad, v) for p, v in zip(polys, values[617].tolist()))
+    rest = np.arange(len(points)) != 617
+    assert np.array_equal(values[rest].view(np.uint64), clean[rest].view(np.uint64))
+    family = MatrixFamily(n=2, params=["z", "w"], entries=[polys[:2], polys[2:4]])
+    family.at_many(points[:617])
+    with pytest.raises(NonFiniteError):
+        family.at_many(points)
 
 
 SLOT_PART = st.one_of(

@@ -11,15 +11,22 @@ in its own process, on its own ``src/``, with the same argv and input
 files, through this checkout's ``bench/run.py`` ``write_inputs`` and
 ``run_op``, which it imports and does not change.
 
-Each differing command is printed with both outcomes. Exit code 0 when
-nothing differs, 1 when something does, 2 when the comparison cannot run.
+Each differing command is printed with both outcomes. Where both outputs
+parse as JSON they are compared field by field: exit outcomes, keys, list
+lengths, strings and integers must be equal, and floats agree within
+``TOLERANCE`` * (1 + |x|), x the parent's value. A command within that
+tolerance is printed with its worst float difference and its path, and
+one beyond it with the first path that goes beyond it. The summary line
+counts the commands that differ beyond the tolerance, and names how many
+more differ within it. Exit code 0 when none differs beyond it, 1 when
+some do, 2 when the comparison cannot run.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -29,10 +36,16 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
 DATA = ROOT / "tests" / "data"
 SEED = 1
+#: relative float tolerance of the field-by-field comparison
+TOLERANCE = 1e-9
 
 
 class Fail(Exception):
     """The comparison cannot run (exit code 2)."""
+
+
+class Beyond(Exception):
+    """Two reports differ beyond the tolerance at the path it holds."""
 
 
 def commands(workdir: Path) -> list:
@@ -63,7 +76,7 @@ def commands(workdir: Path) -> list:
 
 def worker(tree: Path) -> int:
     """Run the argvs that stdin lists on ``tree``'s program; write to
-    stdout, for each, its outcome and the SHA-256 of its output."""
+    stdout, for each, its outcome and its output."""
     sys.path.insert(0, str(BENCH))
     import run  # pins BLAS to one thread before numpy is imported
 
@@ -76,13 +89,13 @@ def worker(tree: Path) -> int:
     results = []
     for argv in json.load(sys.stdin):
         outcome, _, text = run.run_op(jordanscope.cli, argv)
-        results.append([outcome, hashlib.sha256(text.encode()).hexdigest()])
+        results.append([outcome, text])
     json.dump(results, sys.stdout)
     return 0
 
 
 def outcomes(trees, argvs) -> list:
-    """Each tree's [outcome, digest] list, from one worker process per
+    """Each tree's [outcome, output] list, from one worker process per
     tree, the workers running side by side."""
     procs = []
     for tree in trees:
@@ -98,6 +111,48 @@ def outcomes(trees, argvs) -> list:
     return [json.loads(text) for text in texts]
 
 
+def worst_float(was, now, path="$"):
+    """(gap, path) of the largest float difference between two parsed
+    reports; Beyond at the first path where they differ otherwise, or by
+    more than the tolerance."""
+    if type(was) is not type(now):
+        raise Beyond(path)
+    if isinstance(was, dict):
+        if list(was) != list(now):
+            raise Beyond(path)
+        pairs = [(f"{path}.{key}", was[key], now[key]) for key in was]
+    elif isinstance(was, list):
+        if len(was) != len(now):
+            raise Beyond(path)
+        pairs = [(f"{path}[{k}]", a, b) for k, (a, b) in enumerate(zip(was, now))]
+    elif was == now or isinstance(was, float) and math.isnan(was) and math.isnan(now):
+        return 0.0, path
+    elif isinstance(was, float) and math.isfinite(was) and (
+            abs(now - was) <= TOLERANCE * (1 + abs(was))):
+        return abs(now - was), path
+    else:
+        raise Beyond(path)
+    return max((worst_float(a, b, key) for key, a, b in pairs),
+               key=lambda found: found[0], default=(0.0, path))
+
+
+def compare(was: str, now: str):
+    """How two outputs differ: None when they are the same text; else
+    (beyond, note), ``beyond`` true unless both parse as JSON and agree
+    within the tolerance."""
+    if was == now:
+        return None
+    try:
+        reports = json.loads(was), json.loads(now)
+    except ValueError:
+        return True, "stdout differs"
+    try:
+        gap, path = worst_float(*reports)
+    except Beyond as err:
+        return True, f"stdout differs at {err}"
+    return False, f"within tolerance, worst float difference {gap:.3g} at {path}"
+
+
 def report(parent: Path, named) -> int:
     """Print each of the (name, argv) commands whose outcome or output
     differs between ``parent`` and this checkout; the exit code."""
@@ -106,16 +161,18 @@ def report(parent: Path, named) -> int:
     except Fail as err:
         print(f"diff cannot run: {err}", file=sys.stderr)
         return 2
-    changed = 0
-    for (name, _), (was, digest_was), (now, digest_now) in zip(named, before, after):
+    changed = within = 0
+    for (name, _), (was, text_was), (now, text_now) in zip(named, before, after):
         if was != now:
             print(f"{name}: outcome {was} -> {now}")
-        elif digest_was != digest_now:
-            print(f"{name}: stdout differs ({now})")
-        else:
-            continue
-        changed += 1
-    print(f"{changed} of {len(named)} commands differ from {parent}")
+            changed += 1
+        elif found := compare(text_was, text_now):
+            beyond, note = found
+            print(f"{name}: {note} ({now})")
+            changed += beyond
+            within += not beyond
+    more = f" ({within} more within tolerance)" if within else ""
+    print(f"{changed} of {len(named)} commands differ from {parent}{more}")
     return 1 if changed else 0
 
 
