@@ -368,16 +368,6 @@ def complex_product(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-def complex_modulus(re, im):
-    """abs of every value, and where Python's abs would raise
-    OverflowError instead: a finite value whose modulus overflows."""
-    size = np.hypot(re, im)
-    overflow = np.isinf(size)
-    if np.count_nonzero(overflow):
-        overflow &= np.isfinite(re) & np.isfinite(im)
-    return size, overflow
-
-
 def _render_term(coeff: GaussianRational, mono: str) -> str:
     if not mono:
         s = str(coeff)

@@ -21,9 +21,9 @@ from .ranklab import (
     NonFiniteError,
     kernel_basis,
     norm_scales,
+    power_or_inf,
     power_ranks,
 )
-from .sylv import _power
 from .tracker import (
     disk_means,
     distinct_eigenvalues,
@@ -278,7 +278,7 @@ def verify_rank_identities(
         raise NonFiniteError()
     else:
         norm = float(np.linalg.norm(power, 2))
-        bound = NILPOTENCY_SCALE * _power(1.0 + float(np.linalg.norm(phi, 2)), n * m)
+        bound = NILPOTENCY_SCALE * power_or_inf(1.0 + float(np.linalg.norm(phi, 2)), n * m)
         nilpotent = IdentityCheck("theta-nilpotent", f"|Theta^{n}| = {norm:.3e}",
                                   norm <= bound, norm, bound)
 

@@ -185,6 +185,15 @@ def norm_scales(stack) -> ScaleBounds:
     return ScaleBounds(*norm_bounds(a), exact)
 
 
+def power_or_inf(base: float, exponent: int) -> float:
+    """base ** exponent, inf where Python's float power leaves float64: the
+    one overflow-safe power of the roundoff scales and sampled bounds."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
 def power_ranks(bases, count: int, scales, done,
                 rel_tol: float = DEFAULT_REL_TOL) -> list:
     """rank B^k for k = 0..count of every B of an (N, n, n) stack, one
@@ -222,10 +231,7 @@ def power_ranks(bases, count: int, scales, done,
                 ask = np.flatnonzero((got != top) | ~known)
                 need = [active[j] for j in ask.tolist()]
                 exact.update((i, scales.exact(i)) for i in need if i not in exact)
-                try:
-                    floors = [exact[i] ** k for i in need]
-                except OverflowError:
-                    raise NonFiniteError() from None
+                floors = [power_or_inf(exact[i], k) for i in need]
                 if not all(map(math.isfinite, floors)):
                     raise NonFiniteError()
                 if floors:

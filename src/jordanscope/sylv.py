@@ -10,7 +10,6 @@ points where zeros collide.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -25,6 +24,7 @@ from .ranklab import (
     ScaleBounds,
     generic_points,
     minors,
+    power_or_inf,
     stacked_ranks,
 )
 
@@ -184,7 +184,7 @@ def bound_report(label: str, points: Sequence, functions: Sequence[MultiPoly],
     def bounds_at(index):
         if len(ask := index[~known[index]]):
             exact[ask], known[ask] = scales.exact(ask), True
-        return [constant * _power(max(1.0, s), exponent) for s in exact[index].tolist()]
+        return [constant * power_or_inf(max(1.0, s), exponent) for s in exact[index].tolist()]
 
     top = picked[np.argsort(-upper[picked], kind="stable")[:FEW_CANDIDATES]]
     with np.errstate(all="ignore"):
@@ -202,13 +202,6 @@ def bound_report(label: str, points: Sequence, functions: Sequence[MultiPoly],
     ]
     max_ratio = float(np.fmax.reduce(ratios, axis=None, initial=0.0))
     return BoundReport(label, values.size, violations, max_ratio)
-
-
-def _power(base: float, exponent: int) -> float:
-    try:
-        return base**exponent
-    except OverflowError:
-        return math.inf
 
 
 def _moduli(polys: Sequence[MultiPoly], points) -> np.ndarray:

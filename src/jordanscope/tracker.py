@@ -17,11 +17,11 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .algebra.matrices import identity_like
-from .algebra.multipoly import complex_modulus, complex_product
+from .algebra.multipoly import complex_product
 from .algebra.unipoly import UniPoly, derivative
 from .family import MatrixFamily
 from .ranklab import (DEFAULT_REL_TOL, NonFiniteError, ScaleBounds, norm_bounds,
-                      norm_scales, power_ranks)
+                      norm_scales, power_or_inf, power_ranks)
 
 #: nodes per circle at the first quadrature level; each later level doubles
 FIRST_QUADRATURE_NODES = 32
@@ -184,9 +184,12 @@ def disk_means(eigenvalues, state: BranchState):
 # Every value is computed at once for all nodes of all circles, on float64
 # arrays that hold real and imaginary parts apart. The formulas are
 # Python's own complex arithmetic written out (products, CPython's
-# quotient, ``abs`` as ``hypot``, sums in node order), so that each value
-# equals, bit for bit, what a Python loop over the nodes computes; numpy's
-# complex loops fuse multiply-adds and differ from it in the last bit.
+# quotient, sums in node order), so that each value equals, bit for bit,
+# what a Python loop over the nodes computes; numpy's complex loops fuse
+# multiply-adds and differ from it in the last bit. Moduli are the hypot
+# of the parts. A |p| beyond float64 on a contour raises NonFiniteError,
+# in the block of nodes where it is found; a change |p_new - p_old| beyond
+# it fails the dominance check, so the step halves.
 
 #: nodes per circle evaluated in one array pass; a level with more nodes
 #: is evaluated block by block, so memory stays bounded
@@ -268,37 +271,25 @@ def _coefficients(p):
 
 def _terms(zr, zi, cr, ci, pr, pi, dr, di):
     """The integrand z p'(z)/p(z) (z - c) from z, c, p(z) and p'(z) at the
-    nodes of circles about centers c, one row per circle, and two masks:
-    where the node loop stops (|p| vanishes or abs(p) overflows) and where
-    abs(p) overflows."""
-    size, overflow = complex_modulus(pr, pi)
+    nodes of circles about centers c, one row per circle. A |p| beyond
+    float64 raises NonFiniteError; else a |p| below 1e-300, ContourError."""
+    size = np.hypot(pr, pi)
+    if not np.isfinite(size).all():
+        raise NonFiniteError("characteristic polynomial beyond float64 on a contour")
+    if (size < 1e-300).any():
+        raise ContourError("|p| vanishes on the contour")
     tr, ti = _quotient(*complex_product(zr, zi, dr, di), pr, pi)
     # dz/dtheta = i*(z - center)
-    tr, ti = complex_product(tr, ti, zr - cr, zi - ci)
-    return tr, ti, overflow | (size < 1e-300), overflow
-
-
-def _first_errors(errors, bad, overflow):
-    """Each row's error at its first bad node of a ``_terms`` block, if it has none yet."""
-    for row in np.flatnonzero(bad.any(axis=1)) if np.count_nonzero(bad) else ():
-        if errors[row] is None:
-            errors[row] = (OverflowError("absolute value too large")
-                           if overflow[row, bad[row].argmax()]
-                           else ContourError("|p| vanishes on the contour"))
-    return errors
+    return complex_product(tr, ti, zr - cr, zi - ci)
 
 
 def _node_sums(blocks, count: int):
     """Per circle, the sum of the integrand over the nodes, in node order
-    from 0j, from the blocks of ``_terms`` that cover a level, and the
-    error the node loop raises first (None if none): ContourError where
-    |p| vanishes, OverflowError where abs(p) overflows."""
+    from 0j, from the blocks of ``_terms`` that cover a level."""
     acc = np.zeros((2 * count, 1))  # real parts, then imaginary parts
-    errors = [None] * count
-    for tr, ti, bad, overflow in blocks:
-        _first_errors(errors, bad, overflow)
+    for tr, ti in blocks:
         acc = np.add.accumulate(np.hstack([acc, np.vstack([tr, ti])]), axis=1)[:, -1:]
-    return [complex(r, i) for r, i in zip(*acc.reshape(2, count).tolist())], errors
+    return [complex(r, i) for r, i in zip(*acc.reshape(2, count).tolist())]
 
 
 def _known_sums(q_known: int, values):
@@ -306,15 +297,14 @@ def _known_sums(q_known: int, values):
     FIRST_QUADRATURE_NODES nodes, from the ``_terms`` arguments at q_known
     nodes: one integrand pass, then one accumulate over the levels stacked
     and right-padded with +0.0, exact for a running sum from 0j."""
-    tr, ti, bad, overflow = _terms(*values)
+    tr, ti = _terms(*values)
     count = len(tr)
     strides = [2**j for j in range((q_known // FIRST_QUADRATURE_NODES).bit_length())]
     table = np.zeros((len(strides), 2, count, 1 + q_known))
     for k, s in enumerate(strides):
         table[k, :, :, 1:1 + q_known // s] = tr[:, ::s], ti[:, ::s]
     acc = np.add.accumulate(table, axis=-1)[..., -1].tolist()
-    return {q_known // s: ([complex(r, i) for r, i in zip(*acc[k])],
-                           _first_errors([None] * count, bad[:, ::s], overflow[:, ::s]))
+    return {q_known // s: [complex(r, i) for r, i in zip(*acc[k])]
             for k, s in enumerate(strides)}
 
 
@@ -333,14 +323,18 @@ def contour_roots(
     accurate for this analytic integrand), with node doubling from
     FIRST_QUADRATURE_NODES until two successive values agree to 1e-12
     relative. The circles that have not converged share the node count
-    and are evaluated in one array pass per level. When several circles
-    fail, the error raised is that of the first of them in order.
+    and are evaluated in one array pass per level. A multiplicity below 1
+    is a ValueError before any evaluation; a |p| beyond float64 or below
+    1e-300 at a node raises as ``_terms`` finds it, and circles still open
+    after the level past MAX_QUADRATURE_NODES raise ContourError.
     ``known`` is a pair (Q, the arguments of ``_terms`` at all Q nodes of
     every circle) already computed for this p. Every level whose nodes
     are among them is summed from one integrand pass (``_known_sums``);
     the coefficients of p and p' are built only for a level beyond them.
     p may also be given as its ``_coefficients``.
     """
+    if any(multiplicity < 1 for multiplicity in multiplicities):
+        raise ValueError("multiplicity must be >= 1")
     centers = [complex(c) for c in centers]
     radius = float(radius)
     roots = [None] * len(centers)
@@ -357,39 +351,22 @@ def contour_roots(
             (pr, pi), (dr, di) = _horners(coeffs, zr, zi)
             yield _terms(zr, zi, cr, ci, pr, pi, dr, di)
 
-    # the first failing circle so far: no later circle can decide the error
-    failed, failure = len(centers), None
-    for i, multiplicity in enumerate(multiplicities):
-        if multiplicity < 1:
-            failed, failure = i, ValueError("multiplicity must be >= 1")
-            break
-    rows = list(range(failed))
+    rows = list(range(len(centers)))
     q = FIRST_QUADRATURE_NODES
     while rows:
-        sums, errors = (([part[i] for i in rows] for part in known_sums[q]) if q in known_sums
-                        else _node_sums(level(rows, q), len(rows)))
-        for i, total, err in zip(rows, sums, errors):
-            if err is None:
-                try:
-                    # (1 / (multiplicity * 2*pi*i)) * i * (2*pi/q) * sum
-                    cur = total / (q * multiplicities[i])
-                    if prev[i] is not None and abs(cur - prev[i]) < 1e-12 * (1.0 + abs(cur)):
-                        roots[i] = cur
-                    elif q > MAX_QUADRATURE_NODES:
-                        err = ContourError(
-                            f"no convergence with {MAX_QUADRATURE_NODES} nodes; "
-                            "a root is probably near the contour"
-                        )
-                    prev[i] = cur
-                except ArithmeticError as error:
-                    err = error
-            if err is not None:
-                failed, failure = i, err
-                break
-        rows = [i for i in rows if i < failed and roots[i] is None]
+        sums = ([known_sums[q][i] for i in rows] if q in known_sums
+                else _node_sums(level(rows, q), len(rows)))
+        for i, total in zip(rows, sums):
+            # (1 / (multiplicity * 2*pi*i)) * i * (2*pi/q) * sum
+            cur = total / (q * multiplicities[i])
+            if prev[i] is not None and abs(cur - prev[i]) < 1e-12 * (1.0 + abs(cur)):
+                roots[i] = cur
+            prev[i] = cur
+        rows = [i for i in rows if roots[i] is None]
+        if rows and q > MAX_QUADRATURE_NODES:
+            raise ContourError(f"no convergence with {MAX_QUADRATURE_NODES} nodes; "
+                               "a root is probably near the contour")
         q *= 2
-    if failure is not None:
-        raise failure
     return tuple(roots)
 
 
@@ -400,24 +377,24 @@ def contour_root(p: UniPoly, center: complex, radius: float, multiplicity: int) 
 
 def _rouche_values(p_old, p_new, state: BranchState):
     """The dominance inequality |p_new - p_old| < |p_old| at
-    ROUCHE_BOUNDARY_SAMPLES nodes of every circle of the state. None when
-    it fails at some node; else the ``known`` values of p_new and p_new'
-    at those nodes, for ``contour_roots``."""
+    ROUCHE_BOUNDARY_SAMPLES nodes of every circle of the state. A |p_old|
+    beyond float64 at some node raises NonFiniteError; else None when the
+    inequality fails at some node (as it does where |p_new - p_old| is not
+    finite: the step was too long), and the ``known`` values of p_new and
+    p_new' at those nodes, for ``contour_roots``, when it holds at all."""
     q = ROUCHE_BOUNDARY_SAMPLES
     (old, _), (new, dnew) = _coefficients(p_old), _coefficients(p_new)
     with np.errstate(all="ignore"):
         zr, zi, cr, ci = _circle_points([complex(c) for c in state.centers],
                                         float(state.radius), q, 0, q)
         (new_r, new_i), (old_r, old_i), (dr, di) = _horners([new, old, dnew], zr, zi)
-        change, change_overflow = complex_modulus(new_r - old_r, new_i - old_i)
-        size, size_overflow = complex_modulus(old_r, old_i)
-        stop = (change_overflow | size_overflow | (change >= size)).ravel()
-    first = stop.argmax()
-    if not stop[first]:
-        return q, (zr, zi, cr, ci, new_r, new_i, dr, di)
-    if change_overflow.flat[first] or size_overflow.flat[first]:
-        raise OverflowError("absolute value too large")
-    return None
+        change = np.hypot(new_r - old_r, new_i - old_i)
+        size = np.hypot(old_r, old_i)
+    if not np.isfinite(size).all():
+        raise NonFiniteError("characteristic polynomial beyond float64 on a contour")
+    if not (change < size).all():
+        return None
+    return q, (zr, zi, cr, ci, new_r, new_i, dr, di)
 
 
 # ---------------------------------------------------------------------------
@@ -763,10 +740,7 @@ def theta_stack(matrices: np.ndarray, factor_lists):
             norms = np.linalg.svd(factor[i, : len(factor_lists[i])], compute_uv=False)
             scale = 1.0
             for norm, (_, power) in zip(norms[:, 0].tolist(), factor_lists[i]):
-                try:
-                    scale *= norm ** int(power)
-                except OverflowError:  # power_ranks refuses a non-finite scale it needs
-                    scale = math.inf
+                scale *= power_or_inf(norm, int(power))  # power_ranks refuses a non-finite one
             return scale
 
         scales = ScaleBounds(np.where(normal, low, 0.0),

@@ -787,6 +787,9 @@ BEYOND_FLOAT64 = [
     # where |z| > 1.36, which samples from the square [-1, 1]^2 reach
     (SAMPLED_POWER, ["split-set"]),
     (SAMPLED_POWER, ["jst-set", "--samples", "50"]),
+    # eigenvalues +-1.2e154 whose characteristic polynomial z^2 - 1.44e308 is
+    # finite at the path's points, and beyond float64 on their contours
+    ([["z", "1"], ["0", "-z"]], ["track", "--path", "[[1.2e154],[1.3e154]]", "--steps", "2"]),
 ]
 
 
@@ -797,7 +800,7 @@ BEYOND_FLOAT64 = [
     "census-entry-power", "track-entry-power", "census-roundoff-scale", "scan-char-poly",
     "track-char-poly", "split-set-char-poly", "census-extreme-point",
     "split-set-modulus", "split-set-modulus-2x2", "split-set-sampled-value",
-    "split-set-sampled-power", "jst-set-sampled-power",
+    "split-set-sampled-power", "jst-set-sampled-power", "track-contour",
 ])
 def test_values_beyond_float64_are_input_errors(family_file, capsys, entries, argv):
     doc = {"n": len(entries), "params": ["z"], "entries": entries}
@@ -808,6 +811,22 @@ def test_values_beyond_float64_are_input_errors(family_file, capsys, entries, ar
     assert not caught  # numpy overflow warnings would add stderr lines
     err = capsys.readouterr().err
     assert err.startswith("input error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("steps", ["1", "2"])
+def test_track_halves_a_step_whose_trial_polynomial_overflows(family_file, capsys, steps):
+    # p is finite at every point of the path and on each point's own
+    # circles, but p at z = -6e153 (or 0) is beyond float64 on the circles
+    # of z = 6e153: that trial fails the dominance check and shorter steps
+    # follow, up to the split event where the branches cross at z = 0
+    doc = {"n": 2, "params": ["z"], "entries": [["z", "0"], ["0", "2*z"]]}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run_cli(["track", family_file(doc), "--path", "[[6e153],[-6e153]]",
+                             "--steps", steps], capsys)
+    assert code == 0 and not caught
+    result = json.loads(out)
+    assert len(result["samples"]) > 2 and len(result["events"]) == 1
 
 
 def test_scan_ranks_no_power_of_a_zero_theta(family_file, capsys):
@@ -1084,7 +1103,7 @@ def test_jst_bound_takes_exact_norms_at_a_few_top_candidates(capsys, svd_count, 
     assert 0 < sum(svd_count) <= 32  # 932 where every candidate took its norm
     # the ratio of taking the exact bound at every sample
     _, points, functions, constant, scales, exponent = checks[0]
-    limits = [constant * sylv._power(max(1.0, s), exponent)
+    limits = [constant * ranklab.power_or_inf(max(1.0, s), exponent)
               for s in scales.exact(np.arange(len(points))).tolist()]
     with np.errstate(all="ignore"):
         ratios = sylv._moduli(functions, points) / np.array(limits)[:, None]

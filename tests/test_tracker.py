@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from jordanscope.algebra import UniPoly
 from jordanscope.algebra.matrices import as_matrix
-from jordanscope.algebra.multipoly import complex_modulus, complex_product
+from jordanscope.algebra.multipoly import complex_product
 from jordanscope.algebra.unipoly import derivative
 from jordanscope import tracker
 from jordanscope.family import MatrixFamily
@@ -132,8 +132,9 @@ def test_contour_root_error_when_root_on_contour():
 #
 # The two oracles are the node-by-node Python loops of contour_root and
 # _rouche_ok as they were before quadrature was stacked. The stacked
-# kernel must reproduce them bit for bit: same roots (==), same verdicts,
-# same errors with the same messages.
+# kernel must reproduce their values bit for bit: the same roots (==) and
+# the same verdicts. Where a loop raises, the stacked kernel raises one of
+# its own errors: ContourError, NonFiniteError or ValueError.
 
 
 def oracle_contour_root(p, center, radius, multiplicity, nodes=32):
@@ -166,22 +167,39 @@ def oracle_contour_root(p, center, radius, multiplicity, nodes=32):
 
 
 def oracle_rouche_ok(p_old, p_new, state):
-    for center, _ in zip(state.centers, state.multiplicities):
+    """The loop's verdict, from Python's abs at every node: NonFiniteError
+    where |p_old| raises or is not finite at some node; else whether
+    |p_new - p_old| < |p_old| at all nodes, which fails where the change
+    is inf, NaN or raises."""
+    pairs = []
+    for center in state.centers:
         for k in range(ROUCHE_BOUNDARY_SAMPLES):
             z = center + state.radius * cmath.exp(
                 2j * math.pi * k / ROUCHE_BOUNDARY_SAMPLES
             )
-            if abs(p_new.eval(z) - p_old.eval(z)) >= abs(p_old.eval(z)):
-                return False
-    return True
+            try:
+                size = abs(p_old.eval(z))
+            except OverflowError:
+                raise NonFiniteError() from None
+            if not math.isfinite(size):
+                raise NonFiniteError()
+            try:
+                pairs.append((abs(p_new.eval(z) - p_old.eval(z)), size))
+            except OverflowError:
+                pairs.append((math.inf, size))
+    return all(change < size for change, size in pairs)
 
 
-def outcome(fn, *args):
-    """The value of fn(*args), or the type and message of its error."""
+def same_roots(stacked, loop):
+    """The stacked kernel against the node loop: the loop's roots (==)
+    where it returns, one of the stacked kernel's errors where it raises."""
     try:
-        return fn(*args)
-    except (ContourError, ValueError, ArithmeticError) as err:
-        return type(err), str(err)
+        want = loop()
+    except (ContourError, ValueError, ArithmeticError):
+        with pytest.raises((ContourError, NonFiniteError, ValueError)):
+            stacked()
+    else:
+        assert stacked() == want
 
 
 PARTS = st.floats(-10, 10)
@@ -222,11 +240,10 @@ def circles(draw, roots):
 def test_contour_roots_bit_identical_to_scalar_loop(data):
     p, roots = data.draw(polynomials())
     centers, radius, mults = data.draw(circles(roots))
-    want = outcome(lambda: tuple(
+    same_roots(lambda: contour_roots(p, centers, radius, mults), lambda: tuple(
         oracle_contour_root(p, c, radius, k) for c, k in zip(centers, mults)))
-    assert outcome(contour_roots, p, centers, radius, mults) == want
-    assert outcome(contour_root, p, centers[0], radius, mults[0]) == outcome(
-        oracle_contour_root, p, centers[0], radius, mults[0])
+    same_roots(lambda: contour_root(p, centers[0], radius, mults[0]),
+               lambda: oracle_contour_root(p, centers[0], radius, mults[0]))
 
 
 @settings(max_examples=100, deadline=None)
@@ -243,19 +260,19 @@ def test_rouche_verdicts_equal_scalar_loop(data):
     assume(dmin > 1e-6)
     radius = dmin / 2 * data.draw(st.floats(0.01, 0.99))
     state = BranchState(tuple(centers), (1,) * len(centers), radius)
-    want = outcome(oracle_rouche_ok, p_old, p_new, state)
     try:
-        known = _rouche_values(p_old, p_new, state)
-    except OverflowError as err:
-        assert want == (OverflowError, str(err))
+        want = oracle_rouche_ok(p_old, p_new, state)
+    except NonFiniteError:
+        with pytest.raises(NonFiniteError):
+            _rouche_values(p_old, p_new, state)
         return
+    known = _rouche_values(p_old, p_new, state)
     assert (known is not None) == want
     if known is not None:
         # the boundary values serve the first quadrature levels
         mults = (1,) * len(centers)
-        got = outcome(lambda: contour_roots(p_new, centers, radius, mults, known=known))
-        assert got == outcome(
-            lambda: tuple(oracle_contour_root(p_new, c, radius, 1) for c in centers))
+        same_roots(lambda: contour_roots(p_new, centers, radius, mults, known=known),
+                   lambda: tuple(oracle_contour_root(p_new, c, radius, 1) for c in centers))
 
 
 @settings(max_examples=20, deadline=None)
@@ -270,15 +287,16 @@ def test_written_out_arithmetic_equals_python(pairs, exponent):
     with np.errstate(all="ignore"):
         prod = complex_product(ar, ai, br, bi)
         quot = _quotient(ar, ai, br, bi)
-        size, overflow = complex_modulus(br, bi)
+        size = np.hypot(br, bi)  # the moduli of the contour checks
     for k, (x, y) in enumerate(zip(a, b)):
         assert complex(prod[0][k], prod[1][k]) == x * y
         assert complex(quot[0][k], quot[1][k]) == x / y
-        if overflow[k]:
-            with pytest.raises(OverflowError):
-                abs(y)
+        try:
+            want = abs(y)
+        except OverflowError:  # where the contour checks raise NonFiniteError
+            assert np.isinf(size[k])
         else:
-            assert size[k] == abs(y)
+            assert size[k] == want
 
 
 def test_horner_equals_unipoly_eval():
@@ -330,28 +348,69 @@ def test_stacked_horner_rows_equal_their_own_horner(coeff_lists, m, q, data):
 # its root -10 lies 1e-9 inside the circle around -9 + 1e-9, where the
 # quadrature cannot converge
 P_EXACT_ZERO = UniPoly([-100.0, 0.0, 1.0])
-VANISHES = (9.0 + 0j, "|p| vanishes on the contour")
-NO_CONVERGENCE = (-9.0 + 1e-9 + 0j, "no convergence with")
+VANISHES = 9.0 + 0j
+NO_CONVERGENCE = -9.0 + 1e-9 + 0j
 
 
-@pytest.mark.parametrize("order", [(NO_CONVERGENCE, VANISHES),
-                                   (VANISHES, NO_CONVERGENCE)],
-                         ids=["slow-first", "vanishing-first"])
-def test_first_failing_circle_decides_the_error(order):
-    centers = [center for center, _ in order]
-    with pytest.raises(ContourError, match=re.escape(order[0][1])) as got:
-        contour_roots(P_EXACT_ZERO, centers, 1.0, [1, 1])
-    with pytest.raises(ContourError) as want:
-        [oracle_contour_root(P_EXACT_ZERO, c, 1.0, 1) for c in centers]
-    assert str(got.value) == str(want.value)
+def counting(monkeypatch, *names):
+    """How often each named function of ``tracker`` is called from now on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(tracker, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(tracker, name, counted)
+    return calls
 
 
-def test_multiplicity_error_after_an_earlier_circle_fails():
-    # the first circle fails before the second circle's multiplicity is read
-    with pytest.raises(ContourError, match="vanishes"):
-        contour_roots(P_EXACT_ZERO, [VANISHES[0], 0j], 1.0, [1, 0])
-    with pytest.raises(ValueError, match="multiplicity"):
-        contour_roots(P_EXACT_ZERO, [0j, VANISHES[0]], 1.0, [0, 1])
+def test_a_multiplicity_below_1_is_refused_before_any_evaluation(monkeypatch):
+    # neither the first circle, which fails at its first node, nor the
+    # integrand pass of known values is reached
+    p_new, state = UniPoly([-1.001, 0.0, 1.0]), BranchState((-1 + 0j, 1 + 0j), (1, 1), 0.5)
+    known = _rouche_values(UniPoly([-1.0, 0.0, 1.0]), p_new, state)
+    assert known is not None
+    calls = counting(monkeypatch, "_horners", "_terms")
+    with pytest.raises(ValueError, match="multiplicity must be >= 1"):
+        contour_roots(P_EXACT_ZERO, [VANISHES, 0j], 1.0, [1, 0])
+    with pytest.raises(ValueError, match="multiplicity must be >= 1"):
+        contour_roots(p_new, state.centers, state.radius, [1, 0], known=known)
+    assert calls == {"_horners": 0, "_terms": 0}
+
+
+def test_a_vanishing_p_raises_at_the_first_level(monkeypatch):
+    calls = counting(monkeypatch, "_horners")
+    with pytest.raises(ContourError, match=re.escape("|p| vanishes on the contour")):
+        contour_roots(P_EXACT_ZERO, [NO_CONVERGENCE, VANISHES], 1.0, [1, 1])
+    assert calls == {"_horners": 1}
+
+
+def test_a_contour_beyond_float64_raises_at_the_first_level(monkeypatch):
+    # z^2 + 1 is inf on the circle of radius 1 about 1e200; from a cold node
+    # table, which the first level fills to its 32 nodes and no further
+    monkeypatch.setattr(tracker, "_UNIT_NODES", np.ones(1, dtype=complex))
+    calls = counting(monkeypatch, "_horners")
+    with pytest.raises(NonFiniteError, match="beyond float64 on a contour"):
+        contour_roots(UniPoly([1.0, 0.0, 1.0]), [1e200 + 0j, 0j], 1.0, [1, 1])
+    assert calls == {"_horners": 1}
+    assert len(tracker._UNIT_NODES) == tracker.FIRST_QUADRATURE_NODES
+
+
+def test_a_change_beyond_float64_fails_the_dominance_check():
+    # |p_old| = 1 on the circle of radius 1 about 1e200, where p_new = z^2
+    # is inf: the trial step was too long, not a value beyond float64
+    state = BranchState((1e200 + 0j,), (1,), 1.0)
+    assert _rouche_values(UniPoly([-1e200, 1.0]), UniPoly([0.0, 0.0, 1.0]), state) is None
+
+
+def test_the_dominance_check_refuses_a_nan_old_value():
+    # p_old = NaN * z + 1 is NaN at every node, where no comparison holds
+    state = BranchState((0j,), (1,), 0.5)
+    p_old = ([1 + 0j, complex(math.nan, 0.0)], [complex(math.nan, 0.0)])
+    with pytest.raises(NonFiniteError):
+        _rouche_values(p_old, UniPoly([1.0, 1.0]), state)
 
 
 def test_unit_nodes_sliced_from_a_finer_level_keep_the_bits_of_cmath_exp():
@@ -370,7 +429,7 @@ def test_non_converging_contour_memory_is_bounded(monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(ContourError, match="no convergence"):
-            contour_root(P_EXACT_ZERO, NO_CONVERGENCE[0], 1.0, 1)
+            contour_root(P_EXACT_ZERO, NO_CONVERGENCE, 1.0, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -485,15 +544,7 @@ def test_known_levels_share_one_integrand_pass(monkeypatch):
     p_old = UniPoly([-1.0, 0.0, 1.0])
     p_new = UniPoly([-1.0 - 1e-3, 0.0, 1.0])
     state = BranchState((-1.0 + 0j, 1.0 + 0j), (1, 1), 0.5)
-    calls = dict.fromkeys(["_horners", "_quotient", "derivative"], 0)
-    for name in calls:
-        original = getattr(tracker, name)
-
-        def counted(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(tracker, name, counted)
+    calls = counting(monkeypatch, "_horners", "_quotient", "derivative")
     known = _rouche_values(p_old, p_new, state)
     assert known is not None
     assert calls["_horners"] == 1
@@ -502,8 +553,7 @@ def test_known_levels_share_one_integrand_pass(monkeypatch):
     counting_np.__dict__.update(np.__dict__, add=CountingAdd())
     monkeypatch.setattr(tracker, "np", counting_np)
     roots = contour_roots(p_new, state.centers, state.radius, (1, 1), known=known)
-    assert roots == outcome(lambda: tuple(
-        oracle_contour_root(p_new, c, state.radius, 1) for c in state.centers))
+    assert roots == tuple(oracle_contour_root(p_new, c, state.radius, 1) for c in state.centers)
     assert calls == {"_horners": 0, "_quotient": 1, "derivative": 0}
     assert counting_np.add.accumulates == 1
 

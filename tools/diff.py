@@ -6,10 +6,12 @@ standard output differ between another checkout and this one.
 The commands are every op of the three benchmark workloads at seed 1
 (``bench/gen.py``); ``split-set``, ``jst-set``, ``verify`` and ``census``
 on each built-in family; ``split-set`` and ``jst-set`` on each
-``tests/data`` file; and ``verify --builtin-corpus``. Each tree runs them
-in its own process, on its own ``src/``, with the same argv and input
-files, through this checkout's ``bench/run.py`` ``write_inputs`` and
-``run_op``, which it imports and does not change.
+``tests/data`` file; ``verify --builtin-corpus``; and ``track --builtin
+shear`` on the ``KNOWN_FAILURES`` paths, so that a change which moves
+one of them from a failure to a report or an input error shows it. Each
+tree runs them in its own process, on its own ``src/``, with the same
+argv and input files, through this checkout's ``bench/run.py``
+``write_inputs`` and ``run_op``, which it imports and does not change.
 
 Each differing command is printed with both outcomes. Where both outputs
 parse as JSON they are compared field by field: exit outcomes, keys, list
@@ -38,6 +40,11 @@ DATA = ROOT / "tests" / "data"
 SEED = 1
 #: relative float tolerance of the field-by-field comparison
 TOLERANCE = 1e-9
+#: (path, steps) of ``track --builtin shear`` inputs that failed when
+#: added: two precision failures of the quadrature (exit 3), and a
+#: contour beyond float64, which exited 3 and is now an input error
+KNOWN_FAILURES = [("[[0],[1e154]]", "2"), ("[[1],[0]]", "10"),
+                  ("[[1.2e154],[1.3e154]]", "2")]
 
 
 class Fail(Exception):
@@ -71,6 +78,9 @@ def commands(workdir: Path) -> list:
         for command in ("split-set", "jst-set"):
             out.append((f"{command} tests/data/{path.name}", [command, str(path)]))
     out.append(("verify --builtin-corpus", ["verify", "--builtin-corpus"]))
+    for path, steps in KNOWN_FAILURES:
+        argv = ["track", "--builtin", "shear", "--path", path, "--steps", steps]
+        out.append((" ".join(argv), argv))
     return out
 
 
